@@ -18,15 +18,12 @@ def _weights(s: np.ndarray) -> np.ndarray:
     """Catmull-Rom basis weights for fractional offsets s in [0, 1); (..., 4)."""
     s2 = s * s
     s3 = s2 * s
-    return np.stack(
-        [
-            0.5 * (-s3 + 2.0 * s2 - s),
-            0.5 * (3.0 * s3 - 5.0 * s2 + 2.0),
-            0.5 * (-3.0 * s3 + 4.0 * s2 + s),
-            0.5 * (s3 - s2),
-        ],
-        axis=-1,
-    )
+    w = np.empty(s.shape + (4,))
+    w[..., 0] = 0.5 * (-s3 + 2.0 * s2 - s)
+    w[..., 1] = 0.5 * (3.0 * s3 - 5.0 * s2 + 2.0)
+    w[..., 2] = 0.5 * (-3.0 * s3 + 4.0 * s2 + s)
+    w[..., 3] = 0.5 * (s3 - s2)
+    return w
 
 
 def _stencil(grid: Grid, x: np.ndarray):

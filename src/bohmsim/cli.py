@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from . import _interp
-from .ensemble import EnsembleSpec, equivariance_distance, evolve_ensemble, sample_equilibrium
+from .ensemble import EnsembleSpec, equivariance_distance, evolve_ensemble
 from .manybody import (
     FactorizedNBody,
     build_symmetrized,
@@ -33,17 +32,9 @@ from .manybody import (
     run_bec_experiment,
     run_cm_experiment,
 )
-from .propagator import (
-    Barrier,
-    Free,
-    Harmonic,
-    Linear,
-    PotentialSpec,
-    continuity_residual,
-    evolve,
-)
+from .propagator import Free, Harmonic, Linear, continuity_residual, evolve
 from .quantum_potential import averaged_quantum_force, compute_qfields, hamilton_jacobi_energy
-from .trajectories import integrate_guidance, integrate_newton
+from .trajectories import integrate_guidance
 from .wavefield import (
     PhysicalParams,
     init_gaussian,
@@ -350,17 +341,6 @@ def _write_csv(path: str, metadata: list[str], header: list[str], rows) -> None:
 # experiment implementations
 # --------------------------------------------------------------------------
 
-def _potential_from_config(config: ExperimentConfig) -> PotentialSpec:
-    p = config.physics
-    if p.potential == "free":
-        return Free()
-    if p.potential == "harmonic":
-        return Harmonic(omega=p.omega)
-    if p.potential == "linear":
-        return Linear(force=p.force)
-    return Barrier(height=p.barrier_height, center=p.barrier_center, width=p.barrier_width)
-
-
 def _grid_params(config: ExperimentConfig):
     g = config.grid
     grid = make_grid(g.dims, g.x_min, g.x_max, g.points)
@@ -439,11 +419,9 @@ def _run_equivariance(config: ExperimentConfig, seed: int):
     record = evolve(wf, Free(), r.t_final, 0.5 * r.dt, snapshot_stride=10)
     spec = EnsembleSpec(count=r.m_samples, seed=seed, wavefunction=wf)
     ens = evolve_ensemble(spec, record, r.dt)
-    rel = (np.asarray(record.times) - float(record.times[0])) / r.dt
-    keep_snap = np.flatnonzero(np.abs(rel - np.round(rel)) < 1e-9)
     rows = []
     ks_values = []
-    for row, snap_idx in enumerate(keep_snap):
+    for row, snap_idx in enumerate(ens.snapshot_indices):
         snap = record.snapshots[snap_idx]
         ks = equivariance_distance(ens.positions[row][:, 0], snap)
         ks_values.append(ks)
@@ -498,8 +476,10 @@ def _run_no_tunneling(config: ExperimentConfig, seed: int):
     psi_a = init_gaussian(grid1, params, -half, p.sigma)
     psi_b = init_gaussian(grid1, params, +half, p.sigma)
     sym = build_symmetrized(psi_a, psi_b)
-    quantiles = (np.arange(10) + 0.5) / 10.0
-    z = float(np.sqrt(2.0)) * _erfinv_vec(2.0 * quantiles - 1.0)
+    # imported here: statistics pulls in decimal and fractions at import time
+    from statistics import NormalDist
+
+    z = np.array([NormalDist().inv_cdf((i + 0.5) / 10.0) for i in range(10)])
     starts = []
     for zi, zj in zip(z, z[::-1]):
         starts.append([-half + zi * p.sigma, half + zj * p.sigma])  # sector 1
@@ -526,20 +506,6 @@ def _run_no_tunneling(config: ExperimentConfig, seed: int):
             row += [float(report.positions[i, j, 0]), float(report.positions[i, j, 1])]
         traj_rows.append(row)
     return checks, header, rows, (traj_header, traj_rows)
-
-
-def _erfinv_vec(y: np.ndarray) -> np.ndarray:
-    # Newton refinement of a rational seed; plenty for quantile placement.
-    y = np.asarray(y, dtype=float)
-    x = np.clip(y, -0.999999, 0.999999) * 0.88623
-    for _ in range(60):
-        err = _erf_vec(x) - y
-        x = x - err / (2.0 / np.sqrt(np.pi) * np.exp(-x * x))
-    return x
-
-
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    return np.vectorize(math.erf)(x)
 
 
 def _run_cm_newton(config: ExperimentConfig, seed: int):

@@ -118,6 +118,7 @@ class EnsembleTrajectory:
     mean_position: np.ndarray  # (S, dims)
     mean_force: np.ndarray  # (S, dims) ensemble mean of F_Q
     histograms: tuple[tuple[np.ndarray, np.ndarray], ...]  # (counts, edges) per snapshot
+    snapshot_indices: np.ndarray  # (S,) record snapshot index of each row
 
 
 def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> EnsembleTrajectory:
@@ -153,4 +154,5 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
         mean_position=mean_pos,
         mean_force=mean_force,
         histograms=tuple(histograms),
+        snapshot_indices=keep_snap,
     )

@@ -26,19 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .ensemble import sample_density
-from .propagator import (
-    EvolutionRecord,
-    Free,
-    PairwiseHarmonic,
-    PotentialSpec,
-    classical_force_at,
-    evolve,
-)
+from .ensemble import _grid_cdf, _rng, sample_density
+from .propagator import Free, PairwiseHarmonic, PotentialSpec, evolve
 from .quantum_potential import compute_qfields
-from .trajectories import _FieldCache, integrate_guidance_batch
+from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, integrate_guidance_batch
 from .wavefield import (
-    Grid,
     PhysicalParams,
     Wavefunction,
     init_gaussian,
@@ -82,16 +74,6 @@ class SymmetrizedTwoBody:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.centers[0] + self.centers[1])
-
-    @property
-    def sector_boxes(self) -> tuple[tuple[tuple[float, float], ...], ...]:
-        """Axis-aligned boxes for sector 1 (around (xa, xb)) and sector 2."""
-        (lo, hi) = self.psi_a.grid.extents[0]
-        m = self.midpoint
-        below, above = (lo, m), (m, hi)
-        if self.centers[0] < self.centers[1]:
-            return ((below, above), (above, below))
-        return ((above, below), (below, above))
 
     def sector_of(self, position: np.ndarray) -> np.ndarray:
         """1 or 2 for points inside a sector box, 0 elsewhere; shape (...,)."""
@@ -365,11 +347,7 @@ def _sample_from_snapshot(
 
 def _stratified_offsets(wf: Wavefunction, count: int) -> np.ndarray:
     """Offsets at the (i - 1/2)/count quantiles of |psi|^2 (1D)."""
-    rho = np.abs(wf.amplitudes) ** 2
-    lo, _ = wf.grid.extents[0]
-    nodes = lo + (np.arange(wf.grid.points[0] + 1) - 0.5) * wf.grid.dx[0]
-    cdf = np.concatenate([[0.0], np.cumsum(rho)])
-    cdf /= cdf[-1]
+    nodes, cdf = _grid_cdf(wf)
     levels = (np.arange(count) + 0.5) / count
     return np.interp(levels, cdf, nodes)[:, None]
 
@@ -396,41 +374,30 @@ def run_cm_experiment(
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = _rng(seed)
     n = spec.n_subsystems
     masses = spec.masses
     total_mass = spec.total_mass
 
-    # One packet record per type, snapshots at dt/2 so RK4 stages align.
-    groups = [np.flatnonzero(spec.type_of == l) for l in range(len(spec.types))]
-    records: list[EvolutionRecord | None] = []
-    vel_caches: list[_FieldCache | None] = []
-    force_caches: list[_FieldCache | None] = []
-    f_q_max = 0.0
-    for l, group in enumerate(groups):
-        if group.size == 0:
-            records.append(None)
-            vel_caches.append(None)
-            force_caches.append(None)
-            continue
-        packet = spec.types[l].packet(spec.hbar)
-        record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
-        records.append(record)
-        vel_caches.append(_FieldCache(record, "velocity"))
-        force_caches.append(_FieldCache(record, "qforce"))
-        f_q_max = max(f_q_max, compute_qfields(packet).f_q_max)
-
-    # Initial offsets per type.
+    # One packet record per type, snapshots at dt/2 so RK4 stages align, and
+    # the initial offsets of that type's subsystems.
+    groups = {l: np.flatnonzero(spec.type_of == l) for l in range(len(spec.types))}
+    groups = {l: group for l, group in groups.items() if group.size}
+    vel_caches: dict[int, _FieldCache] = {}
+    force_caches: dict[int, _FieldCache] = {}
     offsets = np.zeros((n, 1))
     resample_count = 0
-    for l, group in enumerate(groups):
-        if group.size == 0:
-            continue
-        packet = records[l].snapshots[0]
-        valid = compute_qfields(packet).valid
+    f_q_max = 0.0
+    for l, group in groups.items():
+        packet = spec.types[l].packet(spec.hbar)
+        record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
+        vel_caches[l] = _FieldCache(record, "velocity")
+        force_caches[l] = _FieldCache(record, "qforce")
+        f_q_max = max(f_q_max, compute_qfields(packet).f_q_max)
         if sampling == "stratified":
             offsets[group] = _stratified_offsets(packet, group.size)
         else:
+            _, valid = force_caches[l].fields(0)
             drawn, redraws = _sample_from_snapshot(packet, valid, group.size, rng)
             offsets[group] = drawn
             resample_count += redraws
@@ -443,13 +410,13 @@ def run_cm_experiment(
     frame_velocities = spec.frame_velocities.copy()
     type_params = [PhysicalParams(spec.hbar, (t.mass,)) for t in spec.types]
 
+    def external_forces(positions: np.ndarray, l: int) -> np.ndarray:
+        return spec.external.force_at(positions[groups[l], None], type_params[l])[:, 0]
+
     def frame_force(positions: np.ndarray) -> np.ndarray:
         out = np.zeros_like(positions)
-        for l, group in enumerate(groups):
-            if group.size:
-                out[group] = classical_force_at(
-                    spec.external, positions[group, None], type_params[l]
-                )[:, 0]
+        for l, group in groups.items():
+            out[group] = external_forces(positions, l)
         if spec.coupling is not None:
             out += _chain_forces(spec.coupling, positions)
         return out
@@ -460,51 +427,33 @@ def run_cm_experiment(
     quantum_force = np.empty(n_steps + 1)
     cancellation = np.empty(n_steps + 1)
 
-    def interp_type_fields(caches, t: float, u: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """Values and stencil validity of a per-type field at offsets u."""
-        record = records[l]
-        spacing = record.snapshot_spacing
-        pos = (t - float(record.times[0])) / spacing
-        i = int(np.floor(pos + 1e-9))
-        i = min(max(i, 0), len(record) - 2)
-        theta = pos - i
-        if abs(theta) < 1e-9:
-            theta = 0.0
-        elif abs(theta - 1.0) < 1e-9:
-            theta = 1.0
-        if theta in (0.0, 1.0):
-            values, valid = caches[l].fields(i + int(theta))
-            ok = _interp.stencil_valid(valid, record.grid, u)
-            return _interp.interpolate(values[0], record.grid, u), ok
-        va, valid_a = caches[l].fields(i)
-        vb, valid_b = caches[l].fields(i + 1)
-        ok = _interp.stencil_valid(valid_a & valid_b, record.grid, u)
-        blended = (1.0 - theta) * _interp.interpolate(va[0], record.grid, u) + theta * _interp.interpolate(vb[0], record.grid, u)
-        return blended, ok
-
-    def resample_invalid(t: float, l: int, group: np.ndarray, ok: np.ndarray) -> None:
+    def resample_invalid(t: float, l: int, ok: np.ndarray) -> None:
+        """Redraw the offsets whose stencil touched a node region at time t."""
         nonlocal resample_count
-        if ok.all():
-            return
-        record = records[l]
-        i = min(int(np.floor((t - float(record.times[0])) / record.snapshot_spacing + 1e-9)), len(record) - 1)
-        snapshot = record.snapshots[i]
-        valid = compute_qfields(snapshot).valid
-        bad = group[~ok]
-        drawn, redraws = _sample_from_snapshot(snapshot, valid, bad.size, rng)
+        cache = force_caches[l]
+        i, theta = _bracket(cache.record, t)
+        snap = i + int(theta)
+        _, valid = cache.fields(snap)
+        bad = groups[l][~ok]
+        drawn, redraws = _sample_from_snapshot(cache.record.snapshots[snap], valid, bad.size, rng)
         offsets[bad] = drawn
         resample_count += bad.size + redraws
         if resample_count > RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100):
             raise RuntimeError("too many offsets entered node regions; model assumptions broken")
 
+    def fields_resampling(cache: _FieldCache, t: float, l: int) -> np.ndarray:
+        """Per-type fields at the offsets of type l, redrawing any in node regions."""
+        values, ok = _fields_at(cache, t, offsets[groups[l]])
+        if ok.all():
+            return values
+        resample_invalid(t, l, ok)
+        return _eval_fields(cache, t, offsets[groups[l]])
+
     def record_row(row: int, t: float) -> None:
         positions = frames + offsets[:, 0]
         external_total = 0.0
-        for l, group in enumerate(groups):
-            if group.size:
-                external_total += math.fsum(
-                    classical_force_at(spec.external, positions[group, None], type_params[l])[:, 0]
-                )
+        for l in groups:
+            external_total += math.fsum(external_forces(positions, l))
         pairwise = _chain_forces(spec.coupling, positions) if spec.coupling is not None else np.zeros(n)
         pairwise_total = math.fsum(pairwise)
         limit = CANCELLATION_BOUND * n * max(np.abs(pairwise).max(), 1e-300)
@@ -515,13 +464,8 @@ def run_cm_experiment(
         cancellation[row] = abs(pairwise_total)
         classical_force[row] = external_total + pairwise_total
         fq = 0.0
-        for l, group in enumerate(groups):
-            if group.size:
-                values, ok = interp_type_fields(force_caches, t, offsets[group], l)
-                if not ok.all():
-                    resample_invalid(t, l, group, ok)
-                    values, _ = interp_type_fields(force_caches, t, offsets[group], l)
-                fq += math.fsum(values)
+        for l in groups:
+            fq += math.fsum(fields_resampling(force_caches[l], t, l)[:, 0])
         quantum_force[row] = fq
         x_cm[row] = math.fsum(masses * positions) / total_mass
 
@@ -531,19 +475,14 @@ def run_cm_experiment(
         if step_index == n_steps:
             break
         # Offsets: RK4 along each type's packet guidance flow.
-        for l, group in enumerate(groups):
-            if not group.size:
-                continue
+        for l, group in groups.items():
+            cache = vel_caches[l]
+            k1 = fields_resampling(cache, t, l)
             u = offsets[group]
-            k1, ok = interp_type_fields(vel_caches, t, u, l)
-            if not ok.all():
-                resample_invalid(t, l, group, ok)
-                u = offsets[group]
-                k1, _ = interp_type_fields(vel_caches, t, u, l)
-            k2, _ = interp_type_fields(vel_caches, t + 0.5 * dt, u + 0.5 * dt * k1[:, None], l)
-            k3, _ = interp_type_fields(vel_caches, t + 0.5 * dt, u + 0.5 * dt * k2[:, None], l)
-            k4, _ = interp_type_fields(vel_caches, t + dt, u + dt * k3[:, None], l)
-            offsets[group] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)[:, None]
+            k2 = _eval_fields(cache, t + 0.5 * dt, u + 0.5 * dt * k1)
+            k3 = _eval_fields(cache, t + 0.5 * dt, u + 0.5 * dt * k2)
+            k4 = _eval_fields(cache, t + dt, u + dt * k3)
+            offsets[group] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # Frames: kick-drift-kick under the classical forces.
         half_kick = frame_velocities + 0.5 * dt * frame_force(frames) / masses
         frames = frames + dt * half_kick
@@ -598,7 +537,7 @@ def run_bec_experiment(
     params = PhysicalParams(hbar, (mass,))
     wf = init_gaussian(grid, params, 0.0, packet_width, wavenumber=mass * velocity / hbar)
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = _rng(seed)
     qf = compute_qfields(wf)
     x0, resamples = _sample_from_snapshot(wf, qf.valid, n_subsystems, rng)
 

@@ -21,6 +21,7 @@ from .wavefield import (
     PhysicalParams,
     ScalarField,
     Wavefunction,
+    _as_tuple,
     spectral_derivative,
 )
 
@@ -34,12 +35,29 @@ class AccuracyWarning(UserWarning):
 # --------------------------------------------------------------------------
 
 class PotentialSpec:
-    """Marker base class for static potential specifications."""
+    """Base class for static potential specifications.
+
+    Each spec evaluates itself at points of shape (..., dims): ``value_at``
+    returns V with shape (...), ``force_at`` returns -grad V with shape
+    (..., dims).
+    """
+
+    def value_at(self, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
+        raise TypeError(f"unknown potential spec {self!r}")
+
+    def force_at(self, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
+        raise TypeError(f"unknown potential spec {self!r}")
 
 
 @dataclass(frozen=True)
 class Free(PotentialSpec):
     """V = 0."""
+
+    def value_at(self, x, params):
+        return np.zeros(np.shape(x)[:-1])
+
+    def force_at(self, x, params):
+        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -49,12 +67,39 @@ class Harmonic(PotentialSpec):
     omega: float | tuple[float, ...]
     center: float | tuple[float, ...] = 0.0
 
+    def _terms(self, x, params):
+        x = np.asarray(x, dtype=float)
+        dims = x.shape[-1]
+        omegas = _as_tuple(self.omega, dims, "omega")
+        return x, params.masses_for(dims), omegas, _as_tuple(self.center, dims, "center")
+
+    def value_at(self, x, params):
+        x, masses, omegas, centers = self._terms(x, params)
+        return sum(0.5 * masses[d] * omegas[d] ** 2 * (x[..., d] - centers[d]) ** 2 for d in range(x.shape[-1]))
+
+    def force_at(self, x, params):
+        x, masses, omegas, centers = self._terms(x, params)
+        out = np.zeros_like(x)
+        for d in range(x.shape[-1]):
+            out[..., d] = -masses[d] * omegas[d] ** 2 * (x[..., d] - centers[d])
+        return out
+
 
 @dataclass(frozen=True)
 class Linear(PotentialSpec):
     """V = -sum_d force_d x_d, i.e. a uniform force ``force`` per dimension."""
 
     force: float | tuple[float, ...]
+
+    def value_at(self, x, params):
+        x = np.asarray(x, dtype=float)
+        forces = _as_tuple(self.force, x.shape[-1], "force")
+        return -sum(forces[d] * x[..., d] for d in range(x.shape[-1]))
+
+    def force_at(self, x, params):
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        out[...] = _as_tuple(self.force, out.shape[-1], "force")
+        return out
 
 
 @dataclass(frozen=True)
@@ -64,6 +109,21 @@ class Barrier(PotentialSpec):
     height: float
     center: float | tuple[float, ...] = 0.0
     width: float = 1.0
+
+    def value_at(self, x, params):
+        x = np.asarray(x, dtype=float)
+        centers = _as_tuple(self.center, x.shape[-1], "center")
+        r2 = sum((x[..., d] - centers[d]) ** 2 for d in range(x.shape[-1]))
+        return self.height * np.exp(-r2 / (2.0 * self.width**2))
+
+    def force_at(self, x, params):
+        x = np.asarray(x, dtype=float)
+        centers = _as_tuple(self.center, x.shape[-1], "center")
+        v = self.value_at(x, params)
+        out = np.zeros_like(x)
+        for d in range(x.shape[-1]):
+            out[..., d] = v * (x[..., d] - centers[d]) / self.width**2
+        return out
 
 
 @dataclass(frozen=True)
@@ -78,6 +138,23 @@ class PairwiseHarmonic(PotentialSpec):
     coupling: float
     rest_length: float = 0.0
 
+    def _stretch(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != 2:
+            raise ValueError("PairwiseHarmonic needs a 2-dimensional configuration grid")
+        return x, x[..., 0] - x[..., 1] - self.rest_length
+
+    def value_at(self, x, params):
+        _, stretch = self._stretch(x)
+        return 0.5 * self.coupling * stretch**2
+
+    def force_at(self, x, params):
+        x, stretch = self._stretch(x)
+        out = np.zeros_like(x)
+        out[..., 0] = -self.coupling * stretch
+        out[..., 1] = self.coupling * stretch
+        return out
+
 
 @dataclass(frozen=True)
 class SumPotential(PotentialSpec):
@@ -85,118 +162,19 @@ class SumPotential(PotentialSpec):
 
     terms: tuple[PotentialSpec, ...]
 
+    def value_at(self, x, params):
+        return sum(t.value_at(x, params) for t in self.terms)
 
-def _per_dim(value, dims: int) -> tuple[float, ...]:
-    if np.isscalar(value):
-        return (float(value),) * dims
-    out = tuple(float(v) for v in value)
-    if len(out) != dims:
-        raise ValueError(f"expected scalar or {dims} values, got {value!r}")
-    return out
+    def force_at(self, x, params):
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        for t in self.terms:
+            out += t.force_at(x, params)
+        return out
 
 
 def evaluate_potential(pot: PotentialSpec, grid: Grid, params: PhysicalParams) -> np.ndarray:
     """Evaluate V on all grid points."""
-    meshes = grid.meshes() if grid.dims > 1 else grid.axes()
-    masses = params.masses_for(grid.dims)
-    if isinstance(pot, Free):
-        return np.zeros(grid.shape)
-    if isinstance(pot, Harmonic):
-        omegas = _per_dim(pot.omega, grid.dims)
-        centers = _per_dim(pot.center, grid.dims)
-        v = np.zeros(grid.shape)
-        for d in range(grid.dims):
-            v = v + 0.5 * masses[d] * omegas[d] ** 2 * (meshes[d] - centers[d]) ** 2
-        return v
-    if isinstance(pot, Linear):
-        forces = _per_dim(pot.force, grid.dims)
-        v = np.zeros(grid.shape)
-        for d in range(grid.dims):
-            v = v - forces[d] * meshes[d]
-        return v
-    if isinstance(pot, Barrier):
-        centers = _per_dim(pot.center, grid.dims)
-        r2 = np.zeros(grid.shape)
-        for d in range(grid.dims):
-            r2 = r2 + (meshes[d] - centers[d]) ** 2
-        return pot.height * np.exp(-r2 / (2.0 * pot.width**2))
-    if isinstance(pot, PairwiseHarmonic):
-        if grid.dims != 2:
-            raise ValueError("PairwiseHarmonic needs a 2-dimensional configuration grid")
-        return 0.5 * pot.coupling * (meshes[0] - meshes[1] - pot.rest_length) ** 2
-    if isinstance(pot, SumPotential):
-        return sum(evaluate_potential(t, grid, params) for t in pot.terms)
-    raise TypeError(f"unknown potential spec {pot!r}")
-
-
-def potential_value_at(pot: PotentialSpec, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """V at arbitrary points, shape (..., dims) -> (...)."""
-    x = np.asarray(x, dtype=float)
-    dims = x.shape[-1]
-    masses = params.masses_for(dims)
-    if isinstance(pot, Free):
-        return np.zeros(x.shape[:-1])
-    if isinstance(pot, Harmonic):
-        omegas = _per_dim(pot.omega, dims)
-        centers = _per_dim(pot.center, dims)
-        return sum(
-            0.5 * masses[d] * omegas[d] ** 2 * (x[..., d] - centers[d]) ** 2
-            for d in range(dims)
-        )
-    if isinstance(pot, Linear):
-        forces = _per_dim(pot.force, dims)
-        return -sum(forces[d] * x[..., d] for d in range(dims))
-    if isinstance(pot, Barrier):
-        centers = _per_dim(pot.center, dims)
-        r2 = sum((x[..., d] - centers[d]) ** 2 for d in range(dims))
-        return pot.height * np.exp(-r2 / (2.0 * pot.width**2))
-    if isinstance(pot, PairwiseHarmonic):
-        if dims != 2:
-            raise ValueError("PairwiseHarmonic needs two coordinates")
-        return 0.5 * pot.coupling * (x[..., 0] - x[..., 1] - pot.rest_length) ** 2
-    if isinstance(pot, SumPotential):
-        return sum(potential_value_at(t, x, params) for t in pot.terms)
-    raise TypeError(f"unknown potential spec {pot!r}")
-
-
-def classical_force_at(pot: PotentialSpec, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """F = -grad V at arbitrary points, shape (..., dims) -> (..., dims)."""
-    x = np.asarray(x, dtype=float)
-    dims = x.shape[-1]
-    masses = params.masses_for(dims)
-    out = np.zeros_like(x)
-    if isinstance(pot, Free):
-        return out
-    if isinstance(pot, Harmonic):
-        omegas = _per_dim(pot.omega, dims)
-        centers = _per_dim(pot.center, dims)
-        for d in range(dims):
-            out[..., d] = -masses[d] * omegas[d] ** 2 * (x[..., d] - centers[d])
-        return out
-    if isinstance(pot, Linear):
-        forces = _per_dim(pot.force, dims)
-        for d in range(dims):
-            out[..., d] = forces[d]
-        return out
-    if isinstance(pot, Barrier):
-        centers = _per_dim(pot.center, dims)
-        r2 = sum((x[..., d] - centers[d]) ** 2 for d in range(dims))
-        v = pot.height * np.exp(-r2 / (2.0 * pot.width**2))
-        for d in range(dims):
-            out[..., d] = v * (x[..., d] - centers[d]) / pot.width**2
-        return out
-    if isinstance(pot, PairwiseHarmonic):
-        if dims != 2:
-            raise ValueError("PairwiseHarmonic needs two coordinates")
-        stretch = pot.coupling * (x[..., 0] - x[..., 1] - pot.rest_length)
-        out[..., 0] = -stretch
-        out[..., 1] = stretch
-        return out
-    if isinstance(pot, SumPotential):
-        for t in pot.terms:
-            out += classical_force_at(t, x, params)
-        return out
-    raise TypeError(f"unknown potential spec {pot!r}")
+    return pot.value_at(np.stack(grid.meshes(), axis=-1), params)
 
 
 # --------------------------------------------------------------------------

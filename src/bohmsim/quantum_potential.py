@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .propagator import PotentialSpec, potential_value_at
+from .propagator import PotentialSpec
 from .wavefield import (
-    NODE_THRESHOLD,
     ScalarField,
     Wavefunction,
+    density_mask,
     spectral_derivative,
     velocity_field,
 )
@@ -51,7 +51,7 @@ def compute_qfields(wf: Wavefunction) -> QFields:
     grid = wf.grid
     r = np.abs(wf.amplitudes)
     rho = r * r
-    valid = rho >= NODE_THRESHOLD * rho.max()
+    valid = density_mask(rho)
     coeffs = [wf.params.hbar**2 / (2.0 * m) for m in wf.params.masses_for(grid.dims)]
 
     first = [spectral_derivative(r, grid, axis=d) for d in range(grid.dims)]
@@ -108,7 +108,6 @@ def averaged_quantum_force(wf: Wavefunction) -> np.ndarray:
 
 
 def _warn_if_boundary_touched(rho: np.ndarray) -> None:
-    threshold = NODE_THRESHOLD * rho.max()
     edge = np.zeros(rho.shape, dtype=bool)
     for d in range(rho.ndim):
         sl = [slice(None)] * rho.ndim
@@ -116,7 +115,7 @@ def _warn_if_boundary_touched(rho: np.ndarray) -> None:
         edge[tuple(sl)] = True
         sl[d] = -1
         edge[tuple(sl)] = True
-    if (rho[edge] >= threshold).any():
+    if density_mask(rho)[edge].any():
         warnings.warn(
             "state touches the periodic boundary; the quantum-force averaging "
             "identity may fail",
@@ -143,5 +142,5 @@ def hamilton_jacobi_energy(wf: Wavefunction, potential: PotentialSpec, x) -> flo
         v = float(_interp.interpolate(vel[d].values, wf.grid, x)[0])
         kinetic += 0.5 * masses[d] * v * v
     q = float(_interp.interpolate(qf.q.values, wf.grid, x)[0])
-    v_cl = float(potential_value_at(potential, x[0], wf.params))
+    v_cl = float(potential.value_at(x[0], wf.params))
     return kinetic + v_cl + q

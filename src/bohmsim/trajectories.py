@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .propagator import EvolutionRecord, PotentialSpec, classical_force_at
+from .propagator import EvolutionRecord, PotentialSpec
 from .quantum_potential import compute_qfields
 from .wavefield import velocity_field
 
@@ -69,7 +69,11 @@ class Trajectory:
 
     @property
     def final(self) -> BohmianState:
-        return self.states()[-1]
+        return BohmianState(
+            position=self.positions[-1],
+            time=float(self.times[-1]),
+            momentum=None if self.momenta is None else self.momenta[-1],
+        )
 
 
 class _FieldCache:
@@ -108,11 +112,16 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     return i, theta
 
 
-def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
-    """Interpolate the cached fields at positions x (M, dims), time t."""
+def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cached fields at positions x (M, dims), time t, and per-point validity.
+
+    ``ok[m]`` is False when point m's interpolation stencil touches a node
+    region of either bracketing snapshot; its values are then meaningless.
+    Raises ``TrajectoryAbort`` for positions off the grid.
+    """
     record = cache.record
     grid = record.grid
-    inside = record.grid.contains(x)
+    inside = grid.contains(x)
     if not inside.all():
         bad = np.flatnonzero(~inside)
         raise TrajectoryAbort(
@@ -122,18 +131,27 @@ def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     if theta == 0.0 or theta == 1.0:
         values, valid = cache.fields(i + int(theta))
-        if not _interp.stencil_valid(valid, grid, x).all():
-            raise TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
+        ok = _interp.stencil_valid(valid, grid, x)
         for d in range(grid.dims):
             out[:, d] = _interp.interpolate(values[d], grid, x)
-        return out
+        return out, ok
     va, valid_a = cache.fields(i)
     vb, valid_b = cache.fields(i + 1)
     ok = _interp.stencil_valid(valid_a & valid_b, grid, x)
-    if not ok.all():
-        raise TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
     for d in range(grid.dims):
         out[:, d] = (1.0 - theta) * _interp.interpolate(va[d], grid, x) + theta * _interp.interpolate(vb[d], grid, x)
+    return out, ok
+
+
+def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
+    """Interpolate the cached fields at positions x (M, dims), time t.
+
+    Raises ``TrajectoryAbort`` when a point is off the grid or its stencil
+    touches a node region.
+    """
+    out, ok = _fields_at(cache, t, x)
+    if not ok.all():
+        raise TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
     return out
 
 
@@ -199,9 +217,7 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     cache = _FieldCache(record, "velocity")
     masses = np.asarray(record.params.masses_for(record.grid.dims))
     momenta = np.empty((len(times), record.grid.dims))
-    for i in (0, len(times) - 1):
-        momenta[i] = masses * _eval_fields(cache, float(times[i]), positions[i])[0]
-    for i in range(1, len(times) - 1):
+    for i in range(len(times)):
         momenta[i] = masses * _eval_fields(cache, float(times[i]), positions[i])[0]
     return Trajectory(times=times, positions=positions[:, 0, :], mode="guidance", dt=dt, momenta=momenta)
 
@@ -229,17 +245,19 @@ def integrate_newton_batch(
     p = masses * _eval_fields(vel_cache, t0, x)
 
     def total_force(t: float, pos: np.ndarray) -> np.ndarray:
-        return classical_force_at(potential, pos, params) + _eval_fields(force_cache, t, pos)
+        return potential.force_at(pos, params) + _eval_fields(force_cache, t, pos)
 
     positions = np.empty((n + 1,) + x.shape)
     momenta = np.empty_like(positions)
     positions[0] = x
     momenta[0] = p
+    # kick-drift-kick: the closing kick's force opens the next step
+    force = total_force(t0, x)
     for step_index in range(n):
-        t = float(times[step_index])
-        p = p + 0.5 * dt * total_force(t, x)
+        p = p + 0.5 * dt * force
         x = x + dt * p / masses
-        p = p + 0.5 * dt * total_force(t + dt, x)
+        force = total_force(float(times[step_index + 1]), x)
+        p = p + 0.5 * dt * force
         positions[step_index + 1] = x
         momenta[step_index + 1] = p
     return times, positions, momenta

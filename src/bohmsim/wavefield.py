@@ -13,7 +13,6 @@ and localized states must keep a margin away from the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -245,7 +244,7 @@ def init_gaussian(grid: Grid, params: PhysicalParams, center, sigma, wavenumber=
             )
     phase = np.zeros(grid.shape, dtype=complex)
     envelope = np.zeros(grid.shape, dtype=float)
-    for d, mesh in enumerate(_meshes(grid)):
+    for d, mesh in enumerate(grid.meshes()):
         envelope = envelope - (mesh - centers[d]) ** 2 / (4.0 * sigmas[d] ** 2)
         phase = phase + 1j * k0s[d] * mesh
     wf = Wavefunction(grid, params, np.exp(envelope + phase), time=0.0)
@@ -261,21 +260,19 @@ def init_plane_wave(grid: Grid, params: PhysicalParams, wavenumber) -> Wavefunct
         base = 2.0 * np.pi / (hi - lo)
         snapped.append(base * round(k / base))
     phase = np.zeros(grid.shape, dtype=complex)
-    for d, mesh in enumerate(_meshes(grid)):
+    for d, mesh in enumerate(grid.meshes()):
         phase = phase + 1j * snapped[d] * mesh
     return normalize(Wavefunction(grid, params, np.exp(phase), time=0.0))
 
 
-def _meshes(grid: Grid) -> tuple[np.ndarray, ...]:
-    if grid.dims == 1:
-        return grid.axes()
-    return grid.meshes()
+def density_mask(rho: np.ndarray) -> np.ndarray:
+    """True where the density rho = |psi|^2 is above the relative node threshold."""
+    return rho >= NODE_THRESHOLD * rho.max()
 
 
 def node_mask(wf: Wavefunction) -> np.ndarray:
     """True where |psi|^2 is above the relative node threshold."""
-    rho = np.abs(wf.amplitudes) ** 2
-    return rho >= NODE_THRESHOLD * rho.max()
+    return density_mask(np.abs(wf.amplitudes) ** 2)
 
 
 def modulus_field(wf: Wavefunction) -> ScalarField:
@@ -295,7 +292,7 @@ def velocity_field(wf: Wavefunction) -> tuple[ScalarField, ...]:
     node threshold are masked and hold 0.0.
     """
     rho = np.abs(wf.amplitudes) ** 2
-    valid = rho >= NODE_THRESHOLD * rho.max()
+    valid = density_mask(rho)
     masses = wf.params.masses_for(wf.grid.dims)
     fields = []
     for d in range(wf.grid.dims):
@@ -315,7 +312,7 @@ def position_moments(wf: Wavefunction) -> tuple[np.ndarray, np.ndarray]:
     weight = rho.sum()
     means = np.empty(wf.grid.dims)
     variances = np.empty(wf.grid.dims)
-    for d, mesh in enumerate(_meshes(wf.grid)):
+    for d, mesh in enumerate(wf.grid.meshes()):
         m = float((rho * mesh).sum() / weight)
         means[d] = m
         variances[d] = float((rho * (mesh - m) ** 2).sum() / weight)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bohmsim
 import oracles
 from bohmsim import (
     AccuracyWarning,
@@ -12,9 +13,9 @@ from bohmsim import (
     Linear,
     PairwiseHarmonic,
     PhysicalParams,
+    PotentialSpec,
     SumPotential,
     Wavefunction,
-    classical_force_at,
     continuity_residual,
     evaluate_potential,
     evolve,
@@ -27,7 +28,7 @@ from bohmsim import (
     step,
     velocity_field,
 )
-from bohmsim.propagator import accuracy_dt_bound, potential_value_at
+from bohmsim.propagator import accuracy_dt_bound
 
 
 def quiet_evolve(*args, **kwargs):
@@ -36,24 +37,60 @@ def quiet_evolve(*args, **kwargs):
         return evolve(*args, **kwargs)
 
 
+# (spec, dims); append new cases so the ids of the existing ones stay stable
+POTENTIAL_CASES = [
+    (Harmonic(omega=1.3, center=0.2), 1),
+    (Linear(force=0.7), 1),
+    (Barrier(height=2.0, center=0.5, width=0.8), 1),
+    (SumPotential((Harmonic(omega=1.0), Linear(force=0.3))), 1),
+    (Free(), 1),
+    (Harmonic(omega=(1.3, 0.6), center=(0.2, -0.4)), 2),
+    (Barrier(height=2.0, center=(0.5, -0.3), width=0.8), 2),
+    (Linear(force=(0.7, -0.2)), 2),
+    (PairwiseHarmonic(coupling=0.8, rest_length=1.0), 2),
+    (SumPotential((PairwiseHarmonic(coupling=0.5), Harmonic(omega=1.0))), 2),
+]
+
+
 class TestPotentials:
     @pytest.mark.parametrize(
-        "potential",
-        [
-            Harmonic(omega=1.3, center=0.2),
-            Linear(force=0.7),
-            Barrier(height=2.0, center=0.5, width=0.8),
-            SumPotential((Harmonic(omega=1.0), Linear(force=0.3))),
-        ],
+        "potential, dims",
+        [pytest.param(p, d, id=f"potential{i}") for i, (p, d) in enumerate(POTENTIAL_CASES)],
     )
-    def test_force_is_negative_gradient(self, potential, unit_params):
-        x = np.array([[0.7], [-1.2], [0.0]])
-        force = classical_force_at(potential, x, unit_params)
+    def test_force_is_negative_gradient(self, potential, dims, unit_params):
+        x = np.array([[0.7, -0.3], [-1.2, 0.9], [0.0, 0.0]])[:, :dims]
+        force = potential.force_at(x, unit_params)
+        assert force.shape == x.shape
         h = 1e-6
-        up = potential_value_at(potential, x + h, unit_params)
-        down = potential_value_at(potential, x - h, unit_params)
-        fd = -(up - down) / (2.0 * h)
-        assert np.abs(force[:, 0] - fd).max() < 1e-7
+        for d in range(dims):
+            shift = np.zeros(dims)
+            shift[d] = h
+            up = potential.value_at(x + shift, unit_params)
+            down = potential.value_at(x - shift, unit_params)
+            fd = -(up - down) / (2.0 * h)
+            assert np.abs(force[:, d] - fd).max() < 1e-7
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_grid_evaluation_matches_pointwise(self, dims, unit_params):
+        grid = make_grid(dims, -4.0, 4.0, 32)
+        points = np.stack(grid.meshes(), axis=-1).reshape(-1, dims)
+        for potential, case_dims in POTENTIAL_CASES:
+            if case_dims != dims:
+                continue
+            on_grid = evaluate_potential(potential, grid, unit_params)
+            assert on_grid.shape == grid.shape
+            pointwise = potential.value_at(points, unit_params)
+            np.testing.assert_allclose(on_grid.reshape(-1), pointwise, rtol=1e-12, atol=1e-12)
+
+    def test_base_spec_is_not_evaluable(self, unit_params):
+        with pytest.raises(TypeError, match="unknown potential spec"):
+            PotentialSpec().value_at(np.zeros((1, 1)), unit_params)
+        with pytest.raises(TypeError, match="unknown potential spec"):
+            PotentialSpec().force_at(np.zeros((1, 1)), unit_params)
+
+    def test_every_public_name_resolves(self):
+        missing = [name for name in bohmsim.__all__ if not hasattr(bohmsim, name)]
+        assert missing == []
 
     def test_free_potential_is_zero(self, line_grid, unit_params):
         assert not evaluate_potential(Free(), line_grid, unit_params).any()
@@ -66,7 +103,7 @@ class TestPotentials:
     def test_pairwise_harmonic_obeys_action_reaction(self):
         params = PhysicalParams(1.0, (1.0, 1.0))
         potential = PairwiseHarmonic(coupling=0.8, rest_length=1.0)
-        force = classical_force_at(potential, np.array([[1.5, -0.5]]), params)
+        force = potential.force_at(np.array([[1.5, -0.5]]), params)
         assert force[0, 0] == pytest.approx(-0.8)
         assert force[0, 1] == pytest.approx(+0.8)
         assert force.sum() == pytest.approx(0.0, abs=1e-15)

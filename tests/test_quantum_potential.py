@@ -8,7 +8,6 @@ from bohmsim import (
     PhysicalParams,
     Wavefunction,
     averaged_quantum_force,
-    classical_force_at,
     compute_qfields,
     hamilton_jacobi_energy,
     init_gaussian,
@@ -87,7 +86,7 @@ class TestComputeQFields:
         wf = init_gaussian(line_grid, unit_params, 0.0, oracles.ground_sigma(1.0))
         qf = compute_qfields(wf)
         x = line_grid.axes()[0]
-        f_cl = classical_force_at(Harmonic(omega=1.0), x[:, None], unit_params)[:, 0]
+        f_cl = Harmonic(omega=1.0).force_at(x[:, None], unit_params)[:, 0]
         assert np.abs(qf.force[0].values + f_cl)[qf.valid].max() < 1e-6
 
     def test_plane_wave_q_vanishes(self, pi_grid, unit_params):
