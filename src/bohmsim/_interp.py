@@ -2,7 +2,10 @@
 
 The spline is the cardinal cubic with centered-difference slopes; it
 reproduces quadratics exactly and wraps periodically, matching the grids.
-All routines are vectorized over a batch of query points.
+All routines are vectorized over a batch of query points.  A ``Stencil``
+holds the wrap-around indices and weights of one query set, so a validity
+check and any number of fields (both sides of a time bracket included)
+share them.
 """
 
 from __future__ import annotations
@@ -26,35 +29,43 @@ def _weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
-def _stencil(grid: Grid, x: np.ndarray):
-    """Per-dimension wrap-around stencil indices (M, 4) and weights (M, 4)."""
-    indices = []
-    weights = []
-    for d in range(grid.dims):
-        lo, _ = grid.extents[d]
-        u = (x[:, d] - lo) / grid.dx[d]
-        base = np.floor(u).astype(np.int64)
-        s = u - base
-        indices.append((base[:, None] + _OFFSETS[None, :]) % grid.points[d])
-        weights.append(_weights(s))
-    return indices, weights
+class Stencil:
+    """Wrap-around interpolation stencil of query points ``x`` (M, dims).
+
+    ``index`` holds flat grid indices, shape (M, 4) in 1D and (M, 4, 4) in
+    2D; ``weights`` holds the per-dimension weights, each (M, 4).
+    """
+
+    def __init__(self, grid: Grid, x: np.ndarray):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self.weights = []
+        index = None
+        for d in range(grid.dims):
+            lo, _ = grid.extents[d]
+            u = (x[:, d] - lo) / grid.dx[d]
+            base = np.floor(u).astype(np.int64)
+            idx = (base[:, None] + _OFFSETS[None, :]) % grid.points[d]
+            self.weights.append(_weights(u - base))
+            index = idx if index is None else index[:, :, None] * grid.points[d] + idx[:, None, :]
+        self.index = index
+
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        """Interpolated values of a real grid field at the query points, (M,)."""
+        gathered = values.reshape(-1)[self.index]
+        if len(self.weights) == 1:
+            return np.einsum("ma,ma->m", gathered, self.weights[0])
+        return np.einsum("mab,ma,mb->m", gathered, self.weights[0], self.weights[1])
+
+    def valid(self, mask: np.ndarray) -> np.ndarray:
+        """True for points whose full stencil is inside the boolean mask, (M,)."""
+        return mask.reshape(-1)[self.index].all(axis=tuple(range(1, self.index.ndim)))
 
 
 def interpolate(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
     """Interpolate a real grid field at points ``x`` of shape (M, dims)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    idx, w = _stencil(grid, x)
-    if grid.dims == 1:
-        gathered = values[idx[0]]  # (M, 4)
-        return np.einsum("ma,ma->m", gathered, w[0])
-    gathered = values[idx[0][:, :, None], idx[1][:, None, :]]  # (M, 4, 4)
-    return np.einsum("mab,ma,mb->m", gathered, w[0], w[1])
+    return Stencil(grid, x).sample(values)
 
 
 def stencil_valid(valid: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
     """True for points whose full interpolation stencil is inside the mask."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    idx, _ = _stencil(grid, x)
-    if grid.dims == 1:
-        return valid[idx[0]].all(axis=1)
-    return valid[idx[0][:, :, None], idx[1][:, None, :]].all(axis=(1, 2))
+    return Stencil(grid, x).valid(valid)

@@ -391,8 +391,8 @@ def run_cm_experiment(
     for l, group in groups.items():
         packet = spec.types[l].packet(spec.hbar)
         record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
-        vel_caches[l] = _FieldCache(record, "velocity")
-        force_caches[l] = _FieldCache(record, "qforce")
+        vel_caches[l] = _FieldCache(record, "velocity", 0.5 * dt)
+        force_caches[l] = _FieldCache(record, "qforce", dt)
         f_q_max = max(f_q_max, compute_qfields(packet).f_q_max)
         if sampling == "stratified":
             offsets[group] = _stratified_offsets(packet, group.size)

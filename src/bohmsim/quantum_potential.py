@@ -24,6 +24,8 @@ import numpy as np
 from . import _interp
 from .propagator import PotentialSpec
 from .wavefield import (
+    Grid,
+    PhysicalParams,
     ScalarField,
     Wavefunction,
     density_mask,
@@ -42,6 +44,53 @@ class QFields:
     f_q_max: float
 
 
+def qfields_batch(
+    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quantum potential and force of a stack of snapshots.
+
+    ``amplitudes`` has shape (B, *grid.shape).  Returns ``(q, force, valid,
+    f_q_max)`` with shapes (B, *grid.shape), (B, dims, *grid.shape),
+    (B, *grid.shape) and (B,); each snapshot is thresholded against its own
+    peak density.  ``f_q_max`` is the largest force magnitude over valid
+    points, the scale against which the averaging identity is judged.
+    """
+    dims = grid.dims
+    r = np.abs(amplitudes)
+    rho = r * r
+    valid = density_mask(rho, dims)
+    coeffs = [params.hbar**2 / (2.0 * m) for m in params.masses_for(dims)]
+
+    first = [spectral_derivative(r, grid, axis=d) for d in range(dims)]
+    second = [spectral_derivative(r, grid, axis=d, order=2) for d in range(dims)]
+
+    q = np.zeros(r.shape)
+    for d in range(dims):
+        term = np.zeros(r.shape)
+        np.divide(second[d], r, out=term, where=valid)
+        q -= coeffs[d] * term
+    q[~valid] = 0.0
+
+    force = np.zeros((len(r), dims) + grid.shape)
+    for e in range(dims):
+        numerator = np.zeros(r.shape)
+        for d in range(dims):
+            mixed = spectral_derivative(second[d], grid, axis=e)
+            numerator += coeffs[d] * (mixed * r - second[d] * first[e])
+        f = force[:, e]
+        np.divide(numerator, rho, out=f, where=valid)
+        f[~valid] = 0.0
+
+    magnitude = np.zeros(r.shape)
+    for e in range(dims):
+        magnitude += force[:, e] ** 2
+    f_q_max = np.zeros(len(r))
+    for b in range(len(r)):
+        if valid[b].any():
+            f_q_max[b] = np.sqrt(magnitude[b][valid[b]].max())
+    return q, force, valid, f_q_max
+
+
 def compute_qfields(wf: Wavefunction) -> QFields:
     """Quantum potential and force of a wavefunction snapshot.
 
@@ -49,42 +98,16 @@ def compute_qfields(wf: Wavefunction) -> QFields:
     against which the averaging identity is judged.
     """
     grid = wf.grid
-    r = np.abs(wf.amplitudes)
-    rho = r * r
-    valid = density_mask(rho)
-    coeffs = [wf.params.hbar**2 / (2.0 * m) for m in wf.params.masses_for(grid.dims)]
-
-    first = [spectral_derivative(r, grid, axis=d) for d in range(grid.dims)]
-    second = [spectral_derivative(r, grid, axis=d, order=2) for d in range(grid.dims)]
-
-    q = np.zeros(grid.shape)
-    for d in range(grid.dims):
-        term = np.zeros(grid.shape)
-        np.divide(second[d], r, out=term, where=valid)
-        q -= coeffs[d] * term
-    q[~valid] = 0.0
-
-    force = []
-    for e in range(grid.dims):
-        numerator = np.zeros(grid.shape)
-        for d in range(grid.dims):
-            mixed = spectral_derivative(second[d], grid, axis=e)
-            numerator += coeffs[d] * (mixed * r - second[d] * first[e])
-        f = np.zeros(grid.shape)
-        np.divide(numerator, rho, out=f, where=valid)
-        f[~valid] = 0.0
-        force.append(ScalarField(grid, f, label=f"quantum-force[{e}]", valid=valid))
-
-    magnitude = np.zeros(grid.shape)
-    for f in force:
-        magnitude += f.values**2
-    f_q_max = float(np.sqrt(magnitude[valid].max())) if valid.any() else 0.0
-
+    q, force, valid, f_q_max = qfields_batch(wf.amplitudes[None], grid, wf.params)
+    valid = valid[0]
     return QFields(
-        q=ScalarField(grid, q, label="quantum-potential", valid=valid),
-        force=tuple(force),
+        q=ScalarField(grid, q[0], label="quantum-potential", valid=valid),
+        force=tuple(
+            ScalarField(grid, force[0, e], label=f"quantum-force[{e}]", valid=valid)
+            for e in range(grid.dims)
+        ),
         valid=valid,
-        f_q_max=f_q_max,
+        f_q_max=float(f_q_max[0]),
     )
 
 
@@ -115,7 +138,7 @@ def _warn_if_boundary_touched(rho: np.ndarray) -> None:
         edge[tuple(sl)] = True
         sl[d] = -1
         edge[tuple(sl)] = True
-    if density_mask(rho)[edge].any():
+    if density_mask(rho, rho.ndim)[edge].any():
         warnings.warn(
             "state touches the periodic boundary; the quantum-force averaging "
             "identity may fail",

@@ -16,14 +16,15 @@ interpolation drops out of the error budget entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _interp
 from .propagator import EvolutionRecord, PotentialSpec
-from .quantum_potential import compute_qfields
-from .wavefield import velocity_field
+from .quantum_potential import qfields_batch
+from .wavefield import Grid, velocity_batch, velocity_field
 
 
 class TrajectoryAbort(RuntimeError):
@@ -76,25 +77,44 @@ class Trajectory:
         )
 
 
-class _FieldCache:
-    """Lazy per-snapshot fields with eviction behind the integration front."""
+# Grid points whose fields a cache computes in one batch: 21 snapshots of a
+# 384-point line, one snapshot of a 128 x 128 plane.
+FIELD_BATCH_POINTS = 8192
 
-    def __init__(self, record: EvolutionRecord, kind: str):
+
+class _FieldCache:
+    """Per-snapshot fields, computed in batches ahead of the integration front.
+
+    ``interval`` is the time between the field reads of the integrator (half
+    a step for RK4, a whole step for leapfrog).  When it spans a whole number
+    of snapshot spacings, only every such snapshot is read, so a batch holds
+    the next snapshots at that stride; otherwise the stride is one.  Entries
+    behind the previous read snapshot are evicted.
+    """
+
+    def __init__(self, record: EvolutionRecord, kind: str, interval: float):
         self.record = record
         self.kind = kind  # "velocity" or "qforce"
-        self._cache: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
+        ratio = interval / record.snapshot_spacing
+        whole = round(ratio)
+        self.stride = whole if whole >= 1 and abs(ratio - whole) <= 1e-9 * ratio else 1
+        self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
+        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def fields(self, i: int) -> tuple[list[np.ndarray], np.ndarray]:
+    def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fields of snapshot i, shape (dims, *grid.shape), and its validity mask."""
         if i not in self._cache:
-            wf = self.record.snapshots[i]
+            record = self.record
+            indices = range(i, min(i + self.stride * self.batch, len(record)), self.stride)
+            amplitudes = np.stack([record.snapshots[k].amplitudes for k in indices])
             if self.kind == "velocity":
-                fs = velocity_field(wf)
-                self._cache[i] = ([f.values for f in fs], fs[0].valid_mask)
+                values, valid = velocity_batch(amplitudes, record.grid, record.params)
             else:
-                qf = compute_qfields(wf)
-                self._cache[i] = ([f.values for f in qf.force], qf.valid)
-            for stale in [k for k in self._cache if k < i - 1]:
+                _, values, valid, _ = qfields_batch(amplitudes, record.grid, record.params)
+            for stale in [k for k in self._cache if k < i - self.stride]:
                 del self._cache[stale]
+            for j, k in enumerate(indices):
+                self._cache[k] = (values[j], valid[j])
         return self._cache[i]
 
 
@@ -112,35 +132,44 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     return i, theta
 
 
-def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cached fields at positions x (M, dims), time t, and per-point validity.
-
-    ``ok[m]`` is False when point m's interpolation stencil touches a node
-    region of either bracketing snapshot; its values are then meaningless.
-    Raises ``TrajectoryAbort`` for positions off the grid.
-    """
-    record = cache.record
-    grid = record.grid
+def _stencil_on_grid(grid: Grid, t: float, x: np.ndarray) -> _interp.Stencil:
+    """Interpolation stencil of positions x (M, dims); raises ``TrajectoryAbort`` off the grid."""
     inside = grid.contains(x)
     if not inside.all():
         bad = np.flatnonzero(~inside)
         raise TrajectoryAbort(
             f"{bad.size} trajectory position(s) left the grid at t={t:.6g}", t, x
         )
+    return _interp.Stencil(grid, x)
+
+
+def _node_abort(t: float, x: np.ndarray) -> TrajectoryAbort:
+    return TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
+
+
+def _sample(stencil: _interp.Stencil, values) -> np.ndarray:
+    """Each field component at the stencil's points, shape (M, dims)."""
+    return np.stack([stencil.sample(v) for v in values], axis=-1)
+
+
+def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cached fields at positions x (M, dims), time t, and per-point validity.
+
+    ``ok[m]`` is False when point m's interpolation stencil touches a node
+    region of either bracketing snapshot; its values are then meaningless.
+    Raises ``TrajectoryAbort`` for positions off the grid.  One stencil
+    serves the validity check, every component and both bracket sides.
+    """
+    record = cache.record
+    stencil = _stencil_on_grid(record.grid, t, x)
     i, theta = _bracket(record, t)
-    out = np.empty_like(x)
     if theta == 0.0 or theta == 1.0:
         values, valid = cache.fields(i + int(theta))
-        ok = _interp.stencil_valid(valid, grid, x)
-        for d in range(grid.dims):
-            out[:, d] = _interp.interpolate(values[d], grid, x)
-        return out, ok
+        return _sample(stencil, values), stencil.valid(valid)
     va, valid_a = cache.fields(i)
     vb, valid_b = cache.fields(i + 1)
-    ok = _interp.stencil_valid(valid_a & valid_b, grid, x)
-    for d in range(grid.dims):
-        out[:, d] = (1.0 - theta) * _interp.interpolate(va[d], grid, x) + theta * _interp.interpolate(vb[d], grid, x)
-    return out, ok
+    out = (1.0 - theta) * _sample(stencil, va) + theta * _sample(stencil, vb)
+    return out, stencil.valid(valid_a & valid_b)
 
 
 def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
@@ -151,7 +180,7 @@ def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
     """
     out, ok = _fields_at(cache, t, x)
     if not ok.all():
-        raise TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
+        raise _node_abort(t, x)
     return out
 
 
@@ -170,6 +199,38 @@ def _step_count(record: EvolutionRecord, dt: float) -> int:
     if n < 1 or abs(n * dt - span) > 1e-9 * span:
         raise ValueError(f"record span {span} is not an integer number of steps of dt={dt}")
     return n
+
+
+def _guidance_rk4(
+    record: EvolutionRecord, x0: np.ndarray, dt: float, keep_velocities: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """RK4 guidance integration; with ``keep_velocities`` also v(x, t) at every time.
+
+    The velocities are the stage-one values RK4 evaluates anyway, plus one
+    evaluation at the final time.
+    """
+    _check_commensurate(record, dt)
+    n = _step_count(record, dt)
+    x = np.array(np.atleast_2d(x0), dtype=float)
+    cache = _FieldCache(record, "velocity", 0.5 * dt)
+    t0 = float(record.times[0])
+    times = t0 + dt * np.arange(n + 1)
+    positions = np.empty((n + 1,) + x.shape)
+    positions[0] = x
+    velocities = np.empty_like(positions) if keep_velocities else None
+    for step_index in range(n):
+        t = float(times[step_index])
+        k1 = _eval_fields(cache, t, x)
+        if velocities is not None:
+            velocities[step_index] = k1
+        k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = _eval_fields(cache, t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        positions[step_index + 1] = x
+    if velocities is not None:
+        velocities[n] = _eval_fields(cache, float(times[n]), x)
+    return times, positions, velocities
 
 
 def integrate_guidance_batch(
@@ -191,34 +252,16 @@ def integrate_guidance_batch(
     times : ndarray, shape (n+1,)
     positions : ndarray, shape (n+1, M, dims)
     """
-    _check_commensurate(record, dt)
-    n = _step_count(record, dt)
-    x = np.array(np.atleast_2d(x0), dtype=float)
-    cache = _FieldCache(record, "velocity")
-    t0 = float(record.times[0])
-    times = t0 + dt * np.arange(n + 1)
-    positions = np.empty((n + 1,) + x.shape)
-    positions[0] = x
-    for step_index in range(n):
-        t = float(times[step_index])
-        k1 = _eval_fields(cache, t, x)
-        k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = _eval_fields(cache, t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        positions[step_index + 1] = x
+    times, positions, _ = _guidance_rk4(record, x0, dt, keep_velocities=False)
     return times, positions
 
 
 def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     """Integrate the guidance equation for a single initial position."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    times, positions = integrate_guidance_batch(record, x0[None, :], dt)
-    cache = _FieldCache(record, "velocity")
+    times, positions, velocities = _guidance_rk4(record, x0[None, :], dt, keep_velocities=True)
     masses = np.asarray(record.params.masses_for(record.grid.dims))
-    momenta = np.empty((len(times), record.grid.dims))
-    for i in range(len(times)):
-        momenta[i] = masses * _eval_fields(cache, float(times[i]), positions[i])[0]
+    momenta = masses * velocities[:, 0, :]
     return Trajectory(times=times, positions=positions[:, 0, :], mode="guidance", dt=dt, momenta=momenta)
 
 
@@ -238,11 +281,14 @@ def integrate_newton_batch(
     x = np.array(np.atleast_2d(x0), dtype=float)
     params = record.params
     masses = np.asarray(params.masses_for(record.grid.dims))
-    vel_cache = _FieldCache(record, "velocity")
-    force_cache = _FieldCache(record, "qforce")
     t0 = float(record.times[0])
     times = t0 + dt * np.arange(n + 1)
-    p = masses * _eval_fields(vel_cache, t0, x)
+    stencil = _stencil_on_grid(record.grid, t0, x)
+    velocity = velocity_field(record.snapshots[0])
+    if not stencil.valid(velocity[0].valid_mask).all():
+        raise _node_abort(t0, x)
+    p = masses * _sample(stencil, [f.values for f in velocity])
+    force_cache = _FieldCache(record, "qforce", dt)
 
     def total_force(t: float, pos: np.ndarray) -> np.ndarray:
         return potential.force_at(pos, params) + _eval_fields(force_cache, t, pos)

@@ -13,6 +13,7 @@ and localized states must keep a margin away from the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class Grid:
     extents: tuple[tuple[float, float], ...]
     points: tuple[int, ...]
 
-    @property
+    @cached_property
     def dx(self) -> tuple[float, ...]:
         return tuple((hi - lo) / n for (lo, hi), n in zip(self.extents, self.points))
 
@@ -81,11 +82,18 @@ class Grid:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Angular wavenumber array along each dimension (FFT ordering)."""
-        return tuple(
+        """Angular wavenumber array along each dimension (FFT ordering), read-only."""
+        return self._wavenumbers
+
+    @cached_property
+    def _wavenumbers(self) -> tuple[np.ndarray, ...]:
+        out = tuple(
             2.0 * np.pi * np.fft.fftfreq(n, d=step)
             for n, step in zip(self.points, self.dx)
         )
+        for k in out:
+            k.setflags(write=False)
+        return out
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Elementwise test that positions lie inside the extent."""
@@ -186,12 +194,15 @@ class ScalarField:
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 1) -> np.ndarray:
-    """Differentiate a periodic grid function by FFT along one axis.
+    """Differentiate a periodic grid function by FFT along grid axis ``axis``.
 
-    Returns a real array for real input, complex for complex input.
+    ``values`` has the grid shape, optionally after leading batch axes;
+    every batch entry is differentiated alike.  Returns a real array for
+    real input, complex for complex input.
     """
     k = grid.wavenumbers()[axis]
-    shape = [1] * grid.dims
+    axis += values.ndim - grid.dims
+    shape = [1] * values.ndim
     shape[axis] = len(k)
     factor = (1j * k.reshape(shape)) ** order
     out = np.fft.ifft(factor * np.fft.fft(values, axis=axis), axis=axis)
@@ -265,14 +276,20 @@ def init_plane_wave(grid: Grid, params: PhysicalParams, wavenumber) -> Wavefunct
     return normalize(Wavefunction(grid, params, np.exp(phase), time=0.0))
 
 
-def density_mask(rho: np.ndarray) -> np.ndarray:
-    """True where the density rho = |psi|^2 is above the relative node threshold."""
-    return rho >= NODE_THRESHOLD * rho.max()
+def density_mask(rho: np.ndarray, dims: int) -> np.ndarray:
+    """True where the density rho = |psi|^2 is above the relative node threshold.
+
+    The threshold is relative to the maximum over the trailing ``dims``
+    (grid) axes, so each entry of a leading batch axis of snapshots is
+    judged against its own peak.
+    """
+    grid_axes = tuple(range(rho.ndim - dims, rho.ndim))
+    return rho >= NODE_THRESHOLD * rho.max(axis=grid_axes, keepdims=True)
 
 
 def node_mask(wf: Wavefunction) -> np.ndarray:
     """True where |psi|^2 is above the relative node threshold."""
-    return density_mask(np.abs(wf.amplitudes) ** 2)
+    return density_mask(np.abs(wf.amplitudes) ** 2, wf.grid.dims)
 
 
 def modulus_field(wf: Wavefunction) -> ScalarField:
@@ -285,25 +302,41 @@ def probability_density(wf: Wavefunction) -> ScalarField:
     return ScalarField(wf.grid, np.abs(wf.amplitudes) ** 2, label="density")
 
 
+def velocity_batch(
+    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Guidance velocities of a stack of snapshots.
+
+    ``amplitudes`` has shape (B, *grid.shape).  Returns the velocities,
+    shape (B, dims, *grid.shape), and the node-threshold masks, shape
+    (B, *grid.shape), each snapshot thresholded against its own peak.
+    Masked points hold 0.0.
+    """
+    rho = np.abs(amplitudes) ** 2
+    valid = density_mask(rho, grid.dims)
+    masses = params.masses_for(grid.dims)
+    out = np.zeros((len(amplitudes), grid.dims) + grid.shape)
+    for d in range(grid.dims):
+        dpsi = spectral_derivative(amplitudes, grid, axis=d)
+        current = np.imag(np.conj(amplitudes) * dpsi)
+        v = out[:, d]
+        np.divide(current, rho, out=v, where=valid)
+        v *= params.hbar / masses[d]
+        v[~valid] = 0.0
+    return out, valid
+
+
 def velocity_field(wf: Wavefunction) -> tuple[ScalarField, ...]:
     """Guidance velocity v_d = (hbar/m_d) Im(psi* d_d psi) / |psi|^2 per dimension.
 
     The ratio form is gauge-safe (no phase unwrapping).  Points below the
     node threshold are masked and hold 0.0.
     """
-    rho = np.abs(wf.amplitudes) ** 2
-    valid = density_mask(rho)
-    masses = wf.params.masses_for(wf.grid.dims)
-    fields = []
-    for d in range(wf.grid.dims):
-        dpsi = spectral_derivative(wf.amplitudes, wf.grid, axis=d)
-        current = np.imag(np.conj(wf.amplitudes) * dpsi)
-        v = np.zeros(wf.grid.shape, dtype=float)
-        np.divide(current, rho, out=v, where=valid)
-        v *= wf.params.hbar / masses[d]
-        v[~valid] = 0.0
-        fields.append(ScalarField(wf.grid, v, label=f"velocity[{d}]", valid=valid))
-    return tuple(fields)
+    values, valid = velocity_batch(wf.amplitudes[None], wf.grid, wf.params)
+    return tuple(
+        ScalarField(wf.grid, values[0, d], label=f"velocity[{d}]", valid=valid[0])
+        for d in range(wf.grid.dims)
+    )
 
 
 def position_moments(wf: Wavefunction) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,10 @@ from bohmsim import (
     make_grid,
     normalize,
     probability_density,
+    velocity_field,
 )
+from bohmsim.quantum_potential import qfields_batch
+from bohmsim.wavefield import velocity_batch
 
 
 def double_hump(grid, params, separation=6.0, sigma=0.8):
@@ -121,6 +124,66 @@ class TestComputeQFields:
         qf = compute_qfields(wf)
         assert qf.f_q_max >= 0.0
         assert qf.f_q_max == pytest.approx(np.abs(qf.force[0].values[qf.valid]).max())
+
+
+def snapshot_stack(dims):
+    """States with and without nodes, at different scales, on one grid."""
+    if dims == 1:
+        grid = make_grid(1, -10.0, 10.0, 256)
+        params = PhysicalParams(1.0, (2.0,))
+        states = [
+            init_gaussian(grid, params, 0.5, 1.0, wavenumber=1.5),
+            double_hump(grid, params),
+            antisymmetric_pair(grid, params),
+        ]
+    else:
+        grid = make_grid(2, -8.0, 8.0, 64)
+        params = PhysicalParams(1.0, (1.0, 3.0))
+        x0, x1 = grid.meshes()
+        hump = double_hump(make_grid(1, -8.0, 8.0, 64), params, separation=5.0).amplitudes
+        odd = hump[:, None] * (x1 * np.exp(-(x1**2) / 4.0))  # node line at x1 = 0
+        states = [
+            init_gaussian(grid, params, (0.5, -1.0), (1.0, 1.3), wavenumber=(1.0, -0.5)),
+            normalize(Wavefunction(grid, params, odd.astype(complex), 0.0)),
+        ]
+    # a faint copy: each snapshot's node threshold follows its own peak
+    faint = states[0].amplitudes * 1e-4 * np.exp(0.3j)
+    states.append(Wavefunction(grid, params, faint, 0.0))
+    return grid, params, states
+
+
+class TestBatchedFields:
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_velocity_batch_equals_per_snapshot(self, dims):
+        grid, params, states = snapshot_stack(dims)
+        values, valid = velocity_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        assert values.shape == (len(states), dims) + grid.shape
+        assert not valid[1].all()  # the stack includes a state with nodes
+        for b, wf in enumerate(states):
+            fields = velocity_field(wf)
+            assert np.array_equal(valid[b], fields[0].valid_mask)
+            for d in range(dims):
+                assert np.array_equal(values[b, d], fields[d].values)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_qfields_batch_equals_per_snapshot(self, dims):
+        grid, params, states = snapshot_stack(dims)
+        q, force, valid, f_q_max = qfields_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        assert not valid[1].all()
+        for b, wf in enumerate(states):
+            qf = compute_qfields(wf)
+            assert np.array_equal(q[b], qf.q.values)
+            assert np.array_equal(valid[b], qf.valid)
+            assert f_q_max[b] == qf.f_q_max
+            for e in range(dims):
+                assert np.array_equal(force[b, e], qf.force[e].values)
+
+    def test_threshold_is_per_snapshot(self):
+        grid, params, states = snapshot_stack(1)
+        _, valid = velocity_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        # the faint copy of state 0 keeps state 0's mask, not one set by the
+        # brightest snapshot of the batch
+        assert np.array_equal(valid[-1], valid[0])
 
 
 class TestAveragedQuantumForce:

@@ -52,6 +52,16 @@ class TestMakeGrid:
         assert x[0] == -10.0
         assert x[-1] == pytest.approx(10.0 - grid.dx[0])
 
+    def test_wavenumbers_are_cached_and_read_only(self):
+        grid = make_grid(2, -3.0, 5.0, (32, 48))
+        ks = grid.wavenumbers()
+        assert grid.wavenumbers() is ks
+        assert grid.dx is grid.dx
+        for k, n, step in zip(ks, grid.points, grid.dx):
+            assert np.array_equal(k, 2.0 * np.pi * np.fft.fftfreq(n, d=step))
+            with pytest.raises(ValueError):
+                k[0] = 1.0
+
     def test_contains(self):
         grid = make_grid(1, -10.0, 10.0, 256)
         inside = grid.contains(np.array([[0.0], [-10.0], [9.99], [10.0], [-11.0]]))
@@ -73,6 +83,15 @@ class TestSpectralDerivative:
         grid = make_grid(1, -10.0, 10.0, 128)
         out = spectral_derivative(np.exp(-grid.axes()[0] ** 2), grid, axis=0)
         assert out.dtype.kind == "f"
+
+    def test_batch_axis_matches_per_entry(self):
+        grid = make_grid(2, 0.0, 2.0 * np.pi, 32)
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(3,) + grid.shape) + 1j * rng.normal(size=(3,) + grid.shape)
+        for axis in (0, 1):
+            batched = spectral_derivative(stack, grid, axis=axis, order=2)
+            for b in range(3):
+                assert np.array_equal(batched[b], spectral_derivative(stack[b], grid, axis=axis, order=2))
 
     def test_2d_axis_selection(self):
         grid = make_grid(2, 0.0, 2.0 * np.pi, 32)
