@@ -158,9 +158,12 @@ def _parse_value(kind: type, raw: str, line: int, key: str):
             raise ConfigError(line, f"{key} expects an integer, got {raw!r}") from None
     if kind is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(line, f"{key} expects a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(line, f"{key} expects a finite number, got {raw!r}")
+        return value
     return raw
 
 

@@ -101,11 +101,12 @@ def mean_quantum_force(positions: np.ndarray, qfields: QFields) -> np.ndarray:
     """
     grid = qfields.q.grid
     x = np.atleast_2d(np.asarray(positions, dtype=float))
-    if not _interp.stencil_valid(qfields.valid, grid, x).all():
+    stencil = _interp.Stencil(grid, x)
+    if not stencil.valid(qfields.valid).all():
         raise ValueError("some positions lie in a node region")
     out = np.empty(grid.dims)
     for d in range(grid.dims):
-        out[d] = _fsum_mean(_interp.interpolate(qfields.force[d].values, grid, x))
+        out[d] = _fsum_mean(stencil.sample(qfields.force[d].values))
     return out
 
 

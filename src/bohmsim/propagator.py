@@ -6,7 +6,8 @@ A single step applies the second-order Strang factorization
 
 with the kinetic factor diagonal in Fourier space.  Both factors are unitary,
 so the norm is conserved to rounding and the map is exactly time-reversible
-under complex conjugation.
+under complex conjugation.  Without a potential the splitting is exact, so
+free states are evolved in closed form instead of step by step.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .wavefield import (
+    FIELD_BATCH_POINTS,
     Grid,
     PhysicalParams,
     ScalarField,
@@ -202,26 +204,38 @@ def _warn_if_step_coarse(grid: Grid, params: PhysicalParams, pot: PotentialSpec,
         )
 
 
+def _kinetic_rate(grid: Grid, params: PhysicalParams) -> np.ndarray:
+    """Phase rate hbar k^2 / 2m of each Fourier mode, summed over dimensions.
+
+    A free state's mode k evolves as exp(-i rate t); the Strang kernel and
+    the closed-form free evolution both take their kinetic phase from here.
+    """
+    masses = params.masses_for(grid.dims)
+    ks = grid.wavenumbers()
+    rate = np.zeros(grid.shape)
+    for d in range(grid.dims):
+        shape = [1] * grid.dims
+        shape[d] = len(ks[d])
+        rate = rate + params.hbar * ks[d].reshape(shape) ** 2 / (2.0 * masses[d])
+    return rate
+
+
 class _SplitStepKernel:
     """Precomputed phase factors for repeated Strang steps."""
 
     def __init__(self, grid: Grid, params: PhysicalParams, pot: PotentialSpec, dt: float):
         v = evaluate_potential(pot, grid, params)
         self.half_potential = np.exp(-0.5j * v * dt / params.hbar)
-        masses = params.masses_for(grid.dims)
-        ks = grid.wavenumbers()
-        t_phase = np.zeros(grid.shape)
-        for d in range(grid.dims):
-            shape = [1] * grid.dims
-            shape[d] = len(ks[d])
-            t_phase = t_phase + params.hbar * ks[d].reshape(shape) ** 2 / (2.0 * masses[d])
-        self.kinetic = np.exp(-1j * t_phase * dt)
-        self.dt = dt
+        self.kinetic = np.exp(-1j * _kinetic_rate(grid, params) * dt)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = self.half_potential * amps
-        out = np.fft.ifftn(self.kinetic * np.fft.fftn(out))
-        return self.half_potential * out
+        out = np.fft.ifftn(self.kinetic * np.fft.fftn(self.half_potential * amps))
+        return np.multiply(self.half_potential, out, out=out)
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
@@ -231,8 +245,7 @@ def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
     and raises ``FloatingPointError`` on numerical blow-up (non-finite
     amplitudes).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_positive_finite("dt", dt)
     _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     kernel = _SplitStepKernel(wf.grid, wf.params, potential, dt)
     amps = kernel.apply(wf.amplitudes)
@@ -243,10 +256,12 @@ def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Snapshots of an evolution, with per-step norm drift bookkeeping.
+    """Snapshots of an evolution, with norm drift bookkeeping.
 
-    ``times`` are strictly increasing and include t0 and the final time;
-    ``norm_drift`` holds |norm_after - norm_before| for every step taken.
+    ``times`` are strictly increasing and include t0 and the final time.
+    ``norm_drift`` holds |norm_after - norm_before| for every step taken,
+    except for free records, which take no steps and hold one entry per
+    snapshot interval.
     """
 
     times: np.ndarray
@@ -271,6 +286,68 @@ class EvolutionRecord:
         return self.snapshots[0].params
 
 
+def _norm(amps: np.ndarray, cell: float) -> float:
+    return float(np.sqrt(np.vdot(amps, amps).real * cell))
+
+
+def _evolve_free(wf: Wavefunction, times: np.ndarray, steps: np.ndarray, dt: float):
+    """Closed-form free evolution to the step counts ``steps`` (first is 0).
+
+    Strang splitting is exact without a potential, so each snapshot is
+    ifft(exp(-i rate t) fft psi0).  Snapshots after the first are row views
+    of one block, filled in chunks of at most ``FIELD_BATCH_POINTS`` grid
+    points so the temporaries stay small.  Returns the snapshots and the
+    norm drift of every snapshot interval.
+    """
+    grid = wf.grid
+    cell = grid.cell_volume
+    rate = _kinetic_rate(grid, wf.params)
+    spectrum = np.fft.fftn(wf.amplitudes)
+    axes = tuple(range(1, grid.dims + 1))
+    elapsed = steps[1:] * dt
+    block = np.empty((len(elapsed),) + grid.shape, dtype=complex)
+    norms = np.empty(len(steps))
+    norms[0] = _norm(wf.amplitudes, cell)
+    rows = max(1, FIELD_BATCH_POINTS // block[0].size)
+    for start in range(0, len(elapsed), rows):
+        part = block[start:start + rows]
+        phase = np.exp(-1j * np.multiply.outer(elapsed[start:start + rows], rate))
+        np.fft.ifftn(phase * spectrum, axes=axes, out=part)
+        flat = part.reshape(len(part), -1).view(float)
+        norms[1 + start:1 + start + len(part)] = np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        raise FloatingPointError(f"numerical blow-up at step {steps[np.argmin(finite)]}: non-finite norm")
+    snapshots = [wf] + [Wavefunction(grid, wf.params, amps, t) for amps, t in zip(block, times[1:])]
+    return snapshots, np.abs(np.diff(norms))
+
+
+def _evolve_split(wf: Wavefunction, potential: PotentialSpec, times: np.ndarray, stride: int, dt: float):
+    """Strang steps of size ``dt`` up to ``times[-1]``, keeping every ``stride``-th state.
+
+    Returns the snapshots and the norm drift of every step.
+    """
+    _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
+    kernel = _SplitStepKernel(wf.grid, wf.params, potential, dt)
+    cell = wf.grid.cell_volume
+    n_steps = (len(times) - 1) * stride
+    amps = wf.amplitudes
+    previous_norm = _norm(amps, cell)
+    snapshots = [wf]
+    drift = np.empty(n_steps)
+    for i in range(1, n_steps + 1):
+        # apply returns a fresh array, so a snapshot can keep it uncopied
+        amps = kernel.apply(amps)
+        current_norm = _norm(amps, cell)
+        drift[i - 1] = abs(current_norm - previous_norm)
+        previous_norm = current_norm
+        if not np.isfinite(current_norm):
+            raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
+        if i % stride == 0:
+            snapshots.append(Wavefunction(wf.grid, wf.params, amps, float(times[i // stride])))
+    return snapshots, drift
+
+
 def evolve(
     wf: Wavefunction,
     potential: PotentialSpec,
@@ -281,12 +358,14 @@ def evolve(
     """Propagate to ``t_final`` in steps of ``dt``, recording every
     ``snapshot_stride``-th state (the initial and final states always).
 
-    ``t_final`` must be an integer multiple of ``dt`` to rounding.
+    ``t_final`` must be an integer multiple of ``dt`` to rounding.  A
+    ``Free`` potential is evolved in closed form, which equals the split
+    steps up to rounding; its ``norm_drift`` has one entry per snapshot
+    interval instead of one per step.  Raises ``FloatingPointError`` on a
+    non-finite norm.
     """
-    if t_final <= 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_positive_finite("t_final", t_final)
+    _check_positive_finite("dt", dt)
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     n_steps = int(round(t_final / dt))
@@ -294,27 +373,14 @@ def evolve(
         raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
     if n_steps % snapshot_stride != 0:
         raise ValueError("snapshot_stride must divide the number of steps")
-    _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
-    kernel = _SplitStepKernel(wf.grid, wf.params, potential, dt)
-    cell = wf.grid.cell_volume
-    amps = wf.amplitudes
-    previous_norm = float(np.sqrt(np.sum(np.abs(amps) ** 2) * cell))
-    times = [wf.time]
-    snapshots = [wf]
-    drift = np.empty(n_steps)
-    for i in range(1, n_steps + 1):
-        amps = kernel.apply(amps)
-        current_norm = float(np.sqrt(np.sum(np.abs(amps) ** 2) * cell))
-        drift[i - 1] = abs(current_norm - previous_norm)
-        previous_norm = current_norm
-        if not np.isfinite(current_norm):
-            raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
-        if i % snapshot_stride == 0:
-            t = wf.time + i * dt
-            times.append(t)
-            snapshots.append(Wavefunction(wf.grid, wf.params, amps.copy(), t))
+    steps = np.arange(0, n_steps + 1, snapshot_stride)
+    times = wf.time + steps * dt
+    if isinstance(potential, Free):
+        snapshots, drift = _evolve_free(wf, times, steps, dt)
+    else:
+        snapshots, drift = _evolve_split(wf, potential, times, snapshot_stride, dt)
     return EvolutionRecord(
-        times=np.asarray(times),
+        times=times,
         snapshots=tuple(snapshots),
         dt=dt,
         norm_drift=drift,

@@ -156,14 +156,15 @@ def hamilton_jacobi_energy(wf: Wavefunction, potential: PotentialSpec, x) -> flo
     if x.shape != (1, wf.grid.dims):
         raise ValueError(f"x must be a single point with {wf.grid.dims} coordinates")
     qf = compute_qfields(wf)
-    if not bool(_interp.stencil_valid(qf.valid, wf.grid, x)[0]):
+    stencil = _interp.Stencil(wf.grid, x)
+    if not bool(stencil.valid(qf.valid)[0]):
         raise ValueError(f"position {x[0]} lies in a node region")
     masses = wf.params.masses_for(wf.grid.dims)
     vel = velocity_field(wf)
     kinetic = 0.0
     for d in range(wf.grid.dims):
-        v = float(_interp.interpolate(vel[d].values, wf.grid, x)[0])
+        v = float(stencil.sample(vel[d].values)[0])
         kinetic += 0.5 * masses[d] * v * v
-    q = float(_interp.interpolate(qf.q.values, wf.grid, x)[0])
+    q = float(stencil.sample(qf.q.values)[0])
     v_cl = float(potential.value_at(x[0], wf.params))
     return kinetic + v_cl + q

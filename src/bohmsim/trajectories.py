@@ -24,7 +24,7 @@ import numpy as np
 from . import _interp
 from .propagator import EvolutionRecord, PotentialSpec
 from .quantum_potential import qfields_batch
-from .wavefield import Grid, velocity_batch, velocity_field
+from .wavefield import FIELD_BATCH_POINTS, Grid, velocity_batch, velocity_field
 
 
 class TrajectoryAbort(RuntimeError):
@@ -75,11 +75,6 @@ class Trajectory:
             time=float(self.times[-1]),
             momentum=None if self.momenta is None else self.momenta[-1],
         )
-
-
-# Grid points whose fields a cache computes in one batch: 21 snapshots of a
-# 384-point line, one snapshot of a 128 x 128 plane.
-FIELD_BATCH_POINTS = 8192
 
 
 class _FieldCache:

@@ -26,6 +26,12 @@ BOUNDARY_MARGIN_SIGMAS = 5.0
 # ... and be resolved by at least this many grid spacings per width.
 MIN_POINTS_PER_SIGMA = 3.0
 
+# Grid points per batch of snapshots that the propagator evolves or the
+# trajectory layer computes fields for at once: 21 snapshots of a 384-point
+# line, one snapshot of a 128 x 128 plane.  Keeps the batch temporaries,
+# and so the peak memory, flat in the record length.
+FIELD_BATCH_POINTS = 8192
+
 
 def _as_tuple(value, dims: int, name: str) -> tuple[float, ...]:
     """Broadcast a scalar (or validate a sequence) to one value per dimension."""

@@ -1,18 +1,26 @@
 """Tests for the command line front end: config parsing, runs, and output files."""
 
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmsim.cli import (
+    _SECTIONS,
     EXPERIMENTS,
     ConfigError,
     ContractCheck,
     ExperimentReport,
     main,
     parse_config,
+    parse_config_file,
     run,
 )
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
@@ -195,6 +203,68 @@ class TestParseErrors:
     def test_strides_must_be_positive(self, section, key):
         self.check(f"experiment = bec\n[{section}]\n{key} = 0\n", 3, f"{key}: must be >= 1, got 0")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "dt", "nan"),
+            ("run", "t_final", "inf"),
+            ("grid", "x_min", "nan"),
+            ("physics", "sigma", "nan"),
+            ("physics", "hbar", "NaN"),
+            ("physics", "x0", "-inf"),
+            ("run", "dt", "1e309"),
+        ],
+    )
+    def test_float_key_rejects_non_finite(self, section, key, value):
+        self.check(
+            f"experiment = bec\n[{section}]\n{key} = {value}\n",
+            3,
+            f"{key} expects a finite number, got '{value}'",
+        )
+
+
+# Config text built from section blocks, with keys of that section and
+# junk, values that include non-finite and overflowing numbers, and stray
+# lines of any text.
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "-1e309", "0", "-3", "16", "2.5", "1e-3"]),
+    st.sampled_from(list(EXPERIMENTS) + ["free", "harmonic", "random", "stratified", "out"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+def _block(name):
+    keys = [f.name for f in fields(_SECTIONS[name])] + ["experiment", "bogus"]
+    assignment = st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(keys), _VALUES)
+    return st.lists(assignment, max_size=4).map(lambda body: [f"[{name}]"] + body)
+
+
+_BLOCKS = st.one_of(
+    *[_block(name) for name in _SECTIONS],
+    st.lists(st.sampled_from(["[bogus]", "[grid", "", "# note", "experiment = bec"]) | st.text(max_size=12), max_size=2),
+)
+
+
+class TestParseConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_BLOCKS, max_size=4), st.booleans())
+    def test_raises_only_config_error_and_accepts_finite_floats(self, blocks, lead):
+        lines = ["experiment = bec"] if lead else []
+        for block in blocks:
+            lines += block
+        try:
+            config = parse_config("\n".join(lines))
+        except ConfigError:
+            return
+        for name in _SECTIONS:
+            section = getattr(config, name)
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if isinstance(value, float):
+                    assert math.isfinite(value), f"{name}.{f.name} = {value!r}"
+
 
 class TestContractCheck:
     def test_upper_bound_passes_at_or_below(self):
@@ -356,6 +426,22 @@ class TestMain:
         config_path.write_text("experiment = warp\n")
         assert main(["validate", str(config_path)]) == 2
         assert "unknown experiment 'warp'" in capsys.readouterr().err
+
+    def test_validate_rejects_non_finite_numbers(self, tmp_path, capsys):
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text("experiment = crosscheck\n[run]\ndt = nan\n")
+        assert main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 3: dt expects a finite number")
+
+    def test_shipped_configs_cover_every_experiment(self):
+        assert sorted(path.stem.replace("_", "-") for path in SHIPPED_CONFIGS) == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_configs_validate(self, path, capsys):
+        experiment = path.stem.replace("_", "-")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == f"ok: experiment={experiment}"
+        assert parse_config_file(str(path)).experiment == experiment
 
     def test_list_experiments_prints_all(self, capsys):
         assert main(["list-experiments"]) == 0

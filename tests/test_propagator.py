@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -182,6 +183,14 @@ class TestEvolve:
         with pytest.raises(ValueError, match="stride"):
             quiet_evolve(unit_gaussian, Free(), 1.0, 0.1, snapshot_stride=3)
 
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(np.nan, 1e-3), (np.inf, 1e-3), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1e-3)],
+    )
+    def test_rejects_non_finite_times(self, unit_gaussian, t_final, dt):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            quiet_evolve(unit_gaussian, Free(), t_final, dt)
+
     def test_snapshots_cover_endpoints(self, unit_gaussian):
         record = quiet_evolve(unit_gaussian, Free(), 1.0, 0.1, snapshot_stride=5)
         assert record.times[0] == pytest.approx(0.0)
@@ -229,6 +238,75 @@ class TestEvolve:
         back = quiet_evolve(mirrored, Harmonic(omega=1.0), 1.0, 1e-3, snapshot_stride=1000)
         recovered = back.snapshots[-1]
         assert np.abs(np.abs(recovered.amplitudes) - np.abs(wf.amplitudes)).max() < 1e-8
+
+
+def _unequal_plane():
+    """2D state on a grid with unequal extents, point counts and masses."""
+    grid = make_grid(2, (-6.0, -5.0), (6.0, 5.0), (48, 40))
+    params = PhysicalParams(1.0, (1.0, 2.0))
+    return init_gaussian(grid, params, (0.5, -0.3), (1.0, 0.8), (1.0, -0.5))
+
+
+class TestClosedFormFree:
+    """Free records are evolved in closed form; the Strang loop is the reference."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_matches_repeated_steps(self, dims, wide_grid, unit_params):
+        if dims == 1:
+            wf = init_gaussian(wide_grid, unit_params, 0.0, 1.0, 1.0)
+        else:
+            wf = _unequal_plane()
+        dt, n_steps, stride = 0.02, 40, 10
+        record = evolve(wf, Free(), n_steps * dt, dt, snapshot_stride=stride)
+        assert len(record) == n_steps // stride + 1
+        state = wf
+        for i in range(1, n_steps + 1):
+            state = step(state, Free(), dt)
+            if i % stride == 0:
+                got = record.snapshots[i // stride].amplitudes
+                assert np.abs(got - state.amplitudes).max() < 1e-12
+
+    def test_first_snapshot_is_input_and_times_match_loop(self):
+        wf = _unequal_plane()
+        wf = Wavefunction(wf.grid, wf.params, wf.amplitudes, time=0.3)
+        free = evolve(wf, Free(), 0.6, 0.01, snapshot_stride=4)
+        # a zero force puts the same motion through the Strang loop
+        loop = quiet_evolve(wf, Linear(force=0.0), 0.6, 0.01, snapshot_stride=4)
+        assert free.snapshots[0] is wf
+        assert np.array_equal(free.times, loop.times)
+        assert [s.time for s in free.snapshots] == [s.time for s in loop.snapshots]
+        for a, b in zip(free.snapshots, loop.snapshots):
+            assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
+
+    def test_norm_drift_entries(self, unit_gaussian):
+        free = evolve(unit_gaussian, Free(), 0.4, 0.01, snapshot_stride=8)
+        assert len(free.norm_drift) == len(free) - 1 == 5
+        assert free.norm_drift.max() < 1e-12
+        strang = quiet_evolve(unit_gaussian, Harmonic(omega=1.0), 0.4, 0.01, snapshot_stride=8)
+        assert len(strang.norm_drift) == 40
+
+    @pytest.mark.parametrize("potential", [Free(), Harmonic(omega=1.0)])
+    def test_nan_input_aborts(self, unit_gaussian, potential):
+        amps = unit_gaussian.amplitudes.copy()
+        amps[10] = np.nan
+        bad = Wavefunction(unit_gaussian.grid, unit_gaussian.params, amps, 0.0)
+        with pytest.raises(FloatingPointError, match="blow-up"):
+            quiet_evolve(bad, potential, 0.05, 1e-3, snapshot_stride=5)
+
+    def test_peak_memory_stays_near_record_size(self, unit_params):
+        # the phases and transforms are chunked, so the temporaries stay a
+        # small fraction of a 101-snapshot 128 x 128 record
+        grid = make_grid(2, -8.0, 8.0, 128)
+        wf = init_gaussian(grid, unit_params, 0.0, 0.5)
+        tracemalloc.start()
+        try:
+            record = evolve(wf, Free(), 1.0, 0.01, snapshot_stride=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        record_bytes = sum(s.amplitudes.nbytes for s in record.snapshots)
+        assert len(record) == 101
+        assert peak <= 1.1 * record_bytes
 
 
 class TestProbabilityCurrent:
