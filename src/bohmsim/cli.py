@@ -365,7 +365,7 @@ def _run_free_gaussian(config: ExperimentConfig, seed: int):
         t = float(record.times[i])
         _, var = position_moments(snap)
         expected = sigma0**2 * (1.0 + (hbar * t / (2.0 * mass * sigma0**2)) ** 2)
-        rel = abs(var[0] - expected) / expected
+        rel = float(abs(var[0] - expected) / expected)
         worst_var = max(worst_var, rel)
         res = float(np.abs(residuals[i - 1].values).max()) if i > 0 else 0.0
         rows.append([t, float(var[0]), expected, rel, res])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .propagator import EvolutionRecord
+from .propagator import EvolutionRecord, _whole_steps
 from .quantum_potential import QFields, compute_qfields
 from .trajectories import integrate_guidance_batch
 from .wavefield import Grid, Wavefunction, probability_density
@@ -130,11 +130,12 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
     x0 = sample_equilibrium(spec)
     times, positions = integrate_guidance_batch(record, x0, dt)
     # Report at snapshot times that also fall on the integration grid.
-    rel = (np.asarray(record.times) - float(record.times[0])) / dt
-    keep_snap = np.flatnonzero(np.abs(rel - np.round(rel)) < 1e-9)
+    t0 = record.times[0]
+    rows = np.array([0] + [_whole_steps(float(t - t0), dt, required=False) for t in record.times[1:]])
+    keep_snap = np.r_[0, np.flatnonzero(rows[1:]) + 1]
     if len(keep_snap) < 2:
         raise ValueError("snapshot times and trajectory steps share too few common times")
-    traj_rows = np.round(rel[keep_snap]).astype(int)
+    traj_rows = rows[keep_snap]
     grid = record.grid
     lo, hi = grid.extents[0]
     mean_pos = np.empty((len(keep_snap), grid.dims))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _interp
 from .ensemble import _grid_cdf, _rng, sample_density
-from .propagator import Free, PairwiseHarmonic, PotentialSpec, evolve
+from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
 from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, integrate_guidance_batch
 from .wavefield import (
@@ -370,9 +370,7 @@ def run_cm_experiment(
     """
     if sampling not in ("random", "stratified"):
         raise ValueError(f"sampling must be 'random' or 'stratified', got {sampling!r}")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
+    n_steps = _whole_steps(t_final, dt)
 
     rng = _rng(seed)
     n = spec.n_subsystems
@@ -529,9 +527,7 @@ def run_bec_experiment(
     """
     if n_subsystems < 10:
         raise ValueError(f"need at least 10 subsystems, got {n_subsystems}")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
+    n_steps = _whole_steps(t_final, dt)
     half = 8.0 * packet_width
     grid = make_grid(1, -half, half, points)
     params = PhysicalParams(hbar, (mass,))

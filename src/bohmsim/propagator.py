@@ -13,7 +13,8 @@ free states are evolved in closed form instead of step by step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -238,6 +239,24 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _whole_steps(span: float, dt: float, span_name="t_final", dt_name="dt", required=True) -> int:
+    """The n >= 1 with span = n dt to 1e-9 relative to the span: the one whole-step rule.
+
+    Raises ``ValueError`` naming a span or dt that is not positive and
+    finite, and one that holds no whole number of steps (as under half a
+    step) if ``required``; returns 0 for it otherwise.
+    """
+    _check_positive_finite(span_name, span)
+    _check_positive_finite(dt_name, dt)
+    ratio = span / dt
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n >= 1 and abs(n * dt - span) <= 1e-9 * span:
+        return n
+    if required:
+        raise ValueError(f"{span_name}={span} is not an integer number of steps of dt={dt}")
+    return 0
+
+
 def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
     """One Strang split step of size ``dt``.
 
@@ -258,85 +277,82 @@ def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
 class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
-    ``times`` are strictly increasing and include t0 and the final time.
-    ``norm_drift`` holds |norm_after - norm_before| for every step taken,
-    except for free records, which take no steps and hold one entry per
-    snapshot interval.
+    ``amplitudes`` holds every snapshot as one block of shape
+    (S, *grid.shape), row i at ``times[i]``.  ``times`` are strictly
+    increasing and include t0 and the final time.  ``norm_drift`` holds
+    |norm_after - norm_before| for every step taken, except for free
+    records, which take no steps and hold one entry per snapshot interval.
     """
 
     times: np.ndarray
-    snapshots: tuple[Wavefunction, ...]
+    amplitudes: np.ndarray
+    grid: Grid
+    params: PhysicalParams
     dt: float
     norm_drift: np.ndarray
     potential: PotentialSpec
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.times)
 
     @property
     def snapshot_spacing(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def grid(self) -> Grid:
-        return self.snapshots[0].grid
-
-    @property
-    def params(self) -> PhysicalParams:
-        return self.snapshots[0].params
+    @cached_property
+    def snapshots(self) -> tuple[Wavefunction, ...]:
+        """Row views of ``amplitudes`` as wavefunctions, built once per record."""
+        return tuple(
+            Wavefunction(self.grid, self.params, amps, float(t))
+            for amps, t in zip(self.amplitudes, self.times)
+        )
 
 
 def _norm(amps: np.ndarray, cell: float) -> float:
     return float(np.sqrt(np.vdot(amps, amps).real * cell))
 
 
-def _evolve_free(wf: Wavefunction, times: np.ndarray, steps: np.ndarray, dt: float):
-    """Closed-form free evolution to the step counts ``steps`` (first is 0).
+def _evolve_free(wf: Wavefunction, block: np.ndarray, steps: np.ndarray, dt: float):
+    """Closed-form free evolution into rows 1.. of ``block`` at the step counts ``steps``.
 
     Strang splitting is exact without a potential, so each snapshot is
-    ifft(exp(-i rate t) fft psi0).  Snapshots after the first are row views
-    of one block, filled in chunks of at most ``FIELD_BATCH_POINTS`` grid
-    points so the temporaries stay small.  Returns the snapshots and the
-    norm drift of every snapshot interval.
+    ifft(exp(-i rate t) fft psi0).  Rows are filled in chunks of at most
+    ``FIELD_BATCH_POINTS`` grid points so the temporaries stay small.
+    Returns the norm drift of every snapshot interval.
     """
     grid = wf.grid
     cell = grid.cell_volume
     rate = _kinetic_rate(grid, wf.params)
     spectrum = np.fft.fftn(wf.amplitudes)
     axes = tuple(range(1, grid.dims + 1))
-    elapsed = steps[1:] * dt
-    block = np.empty((len(elapsed),) + grid.shape, dtype=complex)
     norms = np.empty(len(steps))
     norms[0] = _norm(wf.amplitudes, cell)
     rows = max(1, FIELD_BATCH_POINTS // block[0].size)
-    for start in range(0, len(elapsed), rows):
+    for start in range(1, len(steps), rows):
         part = block[start:start + rows]
-        phase = np.exp(-1j * np.multiply.outer(elapsed[start:start + rows], rate))
+        phase = np.exp(-1j * np.multiply.outer(steps[start:start + rows] * dt, rate))
         np.fft.ifftn(phase * spectrum, axes=axes, out=part)
         flat = part.reshape(len(part), -1).view(float)
-        norms[1 + start:1 + start + len(part)] = np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)
+        norms[start:start + len(part)] = np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)
     finite = np.isfinite(norms)
     if not finite.all():
         raise FloatingPointError(f"numerical blow-up at step {steps[np.argmin(finite)]}: non-finite norm")
-    snapshots = [wf] + [Wavefunction(grid, wf.params, amps, t) for amps, t in zip(block, times[1:])]
-    return snapshots, np.abs(np.diff(norms))
+    return np.abs(np.diff(norms))
 
 
-def _evolve_split(wf: Wavefunction, potential: PotentialSpec, times: np.ndarray, stride: int, dt: float):
-    """Strang steps of size ``dt`` up to ``times[-1]``, keeping every ``stride``-th state.
+def _evolve_split(wf: Wavefunction, potential: PotentialSpec, block: np.ndarray, stride: int, dt: float):
+    """Strang steps of size ``dt``, keeping every ``stride``-th state in rows 1.. of ``block``.
 
-    Returns the snapshots and the norm drift of every step.
+    Returns the norm drift of every step.
     """
     _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     kernel = _SplitStepKernel(wf.grid, wf.params, potential, dt)
     cell = wf.grid.cell_volume
-    n_steps = (len(times) - 1) * stride
+    n_steps = (len(block) - 1) * stride
     amps = wf.amplitudes
     previous_norm = _norm(amps, cell)
-    snapshots = [wf]
     drift = np.empty(n_steps)
     for i in range(1, n_steps + 1):
-        # apply returns a fresh array, so a snapshot can keep it uncopied
         amps = kernel.apply(amps)
         current_norm = _norm(amps, cell)
         drift[i - 1] = abs(current_norm - previous_norm)
@@ -344,8 +360,8 @@ def _evolve_split(wf: Wavefunction, potential: PotentialSpec, times: np.ndarray,
         if not np.isfinite(current_norm):
             raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
         if i % stride == 0:
-            snapshots.append(Wavefunction(wf.grid, wf.params, amps, float(times[i // stride])))
-    return snapshots, drift
+            block[i // stride] = amps
+    return drift
 
 
 def evolve(
@@ -358,30 +374,29 @@ def evolve(
     """Propagate to ``t_final`` in steps of ``dt``, recording every
     ``snapshot_stride``-th state (the initial and final states always).
 
-    ``t_final`` must be an integer multiple of ``dt`` to rounding.  A
+    ``t_final`` must be a whole number of steps of ``dt`` (1e-9 relative).  A
     ``Free`` potential is evolved in closed form, which equals the split
     steps up to rounding; its ``norm_drift`` has one entry per snapshot
     interval instead of one per step.  Raises ``FloatingPointError`` on a
     non-finite norm.
     """
-    _check_positive_finite("t_final", t_final)
-    _check_positive_finite("dt", dt)
+    n_steps = _whole_steps(t_final, dt)
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"t_final={t_final} is not an integer number of steps of dt={dt}")
     if n_steps % snapshot_stride != 0:
         raise ValueError("snapshot_stride must divide the number of steps")
     steps = np.arange(0, n_steps + 1, snapshot_stride)
-    times = wf.time + steps * dt
+    amplitudes = np.empty((len(steps),) + wf.grid.shape, dtype=complex)
+    amplitudes[0] = wf.amplitudes
     if isinstance(potential, Free):
-        snapshots, drift = _evolve_free(wf, times, steps, dt)
+        drift = _evolve_free(wf, amplitudes, steps, dt)
     else:
-        snapshots, drift = _evolve_split(wf, potential, times, snapshot_stride, dt)
+        drift = _evolve_split(wf, potential, amplitudes, snapshot_stride, dt)
     return EvolutionRecord(
-        times=times,
-        snapshots=tuple(snapshots),
+        times=wf.time + steps * dt,
+        amplitudes=amplitudes,
+        grid=wf.grid,
+        params=wf.params,
         dt=dt,
         norm_drift=drift,
         potential=potential,
@@ -412,10 +427,9 @@ def continuity_residual(record: EvolutionRecord) -> list[ScalarField]:
     grid = record.grid
     out = []
     currents = [probability_current(s) for s in record.snapshots]
+    rho = np.abs(record.amplitudes) ** 2
     for i in range(len(record) - 1):
-        a, b = record.snapshots[i], record.snapshots[i + 1]
-        dt_pair = float(record.times[i + 1] - record.times[i])
-        drho_dt = (np.abs(b.amplitudes) ** 2 - np.abs(a.amplitudes) ** 2) / dt_pair
+        drho_dt = (rho[i + 1] - rho[i]) / float(record.times[i + 1] - record.times[i])
         divergence = np.zeros(grid.shape)
         for d in range(grid.dims):
             mean_current = 0.5 * (currents[i][d] + currents[i + 1][d])

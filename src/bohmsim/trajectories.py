@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .propagator import EvolutionRecord, PotentialSpec
+from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps
 from .quantum_potential import qfields_batch
 from .wavefield import FIELD_BATCH_POINTS, Grid, velocity_batch, velocity_field
 
@@ -90,9 +90,7 @@ class _FieldCache:
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
         self.record = record
         self.kind = kind  # "velocity" or "qforce"
-        ratio = interval / record.snapshot_spacing
-        whole = round(ratio)
-        self.stride = whole if whole >= 1 and abs(ratio - whole) <= 1e-9 * ratio else 1
+        self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -100,15 +98,15 @@ class _FieldCache:
         """Fields of snapshot i, shape (dims, *grid.shape), and its validity mask."""
         if i not in self._cache:
             record = self.record
-            indices = range(i, min(i + self.stride * self.batch, len(record)), self.stride)
-            amplitudes = np.stack([record.snapshots[k].amplitudes for k in indices])
+            stop = min(i + self.stride * self.batch, len(record))
+            amplitudes = record.amplitudes[i:stop:self.stride]
             if self.kind == "velocity":
                 values, valid = velocity_batch(amplitudes, record.grid, record.params)
             else:
                 _, values, valid, _ = qfields_batch(amplitudes, record.grid, record.params)
             for stale in [k for k in self._cache if k < i - self.stride]:
                 del self._cache[stale]
-            for j, k in enumerate(indices):
+            for j, k in enumerate(range(i, stop, self.stride)):
                 self._cache[k] = (values[j], valid[j])
         return self._cache[i]
 
@@ -179,21 +177,13 @@ def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_commensurate(record: EvolutionRecord, dt: float) -> None:
-    spacing = record.snapshot_spacing
-    ratio = spacing / dt if spacing >= dt else dt / spacing
-    if abs(ratio - round(ratio)) > 1e-9 * ratio:
-        raise ValueError(
-            f"trajectory dt={dt} is not commensurate with the snapshot spacing {spacing}"
-        )
-
-
 def _step_count(record: EvolutionRecord, dt: float) -> int:
-    span = float(record.times[-1] - record.times[0])
-    n = int(round(span / dt))
-    if n < 1 or abs(n * dt - span) > 1e-9 * span:
-        raise ValueError(f"record span {span} is not an integer number of steps of dt={dt}")
-    return n
+    """Whole steps of ``dt`` across the record, checked commensurate with its spacing."""
+    _check_positive_finite("dt", dt)
+    spacing = record.snapshot_spacing
+    if not _whole_steps(max(spacing, dt), min(spacing, dt), required=False):
+        raise ValueError(f"trajectory dt={dt} is not commensurate with the snapshot spacing {spacing}")
+    return _whole_steps(float(record.times[-1] - record.times[0]), dt, "record span")
 
 
 def _guidance_rk4(
@@ -204,7 +194,6 @@ def _guidance_rk4(
     The velocities are the stage-one values RK4 evaluates anyway, plus one
     evaluation at the final time.
     """
-    _check_commensurate(record, dt)
     n = _step_count(record, dt)
     x = np.array(np.atleast_2d(x0), dtype=float)
     cache = _FieldCache(record, "velocity", 0.5 * dt)
@@ -271,7 +260,6 @@ def integrate_newton_batch(
 
     Returns ``(times, positions, momenta)``.
     """
-    _check_commensurate(record, dt)
     n = _step_count(record, dt)
     x = np.array(np.atleast_2d(x0), dtype=float)
     params = record.params

@@ -22,6 +22,8 @@ from bohmsim.cli import (
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
+FREE_GAUSSIAN = (Path(__file__).resolve().parent.parent / "configs" / "free_gaussian.cfg").read_text()
+
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
 FAST_CM = """\
@@ -379,6 +381,42 @@ class TestRun:
         report = run(parse_config(FAILING_GROUND), out_dir=tmp_path, quiet=True)
         assert not report.all_passed
         assert "result: FAILED" in (tmp_path / "report.txt").read_text()
+
+
+def failed_checks(report):
+    return [check.name for check in report.checks if not check.passed]
+
+
+class TestFreeGaussianChecks:
+    """free-gaussian's checks read the record; each must be able to fail."""
+
+    def test_variance_check_is_a_plain_float(self, tmp_path):
+        report = run(parse_config(FREE_GAUSSIAN), out_dir=tmp_path, quiet=True)
+        check = next(c for c in report.checks if c.name == "variance-law-relative-error")
+        assert type(check.measured) is float
+        assert type(check.passed) is bool
+        line = (tmp_path / "report.txt").read_text().splitlines()[1]
+        assert line.startswith("PASS variance-law-relative-error: measured=")
+        literal = line.split("measured=")[1].split(" <= ")[0]
+        assert repr(float(literal)) == literal
+
+    def test_coarse_snapshots_fail_only_continuity(self, tmp_path):
+        # three snapshots 1.0 apart: the centred time difference is too coarse
+        text = FREE_GAUSSIAN + "\n[run]\nsnapshot_stride = 1000\n"
+        report = run(parse_config(text), out_dir=tmp_path / "run", quiet=True)
+        assert failed_checks(report) == ["continuity-residual-max"]
+        config_path = tmp_path / "coarse.cfg"
+        config_path.write_text(text)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
+
+    def test_narrow_grid_fails_the_variance_law(self, tmp_path):
+        # the spreading packet wraps around a 12-wide periodic box
+        text = FREE_GAUSSIAN + "\n[grid]\nx_min = -6.0\nx_max = 6.0\n"
+        report = run(parse_config(text), out_dir=tmp_path / "run", quiet=True)
+        assert "variance-law-relative-error" in failed_checks(report)
+        config_path = tmp_path / "narrow.cfg"
+        config_path.write_text(text)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
 
 
 class TestMain:

@@ -275,3 +275,24 @@ class TestRunBecExperiment:
     def test_needs_at_least_ten_subsystems(self):
         with pytest.raises(ValueError, match="at least 10"):
             run_bec_experiment(1.0, 5, 20.0, 1.0)
+
+
+BAD_TIMES = [np.nan, np.inf, 0.0, -0.5]
+
+
+class TestBadTimeSteps:
+    """Both many-body drivers name a bad t_final or dt instead of failing in arithmetic."""
+
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    @pytest.mark.parametrize("name", ["t_final", "dt"])
+    def test_cm_experiment(self, name, bad):
+        times = {"t_final": 1.0, "dt": 0.01, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            run_cm_experiment(FactorizedNBody.homogeneous(10), times["t_final"], times["dt"])
+
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    @pytest.mark.parametrize("name", ["t_final", "dt"])
+    def test_bec_experiment(self, name, bad):
+        times = {"t_final": 1.0, "dt": 0.01, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            run_bec_experiment(1.0, 10, 20.0, times["t_final"], dt=times["dt"])

@@ -29,7 +29,7 @@ from bohmsim import (
     step,
     velocity_field,
 )
-from bohmsim.propagator import accuracy_dt_bound
+from bohmsim.propagator import _whole_steps, accuracy_dt_bound
 
 
 def quiet_evolve(*args, **kwargs):
@@ -272,7 +272,9 @@ class TestClosedFormFree:
         free = evolve(wf, Free(), 0.6, 0.01, snapshot_stride=4)
         # a zero force puts the same motion through the Strang loop
         loop = quiet_evolve(wf, Linear(force=0.0), 0.6, 0.01, snapshot_stride=4)
-        assert free.snapshots[0] is wf
+        # row 0 is a copy of the input, not the input object
+        assert np.array_equal(free.snapshots[0].amplitudes, wf.amplitudes)
+        assert free.snapshots[0].time == wf.time
         assert np.array_equal(free.times, loop.times)
         assert [s.time for s in free.snapshots] == [s.time for s in loop.snapshots]
         for a, b in zip(free.snapshots, loop.snapshots):
@@ -339,3 +341,65 @@ class TestContinuityResidual:
         record = quiet_evolve(wf, Free(), 0.05, 1e-3, snapshot_stride=1)
         worst = max(np.abs(field.values).max() for field in continuity_residual(record))
         assert worst < 1e-10
+
+
+class TestRecordLayout:
+    """A record holds one amplitude block; its snapshots are row views of it."""
+
+    @pytest.mark.parametrize("potential", [Free(), Harmonic(omega=1.0)])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_snapshots_are_rows_of_one_block(self, dims, potential, wide_grid, unit_params):
+        wf = init_gaussian(wide_grid, unit_params, 0.0, 1.0) if dims == 1 else _unequal_plane()
+        record = quiet_evolve(wf, potential, 0.06, 0.01, snapshot_stride=2)
+        assert record.amplitudes.shape == (len(record.times),) + wf.grid.shape
+        assert record.grid == wf.grid and record.params == wf.params
+        assert record.snapshots is record.snapshots
+        assert len(record.snapshots) == len(record) == 4
+        for i, snap in enumerate(record.snapshots):
+            assert np.shares_memory(snap.amplitudes, record.amplitudes[i])
+            assert snap.time == record.times[i]
+        assert np.array_equal(record.amplitudes[0], wf.amplitudes)
+        assert not np.shares_memory(record.amplitudes, wf.amplitudes)
+
+    def test_strang_rows_equal_repeated_steps(self, unit_gaussian):
+        record = evolve(unit_gaussian, Harmonic(omega=1.0), 4e-4, 1e-4, snapshot_stride=2)
+        state = unit_gaussian
+        for i in range(1, 5):
+            state = step(state, Harmonic(omega=1.0), 1e-4)
+            if i % 2 == 0:
+                assert np.array_equal(record.amplitudes[i // 2], state.amplitudes)
+
+
+class TestWholeSteps:
+    """The one rule for "span is a whole number n >= 1 of steps of dt"."""
+
+    def test_exact_multiple(self):
+        assert _whole_steps(2.0, 0.25) == 8
+        assert _whole_steps(0.3, 0.1) == 3  # 3 * 0.1 is not 0.3 in floats
+        assert _whole_steps(0.5, 0.5) == 1
+
+    def test_rounding_level_offset_is_accepted(self):
+        assert _whole_steps(2.0 * (1.0 + 1e-12), 0.25) == 8
+        assert _whole_steps(2.0 * (1.0 - 1e-12), 0.25) == 8
+
+    @pytest.mark.parametrize(
+        "span, dt",
+        [
+            (2.0 * (1.0 + 1e-6), 0.25),  # visibly off the lattice
+            (1.0, 0.3),
+            (0.1, 0.25),  # shorter than a step: no steps
+            (0.2, 0.25),
+            (1e300, 1e-300),  # the ratio overflows
+        ],
+    )
+    def test_no_whole_steps(self, span, dt):
+        assert _whole_steps(span, dt, required=False) == 0
+        with pytest.raises(ValueError, match=r"^t_final=\S+ is not an integer number of steps of dt="):
+            _whole_steps(span, dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_names_a_bad_span_or_step(self, bad):
+        with pytest.raises(ValueError, match="record span must be positive and finite"):
+            _whole_steps(bad, 0.1, "record span")
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            _whole_steps(1.0, bad)

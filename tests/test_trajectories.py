@@ -6,6 +6,7 @@ import pytest
 import oracles
 from bohmsim import (
     AccuracyWarning,
+    EnsembleSpec,
     Free,
     Harmonic,
     PhysicalParams,
@@ -13,12 +14,14 @@ from bohmsim import (
     Wavefunction,
     crosscheck,
     evolve,
+    evolve_ensemble,
     hamilton_jacobi_energy,
     init_gaussian,
     init_plane_wave,
     integrate_guidance,
     integrate_guidance_batch,
     integrate_newton,
+    integrate_newton_batch,
     make_grid,
     normalize,
 )
@@ -189,6 +192,24 @@ class TestFieldCache:
             # a batch fills only the snapshots on the stride
             assert all(k % stride == 0 for k in cache._cache)
 
+    @pytest.mark.parametrize("kind, name", [("velocity", "velocity_batch"), ("qforce", "qfields_batch")])
+    def test_batches_are_views_of_the_record(self, heavy_record, monkeypatch, kind, name):
+        seen = []
+        original = getattr(trajectories, name)
+
+        def spying(amplitudes, grid, params):
+            seen.append(amplitudes)
+            return original(amplitudes, grid, params)
+
+        monkeypatch.setattr(trajectories, name, spying)
+        _FieldCache(heavy_record, kind, 0.05).fields(0)  # stride 2
+        _FieldCache(heavy_record, kind, 0.025).fields(21)  # stride 1
+        assert [len(a) for a in seen] == [21, 20]
+        for amplitudes in seen:
+            assert np.shares_memory(amplitudes, heavy_record.amplitudes)
+        assert np.array_equal(seen[0], heavy_record.amplitudes[0:41:2])
+        assert np.array_equal(seen[1], heavy_record.amplitudes[21:])
+
     def test_batch_size_follows_point_budget(self):
         grid = make_grid(2, -8.0, 8.0, 128)
         wf = init_gaussian(grid, PhysicalParams(), 0.0, 1.0)
@@ -271,3 +292,30 @@ class TestNewtonRoute:
             snap = ground_record.snapshots[snap_index]
             energy = hamilton_jacobi_energy(snap, Harmonic(omega=1.0), traj.positions[i])
             assert energy == pytest.approx(0.5, abs=1e-6)
+
+
+BAD_STEPS = [np.nan, np.inf, 0.0, -0.2]
+
+
+class TestBadTimeStep:
+    """Every entry point that walks a record names a bad dt."""
+
+    @pytest.mark.parametrize("dt", BAD_STEPS)
+    @pytest.mark.parametrize(
+        "route",
+        ["guidance", "guidance_batch", "newton", "newton_batch", "crosscheck", "ensemble"],
+    )
+    def test_rejected_as_not_positive_and_finite(self, plane_record, route, dt):
+        x0 = np.array([[0.7]])
+        calls = {
+            "guidance": lambda: integrate_guidance(plane_record, [0.7], dt),
+            "guidance_batch": lambda: integrate_guidance_batch(plane_record, x0, dt),
+            "newton": lambda: integrate_newton(plane_record, [0.7], Free(), dt),
+            "newton_batch": lambda: integrate_newton_batch(plane_record, x0, Free(), dt),
+            "crosscheck": lambda: crosscheck(plane_record, [0.7], Free(), dt),
+            "ensemble": lambda: evolve_ensemble(
+                EnsembleSpec(100, 0, plane_record.snapshots[0]), plane_record, dt
+            ),
+        }
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            calls[route]()
