@@ -239,7 +239,7 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _whole_steps(span: float, dt: float, span_name="t_final", dt_name="dt", required=True) -> int:
+def _whole_steps(span: float, dt: float, span_name="t_final", required=True) -> int:
     """The n >= 1 with span = n dt to 1e-9 relative to the span: the one whole-step rule.
 
     Raises ``ValueError`` naming a span or dt that is not positive and
@@ -247,7 +247,7 @@ def _whole_steps(span: float, dt: float, span_name="t_final", dt_name="dt", requ
     step) if ``required``; returns 0 for it otherwise.
     """
     _check_positive_finite(span_name, span)
-    _check_positive_finite(dt_name, dt)
+    _check_positive_finite("dt", dt)
     ratio = span / dt
     n = round(ratio) if np.isfinite(ratio) else 0
     if n >= 1 and abs(n * dt - span) <= 1e-9 * span:
