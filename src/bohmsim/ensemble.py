@@ -100,14 +100,11 @@ def mean_quantum_force(positions: np.ndarray, qfields: QFields) -> np.ndarray:
     the node region.
     """
     grid = qfields.q.grid
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
-    stencil = _interp.Stencil(grid, x)
-    if not stencil.valid(qfields.valid).all():
+    stencil = _interp.Stencil(grid, positions)
+    if not stencil.valid(_interp.erode(qfields.valid, grid.dims)).all():
         raise ValueError("some positions lie in a node region")
-    out = np.empty(grid.dims)
-    for d in range(grid.dims):
-        out[d] = _fsum_mean(stencil.sample(qfields.force[d].values))
-    return out
+    forces = stencil.sample(np.stack([f.values for f in qfields.force]))
+    return np.array([_fsum_mean(f) for f in forces.T])
 
 
 @dataclass(frozen=True)

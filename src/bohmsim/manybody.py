@@ -329,14 +329,14 @@ def _chain_forces(coupling: PairwiseHarmonic, x: np.ndarray) -> np.ndarray:
 
 
 def _sample_from_snapshot(
-    wf: Wavefunction, valid: np.ndarray, count: int, rng: np.random.Generator
+    wf: Wavefunction, eroded: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Equilibrium samples whose stencils avoid node regions; counts redraws."""
+    """Equilibrium samples whose stencils avoid the ``eroded`` node mask; counts redraws."""
     rho = np.abs(wf.amplitudes) ** 2
     x = sample_density(rho, wf.grid, count, rng)
     resamples = 0
     for _ in range(100):
-        ok = _interp.stencil_valid(valid, wf.grid, x)
+        ok = _interp.Stencil(wf.grid, x).valid(eroded)
         if ok.all():
             break
         bad = np.flatnonzero(~ok)
@@ -395,8 +395,8 @@ def run_cm_experiment(
         if sampling == "stratified":
             offsets[group] = _stratified_offsets(packet, group.size)
         else:
-            _, valid = force_caches[l].fields(0)
-            drawn, redraws = _sample_from_snapshot(packet, valid, group.size, rng)
+            _, eroded = force_caches[l].fields(0)
+            drawn, redraws = _sample_from_snapshot(packet, eroded, group.size, rng)
             offsets[group] = drawn
             resample_count += redraws
     if resample_count > RESAMPLE_ABORT_FRACTION * n:
@@ -429,11 +429,10 @@ def run_cm_experiment(
         """Redraw the offsets whose stencil touched a node region at time t."""
         nonlocal resample_count
         cache = force_caches[l]
-        i, theta = _bracket(cache.record, t)
-        snap = i + int(theta)
-        _, valid = cache.fields(snap)
+        snap, _ = _bracket(cache.record, t)
+        _, eroded = cache.fields(snap)
         bad = groups[l][~ok]
-        drawn, redraws = _sample_from_snapshot(cache.record.snapshots[snap], valid, bad.size, rng)
+        drawn, redraws = _sample_from_snapshot(cache.record.snapshots[snap], eroded, bad.size, rng)
         offsets[bad] = drawn
         resample_count += bad.size + redraws
         if resample_count > RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100):
@@ -535,12 +534,11 @@ def run_bec_experiment(
 
     rng = _rng(seed)
     qf = compute_qfields(wf)
-    x0, resamples = _sample_from_snapshot(wf, qf.valid, n_subsystems, rng)
+    x0, resamples = _sample_from_snapshot(wf, _interp.erode(qf.valid, 1), n_subsystems, rng)
 
-    vel = velocity_field(wf)[0]
-    v_i = _interp.interpolate(vel.values, grid, x0)
+    fields = np.stack([velocity_field(wf)[0].values, qf.force[0].values])
+    v_i, fq_i = _interp.Stencil(grid, x0).sample(fields).T
     spread = float(v_i.max() - v_i.min())
-    fq_i = _interp.interpolate(qf.force[0].values, grid, x0)
     fq_total = math.fsum(fq_i)
 
     # The common modulus co-moves with the coherent flow, so offsets from the

@@ -12,6 +12,7 @@ free states are evolved in closed form instead of step by step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,7 +236,7 @@ class _SplitStepKernel:
 
 
 def _check_positive_finite(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
+    if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -249,7 +250,7 @@ def _whole_steps(span: float, dt: float, span_name="t_final", required=True) -> 
     _check_positive_finite(span_name, span)
     _check_positive_finite("dt", dt)
     ratio = span / dt
-    n = round(ratio) if np.isfinite(ratio) else 0
+    n = round(ratio) if math.isfinite(ratio) else 0
     if n >= 1 and abs(n * dt - span) <= 1e-9 * span:
         return n
     if required:

@@ -131,13 +131,8 @@ def averaged_quantum_force(wf: Wavefunction) -> np.ndarray:
 
 
 def _warn_if_boundary_touched(rho: np.ndarray) -> None:
-    edge = np.zeros(rho.shape, dtype=bool)
-    for d in range(rho.ndim):
-        sl = [slice(None)] * rho.ndim
-        sl[d] = 0
-        edge[tuple(sl)] = True
-        sl[d] = -1
-        edge[tuple(sl)] = True
+    edge = np.ones(rho.shape, dtype=bool)  # first or last index along some axis
+    edge[(slice(1, -1),) * rho.ndim] = False
     if density_mask(rho, rho.ndim)[edge].any():
         warnings.warn(
             "state touches the periodic boundary; the quantum-force averaging "
@@ -157,14 +152,13 @@ def hamilton_jacobi_energy(wf: Wavefunction, potential: PotentialSpec, x) -> flo
         raise ValueError(f"x must be a single point with {wf.grid.dims} coordinates")
     qf = compute_qfields(wf)
     stencil = _interp.Stencil(wf.grid, x)
-    if not bool(stencil.valid(qf.valid)[0]):
+    if not bool(stencil.valid(_interp.erode(qf.valid, wf.grid.dims))[0]):
         raise ValueError(f"position {x[0]} lies in a node region")
     masses = wf.params.masses_for(wf.grid.dims)
-    vel = velocity_field(wf)
+    fields = np.stack([f.values for f in velocity_field(wf)] + [qf.q.values])
+    *velocity, q = stencil.sample(fields)[0].tolist()
     kinetic = 0.0
-    for d in range(wf.grid.dims):
-        v = float(stencil.sample(vel[d].values)[0])
+    for d, v in enumerate(velocity):
         kinetic += 0.5 * masses[d] * v * v
-    q = float(stencil.sample(qf.q.values)[0])
     v_cl = float(potential.value_at(x[0], wf.params))
     return kinetic + v_cl + q

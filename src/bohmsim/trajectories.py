@@ -24,7 +24,7 @@ import numpy as np
 from . import _interp
 from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps
 from .quantum_potential import qfields_batch
-from .wavefield import FIELD_BATCH_POINTS, Grid, velocity_batch, velocity_field
+from .wavefield import FIELD_BATCH_POINTS, Grid, velocity_batch
 
 
 class TrajectoryAbort(RuntimeError):
@@ -59,22 +59,15 @@ class Trajectory:
     momenta: np.ndarray | None = None  # (n_times, dims)
 
     def states(self) -> list[BohmianState]:
-        return [
-            BohmianState(
-                position=self.positions[i],
-                time=float(self.times[i]),
-                momentum=None if self.momenta is None else self.momenta[i],
-            )
-            for i in range(len(self.times))
-        ]
+        return [self._state(i) for i in range(len(self.times))]
 
     @property
     def final(self) -> BohmianState:
-        return BohmianState(
-            position=self.positions[-1],
-            time=float(self.times[-1]),
-            momentum=None if self.momenta is None else self.momenta[-1],
-        )
+        return self._state(-1)
+
+    def _state(self, i: int) -> BohmianState:
+        momentum = None if self.momenta is None else self.momenta[i]
+        return BohmianState(position=self.positions[i], time=float(self.times[i]), momentum=momentum)
 
 
 class _FieldCache:
@@ -83,8 +76,9 @@ class _FieldCache:
     ``interval`` is the time between the field reads of the integrator (half
     a step for RK4, a whole step for leapfrog).  When it spans a whole number
     of snapshot spacings, only every such snapshot is read, so a batch holds
-    the next snapshots at that stride; otherwise the stride is one.  Entries
-    behind the previous read snapshot are evicted.
+    the next snapshots at that stride; otherwise the stride is one.  Node
+    masks are stored eroded (``_interp.erode``).  Entries behind the
+    previous read snapshot are evicted.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -95,7 +89,7 @@ class _FieldCache:
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fields of snapshot i, shape (dims, *grid.shape), and its validity mask."""
+        """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
         if i not in self._cache:
             record = self.record
             stop = min(i + self.stride * self.batch, len(record))
@@ -104,45 +98,37 @@ class _FieldCache:
                 values, valid = velocity_batch(amplitudes, record.grid, record.params)
             else:
                 _, values, valid, _ = qfields_batch(amplitudes, record.grid, record.params)
+            eroded = _interp.erode(valid, record.grid.dims)
             for stale in [k for k in self._cache if k < i - self.stride]:
                 del self._cache[stale]
             for j, k in enumerate(range(i, stop, self.stride)):
-                self._cache[k] = (values[j], valid[j])
+                self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
 
 
 def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
-    """Snapshot index i and fraction theta with t = t_i + theta * spacing."""
+    """Snapshot index i and fraction theta with t = t_i + theta * spacing;
+    theta is 0 exactly when t lies on a snapshot by ``_whole_steps``' rule."""
     spacing = record.snapshot_spacing
-    pos = (t - float(record.times[0])) / spacing
-    i = int(np.floor(pos + 1e-9))
-    i = min(max(i, 0), len(record) - 2)
-    theta = pos - i
-    if abs(theta) < 1e-9:
-        theta = 0.0
-    elif abs(theta - 1.0) < 1e-9:
-        theta = 1.0
-    return i, theta
+    span = t - float(record.times[0])
+    last = len(record) - 1
+    n = _whole_steps(span, spacing, "time", required=False) if span > 0.0 else 0
+    if span == 0.0 or 0 < n <= last:
+        return n, 0.0
+    i = min(max(math.floor(span / spacing), 0), last - 1)
+    return i, span / spacing - i
 
 
 def _stencil_on_grid(grid: Grid, t: float, x: np.ndarray) -> _interp.Stencil:
     """Interpolation stencil of positions x (M, dims); raises ``TrajectoryAbort`` off the grid."""
-    inside = grid.contains(x)
-    if not inside.all():
-        bad = np.flatnonzero(~inside)
-        raise TrajectoryAbort(
-            f"{bad.size} trajectory position(s) left the grid at t={t:.6g}", t, x
-        )
-    return _interp.Stencil(grid, x)
+    stencil = _interp.Stencil(grid, x)
+    if stencil.off_grid:
+        raise TrajectoryAbort(f"{stencil.off_grid} trajectory position(s) left the grid at t={t:.6g}", t, x)
+    return stencil
 
 
 def _node_abort(t: float, x: np.ndarray) -> TrajectoryAbort:
     return TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
-
-
-def _sample(stencil: _interp.Stencil, values) -> np.ndarray:
-    """Each field component at the stencil's points, shape (M, dims)."""
-    return np.stack([stencil.sample(v) for v in values], axis=-1)
 
 
 def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,13 +142,14 @@ def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray,
     record = cache.record
     stencil = _stencil_on_grid(record.grid, t, x)
     i, theta = _bracket(record, t)
-    if theta == 0.0 or theta == 1.0:
-        values, valid = cache.fields(i + int(theta))
-        return _sample(stencil, values), stencil.valid(valid)
-    va, valid_a = cache.fields(i)
-    vb, valid_b = cache.fields(i + 1)
-    out = (1.0 - theta) * _sample(stencil, va) + theta * _sample(stencil, vb)
-    return out, stencil.valid(valid_a & valid_b)
+    if theta == 0.0:
+        values, eroded = cache.fields(i)
+        return stencil.sample(values), stencil.valid(eroded)
+    va, eroded_a = cache.fields(i)
+    vb, eroded_b = cache.fields(i + 1)
+    out = (1.0 - theta) * stencil.sample(va) + theta * stencil.sample(vb)
+    # erosion distributes over &: this is the eroded mask of both sides' nodes
+    return out, stencil.valid(eroded_a & eroded_b)
 
 
 def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
@@ -267,10 +254,10 @@ def integrate_newton_batch(
     t0 = float(record.times[0])
     times = t0 + dt * np.arange(n + 1)
     stencil = _stencil_on_grid(record.grid, t0, x)
-    velocity = velocity_field(record.snapshots[0])
-    if not stencil.valid(velocity[0].valid_mask).all():
+    velocity, valid = velocity_batch(record.amplitudes[:1], record.grid, params)
+    if not stencil.valid(_interp.erode(valid[0], record.grid.dims)).all():
         raise _node_abort(t0, x)
-    p = masses * _sample(stencil, [f.values for f in velocity])
+    p = masses * stencil.sample(velocity[0])
     force_cache = _FieldCache(record, "qforce", dt)
 
     def total_force(t: float, pos: np.ndarray) -> np.ndarray:

@@ -101,13 +101,16 @@ class Grid:
             k.setflags(write=False)
         return out
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise test that positions lie inside the extent."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ok = np.ones(x.shape[0], dtype=bool)
-        for d, (lo, hi) in enumerate(self.extents):
-            ok &= (x[:, d] >= lo) & (x[:, d] < hi)
-        return ok
+    @cached_property
+    def _stencil_tables(self) -> tuple:
+        """What ``_interp.Stencil`` reads: lo, hi, dx and point counts as (dims, 1)
+        columns, and per axis the flat indices of each base index's wrapped footprint."""
+        from ._interp import _OFFSETS
+
+        strides = self.points[1:] + (1,)  # row-major, dims <= 2
+        tables = [(np.arange(n)[:, None] + _OFFSETS) % n * step for n, step in zip(self.points, strides)]
+        lo, hi = zip(*self.extents)
+        return (*(np.array(v)[:, None] for v in (lo, hi, self.dx, self.points)), tables)
 
 
 def make_grid(dims: int, x_min, x_max, points) -> Grid:

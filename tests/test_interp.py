@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bohmsim import make_grid
-from bohmsim._interp import _OFFSETS, Stencil, _weights, interpolate, stencil_valid
+from bohmsim._interp import _OFFSETS, Stencil, _weights, erode, interpolate, stencil_valid
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -77,6 +77,59 @@ class TestStencilValid:
         assert stencil_valid(valid, grid, far)[0]
 
 
+class TestOnGrid:
+    def test_boundary_points(self):
+        # lo <= x < hi on every axis: x_max is the periodic image of x_min
+        grid = make_grid(1, -10.0, 10.0, 256)
+        stencil = Stencil(grid, np.array([[0.0], [-10.0], [9.99], [10.0], [-11.0]]))
+        assert stencil.on_grid.tolist() == [True, True, True, False, False]
+
+    def test_every_axis_must_be_inside(self):
+        grid = make_grid(2, (-2.0, 0.0), (2.0, 5.0), 32)
+        x = np.array([[-2.0, 0.0], [1.9, 4.9], [2.0, 1.0], [0.0, 5.0], [0.0, -0.1]])
+        assert Stencil(grid, x).on_grid.tolist() == [True, True, False, False, False]
+
+
+def footprint_all(mask, j):
+    """Reference erosion at base index j: every wrapped footprint node is in mask."""
+    return mask[np.ix_(*[(i + _OFFSETS) % n for i, n in zip(j, mask.shape)])].all()
+
+
+class TestErode:
+    @pytest.mark.parametrize("offset", [-1, 2])
+    @pytest.mark.parametrize("j", [0, 1, 7, 30, 31])
+    def test_one_false_footprint_node_clears_the_base(self, offset, j):
+        mask = np.ones(32, dtype=bool)
+        mask[(j + offset) % 32] = False  # across the seam for j near 0 or 31
+        eroded = erode(mask, 1)
+        assert not eroded[j]
+        # the footprint is -1..2, no wider: only four bases see the node
+        assert np.count_nonzero(~eroded) == 4
+
+    def test_batch_axes_are_eroded_alone(self):
+        masks = np.ones((3, 16, 20), dtype=bool)
+        masks[1, 0, 19] = False
+        eroded = erode(masks, 2)
+        assert eroded[0].all() and eroded[2].all()
+        assert np.count_nonzero(~eroded[1]) == 16
+        assert not eroded[1, 15, 18]  # offsets (+1, +1) across both seams
+
+    @PROPERTY_SETTINGS
+    @given(
+        dims=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 0.3),
+    )
+    def test_matches_footprint_and_distributes_over_and(self, dims, seed, density):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(16, 24, size=dims))
+        a, b = (rng.random((2,) + shape) > density)
+        eroded = erode(a, dims)
+        for j in np.ndindex(*shape):
+            assert eroded[j] == footprint_all(a, j)
+        assert np.array_equal(erode(a & b, dims), eroded & erode(b, dims))
+
+
 def reference_gather(values, mask, grid, x):
     """Per-axis fancy-index gather, the form the shared stencil replaces."""
     idx, w = [], []
@@ -111,6 +164,24 @@ def grid_fields_and_points(draw):
 
 class TestInterpolationProperties:
     @PROPERTY_SETTINGS
+    @given(s=arrays(float, (7,), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    def test_weights_are_the_catmull_rom_polynomials_bit_for_bit(self, s):
+        # the rounding of every output depends on this exact arithmetic
+        s2 = s * s
+        s3 = s2 * s
+        want = np.stack(
+            [
+                0.5 * (-s3 + 2.0 * s2 - s),
+                0.5 * (3.0 * s3 - 5.0 * s2 + 2.0),
+                0.5 * (-3.0 * s3 + 4.0 * s2 + s),
+                0.5 * (s3 - s2),
+            ],
+            axis=-1,
+        )
+        assert np.array_equal(_weights(s), want)
+        assert np.array_equal(_weights(s[None, :]), want[None])
+
+    @PROPERTY_SETTINGS
     @given(
         coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
         queries=arrays(float, (9,), elements=st.floats(-8.0, 8.0)),
@@ -139,8 +210,10 @@ class TestInterpolationProperties:
         want_values, want_valid = reference_gather(values, mask, grid, x)
         stencil = Stencil(grid, x)
         # one stencil serves several fields and a mask
-        assert np.array_equal(stencil.sample(values), want_values)
-        assert np.array_equal(stencil.sample(-2.0 * values), -2.0 * want_values)
-        assert np.array_equal(stencil.valid(mask), want_valid)
+        sampled = stencil.sample(np.stack([values, -2.0 * values]))
+        assert sampled.shape == (len(x), 2)
+        assert np.array_equal(sampled[:, 0], want_values)
+        assert np.array_equal(sampled[:, 1], -2.0 * want_values)
+        assert np.array_equal(stencil.valid(erode(mask, grid.dims)), want_valid)
         assert np.array_equal(interpolate(values, grid, x), want_values)
         assert np.array_equal(stencil_valid(mask, grid, x), want_valid)

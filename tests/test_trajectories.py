@@ -1,12 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bohmsim import (
     AccuracyWarning,
     EnsembleSpec,
+    EvolutionRecord,
     Free,
     Harmonic,
     PhysicalParams,
@@ -26,9 +30,11 @@ from bohmsim import (
     normalize,
 )
 from bohmsim import trajectories
+from bohmsim._interp import erode
+from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _eval_fields, _FieldCache
-from bohmsim.wavefield import velocity_field
+from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache
+from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
 def evolve_quiet(*args, **kwargs):
@@ -141,6 +147,26 @@ class TestGuidance:
         assert abort.positions.shape == (1, 1)
         assert abort.positions[0, 0] > x0
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -1e30])
+    @pytest.mark.parametrize("route", ["guidance", "newton"])
+    def test_non_finite_or_huge_start_aborts_without_warnings(self, plane_record, route, x0):
+        with pytest.raises(TrajectoryAbort, match="left the grid"):
+            if route == "guidance":
+                integrate_guidance(plane_record, [x0], 0.2)
+            else:
+                integrate_newton(plane_record, [x0], Free(), 0.2)
+
+    @pytest.mark.parametrize("route", ["guidance", "newton"])
+    def test_start_at_the_upper_bound_aborts(self, plane_record, route):
+        # x_max is the periodic image of x_min, not a grid position
+        hi = plane_record.grid.extents[0][1]
+        with pytest.raises(TrajectoryAbort, match="1 trajectory position.s. left the grid") as exc_info:
+            if route == "guidance":
+                integrate_guidance(plane_record, [hi], 0.2)
+            else:
+                integrate_newton(plane_record, [hi], Free(), 0.2)
+        assert exc_info.value.time == 0.0
+
     def test_node_region_aborts(self, line_grid, unit_params):
         x = line_grid.axes()[0]
         psi = np.exp(-((x - 2.0) ** 2) / 4.0) - np.exp(-((x + 2.0) ** 2) / 4.0)
@@ -183,12 +209,11 @@ class TestFieldCache:
             snap = heavy_record.snapshots[i]
             if kind == "velocity":
                 want = velocity_field(snap)
-                want_valid = want[0].valid_mask
             else:
-                qf = compute_qfields(snap)
-                want, want_valid = qf.force, qf.valid
+                want = compute_qfields(snap).force
             assert np.array_equal(values[0], want[0].values)
-            assert np.array_equal(valid, want_valid)
+            # the cached mask is the node mask eroded by the stencil footprint
+            assert np.array_equal(valid, erode(node_mask(snap), 1))
             # a batch fills only the snapshots on the stride
             assert all(k % stride == 0 for k in cache._cache)
 
@@ -260,13 +285,16 @@ class TestNewtonRoute:
     def test_initial_momentum_needs_one_velocity_field(self, heavy_record, monkeypatch):
         calls = []
 
-        def counting(wf):
-            calls.append(wf)
-            return velocity_field(wf)
+        def counting(amplitudes, grid, params):
+            calls.append(amplitudes)
+            return velocity_batch(amplitudes, grid, params)
 
-        monkeypatch.setattr(trajectories, "velocity_field", counting)
-        newton = integrate_newton(heavy_record, [0.4], Free(), 0.1)
-        assert len(calls) == 1 and calls[0] is heavy_record.snapshots[0]
+        monkeypatch.setattr(trajectories, "velocity_batch", counting)
+        record = dataclasses.replace(heavy_record)  # no snapshot views built yet
+        newton = integrate_newton(record, [0.4], Free(), 0.1)
+        assert len(calls) == 1 and calls[0].shape == (1,) + record.grid.shape
+        assert np.shares_memory(calls[0], record.amplitudes[0])
+        assert "snapshots" not in vars(record)  # one row read, no Wavefunction per snapshot
         monkeypatch.undo()
         guided = integrate_guidance(heavy_record, [0.4], 0.1)
         assert np.array_equal(newton.momenta[0], guided.momenta[0])
@@ -292,6 +320,111 @@ class TestNewtonRoute:
             snap = ground_record.snapshots[snap_index]
             energy = hamilton_jacobi_energy(snap, Harmonic(omega=1.0), traj.positions[i])
             assert energy == pytest.approx(0.5, abs=1e-6)
+
+
+def masked_cache(monkeypatch, dims, node, bad_snapshots):
+    """Velocity cache of a 16-point-per-axis record whose node masks are all
+    True except at ``node`` in the snapshots ``bad_snapshots``; fields are 0."""
+    grid = make_grid(dims, -8.0, 8.0, 16)  # dx = 1
+    wf = init_plane_wave(grid, PhysicalParams(), 0.8)
+    record = evolve_quiet(wf, Free(), 4e-3, 1e-3, snapshot_stride=1)
+    bad = [record.amplitudes[k] for k in bad_snapshots]
+
+    def fake_velocity_batch(amplitudes, grid, params):
+        values = np.zeros((len(amplitudes), grid.dims) + grid.shape)
+        valid = np.ones((len(amplitudes),) + grid.shape, dtype=bool)
+        for mask, a in zip(valid, amplitudes):
+            mask[node] = not any(np.array_equal(a, b) for b in bad)
+        return values, valid
+
+    monkeypatch.setattr(trajectories, "velocity_batch", fake_velocity_batch)
+    return _FieldCache(record, "velocity", 1e-3)
+
+
+def at_base(base):
+    """The query point in the middle of the cell whose first node is ``base``."""
+    return np.array([[-8.0 + j + 0.5 for j in base]])
+
+
+class TestErodedNodeMask:
+    """A masked node anywhere in a point's footprint (offsets -1..2 per axis,
+    wrapped) aborts it, through the eroded mask of ``_FieldCache``."""
+
+    @pytest.mark.parametrize(
+        "dims, base, node",
+        [
+            (1, (5,), (4,)),  # offset -1
+            (1, (5,), (7,)),  # offset +2
+            (1, (0,), (15,)),  # -1 across the seam
+            (1, (15,), (1,)),  # +2 across the seam
+            (1, (14,), (0,)),
+            (2, (5, 7), (4, 9)),
+            (2, (5, 7), (7, 6)),
+            (2, (0, 15), (15, 1)),  # both axes across the seam
+            (2, (15, 0), (1, 15)),
+        ],
+    )
+    @pytest.mark.parametrize("t", [0.0, 5e-4])  # on a snapshot, between two
+    def test_masked_footprint_node_aborts(self, monkeypatch, dims, base, node, t):
+        cache = masked_cache(monkeypatch, dims, node, range(5))
+        with pytest.raises(TrajectoryAbort, match="node region"):
+            _eval_fields(cache, t, at_base(base))
+
+    @pytest.mark.parametrize(
+        "dims, base, node",
+        [
+            (1, (5,), (3,)),  # offset -2
+            (1, (5,), (8,)),  # offset +3
+            (1, (0,), (14,)),
+            (1, (15,), (2,)),
+            (2, (5, 7), (3, 7)),
+            (2, (5, 7), (5, 10)),
+        ],
+    )
+    def test_node_beyond_the_footprint_is_harmless(self, monkeypatch, dims, base, node):
+        cache = masked_cache(monkeypatch, dims, node, range(5))
+        for t in (0.0, 5e-4):
+            assert np.array_equal(_eval_fields(cache, t, at_base(base)), np.zeros((1, dims)))
+
+    def test_either_side_of_a_time_bracket_aborts(self, monkeypatch):
+        cache = masked_cache(monkeypatch, 1, (7,), [2])
+        x = at_base((5,))
+        for t in (5e-4, 1e-3, 3e-3, 3.5e-3):
+            _eval_fields(cache, t, x)
+        for t in (1.5e-3, 2e-3, 2.5e-3):
+            with pytest.raises(TrajectoryAbort, match="node region"):
+                _eval_fields(cache, t, x)
+
+
+class TestBracket:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.floats(-50.0, 50.0),
+        spacing=st.floats(1e-3, 10.0),
+        k=st.integers(1, 8000),
+        relative=st.one_of(st.just(0.0), st.floats(-3e-9, 3e-9)),
+    )
+    def test_on_a_snapshot_exactly_when_whole_steps_says_so(self, t0, spacing, k, relative):
+        grid = make_grid(1, -1.0, 1.0, 16)
+        times = t0 + spacing * np.arange(k + 2)
+        record = EvolutionRecord(
+            times, np.zeros((k + 2, 16), complex), grid, PhysicalParams(), spacing, np.zeros(k + 1), Free()
+        )
+        t = t0 + k * spacing * (1.0 + relative)
+        steps = _whole_steps(t - t0, record.snapshot_spacing, required=False)
+        i, theta = _bracket(record, t)
+        assert (theta == 0.0) == bool(steps)
+        if steps:
+            assert i == steps
+        else:
+            assert i in (k - 1, k) and 0.0 < theta < 1.0
+
+    def test_lattice_tolerance_grows_with_the_span(self, spreading_record):
+        # 5e-10 relative off step 20 is 1e-8 of a spacing: still on the lattice
+        spacing = spreading_record.snapshot_spacing
+        assert _bracket(spreading_record, 20 * spacing * (1.0 + 5e-10)) == (20, 0.0)
+        i, theta = _bracket(spreading_record, 20 * spacing * (1.0 + 2e-9))
+        assert i == 20 and 0.0 < theta < 1e-6
 
 
 BAD_STEPS = [np.nan, np.inf, 0.0, -0.2]

@@ -62,11 +62,6 @@ class TestMakeGrid:
             with pytest.raises(ValueError):
                 k[0] = 1.0
 
-    def test_contains(self):
-        grid = make_grid(1, -10.0, 10.0, 256)
-        inside = grid.contains(np.array([[0.0], [-10.0], [9.99], [10.0], [-11.0]]))
-        assert inside.tolist() == [True, True, True, False, False]
-
 
 class TestSpectralDerivative:
     def test_exact_on_lattice_mode(self):
