@@ -2,10 +2,10 @@
 
 The spline is the cardinal cubic with centered-difference slopes; it
 reproduces quadratics exactly and wraps periodically, matching the grids.
-One ``Stencil`` per query set serves its on-grid flag, its validity check
-(one read per point of a mask that ``erode`` shrank by the footprint) and
-every field, both sides of a time bracket included.  ``interpolate`` and
-``stencil_valid`` stay public: ``perfbench/tracer.py`` wraps both by name.
+One ``Stencil`` per query set serves its on-grid flag, its validity check (one read
+per point of a mask that ``erode`` shrank by the footprint) and every field, and
+``locate`` refills it in place for the next set of as many points.  ``interpolate``
+and ``stencil_valid`` stay public: ``perfbench/tracer.py`` wraps both by name.
 """
 
 from __future__ import annotations
@@ -18,18 +18,25 @@ from .wavefield import Grid
 
 _OFFSETS = np.array([-1, 0, 1, 2])
 _SUBSCRIPTS = {2: "ma,ma->m", 3: "mab,ma,mb->m"}  # by index.ndim: 1D and 2D
+_HALF, _TWO, _THREE, _FOUR, _FIVE = map(np.array, (0.5, 2.0, 3.0, 4.0, 5.0))  # a ufunc converts a float per call
 
 
-def _weights(s: np.ndarray) -> np.ndarray:
-    """Catmull-Rom basis weights for fractional offsets s in [0, 1); (..., 4)."""
-    s2 = s * s
-    s3 = s2 * s
-    w = np.empty(s.shape + (4,))
-    np.multiply(0.5, -s3 + 2.0 * s2 - s, out=w[..., 0])
-    np.multiply(0.5, 3.0 * s3 - 5.0 * s2 + 2.0, out=w[..., 1])
-    np.multiply(0.5, -3.0 * s3 + 4.0 * s2 + s, out=w[..., 2])
-    np.multiply(0.5, s3 - s2, out=w[..., 3])
-    return w
+def _weights(s: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """Catmull-Rom basis weights for fractional offsets s in [0, 1); (..., 4), into ``out`` if given.
+
+    ``work`` holds five arrays shaped like ``s``.  The rounding is that of 0.5 (-s3 + 2 s2 - s),
+    0.5 (3 s3 - 5 s2 + 2), 0.5 (-3 s3 + 4 s2 + s) and 0.5 (s3 - s2), as -x + y rounds as y - x.
+    """
+    out = np.empty(s.shape + (4,)) if out is None else out
+    s2, s3, a, b, c = np.empty((5,) + s.shape) if work is None else work
+    np.multiply(s, s, s2)
+    np.multiply(s2, s, s3)
+    np.multiply(_HALF, np.subtract(np.subtract(np.multiply(_TWO, s2, a), s3, b), s, a), out[..., 0])
+    three_s3 = np.multiply(_THREE, s3, a)
+    np.multiply(_HALF, np.add(np.subtract(three_s3, np.multiply(_FIVE, s2, b), c), _TWO, b), out[..., 1])
+    np.multiply(_HALF, np.add(np.subtract(np.multiply(_FOUR, s2, b), three_s3, c), s, b), out[..., 2])
+    np.multiply(_HALF, np.subtract(s3, s2, a), out[..., 3])
+    return out
 
 
 def erode(mask: np.ndarray, dims: int) -> np.ndarray:
@@ -44,35 +51,58 @@ def erode(mask: np.ndarray, dims: int) -> np.ndarray:
 class Stencil:
     """Wrap-around interpolation stencil of query points ``x`` (M, dims).
 
-    ``on_grid`` flags the points with lo <= x < hi on every axis and
-    ``off_grid`` counts the others, which wrap.  ``index`` holds flat grid
-    indices, (M, 4) in 1D and (M, 4, 4) in 2D, ``base`` those of offset 0,
-    and ``weights`` the per-axis weights, (dims, M, 4).
+    ``on_grid`` flags the points with lo <= x < hi on every axis and ``off_grid``
+    counts the others, which wrap.  ``index`` holds flat grid indices, (M, 4) in 1D
+    and (M, 4, 4) in 2D, ``base`` those of offset 0, and ``weights`` the per-axis
+    weights, (dims, M, 4).  All are allocated once; ``locate`` refills them.
     """
 
     def __init__(self, grid: Grid, x: np.ndarray):
-        lo, hi, dx, n, tables = grid._stencil_tables
-        x = np.atleast_2d(np.asarray(x, dtype=float)).T
-        inside = (lo <= x) & (x < hi)
-        self.on_grid = inside[0] if grid.dims == 1 else inside.all(axis=0)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._tables, rows = grid._stencil_tables, (grid.dims, len(x))
+        self.weights = np.empty(rows + (4,))
+        # lo <= x, x < hi, both; x - lo, u, floor, fraction and two more for _weights
+        self._flags, self._rows = tuple(np.empty((3,) + rows, dtype=bool)), tuple(np.empty((6,) + rows))
+        self._truncated, self._wrapped = np.empty((2,) + rows, dtype=np.int64)
+        self._taken = np.empty(rows + (4,), dtype=np.int64)  # per-axis footprints
+        self._per_axis = tuple(zip(self._tables[-1], self._wrapped, self._taken))
+        two = grid.dims == 2
+        self.on_grid = np.empty(len(x), dtype=bool) if two else self._flags[2][0]
+        self.index = np.empty((len(x), 4, 4), dtype=np.int64) if two else self._taken[0]
+        self.base = self.index[:, 1, 1] if two else self._wrapped[0]
+        self._gather = np.empty(self.index.shape)
+        self.locate(x)
+
+    def locate(self, x: np.ndarray) -> Stencil:
+        """Refill this stencil in place for positions x of the same shape (M, dims)."""
+        lo, hi, dx, n, _ = self._tables
+        x = np.asarray(x, dtype=float).T
+        above, below, inside = self._flags
+        np.logical_and(np.less_equal(lo, x, above), np.less(x, hi, below), inside)
+        if len(inside) == 2:
+            np.logical_and(inside[0], inside[1], self.on_grid)
         self.off_grid = len(self.on_grid) - np.count_nonzero(self.on_grid)
+        shifted, u, base, fraction, spare, other = self._rows
         # NaN, infinite or huge positions get a meaningless stencil, quietly
         with np.errstate(invalid="ignore") if self.off_grid else nullcontext():
-            u = (x - lo) / dx
-            base = np.floor(u)
-            self.weights = _weights(u - base)
-            wrapped = base.astype(np.int64) % n
-        self.index = np.take(tables[0], wrapped[0], axis=0)
-        self.base = wrapped[0]
-        if grid.dims == 2:
-            self.index = self.index[:, :, None] + np.take(tables[1], wrapped[1], axis=0)[:, None, :]
-            self.base = self.index[:, 1, 1]
+            np.divide(np.subtract(x, lo, shifted), dx, u)
+            np.subtract(u, np.floor(u, base), fraction)
+            np.copyto(self._truncated, base, casting="unsafe")
+            _weights(fraction, self.weights, (shifted, u, base, spare, other))
+        np.remainder(self._truncated, n, self._wrapped)
+        # every index is in range after the wrap; "clip" only skips the check
+        for table, wrapped, taken in self._per_axis:
+            table.take(wrapped, axis=0, out=taken, mode="clip")
+        if len(self._taken) == 2:
+            np.add(self._taken[0][:, :, None], self._taken[1][:, None, :], self.index)
+        return self
 
     def sample(self, block: np.ndarray) -> np.ndarray:
         """Each real field of a (C, *grid.shape) block at the query points, (M, C)."""
         out = np.empty((len(self.base), len(block)))
         for c, values in enumerate(block.reshape(len(block), -1)):
-            out[:, c] = np.einsum(_SUBSCRIPTS[self.index.ndim], values[self.index], *self.weights)
+            values.take(self.index, out=self._gather, mode="clip")
+            out[:, c] = np.einsum(_SUBSCRIPTS[self.index.ndim], self._gather, *self.weights)
         return out
 
     def valid(self, eroded: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
 
 
 def _fsum_mean(values: np.ndarray) -> float:
-    return math.fsum(values) / len(values)
+    return math.fsum(values.tolist()) / len(values)  # exactly rounded: a list gives the same bits, sooner
 
 
 def _grid_cdf(wf: Wavefunction) -> tuple[np.ndarray, np.ndarray]:

@@ -230,8 +230,10 @@ class _SplitStepKernel:
         self.half_potential = np.exp(-0.5j * v * dt / params.hbar)
         self.kinetic = np.exp(-1j * _kinetic_rate(grid, params) * dt)
 
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = np.fft.ifftn(self.kinetic * np.fft.fftn(self.half_potential * amps))
+    def apply(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One step of ``amps``, into ``out`` (another array) when given."""
+        out = np.fft.fftn(np.multiply(self.half_potential, amps, out=out), out=out)
+        np.fft.ifftn(np.multiply(self.kinetic, out, out=out), out=out)  # kinetic first: order sets the bits
         return np.multiply(self.half_potential, out, out=out)
 
 
@@ -351,10 +353,11 @@ def _evolve_split(wf: Wavefunction, potential: PotentialSpec, block: np.ndarray,
     cell = wf.grid.cell_volume
     n_steps = (len(block) - 1) * stride
     amps = wf.amplitudes
+    buffers = np.empty((2,) + amps.shape, dtype=complex)
     previous_norm = _norm(amps, cell)
     drift = np.empty(n_steps)
     for i in range(1, n_steps + 1):
-        amps = kernel.apply(amps)
+        amps = kernel.apply(amps, out=buffers[i % 2])
         current_norm = _norm(amps, cell)
         drift[i - 1] = abs(current_norm - previous_norm)
         previous_norm = current_norm

@@ -24,7 +24,7 @@ import numpy as np
 from . import _interp
 from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps
 from .quantum_potential import qfields_batch
-from .wavefield import FIELD_BATCH_POINTS, Grid, velocity_batch
+from .wavefield import FIELD_BATCH_POINTS, velocity_batch
 
 
 class TrajectoryAbort(RuntimeError):
@@ -78,7 +78,7 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.
+    previous read snapshot are evicted.  One stencil serves the integration.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -87,6 +87,8 @@ class _FieldCache:
         self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._stencil: _interp.Stencil | None = None
+        self._at: tuple = (None, None, None)  # the last time read, its fields and mask
 
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
@@ -105,6 +107,28 @@ class _FieldCache:
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
 
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fields at time t, linear between snapshots, and both sides' eroded mask; once per distinct t."""
+        if self._at[0] != t:
+            i, theta = _bracket(self.record, t)
+            values, eroded = self.fields(i)
+            if theta != 0.0:
+                vb, eroded_b = self.fields(i + 1)
+                # erosion distributes over &: the eroded mask of both sides' nodes
+                values, eroded = (1.0 - theta) * values + theta * vb, eroded & eroded_b
+            self._at = (t, values, eroded)
+        return self._at[1:]
+
+    def stencil(self, t: float, x: np.ndarray) -> _interp.Stencil:
+        """Stencil of positions x (M, dims), refilled while M holds; ``TrajectoryAbort`` off the grid."""
+        if self._stencil is None or len(self._stencil.base) != len(x):
+            self._stencil = _interp.Stencil(self.record.grid, x)
+        else:
+            self._stencil.locate(x)
+        if self._stencil.off_grid:
+            raise TrajectoryAbort(f"{self._stencil.off_grid} trajectory position(s) left the grid at t={t:.6g}", t, x)
+        return self._stencil
+
 
 def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     """Snapshot index i and fraction theta with t = t_i + theta * spacing;
@@ -119,14 +143,6 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     return i, span / spacing - i
 
 
-def _stencil_on_grid(grid: Grid, t: float, x: np.ndarray) -> _interp.Stencil:
-    """Interpolation stencil of positions x (M, dims); raises ``TrajectoryAbort`` off the grid."""
-    stencil = _interp.Stencil(grid, x)
-    if stencil.off_grid:
-        raise TrajectoryAbort(f"{stencil.off_grid} trajectory position(s) left the grid at t={t:.6g}", t, x)
-    return stencil
-
-
 def _node_abort(t: float, x: np.ndarray) -> TrajectoryAbort:
     return TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
 
@@ -136,20 +152,11 @@ def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray,
 
     ``ok[m]`` is False when point m's interpolation stencil touches a node
     region of either bracketing snapshot; its values are then meaningless.
-    Raises ``TrajectoryAbort`` for positions off the grid.  One stencil
-    serves the validity check, every component and both bracket sides.
+    Raises ``TrajectoryAbort`` for positions off the grid.
     """
-    record = cache.record
-    stencil = _stencil_on_grid(record.grid, t, x)
-    i, theta = _bracket(record, t)
-    if theta == 0.0:
-        values, eroded = cache.fields(i)
-        return stencil.sample(values), stencil.valid(eroded)
-    va, eroded_a = cache.fields(i)
-    vb, eroded_b = cache.fields(i + 1)
-    out = (1.0 - theta) * stencil.sample(va) + theta * stencil.sample(vb)
-    # erosion distributes over &: this is the eroded mask of both sides' nodes
-    return out, stencil.valid(eroded_a & eroded_b)
+    stencil = cache.stencil(t, x)
+    values, eroded = cache.at(t)
+    return stencil.sample(values), stencil.valid(eroded)
 
 
 def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
@@ -253,12 +260,12 @@ def integrate_newton_batch(
     masses = np.asarray(params.masses_for(record.grid.dims))
     t0 = float(record.times[0])
     times = t0 + dt * np.arange(n + 1)
-    stencil = _stencil_on_grid(record.grid, t0, x)
+    force_cache = _FieldCache(record, "qforce", dt)
+    stencil = force_cache.stencil(t0, x)
     velocity, valid = velocity_batch(record.amplitudes[:1], record.grid, params)
     if not stencil.valid(_interp.erode(valid[0], record.grid.dims)).all():
         raise _node_abort(t0, x)
     p = masses * stencil.sample(velocity[0])
-    force_cache = _FieldCache(record, "qforce", dt)
 
     def total_force(t: float, pos: np.ndarray) -> np.ndarray:
         return potential.force_at(pos, params) + _eval_fields(force_cache, t, pos)

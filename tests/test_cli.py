@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohmsim import cli, wavefield
 from bohmsim.cli import (
     _SECTIONS,
     EXPERIMENTS,
@@ -375,6 +376,24 @@ class TestRun:
         assert "x1_0" in columns
         assert "x2_0" in columns
         assert len(rows) == 101
+
+    def test_harmonic_ground_computes_each_velocity_field_once(self, tmp_path, monkeypatch):
+        seen = {"cli": [], "wavefield": []}
+        for module, name in ((cli, "cli"), (wavefield, "wavefield")):
+            original = module.velocity_batch
+
+            def counting(amplitudes, grid, params, name=name, original=original):
+                seen[name].append(amplitudes.shape)
+                return original(amplitudes, grid, params)
+
+            monkeypatch.setattr(module, "velocity_batch", counting)
+        text = "experiment = harmonic-ground\n[run]\nt_final = 0.01\nsnapshot_stride = 20\n"
+        report = run(parse_config(text), out_dir=tmp_path, quiet=True)
+        assert report.all_passed
+        assert len(data_rows(tmp_path / "series.csv")) == 1 + 6
+        # one batch for the speeds; one field per snapshot for the energies
+        assert [shape[0] for shape in seen["cli"]] == [6]
+        assert [shape[0] for shape in seen["wavefield"]] == [1] * 6
 
     @pytest.mark.filterwarnings("ignore::bohmsim.AccuracyWarning")
     def test_failed_contract_is_reported_not_raised(self, tmp_path):

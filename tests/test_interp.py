@@ -146,6 +146,30 @@ def reference_gather(values, mask, grid, x):
     return sampled, mask[cells].all(axis=(1, 2))
 
 
+NON_FINITE_OR_HUGE = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300])
+
+
+@st.composite
+def grid_fields_and_two_point_sets(draw):
+    """A grid, a two-field block and mask on it, and two equally long point
+    sets, on, off and far off the grid, the first with NaN, inf and 1e300."""
+    dims = draw(st.sampled_from([1, 2]))
+    points = tuple(draw(st.integers(16, 48)) for _ in range(dims))
+    lo = draw(st.floats(-20.0, 0.0))
+    length = draw(st.floats(1.0, 40.0))
+    grid = make_grid(dims, lo, lo + length, points)
+    count = draw(st.integers(0, 12))
+    coord = st.floats(lo - length, lo + 2.0 * length)
+    first = draw(arrays(float, (count, dims), elements=coord | NON_FINITE_OR_HUGE))
+    second = draw(arrays(float, (count, dims), elements=coord | NON_FINITE_OR_HUGE))
+    if count:
+        first[draw(st.integers(0, count - 1)), draw(st.integers(0, dims - 1))] = draw(NON_FINITE_OR_HUGE)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.normal(size=(2,) + grid.shape)
+    mask = rng.random(grid.shape) > draw(st.floats(0.0, 0.3))
+    return grid, block, mask, first, second
+
+
 @st.composite
 def grid_fields_and_points(draw):
     dims = draw(st.sampled_from([1, 2]))
@@ -180,6 +204,9 @@ class TestInterpolationProperties:
         )
         assert np.array_equal(_weights(s), want)
         assert np.array_equal(_weights(s[None, :]), want[None])
+        out = np.empty((7, 4))
+        assert _weights(s, out, tuple(np.empty((5, 7)))) is out
+        assert np.array_equal(out, want)
 
     @PROPERTY_SETTINGS
     @given(
@@ -217,3 +244,22 @@ class TestInterpolationProperties:
         assert np.array_equal(stencil.valid(erode(mask, grid.dims)), want_valid)
         assert np.array_equal(interpolate(values, grid, x), want_values)
         assert np.array_equal(stencil_valid(mask, grid, x), want_valid)
+
+    @PROPERTY_SETTINGS
+    @given(case=grid_fields_and_two_point_sets())
+    def test_locate_equals_a_fresh_stencil_bit_for_bit(self, case):
+        grid, block, mask, first, second = case
+        stencil = Stencil(grid, first)
+        weights, index = stencil.weights, stencil.index
+        assert stencil.locate(second) is stencil
+        # refilled in place: the arrays keep their identity
+        assert stencil.weights is weights and stencil.index is index
+        fresh = Stencil(grid, second)
+        assert np.array_equal(stencil.weights, fresh.weights, equal_nan=True)
+        assert np.array_equal(stencil.index, fresh.index)
+        assert np.array_equal(stencil.base, fresh.base)
+        assert np.array_equal(stencil.on_grid, fresh.on_grid)
+        assert stencil.off_grid == fresh.off_grid
+        assert np.array_equal(stencil.sample(block), fresh.sample(block), equal_nan=True)
+        eroded = erode(mask, grid.dims)
+        assert np.array_equal(stencil.valid(eroded), fresh.valid(eroded))

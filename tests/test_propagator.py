@@ -29,7 +29,7 @@ from bohmsim import (
     step,
     velocity_field,
 )
-from bohmsim.propagator import _whole_steps, accuracy_dt_bound
+from bohmsim.propagator import _SplitStepKernel, _whole_steps, accuracy_dt_bound
 
 
 def quiet_evolve(*args, **kwargs):
@@ -368,6 +368,35 @@ class TestRecordLayout:
             state = step(state, Harmonic(omega=1.0), 1e-4)
             if i % 2 == 0:
                 assert np.array_equal(record.amplitudes[i // 2], state.amplitudes)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_in_place_apply_equals_the_allocating_product_order(self, dims, unit_gaussian):
+        wf = unit_gaussian if dims == 1 else _unequal_plane()
+        potential = Harmonic(omega=1.0) if dims == 1 else Harmonic(omega=(1.3, 0.6), center=(0.2, -0.4))
+        kernel = _SplitStepKernel(wf.grid, wf.params, potential, 1e-3)
+        want = np.fft.ifftn(kernel.kinetic * np.fft.fftn(kernel.half_potential * wf.amplitudes))
+        want = kernel.half_potential * want
+        out = np.empty_like(wf.amplitudes)
+        assert kernel.apply(wf.amplitudes, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(kernel.apply(wf.amplitudes), want)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_in_place_strang_loop_equals_repeated_steps(self, dims, stride, unit_gaussian):
+        # the loop swaps two buffers; both parities of the swap are kept rows
+        wf = unit_gaussian if dims == 1 else _unequal_plane()
+        potential = Harmonic(omega=1.0) if dims == 1 else Harmonic(omega=(1.3, 0.6), center=(0.2, -0.4))
+        before = wf.amplitudes.copy()
+        record = quiet_evolve(wf, potential, 6 * 1e-3, 1e-3, snapshot_stride=stride)
+        assert np.array_equal(wf.amplitudes, before)
+        state = wf
+        for i in range(1, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AccuracyWarning)
+                state = step(state, potential, 1e-3)
+            if i % stride == 0:
+                assert np.array_equal(record.amplitudes[i // stride], state.amplitudes)
 
 
 class TestWholeSteps:

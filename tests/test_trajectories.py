@@ -33,7 +33,7 @@ from bohmsim import trajectories
 from bohmsim._interp import erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache
+from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _fields_at
 from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
@@ -234,6 +234,38 @@ class TestFieldCache:
             assert np.shares_memory(amplitudes, heavy_record.amplitudes)
         assert np.array_equal(seen[0], heavy_record.amplitudes[0:41:2])
         assert np.array_equal(seen[1], heavy_record.amplitudes[21:])
+
+    @pytest.mark.parametrize("kind", ["velocity", "qforce"])
+    def test_at_blends_the_bracket_once_per_time(self, heavy_record, kind):
+        cache = _FieldCache(heavy_record, kind, 0.03)
+        spacing = heavy_record.snapshot_spacing
+        for t in (0.25 + 0.3 * spacing, 0.25 + 0.5 * spacing, 0.3, 1.0 - 0.1 * spacing):
+            i, theta = _bracket(heavy_record, t)
+            values, eroded = cache.at(t)
+            va, eroded_a = cache.fields(i)
+            if theta == 0.0:
+                assert values is va and eroded is eroded_a
+            else:
+                vb, eroded_b = cache.fields(i + 1)
+                assert np.array_equal(values, (1.0 - theta) * va + theta * vb)
+                assert np.array_equal(eroded, eroded_a & eroded_b)
+            again = cache.at(t)
+            assert again[0] is values and again[1] is eroded
+
+    def test_one_stencil_per_integration_while_m_is_unchanged(self, heavy_record):
+        cache = _FieldCache(heavy_record, "velocity", 0.05)
+        x = np.array([[0.4], [-0.7]])
+        first, _ = _fields_at(cache, 0.0, x)
+        kept = first.copy()
+        stencil = cache._stencil
+        weights, index = stencil.weights, stencil.index
+        moved, ok = _fields_at(cache, 0.05, x + 0.01)
+        assert cache._stencil is stencil and stencil.weights is weights and stencil.index is index
+        assert np.array_equal(first, kept)  # results are not views of the stencil's buffers
+        fresh, fresh_ok = _fields_at(_FieldCache(heavy_record, "velocity", 0.05), 0.05, x + 0.01)
+        assert np.array_equal(moved, fresh) and np.array_equal(ok, fresh_ok)
+        _fields_at(cache, 0.05, x[:1])
+        assert cache._stencil is not stencil and len(cache._stencil.base) == 1
 
     def test_batch_size_follows_point_budget(self):
         grid = make_grid(2, -8.0, 8.0, 128)
