@@ -4,12 +4,17 @@ The spline is the cardinal cubic with centered-difference slopes; it
 reproduces quadratics exactly and wraps periodically, matching the grids.
 One ``Stencil`` per query set serves its on-grid flag, its validity check (one read
 per point of a mask that ``erode`` shrank by the footprint) and every field, and
-``locate`` refills it in place for the next set of as many points.  ``interpolate``
-and ``stencil_valid`` stay public: ``perfbench/tracer.py`` wraps both by name.
+``locate`` refills it in place for the next set of as many points.  A stencil of
+one point locates an on-grid position in Python floats (``_point_weights``), which
+round as numpy does and skip some thirty ufunc calls on one-element arrays; other
+positions take the array path.  ``sample`` gathers every field at once and sums
+them with one ``einsum``.  ``interpolate`` and ``stencil_valid`` stay public:
+``perfbench/tracer.py`` wraps both by name.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -17,7 +22,7 @@ import numpy as np
 from .wavefield import Grid
 
 _OFFSETS = np.array([-1, 0, 1, 2])
-_SUBSCRIPTS = {2: "ma,ma->m", 3: "mab,ma,mb->m"}  # by index.ndim: 1D and 2D
+_SUBSCRIPTS = {2: "cma,ma->mc", 3: "cmab,ma,mb->mc"}  # by index.ndim: 1D and 2D
 _HALF, _TWO, _THREE, _FOUR, _FIVE = map(np.array, (0.5, 2.0, 3.0, 4.0, 5.0))  # a ufunc converts a float per call
 
 
@@ -39,6 +44,20 @@ def _weights(s: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndar
     return out
 
 
+def _point_weights(s: float) -> tuple[float, float, float, float]:
+    """``_weights`` of one fraction in Python floats, bit for bit: each + - * / rounds
+    as the ufunc it replaces, and the order of the operations is the same."""
+    s2 = s * s
+    s3 = s2 * s
+    three_s3 = 3.0 * s3
+    return (
+        0.5 * (2.0 * s2 - s3 - s),
+        0.5 * (three_s3 - 5.0 * s2 + 2.0),
+        0.5 * (4.0 * s2 - three_s3 + s),
+        0.5 * (s3 - s2),
+    )
+
+
 def erode(mask: np.ndarray, dims: int) -> np.ndarray:
     """True at base indices whose whole footprint (offsets -1..2 per axis,
     wrapped) lies in ``mask``, over its trailing ``dims`` axes.  Erosion
@@ -54,12 +73,14 @@ class Stencil:
     ``on_grid`` flags the points with lo <= x < hi on every axis and ``off_grid``
     counts the others, which wrap.  ``index`` holds flat grid indices, (M, 4) in 1D
     and (M, 4, 4) in 2D, ``base`` those of offset 0, and ``weights`` the per-axis
-    weights, (dims, M, 4).  All are allocated once; ``locate`` refills them.
+    weights, (dims, M, 4).  All are allocated once; ``locate`` refills them, and
+    raises ``ValueError`` for positions of another shape.
     """
 
     def __init__(self, grid: Grid, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._tables, rows = grid._stencil_tables, (grid.dims, len(x))
+        self._shape = (len(x), grid.dims)
         self.weights = np.empty(rows + (4,))
         # lo <= x, x < hi, both; x - lo, u, floor, fraction and two more for _weights
         self._flags, self._rows = tuple(np.empty((3,) + rows, dtype=bool)), tuple(np.empty((6,) + rows))
@@ -70,13 +91,27 @@ class Stencil:
         self.on_grid = np.empty(len(x), dtype=bool) if two else self._flags[2][0]
         self.index = np.empty((len(x), 4, 4), dtype=np.int64) if two else self._taken[0]
         self.base = self.index[:, 1, 1] if two else self._wrapped[0]
-        self._gather = np.empty(self.index.shape)
+        self._gather = np.empty((0,) + self.index.shape)  # (C, *index.shape), reallocated when C changes
+        self._axes = None
+        if len(x) == 1:  # the one-point form: lo, hi, dx, n and row-major stride per axis as Python numbers
+            strides = grid.points[1:] + (1,)
+            self._axes = tuple(zip(*zip(*grid.extents), grid.dx, grid.points, strides))
+            self._scalars = tuple(memoryview(a.reshape(-1)) for a in (self.weights, self.index, self._wrapped))
         self.locate(x)
 
     def locate(self, x: np.ndarray) -> Stencil:
-        """Refill this stencil in place for positions x of the same shape (M, dims)."""
+        """Refill this stencil in place for positions x of the same shape (M, dims).
+
+        One on-grid point takes ``_locate_point``, the same arithmetic in Python floats.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != self._shape:
+            m, dims = self._shape
+            raise ValueError(f"x has shape {x.shape}; this stencil locates {m} point(s) of {dims} coordinate(s)")
+        if self._axes is not None and self._locate_point(x.tolist()[0]):
+            return self
         lo, hi, dx, n, _ = self._tables
-        x = np.asarray(x, dtype=float).T
+        x = x.T
         above, below, inside = self._flags
         np.logical_and(np.less_equal(lo, x, above), np.less(x, hi, below), inside)
         if len(inside) == 2:
@@ -97,13 +132,32 @@ class Stencil:
             np.add(self._taken[0][:, :, None], self._taken[1][:, None, :], self.index)
         return self
 
+    def _locate_point(self, point: list[float]) -> bool:
+        """``locate`` of one point in Python floats; False, having written nothing, off the grid."""
+        weights, footprints, wrapped = [], [], []
+        for c, (lo, hi, dx, n, stride) in zip(point, self._axes):
+            if not lo <= c < hi:
+                return False
+            u = (c - lo) / dx
+            base = math.floor(u)
+            weights += _point_weights(u - base)
+            j = base % n
+            wrapped.append(j)
+            footprints.append(((j - 1) % n * stride, j * stride, (j + 1) % n * stride, (j + 2) % n * stride))
+        index = footprints[0] if len(footprints) == 1 else [i + j for i in footprints[0] for j in footprints[1]]
+        for view, values in zip(self._scalars, (weights, index, wrapped)):
+            for k, value in enumerate(values):
+                view[k] = value
+        self.on_grid[0] = True
+        self.off_grid = 0
+        return True
+
     def sample(self, block: np.ndarray) -> np.ndarray:
         """Each real field of a (C, *grid.shape) block at the query points, (M, C)."""
-        out = np.empty((len(self.base), len(block)))
-        for c, values in enumerate(block.reshape(len(block), -1)):
-            values.take(self.index, out=self._gather, mode="clip")
-            out[:, c] = np.einsum(_SUBSCRIPTS[self.index.ndim], self._gather, *self.weights)
-        return out
+        if len(self._gather) != len(block):
+            self._gather = np.empty((len(block),) + self.index.shape)
+        block.reshape(len(block), -1).take(self.index, axis=1, out=self._gather, mode="clip")
+        return np.einsum(_SUBSCRIPTS[self.index.ndim], self._gather, *self.weights, order="C")
 
     def valid(self, eroded: np.ndarray) -> np.ndarray:
         """True for points whose whole stencil lies in the mask ``eroded`` came from, (M,)."""

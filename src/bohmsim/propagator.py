@@ -231,9 +231,17 @@ class _SplitStepKernel:
         self.kinetic = np.exp(-1j * _kinetic_rate(grid, params) * dt)
 
     def apply(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One step of ``amps``, into ``out`` (another array) when given."""
-        out = np.fft.fftn(np.multiply(self.half_potential, amps, out=out), out=out)
-        np.fft.ifftn(np.multiply(self.kinetic, out, out=out), out=out)  # kinetic first: order sets the bits
+        """One step of ``amps``, into ``out`` (another array) when given.
+
+        The transforms run one axis at a time, last axis first, as ``fftn``
+        does, without its argument handling.
+        """
+        out = np.multiply(self.half_potential, amps, out=out)
+        for axis in reversed(range(out.ndim)):
+            np.fft.fft(out, axis=axis, out=out)
+        np.multiply(self.kinetic, out, out=out)  # kinetic first: order sets the bits
+        for axis in reversed(range(out.ndim)):
+            np.fft.ifft(out, axis=axis, out=out)
         return np.multiply(self.half_potential, out, out=out)
 
 

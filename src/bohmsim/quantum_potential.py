@@ -84,10 +84,8 @@ def qfields_batch(
     magnitude = np.zeros(r.shape)
     for e in range(dims):
         magnitude += force[:, e] ** 2
-    f_q_max = np.zeros(len(r))
-    for b in range(len(r)):
-        if valid[b].any():
-            f_q_max[b] = np.sqrt(magnitude[b][valid[b]].max())
+    # magnitudes are >= 0, so masking with 0 keeps the valid maximum and gives 0 when none is valid
+    f_q_max = np.sqrt(np.where(valid, magnitude, 0.0).max(axis=tuple(range(1, r.ndim))))
     return q, force, valid, f_q_max
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bohmsim import make_grid
-from bohmsim._interp import _OFFSETS, Stencil, _weights, erode, interpolate, stencil_valid
+from bohmsim._interp import _OFFSETS, Stencil, _point_weights, _weights, erode, interpolate, stencil_valid
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -90,6 +92,26 @@ class TestOnGrid:
         assert Stencil(grid, x).on_grid.tolist() == [True, True, False, False, False]
 
 
+class TestLocateShape:
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_positions_of_another_shape_raise_a_named_error(self, dims, count):
+        grid = make_grid(dims, -5.0, 5.0, 32)
+        stencil = Stencil(grid, np.full((count, dims), 0.3))
+        weights, index = stencil.weights.copy(), stencil.index.copy()
+        for shape in [(count + 1, dims), (count, 3 - dims), (count * dims,), (1, count, dims)]:
+            with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}.*{count} point.*{dims} coordinate"):
+                stencil.locate(np.zeros(shape))
+        # a rejected locate leaves the stencil as it was
+        assert np.array_equal(stencil.weights, weights) and np.array_equal(stencil.index, index)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_a_stencil_of_the_wrong_dimension_is_refused(self, dims):
+        grid = make_grid(dims, -5.0, 5.0, 32)
+        with pytest.raises(ValueError, match="coordinate"):
+            Stencil(grid, np.zeros((2, 3 - dims)))
+
+
 def footprint_all(mask, j):
     """Reference erosion at base index j: every wrapped footprint node is in mask."""
     return mask[np.ix_(*[(i + _OFFSETS) % n for i, n in zip(j, mask.shape)])].all()
@@ -171,6 +193,49 @@ def grid_fields_and_two_point_sets(draw):
 
 
 @st.composite
+def grid_fields_and_edge_points(draw):
+    """A grid, a two-field block and mask on it, points at its edges, on its lattice,
+    inside, off it and non-finite, and as many points off the grid on every axis."""
+    dims = draw(st.sampled_from([1, 2]))
+    points = tuple(draw(st.integers(16, 48)) for _ in range(dims))
+    lo = draw(st.floats(-20.0, 0.0))
+    length = draw(st.floats(1.0, 40.0))
+    grid = make_grid(dims, lo, lo + length, points)
+
+    def coordinate(axis):
+        a, b = grid.extents[axis]
+        lattice = st.integers(0, grid.points[axis]).map(lambda k: a + k * grid.dx[axis])
+        # u = (x - a) / dx can round to n at the last float below b
+        edges = st.sampled_from([a, float(np.nextafter(b, a))])
+        return edges | lattice | st.floats(a, b, exclude_max=True) | st.floats(a - length, a + 2.0 * length)
+
+    def off_coordinate(axis):
+        a, b = grid.extents[axis]
+        return st.floats(b, b + length) | st.floats(a - length, a, exclude_max=True)
+
+    count = draw(st.integers(2, 10))
+    x = np.array([[draw(coordinate(d) | NON_FINITE_OR_HUGE) for d in range(dims)] for _ in range(count)])
+    off = np.array([[draw(off_coordinate(d) | NON_FINITE_OR_HUGE) for d in range(dims)] for _ in range(count)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.normal(size=(2,) + grid.shape)
+    mask = rng.random(grid.shape) > draw(st.floats(0.0, 0.3))
+    return grid, block, mask, x, off
+
+
+def assert_same_row(one, many, m, block, eroded):
+    """The one-point stencil ``one`` equals row m of ``many``: bit for bit where finite."""
+    assert one.on_grid.tolist() == [many.on_grid[m]]
+    assert one.off_grid == int(not many.on_grid[m])
+    assert np.array_equal(one.index[0], many.index[m]) and one.base[0] == many.base[m]
+    for got, want in [(one.weights[:, 0], many.weights[:, m]), (one.sample(block)[0], many.sample(block)[m])]:
+        if np.isfinite(want).all():
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+    assert one.valid(eroded)[0] == many.valid(eroded)[m]
+
+
+@st.composite
 def grid_fields_and_points(draw):
     dims = draw(st.sampled_from([1, 2]))
     points = tuple(draw(st.integers(16, 48)) for _ in range(dims))
@@ -207,6 +272,8 @@ class TestInterpolationProperties:
         out = np.empty((7, 4))
         assert _weights(s, out, tuple(np.empty((5, 7)))) is out
         assert np.array_equal(out, want)
+        # the one-point stencil's form in Python floats
+        assert np.array([_point_weights(v) for v in s.tolist()]).tobytes() == want.tobytes()
 
     @PROPERTY_SETTINGS
     @given(
@@ -263,3 +330,24 @@ class TestInterpolationProperties:
         assert np.array_equal(stencil.sample(block), fresh.sample(block), equal_nan=True)
         eroded = erode(mask, grid.dims)
         assert np.array_equal(stencil.valid(eroded), fresh.valid(eroded))
+
+    @PROPERTY_SETTINGS
+    @given(case=grid_fields_and_edge_points())
+    def test_one_point_stencil_is_a_row_of_a_many_point_stencil(self, case):
+        grid, block, mask, x, _ = case
+        many, eroded = Stencil(grid, x), erode(mask, grid.dims)
+        for m in range(len(x)):
+            assert_same_row(Stencil(grid, x[m : m + 1]), many, m, block, eroded)
+
+    @PROPERTY_SETTINGS
+    @given(case=grid_fields_and_edge_points())
+    def test_one_point_locate_alternating_on_and_off_the_grid(self, case):
+        grid, block, mask, x, off = case
+        eroded = erode(mask, grid.dims)
+        stencil = Stencil(grid, off[:1])
+        weights, index = stencil.weights, stencil.index
+        # each point of x, then one off the grid on every axis
+        for point in np.stack([x, off], axis=1).reshape(-1, grid.dims):
+            assert stencil.locate(point[None]) is stencil
+            assert_same_row(stencil, Stencil(grid, point[None]), 0, block, eroded)
+        assert stencil.weights is weights and stencil.index is index

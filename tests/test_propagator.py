@@ -381,6 +381,22 @@ class TestRecordLayout:
         assert np.array_equal(out, want)
         assert np.array_equal(kernel.apply(wf.amplitudes), want)
 
+    @pytest.mark.parametrize("points", [(256,), (64, 32)])
+    def test_per_axis_transforms_equal_fftn(self, points):
+        dims = len(points)
+        grid = make_grid(dims, -6.0, 6.0, points)
+        potential = Harmonic(omega=(1.3, 0.6)[:dims], center=(0.2, -0.4)[:dims])
+        kernel = _SplitStepKernel(grid, PhysicalParams(1.0, (1.0, 2.0)[:dims]), potential, 1e-2)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        before = amps.copy()
+        want = kernel.half_potential * np.fft.ifftn(kernel.kinetic * np.fft.fftn(kernel.half_potential * amps))
+        out = np.empty_like(amps)
+        assert kernel.apply(amps, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(kernel.apply(amps), want)
+        assert np.array_equal(amps, before)
+
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("dims", [1, 2])
     def test_in_place_strang_loop_equals_repeated_steps(self, dims, stride, unit_gaussian):

@@ -17,6 +17,7 @@ from bohmsim import (
     probability_density,
     velocity_field,
 )
+from bohmsim import quantum_potential
 from bohmsim.quantum_potential import qfields_batch
 from bohmsim.wavefield import velocity_batch
 
@@ -177,6 +178,29 @@ class TestBatchedFields:
             assert f_q_max[b] == qf.f_q_max
             for e in range(dims):
                 assert np.array_equal(force[b, e], qf.force[e].values)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_f_q_max_equals_the_per_snapshot_loop(self, dims, monkeypatch):
+        grid, params, states = snapshot_stack(dims)
+        real_mask = quantum_potential.density_mask
+
+        def masking_the_last(rho, d):
+            valid = real_mask(rho, d)
+            valid[-1] = False
+            return valid
+
+        monkeypatch.setattr(quantum_potential, "density_mask", masking_the_last)
+        _, force, valid, f_q_max = qfields_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        assert not valid[-1].any() and valid[0].any()
+        magnitude = np.zeros(valid.shape)
+        for e in range(dims):
+            magnitude += force[:, e] ** 2
+        want = np.zeros(len(valid))
+        for b in range(len(valid)):
+            if valid[b].any():
+                want[b] = np.sqrt(magnitude[b][valid[b]].max())
+        assert f_q_max.tobytes() == want.tobytes()
+        assert f_q_max[-1] == 0.0 and f_q_max[:-1].min() > 0.0
 
     def test_threshold_is_per_snapshot(self):
         grid, params, states = snapshot_stack(1)

@@ -29,7 +29,7 @@ from bohmsim import (
     make_grid,
     normalize,
 )
-from bohmsim import trajectories
+from bohmsim import _interp, trajectories
 from bohmsim._interp import erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
@@ -294,6 +294,37 @@ class TestGuidanceMomenta:
         integrate_guidance(heavy_record, [0.4], 0.1)
         assert len(seen) == 4 * n + 1  # the momenta add only v at the final time
         assert seen[-1] == pytest.approx(float(times[-1]), abs=0.0)
+
+
+class ArrayWeightsCalled(Exception):
+    pass
+
+
+class TestOnePointPath:
+    """One particle is located in Python floats; a batch takes the array path."""
+
+    def test_single_particle_routes_never_call_the_array_weights(self, heavy_record, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ArrayWeightsCalled
+
+        monkeypatch.setattr(_interp, "_weights", refuse)
+        integrate_guidance(heavy_record, [0.4], 0.1)
+        integrate_newton(heavy_record, [0.4], Free(), 0.1)
+        two = np.array([[0.4], [-0.7]])
+        with pytest.raises(ArrayWeightsCalled):
+            integrate_guidance_batch(heavy_record, two, 0.1)
+        with pytest.raises(ArrayWeightsCalled):
+            integrate_newton_batch(heavy_record, two, Free(), 0.1)
+
+    def test_single_particle_equals_a_row_of_a_batch_bit_for_bit(self, heavy_record):
+        twice = np.array([[0.4], [0.4]])
+        guided = integrate_guidance(heavy_record, [0.4], 0.1)
+        _, positions = integrate_guidance_batch(heavy_record, twice, 0.1)
+        assert np.array_equal(guided.positions, positions[:, 1])
+        newton = integrate_newton(heavy_record, [0.4], Free(), 0.1)
+        _, positions, momenta = integrate_newton_batch(heavy_record, twice, Free(), 0.1)
+        assert np.array_equal(newton.positions, positions[:, 1])
+        assert np.array_equal(newton.momenta, momenta[:, 1])
 
 
 class TestNewtonRoute:
