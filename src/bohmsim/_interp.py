@@ -164,6 +164,20 @@ class Stencil:
         return eroded.reshape(-1)[self.base]
 
 
+def checked_stencil(grid: Grid, x: np.ndarray, valid: np.ndarray) -> Stencil:
+    """Stencil of points x (M, dims) for a pointwise diagnostic; ``ValueError``
+    naming the points off the grid (NaN included), which would otherwise wrap,
+    or in the node region of the mask ``valid``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    stencil = Stencil(grid, x)
+    if stencil.off_grid:
+        raise ValueError(f"position(s) {x[~stencil.on_grid].tolist()} lie off the grid {grid.extents}")
+    ok = stencil.valid(erode(valid, grid.dims))
+    if not ok.all():
+        raise ValueError(f"position(s) {x[~ok].tolist()} lie in a node region")
+    return stencil
+
+
 def interpolate(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
     """Interpolate a real grid field at points ``x`` of shape (M, dims)."""
     return Stencil(grid, x).sample(np.asarray(values)[None])[:, 0]

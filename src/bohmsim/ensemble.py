@@ -17,7 +17,7 @@ from . import _interp
 from .propagator import EvolutionRecord, _whole_steps
 from .quantum_potential import QFields, compute_qfields
 from .trajectories import integrate_guidance_batch
-from .wavefield import Grid, Wavefunction, probability_density
+from .wavefield import Grid, Wavefunction
 
 HISTOGRAM_BINS = 64
 
@@ -63,7 +63,7 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, rng: np.random.Gener
 
 def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     """Positions distributed as |psi|^2, shape (count, dims)."""
-    rho = probability_density(spec.wavefunction).values
+    rho = np.abs(spec.wavefunction.amplitudes) ** 2
     return sample_density(rho, spec.wavefunction.grid, spec.count, _rng(spec.seed))
 
 
@@ -73,7 +73,7 @@ def _fsum_mean(values: np.ndarray) -> float:
 
 def _grid_cdf(wf: Wavefunction) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-linear CDF nodes matching the cell-based sampler (1D)."""
-    rho = probability_density(wf).values
+    rho = np.abs(wf.amplitudes) ** 2
     lo, hi = wf.grid.extents[0]
     nodes = lo + (np.arange(wf.grid.points[0] + 1) - 0.5) * wf.grid.dx[0]
     cdf = np.concatenate([[0.0], np.cumsum(rho)])
@@ -96,14 +96,10 @@ def equivariance_distance(positions: np.ndarray, wf: Wavefunction) -> float:
 def mean_quantum_force(positions: np.ndarray, qfields: QFields) -> np.ndarray:
     """Ensemble mean of F_Q at the given positions, shape (dims,).
 
-    Raises ``ValueError`` if any position's interpolation stencil touches
-    the node region.
+    Raises ``ValueError`` naming the positions that lie off the grid or whose
+    interpolation stencil touches the node region.
     """
-    grid = qfields.q.grid
-    stencil = _interp.Stencil(grid, positions)
-    if not stencil.valid(_interp.erode(qfields.valid, grid.dims)).all():
-        raise ValueError("some positions lie in a node region")
-    forces = stencil.sample(np.stack([f.values for f in qfields.force]))
+    forces = _interp.checked_stencil(qfields.grid, positions, qfields.valid).sample(qfields.force)
     return np.array([_fsum_mean(f) for f in forces.T])
 
 

@@ -31,6 +31,7 @@ from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evo
 from .quantum_potential import compute_qfields
 from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, integrate_guidance_batch
 from .wavefield import (
+    Grid,
     PhysicalParams,
     Wavefunction,
     init_gaussian,
@@ -329,19 +330,18 @@ def _chain_forces(coupling: PairwiseHarmonic, x: np.ndarray) -> np.ndarray:
 
 
 def _sample_from_snapshot(
-    wf: Wavefunction, eroded: np.ndarray, count: int, rng: np.random.Generator
+    rho: np.ndarray, grid: Grid, eroded: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Equilibrium samples whose stencils avoid the ``eroded`` node mask; counts redraws."""
-    rho = np.abs(wf.amplitudes) ** 2
-    x = sample_density(rho, wf.grid, count, rng)
+    """Samples of the density ``rho`` whose stencils avoid the ``eroded`` node mask; counts redraws."""
+    x = sample_density(rho, grid, count, rng)
     resamples = 0
     for _ in range(100):
-        ok = _interp.Stencil(wf.grid, x).valid(eroded)
+        ok = _interp.Stencil(grid, x).valid(eroded)
         if ok.all():
             break
         bad = np.flatnonzero(~ok)
         resamples += bad.size
-        x[bad] = sample_density(rho, wf.grid, bad.size, rng)
+        x[bad] = sample_density(rho, grid, bad.size, rng)
     return x, resamples
 
 
@@ -396,7 +396,8 @@ def run_cm_experiment(
             offsets[group] = _stratified_offsets(packet, group.size)
         else:
             _, eroded = force_caches[l].fields(0)
-            drawn, redraws = _sample_from_snapshot(packet, eroded, group.size, rng)
+            rho = np.abs(packet.amplitudes) ** 2
+            drawn, redraws = _sample_from_snapshot(rho, packet.grid, eroded, group.size, rng)
             offsets[group] = drawn
             resample_count += redraws
     if resample_count > RESAMPLE_ABORT_FRACTION * n:
@@ -432,7 +433,8 @@ def run_cm_experiment(
         snap, _ = _bracket(cache.record, t)
         _, eroded = cache.fields(snap)
         bad = groups[l][~ok]
-        drawn, redraws = _sample_from_snapshot(cache.record.snapshots[snap], eroded, bad.size, rng)
+        rho = np.abs(cache.record.amplitudes[snap]) ** 2
+        drawn, redraws = _sample_from_snapshot(rho, cache.record.grid, eroded, bad.size, rng)
         offsets[bad] = drawn
         resample_count += bad.size + redraws
         if resample_count > RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100):
@@ -534,10 +536,10 @@ def run_bec_experiment(
 
     rng = _rng(seed)
     qf = compute_qfields(wf)
-    x0, resamples = _sample_from_snapshot(wf, _interp.erode(qf.valid, 1), n_subsystems, rng)
+    eroded = _interp.erode(qf.valid, 1)
+    x0, resamples = _sample_from_snapshot(np.abs(wf.amplitudes) ** 2, grid, eroded, n_subsystems, rng)
 
-    fields = np.stack([velocity_field(wf)[0].values, qf.force[0].values])
-    v_i, fq_i = _interp.Stencil(grid, x0).sample(fields).T
+    v_i, fq_i = _interp.Stencil(grid, x0).sample(np.concatenate([velocity_field(wf), qf.force])).T
     spread = float(v_i.max() - v_i.min())
     fq_total = math.fsum(fq_i)
 

@@ -23,9 +23,9 @@ from .wavefield import (
     FIELD_BATCH_POINTS,
     Grid,
     PhysicalParams,
-    ScalarField,
     Wavefunction,
     _as_tuple,
+    _current,
     spectral_derivative,
 )
 
@@ -415,36 +415,37 @@ def evolve(
     )
 
 
-def probability_current(wf: Wavefunction) -> tuple[np.ndarray, ...]:
-    """j_d = (hbar/m_d) Im(psi* d_d psi); finite everywhere, no mask needed."""
-    masses = wf.params.masses_for(wf.grid.dims)
-    out = []
-    for d in range(wf.grid.dims):
-        dpsi = spectral_derivative(wf.amplitudes, wf.grid, axis=d)
-        out.append(wf.params.hbar / masses[d] * np.imag(np.conj(wf.amplitudes) * dpsi))
-    return tuple(out)
+def _currents(amplitudes: np.ndarray, grid: Grid, params: PhysicalParams) -> np.ndarray:
+    """Probability currents of a stack of snapshots (B, *grid.shape), shape (B, dims, *grid.shape)."""
+    masses = params.masses_for(grid.dims)
+    out = np.empty((len(amplitudes), grid.dims) + grid.shape)
+    for d in range(grid.dims):
+        np.multiply(params.hbar / masses[d], _current(amplitudes, grid, d), out=out[:, d])
+    return out
 
 
-def continuity_residual(record: EvolutionRecord) -> list[ScalarField]:
-    """Residual of d_t rho + div(rho v) for each adjacent snapshot pair.
+def probability_current(wf: Wavefunction) -> np.ndarray:
+    """j_d = (hbar/m_d) Im(psi* d_d psi), shape (dims, *grid.shape); finite everywhere, no mask needed."""
+    return _currents(wf.amplitudes[None], wf.grid, wf.params)[0]
+
+
+def continuity_residual(record: EvolutionRecord) -> np.ndarray:
+    """Residual of d_t rho + div(rho v) for each adjacent snapshot pair, shape (S - 1, *grid.shape).
 
     The time derivative is the centered difference across the pair and the
     flux divergence is spectral, evaluated on the average of the two
     snapshot currents (so the estimate is second order in the snapshot
     spacing).  The current form rho*v = (hbar/m) Im(psi* grad psi) avoids
-    dividing by rho, so no node mask is needed.
+    dividing by rho, so no node mask is needed.  All pairs are computed at
+    once, over the record's whole amplitude block.
     """
     if len(record) < 2:
         raise ValueError("need at least two snapshots")
     grid = record.grid
-    out = []
-    currents = [probability_current(s) for s in record.snapshots]
+    currents = _currents(record.amplitudes, grid, record.params)
     rho = np.abs(record.amplitudes) ** 2
-    for i in range(len(record) - 1):
-        drho_dt = (rho[i + 1] - rho[i]) / float(record.times[i + 1] - record.times[i])
-        divergence = np.zeros(grid.shape)
-        for d in range(grid.dims):
-            mean_current = 0.5 * (currents[i][d] + currents[i + 1][d])
-            divergence += spectral_derivative(mean_current, grid, axis=d)
-        out.append(ScalarField(grid, drho_dt + divergence, label="continuity-residual"))
-    return out
+    spacing = np.diff(record.times).reshape((-1,) + (1,) * grid.dims)
+    divergence = np.zeros((len(record) - 1,) + grid.shape)
+    for d in range(grid.dims):
+        divergence += spectral_derivative(0.5 * (currents[:-1, d] + currents[1:, d]), grid, axis=d)
+    return (rho[1:] - rho[:-1]) / spacing + divergence

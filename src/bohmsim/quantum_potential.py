@@ -26,7 +26,6 @@ from .propagator import PotentialSpec
 from .wavefield import (
     Grid,
     PhysicalParams,
-    ScalarField,
     Wavefunction,
     density_mask,
     spectral_derivative,
@@ -36,10 +35,12 @@ from .wavefield import (
 
 @dataclass(frozen=True)
 class QFields:
-    """Quantum potential Q, force components F_Q, and their validity mask."""
+    """Quantum potential Q, shape grid.shape, force F_Q, shape (dims, *grid.shape),
+    and their validity mask; masked points hold 0.0."""
 
-    q: ScalarField
-    force: tuple[ScalarField, ...]
+    grid: Grid
+    q: np.ndarray
+    force: np.ndarray
     valid: np.ndarray
     f_q_max: float
 
@@ -95,18 +96,8 @@ def compute_qfields(wf: Wavefunction) -> QFields:
     ``f_q_max`` is the largest force magnitude over valid points, the scale
     against which the averaging identity is judged.
     """
-    grid = wf.grid
-    q, force, valid, f_q_max = qfields_batch(wf.amplitudes[None], grid, wf.params)
-    valid = valid[0]
-    return QFields(
-        q=ScalarField(grid, q[0], label="quantum-potential", valid=valid),
-        force=tuple(
-            ScalarField(grid, force[0, e], label=f"quantum-force[{e}]", valid=valid)
-            for e in range(grid.dims)
-        ),
-        valid=valid,
-        f_q_max=float(f_q_max[0]),
-    )
+    q, force, valid, f_q_max = qfields_batch(wf.amplitudes[None], wf.grid, wf.params)
+    return QFields(wf.grid, q[0], force[0], valid[0], float(f_q_max[0]))
 
 
 def averaged_quantum_force(wf: Wavefunction) -> np.ndarray:
@@ -123,7 +114,7 @@ def averaged_quantum_force(wf: Wavefunction) -> np.ndarray:
     cell = wf.grid.cell_volume
     out = np.empty(wf.grid.dims)
     for d in range(wf.grid.dims):
-        integrand = -rho * qf.force[d].values  # rho * d_d Q on the valid mask
+        integrand = -rho * qf.force[d]  # rho * d_d Q on the valid mask
         out[d] = float(integrand[qf.valid].sum() * cell)
     return out
 
@@ -142,19 +133,17 @@ def _warn_if_boundary_touched(rho: np.ndarray) -> None:
 def hamilton_jacobi_energy(wf: Wavefunction, potential: PotentialSpec, x) -> float:
     """Pointwise energy E = sum_d (1/2) m_d v_d^2 + V + Q at position ``x``.
 
-    ``x`` is interpolated off-grid (cubic).  Raises ``ValueError`` when the
-    interpolation stencil touches the node region.
+    ``x`` is interpolated between grid points (cubic).  Raises ``ValueError``
+    when ``x`` lies off the grid or its interpolation stencil touches the
+    node region.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape != (1, wf.grid.dims):
         raise ValueError(f"x must be a single point with {wf.grid.dims} coordinates")
     qf = compute_qfields(wf)
-    stencil = _interp.Stencil(wf.grid, x)
-    if not bool(stencil.valid(_interp.erode(qf.valid, wf.grid.dims))[0]):
-        raise ValueError(f"position {x[0]} lies in a node region")
+    stencil = _interp.checked_stencil(wf.grid, x, qf.valid)
     masses = wf.params.masses_for(wf.grid.dims)
-    fields = np.stack([f.values for f in velocity_field(wf)] + [qf.q.values])
-    *velocity, q = stencil.sample(fields)[0].tolist()
+    *velocity, q = stencil.sample(np.concatenate([velocity_field(wf), qf.q[None]]))[0].tolist()
     kinetic = 0.0
     for d, v in enumerate(velocity):
         kinetic += 0.5 * masses[d] * v * v

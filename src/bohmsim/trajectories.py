@@ -40,15 +40,6 @@ class TrajectoryAbort(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BohmianState:
-    """Position (and momentum, when tracked) of one particle at one time."""
-
-    position: np.ndarray
-    time: float
-    momentum: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time series of one integrated configuration-space path."""
 
@@ -57,17 +48,6 @@ class Trajectory:
     mode: str  # "guidance" or "newton"
     dt: float
     momenta: np.ndarray | None = None  # (n_times, dims)
-
-    def states(self) -> list[BohmianState]:
-        return [self._state(i) for i in range(len(self.times))]
-
-    @property
-    def final(self) -> BohmianState:
-        return self._state(-1)
-
-    def _state(self, i: int) -> BohmianState:
-        momentum = None if self.momenta is None else self.momenta[i]
-        return BohmianState(position=self.positions[i], time=float(self.times[i]), momentum=momentum)
 
 
 class _FieldCache:

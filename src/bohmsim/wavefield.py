@@ -1,10 +1,11 @@
-"""Wavefunctions and derived scalar fields on periodic grids.
+"""Wavefunctions and derived fields on periodic grids.
 
 Everything downstream (propagation, quantum potential, trajectories) works
 with the types defined here: a rectangular periodic ``Grid`` in one or two
-dimensions, ``PhysicalParams`` carrying hbar and per-dimension masses, an
-immutable ``Wavefunction`` snapshot, and real-valued ``ScalarField`` results
-with an optional validity mask for node regions.
+dimensions, ``PhysicalParams`` carrying hbar and per-dimension masses, and
+an immutable ``Wavefunction`` snapshot.  Derived fields are plain arrays:
+one component per dimension along a leading axis, shape (dims, *grid.shape),
+with node-region points masked by ``node_mask`` and holding 0.0.
 
 Derivatives are spectral (FFT) throughout, which is why grids are periodic
 and localized states must keep a margin away from the boundary.
@@ -182,26 +183,6 @@ class Wavefunction:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Real field on a grid; ``valid`` marks points where it is meaningful.
-
-    ``valid is None`` means valid everywhere.  Masked points hold 0.0 so the
-    array stays finite.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    label: str = ""
-    valid: np.ndarray | None = None
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        if self.valid is None:
-            return np.ones(self.grid.shape, dtype=bool)
-        return self.valid
-
-
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 1) -> np.ndarray:
     """Differentiate a periodic grid function by FFT along grid axis ``axis``.
 
@@ -301,14 +282,10 @@ def node_mask(wf: Wavefunction) -> np.ndarray:
     return density_mask(np.abs(wf.amplitudes) ** 2, wf.grid.dims)
 
 
-def modulus_field(wf: Wavefunction) -> ScalarField:
-    """R = |psi| as a scalar field (valid everywhere)."""
-    return ScalarField(wf.grid, np.abs(wf.amplitudes), label="modulus")
-
-
-def probability_density(wf: Wavefunction) -> ScalarField:
-    """rho = |psi|^2 as a scalar field (valid everywhere)."""
-    return ScalarField(wf.grid, np.abs(wf.amplitudes) ** 2, label="density")
+def _current(amplitudes: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Im(psi* d_axis psi) of a snapshot or a stack of snapshots: the probability
+    current along ``axis`` without its hbar/m factor."""
+    return np.imag(np.conj(amplitudes) * spectral_derivative(amplitudes, grid, axis=axis))
 
 
 def velocity_batch(
@@ -326,26 +303,20 @@ def velocity_batch(
     masses = params.masses_for(grid.dims)
     out = np.zeros((len(amplitudes), grid.dims) + grid.shape)
     for d in range(grid.dims):
-        dpsi = spectral_derivative(amplitudes, grid, axis=d)
-        current = np.imag(np.conj(amplitudes) * dpsi)
         v = out[:, d]
-        np.divide(current, rho, out=v, where=valid)
+        np.divide(_current(amplitudes, grid, d), rho, out=v, where=valid)
         v *= params.hbar / masses[d]
         v[~valid] = 0.0
     return out, valid
 
 
-def velocity_field(wf: Wavefunction) -> tuple[ScalarField, ...]:
-    """Guidance velocity v_d = (hbar/m_d) Im(psi* d_d psi) / |psi|^2 per dimension.
+def velocity_field(wf: Wavefunction) -> np.ndarray:
+    """Guidance velocity v_d = (hbar/m_d) Im(psi* d_d psi) / |psi|^2, shape (dims, *grid.shape).
 
-    The ratio form is gauge-safe (no phase unwrapping).  Points below the
-    node threshold are masked and hold 0.0.
+    The ratio form is gauge-safe (no phase unwrapping).  Points outside
+    ``node_mask(wf)`` hold 0.0.
     """
-    values, valid = velocity_batch(wf.amplitudes[None], wf.grid, wf.params)
-    return tuple(
-        ScalarField(wf.grid, values[0, d], label=f"velocity[{d}]", valid=valid[0])
-        for d in range(wf.grid.dims)
-    )
+    return velocity_batch(wf.amplitudes[None], wf.grid, wf.params)[0][0]
 
 
 def position_moments(wf: Wavefunction) -> tuple[np.ndarray, np.ndarray]:

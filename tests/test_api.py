@@ -1,0 +1,39 @@
+"""The public API: every exported name resolves, and the README example runs."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+import bohmsim
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(bohmsim.__all__)) == len(bohmsim.__all__)
+    missing = [name for name in bohmsim.__all__ if not hasattr(bohmsim, name)]
+    assert not missing
+
+
+def test_field_wrapper_types_are_gone():
+    for name in ("ScalarField", "modulus_field", "probability_density", "BohmianState"):
+        assert name not in bohmsim.__all__
+        for module in (bohmsim, bohmsim.wavefield, bohmsim.quantum_potential, bohmsim.trajectories):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    grid, record = namespace["grid"], namespace["record"]
+    assert namespace["v"].shape == (1,) + grid.shape
+    qf = namespace["qf"]
+    assert qf.q.shape == grid.shape
+    assert qf.force.shape == (1,) + grid.shape
+    assert namespace["residual"].shape == (len(record) - 1,) + grid.shape
+    path = namespace["path"]
+    assert path.positions.shape == path.momenta.shape == (len(path.times), 1)
+    assert np.isfinite(path.positions).all()

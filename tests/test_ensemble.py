@@ -107,6 +107,22 @@ class TestMeanQuantumForce:
         with pytest.raises(ValueError, match="node region"):
             mean_quantum_force(np.array([[2.0], [0.01]]), qf)
 
+    def test_off_grid_positions_are_rejected(self, gaussian_wf):
+        # wrapped, [[0.3], [20.3]] would return the mean of [[0.3], [0.3]]
+        qf = compute_qfields(gaussian_wf)
+        with pytest.raises(ValueError, match="off the grid") as err:
+            mean_quantum_force(np.array([[0.3], [20.3], [np.nan], [-0.4]]), qf)
+        assert "[[20.3], [nan]]" in str(err.value)  # the off-grid points only
+
+    def test_off_grid_positions_are_rejected_in_2d(self):
+        grid = make_grid(2, -8.0, 8.0, 64)
+        qf = compute_qfields(init_gaussian(grid, PhysicalParams(), 0.0, 1.0))
+        inside = np.array([[0.3, -0.2], [-0.5, 0.4]])
+        assert mean_quantum_force(inside, qf).shape == (2,)
+        with pytest.raises(ValueError, match="off the grid") as err:
+            mean_quantum_force(np.array([[0.3, -0.2], [0.1, -9.0], [np.nan, 0.0]]), qf)
+        assert "[[0.1, -9.0], [nan, 0.0]]" in str(err.value)
+
     def test_mean_shrinks_with_ensemble_size(self, gaussian_wf):
         # |mean F_Q| should fall roughly like 1/sqrt(M); compare the
         # medians over seeds at M = 100 and M = 10000

@@ -18,6 +18,7 @@ from bohmsim import (
     run_bec_experiment,
     run_cm_experiment,
 )
+from bohmsim import manybody
 from bohmsim.wavefield import Wavefunction
 
 
@@ -204,6 +205,35 @@ class TestRunCmExperiment:
 
     def test_localized_packets_never_need_resampling(self, driven_cm_result):
         assert driven_cm_result.resample_count == 0
+
+    def test_forced_resample_reads_only_the_amplitude_row(self, monkeypatch):
+        # redrawing an offset reads one density row, not every snapshot view of the record
+        records = []
+        real_evolve = manybody.evolve
+
+        def recording_evolve(*args, **kwargs):
+            records.append(real_evolve(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(manybody, "evolve", recording_evolve)
+        real_fields_at = manybody._fields_at
+        calls = []
+
+        def one_bad_read(cache, t, x):
+            values, ok = real_fields_at(cache, t, x)
+            calls.append(t)
+            if len(calls) == 3:  # mark the first offset of one read as in a node region
+                ok = ok.copy()
+                ok[0] = False
+            return values, ok
+
+        monkeypatch.setattr(manybody, "_fields_at", one_bad_read)
+        # one forced redraw in a short run would otherwise trip the too-many-resamples abort
+        monkeypatch.setattr(manybody, "RESAMPLE_ABORT_FRACTION", 1.0)
+        res = run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
+        assert res.resample_count >= 1
+        assert records
+        assert all("snapshots" not in record.__dict__ for record in records)
 
     def test_spring_forces_cancel_exactly(self):
         spec = FactorizedNBody.homogeneous(100, external=Linear(force=0.5), coupling=0.5)

@@ -13,8 +13,8 @@ from bohmsim import (
     init_gaussian,
     init_plane_wave,
     make_grid,
+    node_mask,
     normalize,
-    probability_density,
     velocity_field,
 )
 from bohmsim import quantum_potential
@@ -49,20 +49,20 @@ class TestComputeQFields:
         x = line_grid.axes()[0]
         want_q = oracles.gaussian_quantum_potential(x, sigma)
         want_f = oracles.gaussian_quantum_force(x, sigma)
-        rho = probability_density(wf).values
+        rho = np.abs(wf.amplitudes) ** 2
         bulk = rho >= 1e-6 * rho.max()
         # edge of the node mask amplifies periodic-image and roundoff
         # error by 1/rho, hence the two-tier tolerance
-        assert np.abs(qf.q.values - want_q)[qf.valid].max() < 1e-6
-        assert np.abs(qf.q.values - want_q)[bulk].max() < 1e-9
-        assert np.abs(qf.force[0].values - want_f)[qf.valid].max() < 5e-3
-        assert np.abs(qf.force[0].values - want_f)[bulk].max() < 1e-6
+        assert np.abs(qf.q - want_q)[qf.valid].max() < 1e-6
+        assert np.abs(qf.q - want_q)[bulk].max() < 1e-9
+        assert np.abs(qf.force[0] - want_f)[qf.valid].max() < 5e-3
+        assert np.abs(qf.force[0] - want_f)[bulk].max() < 1e-6
 
     def test_boost_leaves_q_unchanged(self, line_grid, unit_params):
         still = compute_qfields(init_gaussian(line_grid, unit_params, 0.0, 1.0))
         moving = compute_qfields(init_gaussian(line_grid, unit_params, 0.0, 1.0, 3.0))
         mask = still.valid & moving.valid
-        assert np.abs(still.q.values - moving.q.values)[mask].max() < 1e-7
+        assert np.abs(still.q - moving.q)[mask].max() < 1e-7
 
     def test_gauge_invariance(self, unit_gaussian):
         base = compute_qfields(unit_gaussian)
@@ -74,16 +74,16 @@ class TestComputeQFields:
         )
         other = compute_qfields(rotated)
         assert np.array_equal(base.valid, other.valid)
-        assert np.abs(base.q.values - other.q.values)[base.valid].max() < 1e-7
-        rho = probability_density(unit_gaussian).values
+        assert np.abs(base.q - other.q)[base.valid].max() < 1e-7
+        rho = np.abs(unit_gaussian.amplitudes) ** 2
         bulk = rho >= 1e-6 * rho.max()
-        assert np.abs(base.q.values - other.q.values)[bulk].max() < 1e-10
+        assert np.abs(base.q - other.q)[bulk].max() < 1e-10
 
     def test_ground_state_q_plus_v_constant(self, line_grid, unit_params):
         wf = init_gaussian(line_grid, unit_params, 0.0, oracles.ground_sigma(1.0))
         qf = compute_qfields(wf)
         x = line_grid.axes()[0]
-        total = qf.q.values + 0.5 * x**2
+        total = qf.q + 0.5 * x**2
         assert np.abs(total - 0.5)[qf.valid].max() < 1e-6
 
     def test_ground_state_force_cancels_classical(self, line_grid, unit_params):
@@ -91,40 +91,40 @@ class TestComputeQFields:
         qf = compute_qfields(wf)
         x = line_grid.axes()[0]
         f_cl = Harmonic(omega=1.0).force_at(x[:, None], unit_params)[:, 0]
-        assert np.abs(qf.force[0].values + f_cl)[qf.valid].max() < 1e-6
+        assert np.abs(qf.force[0] + f_cl)[qf.valid].max() < 1e-6
 
     def test_plane_wave_q_vanishes(self, pi_grid, unit_params):
         wf = init_plane_wave(pi_grid, unit_params, 2.0)
         qf = compute_qfields(wf)
         assert qf.valid.all()
-        assert np.abs(qf.q.values).max() < 1e-10
-        assert np.abs(qf.force[0].values).max() < 1e-10
+        assert np.abs(qf.q).max() < 1e-10
+        assert np.abs(qf.force[0]).max() < 1e-10
         assert qf.f_q_max < 1e-10
 
     def test_force_matches_gradient_of_q(self, line_grid, unit_params):
         wf = init_gaussian(line_grid, unit_params, 0.0, 1.0)
         qf = compute_qfields(wf)
-        rho = probability_density(wf).values
+        rho = np.abs(wf.amplitudes) ** 2
         bulk = rho >= 1e-6 * rho.max()
         # keep two cells away from the mask edge so the difference stencil
         # never reads a masked value
         bulk &= np.roll(bulk, 2) & np.roll(bulk, -2)
-        fd = -np.gradient(qf.q.values, line_grid.dx[0])
-        assert np.abs(qf.force[0].values - fd)[bulk].max() < 1e-6
+        fd = -np.gradient(qf.q, line_grid.dx[0])
+        assert np.abs(qf.force[0] - fd)[bulk].max() < 1e-6
 
     def test_masked_points_are_zeroed(self, line_grid, unit_params):
         wf = antisymmetric_pair(line_grid, unit_params)
         qf = compute_qfields(wf)
         assert not qf.valid.all()
-        assert np.isfinite(qf.q.values).all()
-        assert not qf.q.values[~qf.valid].any()
-        assert not qf.force[0].values[~qf.valid].any()
+        assert np.isfinite(qf.q).all()
+        assert not qf.q[~qf.valid].any()
+        assert not qf.force[0][~qf.valid].any()
 
     def test_f_q_max_is_max_over_valid(self, line_grid, unit_params):
         wf = init_gaussian(line_grid, unit_params, 0.0, 1.0)
         qf = compute_qfields(wf)
         assert qf.f_q_max >= 0.0
-        assert qf.f_q_max == pytest.approx(np.abs(qf.force[0].values[qf.valid]).max())
+        assert qf.f_q_max == pytest.approx(np.abs(qf.force[0][qf.valid]).max())
 
 
 def snapshot_stack(dims):
@@ -162,9 +162,9 @@ class TestBatchedFields:
         assert not valid[1].all()  # the stack includes a state with nodes
         for b, wf in enumerate(states):
             fields = velocity_field(wf)
-            assert np.array_equal(valid[b], fields[0].valid_mask)
+            assert np.array_equal(valid[b], node_mask(wf))
             for d in range(dims):
-                assert np.array_equal(values[b, d], fields[d].values)
+                assert np.array_equal(values[b, d], fields[d])
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_qfields_batch_equals_per_snapshot(self, dims):
@@ -173,11 +173,11 @@ class TestBatchedFields:
         assert not valid[1].all()
         for b, wf in enumerate(states):
             qf = compute_qfields(wf)
-            assert np.array_equal(q[b], qf.q.values)
+            assert np.array_equal(q[b], qf.q)
             assert np.array_equal(valid[b], qf.valid)
             assert f_q_max[b] == qf.f_q_max
             for e in range(dims):
-                assert np.array_equal(force[b, e], qf.force[e].values)
+                assert np.array_equal(force[b, e], qf.force[e])
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_f_q_max_equals_the_per_snapshot_loop(self, dims, monkeypatch):
@@ -261,7 +261,7 @@ class TestFactorizedAdditivity:
         want = oracles.gaussian_quantum_potential(x0, sa, ca) + oracles.gaussian_quantum_potential(
             x1, sb, cb
         )
-        assert np.abs(qf.q.values - want)[qf.valid].max() < 1e-8
+        assert np.abs(qf.q - want)[qf.valid].max() < 1e-8
 
 
 class TestHamiltonJacobiEnergy:
@@ -285,6 +285,23 @@ class TestHamiltonJacobiEnergy:
         wf = antisymmetric_pair(line_grid, unit_params)
         with pytest.raises(ValueError, match="node region"):
             hamilton_jacobi_energy(wf, Free(), [0.0])
+
+    @pytest.mark.parametrize("x, named", [(20.5, "20.5"), (-10.5, "-10.5"), (np.nan, "nan")])
+    def test_off_grid_point_is_rejected(self, line_grid, unit_params, x, named):
+        # a wrapped stencil would read v and Q at x - 20 while V is read at x
+        wf = init_gaussian(line_grid, unit_params, 0.0, 1.0)
+        with pytest.raises(ValueError, match="off the grid") as err:
+            hamilton_jacobi_energy(wf, Harmonic(omega=1.0), [x])
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("x, named", [([0.5, 12.0], "12.0"), ([np.nan, 0.0], "nan")])
+    def test_off_grid_point_is_rejected_in_2d(self, unit_params, x, named):
+        grid = make_grid(2, -8.0, 8.0, 64)
+        wf = init_gaussian(grid, unit_params, 0.0, 1.0)
+        assert np.isfinite(hamilton_jacobi_energy(wf, Harmonic(omega=1.0), [0.5, 0.5]))
+        with pytest.raises(ValueError, match="off the grid") as err:
+            hamilton_jacobi_energy(wf, Harmonic(omega=1.0), x)
+        assert named in str(err.value)
 
     def test_wrong_point_shape_is_rejected(self, unit_gaussian):
         with pytest.raises(ValueError, match="single point"):

@@ -110,13 +110,12 @@ class TestGuidance:
         assert times.shape == (21,)
         assert positions.shape == (21, 5, 1)
 
-    def test_states_and_final(self, plane_record):
+    def test_last_row_is_the_final_state(self, plane_record):
         traj = integrate_guidance(plane_record, [0.0], 0.2)
-        states = traj.states()
-        assert len(states) == len(traj.times)
-        assert traj.final.time == pytest.approx(1.0)
-        assert traj.final.position[0] == pytest.approx(2.0, abs=1e-9)
-        assert traj.final.momentum[0] == pytest.approx(2.0, abs=1e-9)
+        assert len(traj.positions) == len(traj.momenta) == len(traj.times)
+        assert traj.times[-1] == pytest.approx(1.0)
+        assert traj.positions[-1, 0] == pytest.approx(2.0, abs=1e-9)
+        assert traj.momenta[-1, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_convergence_is_fourth_order(self, coherent_record):
         # the displaced ground state carries a spatially uniform velocity
@@ -211,7 +210,7 @@ class TestFieldCache:
                 want = velocity_field(snap)
             else:
                 want = compute_qfields(snap).force
-            assert np.array_equal(values[0], want[0].values)
+            assert np.array_equal(values[0], want[0])
             # the cached mask is the node mask eroded by the stencil footprint
             assert np.array_equal(valid, erode(node_mask(snap), 1))
             # a batch fills only the snapshots on the stride
