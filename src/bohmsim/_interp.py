@@ -4,11 +4,13 @@ The spline is the cardinal cubic with centered-difference slopes; it
 reproduces quadratics exactly and wraps periodically, matching the grids.
 One ``Stencil`` per query set serves its on-grid flag, its validity check (one read
 per point of a mask that ``erode`` shrank by the footprint) and every field, and
-``locate`` refills it in place for the next set of as many points.  A stencil of
-one point locates an on-grid position in Python floats (``_point_weights``), which
-round as numpy does and skip some thirty ufunc calls on one-element arrays; other
-positions take the array path.  ``sample`` gathers every field at once and sums
-them with one ``einsum``.  ``interpolate`` and ``stencil_valid`` stay public:
+``locate`` refills it in place for the next set of as many points.  ``sample``
+gathers every field at once; in 1D it sums the four products of a point in the
+explicit order (p0 + p2) + (p1 + p3), the order of einsum's paired SIMD lanes, and
+in 2D it makes one ``einsum``.  ``sample_point`` evaluates one 1D position in
+Python floats with the same weights (``_point_weights``) and the same order, so it
+equals a row of the array result bit for bit without some fifty numpy calls on
+one-element arrays.  ``interpolate`` and ``stencil_valid`` stay public:
 ``perfbench/tracer.py`` wraps both by name.
 """
 
@@ -22,7 +24,6 @@ import numpy as np
 from .wavefield import Grid
 
 _OFFSETS = np.array([-1, 0, 1, 2])
-_SUBSCRIPTS = {2: "cma,ma->mc", 3: "cmab,ma,mb->mc"}  # by index.ndim: 1D and 2D
 _HALF, _TWO, _THREE, _FOUR, _FIVE = map(np.array, (0.5, 2.0, 3.0, 4.0, 5.0))  # a ufunc converts a float per call
 
 
@@ -92,24 +93,14 @@ class Stencil:
         self.index = np.empty((len(x), 4, 4), dtype=np.int64) if two else self._taken[0]
         self.base = self.index[:, 1, 1] if two else self._wrapped[0]
         self._gather = np.empty((0,) + self.index.shape)  # (C, *index.shape), reallocated when C changes
-        self._axes = None
-        if len(x) == 1:  # the one-point form: lo, hi, dx, n and row-major stride per axis as Python numbers
-            strides = grid.points[1:] + (1,)
-            self._axes = tuple(zip(*zip(*grid.extents), grid.dx, grid.points, strides))
-            self._scalars = tuple(memoryview(a.reshape(-1)) for a in (self.weights, self.index, self._wrapped))
         self.locate(x)
 
     def locate(self, x: np.ndarray) -> Stencil:
-        """Refill this stencil in place for positions x of the same shape (M, dims).
-
-        One on-grid point takes ``_locate_point``, the same arithmetic in Python floats.
-        """
+        """Refill this stencil in place for positions x of the same shape (M, dims)."""
         x = np.asarray(x, dtype=float)
         if x.shape != self._shape:
             m, dims = self._shape
             raise ValueError(f"x has shape {x.shape}; this stencil locates {m} point(s) of {dims} coordinate(s)")
-        if self._axes is not None and self._locate_point(x.tolist()[0]):
-            return self
         lo, hi, dx, n, _ = self._tables
         x = x.T
         above, below, inside = self._flags
@@ -132,36 +123,38 @@ class Stencil:
             np.add(self._taken[0][:, :, None], self._taken[1][:, None, :], self.index)
         return self
 
-    def _locate_point(self, point: list[float]) -> bool:
-        """``locate`` of one point in Python floats; False, having written nothing, off the grid."""
-        weights, footprints, wrapped = [], [], []
-        for c, (lo, hi, dx, n, stride) in zip(point, self._axes):
-            if not lo <= c < hi:
-                return False
-            u = (c - lo) / dx
-            base = math.floor(u)
-            weights += _point_weights(u - base)
-            j = base % n
-            wrapped.append(j)
-            footprints.append(((j - 1) % n * stride, j * stride, (j + 1) % n * stride, (j + 2) % n * stride))
-        index = footprints[0] if len(footprints) == 1 else [i + j for i in footprints[0] for j in footprints[1]]
-        for view, values in zip(self._scalars, (weights, index, wrapped)):
-            for k, value in enumerate(values):
-                view[k] = value
-        self.on_grid[0] = True
-        self.off_grid = 0
-        return True
-
     def sample(self, block: np.ndarray) -> np.ndarray:
         """Each real field of a (C, *grid.shape) block at the query points, (M, C)."""
         if len(self._gather) != len(block):
             self._gather = np.empty((len(block),) + self.index.shape)
         block.reshape(len(block), -1).take(self.index, axis=1, out=self._gather, mode="clip")
-        return np.einsum(_SUBSCRIPTS[self.index.ndim], self._gather, *self.weights, order="C")
+        if self.index.ndim == 3:
+            return np.einsum("cmab,ma,mb->mc", self._gather, *self.weights, order="C")
+        p = np.multiply(self._gather, self.weights[0], out=self._gather)
+        # (p0 + p2) + (p1 + p3), as sample_point sums: the bits depend on this order
+        out = np.empty((len(self.base), len(block)))
+        np.add(np.add(p[..., 0], p[..., 2], out.T), np.add(p[..., 1], p[..., 3], p[..., 1]), out.T)
+        return out
 
     def valid(self, eroded: np.ndarray) -> np.ndarray:
         """True for points whose whole stencil lies in the mask ``eroded`` came from, (M,)."""
         return eroded.reshape(-1)[self.base]
+
+
+def sample_point(grid: Grid, c: float, block: np.ndarray, eroded: np.ndarray) -> tuple[float, bool] | None:
+    """One field of a (1, n) block at one position c of a 1D grid, in Python floats, and
+    whether its stencil lies in the mask ``eroded`` came from; None off the grid (NaN
+    included).  Equal to ``Stencil(grid, [[c]])``'s ``sample`` and ``valid`` bit for bit."""
+    (lo, hi), = grid.extents
+    if not lo <= c < hi:
+        return None
+    n, = grid.points
+    u = (c - lo) / grid.dx[0]
+    base = math.floor(u)
+    w0, w1, w2, w3 = _point_weights(u - base)
+    j = base % n
+    a = block.item
+    return (a((j - 1) % n) * w0 + a((j + 1) % n) * w2) + (a(j) * w1 + a((j + 2) % n) * w3), eroded.item(j)
 
 
 def checked_stencil(grid: Grid, x: np.ndarray, valid: np.ndarray) -> Stencil:

@@ -51,7 +51,7 @@ OVERLAP_BOUND = 1e-8
 # Internal pairwise forces must cancel to this relative level per step.
 CANCELLATION_BOUND = 1e-12
 
-# Fraction of subsystems allowed to need resampling before aborting.
+# Fraction of subsystems allowed to need resampling before aborting; at least one redraw.
 RESAMPLE_ABORT_FRACTION = 1e-3
 
 
@@ -400,7 +400,7 @@ def run_cm_experiment(
             drawn, redraws = _sample_from_snapshot(rho, packet.grid, eroded, group.size, rng)
             offsets[group] = drawn
             resample_count += redraws
-    if resample_count > RESAMPLE_ABORT_FRACTION * n:
+    if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * n):
         raise RuntimeError(
             f"{resample_count} of {n} offsets needed resampling; sampling is unreliable"
         )
@@ -437,7 +437,7 @@ def run_cm_experiment(
         drawn, redraws = _sample_from_snapshot(rho, cache.record.grid, eroded, bad.size, rng)
         offsets[bad] = drawn
         resample_count += bad.size + redraws
-        if resample_count > RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100):
+        if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):
             raise RuntimeError("too many offsets entered node regions; model assumptions broken")
 
     def fields_resampling(cache: _FieldCache, t: float, l: int) -> np.ndarray:

@@ -259,13 +259,17 @@ def _whole_steps(span: float, dt: float, span_name="t_final", required=True) -> 
     """
     _check_positive_finite(span_name, span)
     _check_positive_finite("dt", dt)
+    n = _whole_steps_unchecked(span, dt)
+    if n or not required:
+        return n
+    raise ValueError(f"{span_name}={span} is not an integer number of steps of dt={dt}")
+
+
+def _whole_steps_unchecked(span: float, dt: float) -> int:
+    """``_whole_steps``' rule for a span and dt already known positive and finite; 0 for none."""
     ratio = span / dt
     n = round(ratio) if math.isfinite(ratio) else 0
-    if n >= 1 and abs(n * dt - span) <= 1e-9 * span:
-        return n
-    if required:
-        raise ValueError(f"{span_name}={span} is not an integer number of steps of dt={dt}")
-    return 0
+    return n if n >= 1 and abs(n * dt - span) <= 1e-9 * span else 0
 
 
 def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:

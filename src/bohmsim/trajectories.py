@@ -12,6 +12,12 @@ snapshots.  RK4 needs field values at half-step times, so the trajectory
 step must be commensurate with the snapshot spacing; when the spacing is
 half the step, every RK4 stage lands exactly on a snapshot and temporal
 interpolation drops out of the error budget entirely.
+
+A batch reads its fields through one ``_interp.Stencil`` per integration.
+One particle in one dimension runs through the same loops as a Python
+float and reads each field with ``_interp.sample_point``; both sum a
+point's four products in the same order, so its path and its aborts are
+bit-identical to a row of a batch.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps
+from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps, _whole_steps_unchecked
 from .quantum_potential import qfields_batch
 from .wavefield import FIELD_BATCH_POINTS, velocity_batch
 
@@ -58,7 +64,7 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.  One stencil serves the integration.
+    previous read snapshot are evicted.  One stencil serves a batch's integration.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -106,17 +112,17 @@ class _FieldCache:
         else:
             self._stencil.locate(x)
         if self._stencil.off_grid:
-            raise TrajectoryAbort(f"{self._stencil.off_grid} trajectory position(s) left the grid at t={t:.6g}", t, x)
+            raise _off_grid_abort(self._stencil.off_grid, t, x)
         return self._stencil
 
 
 def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
-    """Snapshot index i and fraction theta with t = t_i + theta * spacing;
+    """Snapshot index i and fraction theta with t = t_i + theta * spacing, for a finite t;
     theta is 0 exactly when t lies on a snapshot by ``_whole_steps``' rule."""
-    spacing = record.snapshot_spacing
+    spacing = record.snapshot_spacing  # positive: record times strictly increase
     span = t - float(record.times[0])
     last = len(record) - 1
-    n = _whole_steps(span, spacing, "time", required=False) if span > 0.0 else 0
+    n = _whole_steps_unchecked(span, spacing) if span > 0.0 else 0
     if span == 0.0 or 0 < n <= last:
         return n, 0.0
     i = min(max(math.floor(span / spacing), 0), last - 1)
@@ -125,6 +131,20 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
 
 def _node_abort(t: float, x: np.ndarray) -> TrajectoryAbort:
     return TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
+
+
+def _off_grid_abort(count: int, t: float, x: np.ndarray) -> TrajectoryAbort:
+    return TrajectoryAbort(f"{count} trajectory position(s) left the grid at t={t:.6g}", t, x)
+
+
+def _eval_point(grid, t: float, x: float, block: np.ndarray, eroded: np.ndarray) -> float:
+    """``_interp.sample_point`` with the aborts of the array path, positions (1, 1)."""
+    found = _interp.sample_point(grid, x, block, eroded)
+    if found is None:
+        raise _off_grid_abort(1, t, np.array([[x]]))
+    if not found[1]:
+        raise _node_abort(t, np.array([[x]]))
+    return found[0]
 
 
 def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,12 +159,15 @@ def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray,
     return stencil.sample(values), stencil.valid(eroded)
 
 
-def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray) -> np.ndarray:
-    """Interpolate the cached fields at positions x (M, dims), time t.
+def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
+    """Interpolate the cached fields at positions x (M, dims), time t; at one 1D
+    position given as a Python float, the one field value as a float.
 
     Raises ``TrajectoryAbort`` when a point is off the grid or its stencil
     touches a node region.
     """
+    if type(x) is float:
+        return _eval_point(cache.record.grid, t, x, *cache.at(t))
     out, ok = _fields_at(cache, t, x)
     if not ok.all():
         raise _node_abort(t, x)
@@ -166,7 +189,8 @@ def _guidance_rk4(
     """RK4 guidance integration; with ``keep_velocities`` also v(x, t) at every time.
 
     The velocities are the stage-one values RK4 evaluates anyway, plus one
-    evaluation at the final time.
+    evaluation at the final time.  One particle in one dimension is carried
+    as a Python float, whose arithmetic rounds as the array's.
     """
     n = _step_count(record, dt)
     x = np.array(np.atleast_2d(x0), dtype=float)
@@ -176,6 +200,8 @@ def _guidance_rk4(
     positions = np.empty((n + 1,) + x.shape)
     positions[0] = x
     velocities = np.empty_like(positions) if keep_velocities else None
+    if x.shape == (1, 1):
+        x = x.item()
     for step_index in range(n):
         t = float(times[step_index])
         k1 = _eval_fields(cache, t, x)
@@ -232,27 +258,35 @@ def integrate_newton_batch(
     quantum force is interpolated from the record snapshots.  Initial
     momenta follow the guidance value p0 = m v(x0, t0).
 
-    Returns ``(times, positions, momenta)``.
+    Returns ``(times, positions, momenta)``.  One particle in one dimension
+    is carried as a Python float, whose arithmetic rounds as the array's.
     """
     n = _step_count(record, dt)
     x = np.array(np.atleast_2d(x0), dtype=float)
-    params = record.params
-    masses = np.asarray(params.masses_for(record.grid.dims))
+    grid, params = record.grid, record.params
+    masses = np.asarray(params.masses_for(grid.dims))
     t0 = float(record.times[0])
     times = t0 + dt * np.arange(n + 1)
     force_cache = _FieldCache(record, "qforce", dt)
-    stencil = force_cache.stencil(t0, x)
-    velocity, valid = velocity_batch(record.amplitudes[:1], record.grid, params)
-    if not stencil.valid(_interp.erode(valid[0], record.grid.dims)).all():
-        raise _node_abort(t0, x)
-    p = masses * stencil.sample(velocity[0])
-
-    def total_force(t: float, pos: np.ndarray) -> np.ndarray:
-        return potential.force_at(pos, params) + _eval_fields(force_cache, t, pos)
-
     positions = np.empty((n + 1,) + x.shape)
     momenta = np.empty_like(positions)
     positions[0] = x
+    velocity, valid = velocity_batch(record.amplitudes[:1], grid, params)
+    eroded = _interp.erode(valid[0], grid.dims)
+    point = x.shape == (1, 1)
+    if point:
+        x, masses = x.item(), masses.item()
+        p = masses * _eval_point(grid, t0, x, velocity[0], eroded)
+    else:
+        stencil = force_cache.stencil(t0, x)
+        if not stencil.valid(eroded).all():
+            raise _node_abort(t0, x)
+        p = masses * stencil.sample(velocity[0])
+
+    def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
+        classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
+        return (classical.item() if point else classical) + _eval_fields(force_cache, t, pos)
+
     momenta[0] = p
     # kick-drift-kick: the closing kick's force opens the next step
     force = total_force(t0, x)

@@ -3,13 +3,18 @@
 Everything here is derived independently of the library: free-packet
 spreading, the displaced ground state of a unit harmonic well, and the
 Gaussian quantum potential / force. Tests compare simulator output against
-these, never against values produced by the code under test.  The one
-exception is ``continuity_residual_pairs``: the per-pair loop, one snapshot
-at a time, that the batched ``continuity_residual`` must reproduce bit for
-bit; it uses the library's spectral derivative on single snapshots only.
+these, never against values produced by the code under test.  The
+exceptions are former library forms that the current code must reproduce
+bit for bit: ``continuity_residual_pairs``, the per-pair loop, one snapshot
+at a time, behind the batched ``continuity_residual`` (it uses the library's
+spectral derivative on single snapshots only); ``einsum_sample``, the einsum
+that ``Stencil.sample`` replaced; and ``bracket``, the checked time bracket
+that ``trajectories._bracket`` replaced.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,3 +91,34 @@ def continuity_residual_pairs(record):
             divergence += spectral_derivative(mean_current, grid, axis=d)
         out.append(drho_dt + divergence)
     return np.array(out)
+
+
+def einsum_sample(block, index, weights):
+    """Fields of a (C, *grid) block at stencil points, (M, C): gathered at the flat
+    ``index`` (M, 4) or (M, 4, 4) into a C-contiguous array and contracted with the
+    per-axis ``weights`` (dims, M, 4) by one C-ordered einsum.  The layout matters:
+    einsum's summation order follows the strides of its operands."""
+    gathered = np.take(block.reshape(len(block), -1), index, axis=1)
+    subscripts = "cma,ma->mc" if index.ndim == 2 else "cmab,ma,mb->mc"
+    return np.einsum(subscripts, gathered, *weights, order="C")
+
+
+def bracket(record, t):
+    """Snapshot index i and fraction theta with t = t_i + theta * spacing, deciding
+    "on a snapshot" by the whole-step rule (1e-9 relative to the span) after
+    checking span and spacing positive and finite."""
+    spacing = record.snapshot_spacing
+    span = t - float(record.times[0])
+    last = len(record) - 1
+    n = 0
+    if span > 0.0:
+        if not (math.isfinite(span) and math.isfinite(spacing) and spacing > 0.0):
+            raise ValueError(f"time span {span} or spacing {spacing} is not positive and finite")
+        ratio = span / spacing
+        n = round(ratio) if math.isfinite(ratio) else 0
+        if not (n >= 1 and abs(n * spacing - span) <= 1e-9 * span):
+            n = 0
+    if span == 0.0 or 0 < n <= last:
+        return n, 0.0
+    i = min(max(math.floor(span / spacing), 0), last - 1)
+    return i, span / spacing - i

@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from bohmsim import make_grid
-from bohmsim._interp import _OFFSETS, Stencil, _point_weights, _weights, erode, interpolate, stencil_valid
+from bohmsim._interp import (
+    _OFFSETS,
+    Stencil,
+    _point_weights,
+    _weights,
+    erode,
+    interpolate,
+    sample_point,
+    stencil_valid,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -194,9 +204,9 @@ def grid_fields_and_two_point_sets(draw):
 
 @st.composite
 def grid_fields_and_edge_points(draw):
-    """A grid, a two-field block and mask on it, points at its edges, on its lattice,
-    inside, off it and non-finite, and as many points off the grid on every axis."""
-    dims = draw(st.sampled_from([1, 2]))
+    """A 1D grid, a two-field block and mask on it, points at its edges, on its lattice,
+    inside, off it and non-finite, and as many points off the grid."""
+    dims = 1
     points = tuple(draw(st.integers(16, 48)) for _ in range(dims))
     lo = draw(st.floats(-20.0, 0.0))
     length = draw(st.floats(1.0, 40.0))
@@ -222,17 +232,17 @@ def grid_fields_and_edge_points(draw):
     return grid, block, mask, x, off
 
 
-def assert_same_row(one, many, m, block, eroded):
-    """The one-point stencil ``one`` equals row m of ``many``: bit for bit where finite."""
-    assert one.on_grid.tolist() == [many.on_grid[m]]
-    assert one.off_grid == int(not many.on_grid[m])
-    assert np.array_equal(one.index[0], many.index[m]) and one.base[0] == many.base[m]
-    for got, want in [(one.weights[:, 0], many.weights[:, m]), (one.sample(block)[0], many.sample(block)[m])]:
-        if np.isfinite(want).all():
-            assert got.tobytes() == want.tobytes()
-        else:
-            assert np.array_equal(got, want, equal_nan=True)
-    assert one.valid(eroded)[0] == many.valid(eroded)[m]
+def assert_same_row(grid, c, many, m, block, eroded):
+    """``sample_point`` at the 1D position c equals row m of the stencil ``many``:
+    None off the grid, else the first field bit for bit and the validity flag."""
+    got = sample_point(grid, c, block[:1], eroded)
+    if not many.on_grid[m]:
+        assert got is None
+        return
+    value, ok = got
+    assert type(value) is float and type(ok) is bool
+    assert np.float64(value).tobytes() == many.sample(block)[m, 0].tobytes()
+    assert ok == many.valid(eroded)[m]
 
 
 @st.composite
@@ -272,7 +282,7 @@ class TestInterpolationProperties:
         out = np.empty((7, 4))
         assert _weights(s, out, tuple(np.empty((5, 7)))) is out
         assert np.array_equal(out, want)
-        # the one-point stencil's form in Python floats
+        # sample_point's form in Python floats
         assert np.array([_point_weights(v) for v in s.tolist()]).tobytes() == want.tobytes()
 
     @PROPERTY_SETTINGS
@@ -337,17 +347,34 @@ class TestInterpolationProperties:
         grid, block, mask, x, _ = case
         many, eroded = Stencil(grid, x), erode(mask, grid.dims)
         for m in range(len(x)):
-            assert_same_row(Stencil(grid, x[m : m + 1]), many, m, block, eroded)
+            assert_same_row(grid, float(x[m, 0]), many, m, block, eroded)
 
     @PROPERTY_SETTINGS
     @given(case=grid_fields_and_edge_points())
     def test_one_point_locate_alternating_on_and_off_the_grid(self, case):
         grid, block, mask, x, off = case
         eroded = erode(mask, grid.dims)
-        stencil = Stencil(grid, off[:1])
-        weights, index = stencil.weights, stencil.index
-        # each point of x, then one off the grid on every axis
-        for point in np.stack([x, off], axis=1).reshape(-1, grid.dims):
-            assert stencil.locate(point[None]) is stencil
-            assert_same_row(stencil, Stencil(grid, point[None]), 0, block, eroded)
-        assert stencil.weights is weights and stencil.index is index
+        # each point of x, then one off the grid
+        points = np.stack([x, off], axis=1).reshape(-1, 1)
+        many = Stencil(grid, points)
+        for m, c in enumerate(points[:, 0].tolist()):
+            assert_same_row(grid, c, many, m, block, eroded)
+            assert_same_row(grid, c, Stencil(grid, points[m : m + 1]), 0, block, eroded)
+
+
+class TestSampleOrder:
+    """``Stencil.sample`` equals the einsum it replaced in 1D, and still makes in 2D."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 5, 64, 10_000])
+    def test_sample_equals_the_einsum_oracle_bit_for_bit(self, dims, components, count):
+        grid = make_grid(dims, -5.0, 5.0, (40, 24)[:dims])
+        rng = np.random.default_rng(count * 10 + components + dims)
+        # on the grid, and off it by up to a length on either side, which wraps
+        stencil = Stencil(grid, rng.uniform(-15.0, 15.0, size=(count, dims)))
+        block = rng.normal(size=(components,) + grid.shape) * 10.0 ** rng.integers(-6, 7, size=grid.shape)
+        got = stencil.sample(block)
+        want = oracles.einsum_sample(block, stencil.index, stencil.weights)
+        assert got.shape == (count, components) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

@@ -190,6 +190,22 @@ def driven_cm_result():
     return run_cm_experiment(spec, 2.0, 0.01, seed=0)
 
 
+def force_bad_offsets(monkeypatch, count):
+    """Mark the first ``count`` offsets of the third field read as in a node region."""
+    real_fields_at = manybody._fields_at
+    calls = []
+
+    def bad_read(cache, t, x):
+        values, ok = real_fields_at(cache, t, x)
+        calls.append(t)
+        if len(calls) == 3:
+            ok = ok.copy()
+            ok[:count] = False
+        return values, ok
+
+    monkeypatch.setattr(manybody, "_fields_at", bad_read)
+
+
 class TestRunCmExperiment:
     def test_cm_obeys_newton_under_external_force(self, driven_cm_result):
         assert abs(driven_cm_result.fit_acceleration() - 0.5) < 0.03
@@ -216,24 +232,18 @@ class TestRunCmExperiment:
             return records[-1]
 
         monkeypatch.setattr(manybody, "evolve", recording_evolve)
-        real_fields_at = manybody._fields_at
-        calls = []
-
-        def one_bad_read(cache, t, x):
-            values, ok = real_fields_at(cache, t, x)
-            calls.append(t)
-            if len(calls) == 3:  # mark the first offset of one read as in a node region
-                ok = ok.copy()
-                ok[0] = False
-            return values, ok
-
-        monkeypatch.setattr(manybody, "_fields_at", one_bad_read)
-        # one forced redraw in a short run would otherwise trip the too-many-resamples abort
-        monkeypatch.setattr(manybody, "RESAMPLE_ABORT_FRACTION", 1.0)
+        force_bad_offsets(monkeypatch, 1)
+        # one forced redraw is within the limit, which is never below one redraw
         res = run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
-        assert res.resample_count >= 1
+        assert res.resample_count == 1
         assert records
         assert all("snapshots" not in record.__dict__ for record in records)
+
+    def test_one_redraw_over_the_limit_aborts(self, monkeypatch):
+        # 10 subsystems over 10 steps: the in-run limit is its floor of one redraw
+        force_bad_offsets(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="too many offsets entered node regions"):
+            run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
 
     def test_spring_forces_cancel_exactly(self):
         spec = FactorizedNBody.homogeneous(100, external=Linear(force=0.5), coupling=0.5)

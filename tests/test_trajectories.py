@@ -75,6 +75,14 @@ def coherent_record():
     return evolve_quiet(wf, Harmonic(omega=1.0), 2.0, 1e-4, snapshot_stride=250)
 
 
+def two_lobe_record(line_grid, unit_params):
+    """A record of two Gaussians of opposite sign, with a node region at x = 0."""
+    x = line_grid.axes()[0]
+    psi = np.exp(-((x - 2.0) ** 2) / 4.0) - np.exp(-((x + 2.0) ** 2) / 4.0)
+    wf = normalize(Wavefunction(line_grid, unit_params, psi.astype(complex), 0.0))
+    return evolve_quiet(wf, Free(), 0.02, 1e-3, snapshot_stride=10)
+
+
 class TestGuidance:
     def test_plane_wave_rides_at_constant_speed(self, plane_record):
         traj = integrate_guidance(plane_record, [0.7], 0.2)
@@ -167,10 +175,7 @@ class TestGuidance:
         assert exc_info.value.time == 0.0
 
     def test_node_region_aborts(self, line_grid, unit_params):
-        x = line_grid.axes()[0]
-        psi = np.exp(-((x - 2.0) ** 2) / 4.0) - np.exp(-((x + 2.0) ** 2) / 4.0)
-        wf = normalize(Wavefunction(line_grid, unit_params, psi.astype(complex), 0.0))
-        record = evolve_quiet(wf, Free(), 0.02, 1e-3, snapshot_stride=10)
+        record = two_lobe_record(line_grid, unit_params)
         with pytest.raises(TrajectoryAbort, match="node region") as exc_info:
             integrate_guidance(record, [0.01], 0.02)
         assert exc_info.value.time == pytest.approx(0.0)
@@ -295,6 +300,12 @@ class TestGuidanceMomenta:
         assert seen[-1] == pytest.approx(float(times[-1]), abs=0.0)
 
 
+def abort_of(call):
+    with pytest.raises(TrajectoryAbort) as exc_info:
+        call()
+    return exc_info.value
+
+
 class ArrayWeightsCalled(Exception):
     pass
 
@@ -324,6 +335,34 @@ class TestOnePointPath:
         _, positions, momenta = integrate_newton_batch(heavy_record, twice, Free(), 0.1)
         assert np.array_equal(newton.positions, positions[:, 1])
         assert np.array_equal(newton.momenta, momenta[:, 1])
+
+    @pytest.mark.parametrize(
+        "case, x0, dt",
+        [
+            ("plane", 5.0 * np.pi - 1.0, 0.2),  # rides off the top of the grid
+            ("plane", np.nan, 0.2),
+            ("plane", -np.inf, 0.2),
+            ("plane", 1e300, 0.2),
+            ("plane", 5.0 * np.pi, 0.2),  # the upper bound is the image of the lower one
+            ("nodes", 0.01, 0.02),  # starts in the node region
+        ],
+    )
+    @pytest.mark.parametrize("route", ["guidance", "newton"])
+    def test_single_particle_aborts_as_a_row_of_a_batch(
+        self, plane_record, line_grid, unit_params, case, x0, dt, route
+    ):
+        record = plane_record if case == "plane" else two_lobe_record(line_grid, unit_params)
+        if route == "guidance":
+            one = abort_of(lambda: integrate_guidance(record, [x0], dt))
+            two = abort_of(lambda: integrate_guidance_batch(record, np.full((2, 1), x0), dt))
+        else:
+            one = abort_of(lambda: integrate_newton(record, [x0], Free(), dt))
+            two = abort_of(lambda: integrate_newton_batch(record, np.full((2, 1), x0), Free(), dt))
+        assert ("node region" in str(one)) == ("node region" in str(two)) == (case == "nodes")
+        assert one.time == two.time
+        assert one.positions.shape == (1, 1) and two.positions.shape == (2, 1)
+        assert np.array_equal(one.positions[0], two.positions[0], equal_nan=True)
+        assert np.array_equal(two.positions[0], two.positions[1], equal_nan=True)
 
 
 class TestNewtonRoute:
@@ -367,10 +406,7 @@ class TestNewtonRoute:
         assert exc_info.value.time == pytest.approx(0.0)
 
     def test_start_in_node_region_aborts(self, line_grid, unit_params):
-        x = line_grid.axes()[0]
-        psi = np.exp(-((x - 2.0) ** 2) / 4.0) - np.exp(-((x + 2.0) ** 2) / 4.0)
-        wf = normalize(Wavefunction(line_grid, unit_params, psi.astype(complex), 0.0))
-        record = evolve_quiet(wf, Free(), 0.02, 1e-3, snapshot_stride=10)
+        record = two_lobe_record(line_grid, unit_params)
         with pytest.raises(TrajectoryAbort, match="node region") as exc_info:
             integrate_newton(record, [0.01], Free(), 0.02)
         assert exc_info.value.time == pytest.approx(0.0)
@@ -480,6 +516,26 @@ class TestBracket:
             assert i == steps
         else:
             assert i in (k - 1, k) and 0.0 < theta < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.floats(-50.0, 50.0),
+        spacing=st.floats(1e-3, 10.0),
+        k=st.integers(0, 8001),
+        offset=st.one_of(
+            st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]).map(lambda r: ("relative", r)),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda f: ("between", f)),
+        ),
+    )
+    def test_equals_the_checked_bracket(self, t0, spacing, k, offset):
+        grid = make_grid(1, -1.0, 1.0, 16)
+        times = t0 + spacing * np.arange(8002)
+        record = EvolutionRecord(
+            times, np.zeros((8002, 16), complex), grid, PhysicalParams(), spacing, np.zeros(8001), Free()
+        )
+        kind, value = offset
+        t = t0 + k * spacing * (1.0 + value) if kind == "relative" else t0 + (k + value) * spacing
+        assert _bracket(record, t) == oracles.bracket(record, t)
 
     def test_lattice_tolerance_grows_with_the_span(self, spreading_record):
         # 5e-10 relative off step 20 is 1e-8 of a spacing: still on the lattice
