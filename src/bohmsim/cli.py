@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .manybody import (
 )
 from .propagator import Free, Harmonic, Linear, continuity_residual, evolve
 from .quantum_potential import averaged_quantum_force, compute_qfields, hamilton_jacobi_energy
-from .trajectories import integrate_guidance
+from .trajectories import crosscheck, integrate_guidance
 from .wavefield import (
     PhysicalParams,
     init_gaussian,
@@ -44,17 +44,6 @@ from .wavefield import (
     position_moments,
     velocity_batch,
     Wavefunction,
-)
-
-EXPERIMENTS = (
-    "free-gaussian",
-    "harmonic-ground",
-    "equivariance",
-    "averaging-identity",
-    "no-tunneling",
-    "cm-newton",
-    "bec",
-    "crosscheck",
 )
 
 POTENTIALS = ("free", "harmonic", "linear", "barrier")
@@ -137,7 +126,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict[str, dict[str, object]]] = {
         "run": {"dt": 1e-4, "t_final": 1.0, "snapshot_stride": 500},
     },
     "equivariance": {"run": {"dt": 0.01, "t_final": 2.0, "m_samples": 10000}},
-    "averaging-identity": {},
     "no-tunneling": {
         "grid": {"dims": 2, "x_min": -8.0, "x_max": 8.0, "points": 128},
         "physics": {"sigma": 0.5},
@@ -360,17 +348,14 @@ def _run_free_gaussian(config: ExperimentConfig, seed: int):
     sigma0 = p.sigma
     hbar, mass = params.hbar, params.masses[0]
     rows = []
-    worst_var = 0.0
     for i, snap in enumerate(record.snapshots):
         t = float(record.times[i])
         _, var = position_moments(snap)
         expected = sigma0**2 * (1.0 + (hbar * t / (2.0 * mass * sigma0**2)) ** 2)
-        rel = float(abs(var[0] - expected) / expected)
-        worst_var = max(worst_var, rel)
-        res = float(np.abs(residuals[i - 1]).max()) if i > 0 else 0.0
-        rows.append([t, float(var[0]), expected, rel, res])
+        res = np.abs(residuals[i - 1]).max() if i > 0 else 0.0
+        rows.append([t, var[0], expected, float(abs(var[0] - expected) / expected), res])
     checks = (
-        ContractCheck("variance-law-relative-error", worst_var, 1e-6),
+        ContractCheck("variance-law-relative-error", max(row[3] for row in rows), 1e-6),
         ContractCheck("norm-drift-per-step", float(record.norm_drift.max()), 1e-10),
         ContractCheck("continuity-residual-max", float(np.abs(residuals).max()), 1e-4),
     )
@@ -407,8 +392,7 @@ def _run_harmonic_ground(config: ExperimentConfig, seed: int):
         ContractCheck("norm-drift-per-step", float(record.norm_drift.max()), 1e-10),
     )
     header = ["time", "energy_at_probe", "max_speed"]
-    traj_rows = [[float(t), float(x)] for t, x in zip(traj.times, traj.positions[:, 0])]
-    return checks, header, rows, (["time", "x"], traj_rows)
+    return checks, header, rows, (["time", "x"], zip(traj.times, traj.positions[:, 0]))
 
 
 def _run_equivariance(config: ExperimentConfig, seed: int):
@@ -418,13 +402,11 @@ def _run_equivariance(config: ExperimentConfig, seed: int):
     record = evolve(wf, Free(), r.t_final, 0.5 * r.dt, snapshot_stride=10)
     spec = EnsembleSpec(count=r.m_samples, seed=seed, wavefunction=wf)
     ens = evolve_ensemble(spec, record, r.dt)
-    rows = []
-    ks_values = []
-    for row, snap_idx in enumerate(ens.snapshot_indices):
-        snap = record.snapshots[snap_idx]
-        ks = equivariance_distance(ens.positions[row][:, 0], snap)
-        ks_values.append(ks)
-        rows.append([float(ens.times[row]), ks, float(ens.mean_position[row, 0]), float(ens.mean_force[row, 0])])
+    ks_values = [
+        equivariance_distance(ens.positions[row][:, 0], record.snapshots[snap_idx])
+        for row, snap_idx in enumerate(ens.snapshot_indices)
+    ]
+    rows = zip(ens.times, ks_values, ens.mean_position[:, 0], ens.mean_force[:, 0])
     # 95% one-sample KS critical value 1.358/sqrt(M), with 1.5x slack
     bound = 1.5 * 1.358 / np.sqrt(r.m_samples)
     checks = (
@@ -485,11 +467,7 @@ def _run_no_tunneling(config: ExperimentConfig, seed: int):
     for zi, zj in zip(z, z[::-1]):
         starts.append([half + zi * p.sigma, -half + zj * p.sigma])  # sector 2
     report = no_tunneling_check(sym, np.asarray(starts), r.t_final, dt=r.dt)
-    rows = []
-    for i, t in enumerate(report.times):
-        in_first = int((report.sectors[i] == 1).sum())
-        in_second = int((report.sectors[i] == 2).sum())
-        rows.append([float(t), in_first, in_second])
+    rows = zip(report.times, (report.sectors == 1).sum(axis=1), (report.sectors == 2).sum(axis=1))
     checks = (
         ContractCheck("min-sector-residency", float(report.residency.min()), 1.0, kind="min"),
         ContractCheck("term-overlap", sym.term_overlap, 1e-8),
@@ -498,13 +476,8 @@ def _run_no_tunneling(config: ExperimentConfig, seed: int):
     traj_header = ["time"]
     for j in range(report.positions.shape[1]):
         traj_header += [f"x1_{j}", f"x2_{j}"]
-    traj_rows = []
-    for i, t in enumerate(report.times):
-        row = [float(t)]
-        for j in range(report.positions.shape[1]):
-            row += [float(report.positions[i, j, 0]), float(report.positions[i, j, 1])]
-        traj_rows.append(row)
-    return checks, header, rows, (traj_header, traj_rows)
+    paths = np.column_stack([report.times, report.positions.reshape(len(report.times), -1)])
+    return checks, header, rows, (traj_header, paths)
 
 
 def _run_cm_newton(config: ExperimentConfig, seed: int):
@@ -519,17 +492,14 @@ def _run_cm_newton(config: ExperimentConfig, seed: int):
     result = run_cm_experiment(spec, r.t_final, r.dt, sampling=r.sampling, seed=seed)
     expected = p.f_ext * r.n_subsystems / result.total_mass
     fitted = result.fit_acceleration()
-    rows = [
-        [float(t), float(x), float(fc), float(fq), float(fpp), float(c)]
-        for t, x, fc, fq, fpp, c in zip(
-            result.times,
-            result.x_cm,
-            result.classical_force,
-            result.quantum_force,
-            result.quantum_force_per_particle,
-            result.cancellation_residual,
-        )
-    ]
+    rows = zip(
+        result.times,
+        result.x_cm,
+        result.classical_force,
+        result.quantum_force,
+        result.quantum_force_per_particle,
+        result.cancellation_residual,
+    )
     checks = (
         ContractCheck("acceleration-error", abs(fitted - expected), 0.05 * abs(expected)),
         ContractCheck(
@@ -557,10 +527,7 @@ def _run_bec(config: ExperimentConfig, seed: int):
         mass=p.mass,
     )
     slope = result.fit_velocity()
-    rows = [
-        [float(t), float(x), float(fq)]
-        for t, x, fq in zip(result.times, result.x_cm, result.quantum_force)
-    ]
+    rows = zip(result.times, result.x_cm, result.quantum_force)
     checks = (
         ContractCheck("cm-slope-error", abs(slope - p.velocity), 1e-9),
         ContractCheck("velocity-spread", float(result.velocity_spread), 1e-6),
@@ -573,8 +540,6 @@ def _run_bec(config: ExperimentConfig, seed: int):
 def _run_crosscheck(config: ExperimentConfig, seed: int):
     grid, params = _grid_params(config)
     p, r = config.physics, config.run
-    from .trajectories import crosscheck as crosscheck_paths
-
     cases = []
     wf = init_gaussian(grid, params, 0.0, p.sigma)
     cases.append(("free-gaussian", wf, Free(), p.sigma, p.sigma))
@@ -591,7 +556,7 @@ def _run_crosscheck(config: ExperimentConfig, seed: int):
         # step-size guidance; stride 4 stores snapshots dt/2 apart, so every
         # RK4 stage lands on a snapshot and none is kept unread
         record = evolve(wf0, potential, r.t_final, 0.125 * r.dt, snapshot_stride=4)
-        gap = crosscheck_paths(record, [start], potential, r.dt)
+        gap = crosscheck(record, [start], potential, r.dt)
         ratio = gap / width
         worst = max(worst, ratio)
         rows.append([name, gap, width, ratio])
@@ -611,6 +576,8 @@ _RUNNERS = {
     "crosscheck": _run_crosscheck,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def run(
     config: ExperimentConfig,
@@ -625,20 +592,16 @@ def run(
     os.makedirs(directory, exist_ok=True)
     checks, header, rows, trajectories = _RUNNERS[config.experiment](config, effective_seed)
     metadata = _config_echo(config, effective_seed)
-    outputs = []
-    series_path = os.path.join(directory, "series.csv")
-    _write_csv(series_path, metadata, header, rows[:: config.output.stride] if config.output.stride > 1 else rows)
-    outputs.append(series_path)
+    outputs = [os.path.join(directory, "series.csv")]
+    _write_csv(outputs[0], metadata, header, list(rows)[:: config.output.stride])
     if trajectories is not None:
         traj_header, traj_rows = trajectories
-        traj_path = os.path.join(directory, "trajectories.csv")
-        _write_csv(traj_path, metadata, traj_header, traj_rows)
-        outputs.append(traj_path)
+        outputs.append(os.path.join(directory, "trajectories.csv"))
+        _write_csv(outputs[-1], metadata, traj_header, traj_rows)
+    outputs.append(os.path.join(directory, "report.txt"))
     report = ExperimentReport(config.experiment, tuple(checks), tuple(outputs))
-    report_path = os.path.join(directory, "report.txt")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(outputs[-1], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(report.lines()) + "\n")
-    report = replace(report, outputs=tuple(outputs + [report_path]))
     if not quiet:
         for line in report.lines():
             print(line)

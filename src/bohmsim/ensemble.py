@@ -19,8 +19,6 @@ from .quantum_potential import QFields, compute_qfields
 from .trajectories import integrate_guidance_batch
 from .wavefield import Grid, Wavefunction
 
-HISTOGRAM_BINS = 64
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
@@ -111,7 +109,6 @@ class EnsembleTrajectory:
     positions: np.ndarray  # (S, M, dims)
     mean_position: np.ndarray  # (S, dims)
     mean_force: np.ndarray  # (S, dims) ensemble mean of F_Q
-    histograms: tuple[tuple[np.ndarray, np.ndarray], ...]  # (counts, edges) per snapshot
     snapshot_indices: np.ndarray  # (S,) record snapshot index of each row
 
 
@@ -130,10 +127,8 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
         raise ValueError("snapshot times and trajectory steps share too few common times")
     traj_rows = rows[keep_snap]
     grid = record.grid
-    lo, hi = grid.extents[0]
     mean_pos = np.empty((len(keep_snap), grid.dims))
     mean_force = np.empty((len(keep_snap), grid.dims))
-    histograms = []
     for row, (snap_idx, traj_idx) in enumerate(zip(keep_snap, traj_rows)):
         snap = record.snapshots[snap_idx]
         pos = positions[traj_idx]
@@ -141,13 +136,10 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
         mean_force[row] = mean_quantum_force(pos, qf)
         for d in range(grid.dims):
             mean_pos[row, d] = _fsum_mean(pos[:, d])
-        counts, edges = np.histogram(pos[:, 0], bins=HISTOGRAM_BINS, range=(lo, hi))
-        histograms.append((counts, edges))
     return EnsembleTrajectory(
         times=times[traj_rows],
         positions=positions[traj_rows],
         mean_position=mean_pos,
         mean_force=mean_force,
-        histograms=tuple(histograms),
         snapshot_indices=keep_snap,
     )

@@ -29,7 +29,7 @@ from . import _interp
 from .ensemble import _grid_cdf, _rng, sample_density
 from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
-from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, integrate_guidance_batch
+from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, _rk4_step, integrate_guidance_batch
 from .wavefield import (
     Grid,
     PhysicalParams,
@@ -295,7 +295,6 @@ class FactorizedNBody:
 class CMResult:
     """Center-of-mass time series and force bookkeeping of one run."""
 
-    label: str
     times: np.ndarray
     x_cm: np.ndarray
     classical_force: np.ndarray  # total external + pairwise force each step
@@ -321,11 +320,11 @@ class CMResult:
 
 
 def _chain_forces(coupling: PairwiseHarmonic, x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour spring forces; equal and opposite by construction."""
-    stretch = coupling.coupling * (x[1:] - x[:-1] - coupling.rest_length)
+    """Nearest-neighbour spring forces, the spring law of each (x[i+1], x[i]) pair."""
+    pair = coupling.force_at(np.stack([x[1:], x[:-1]], axis=-1), None)  # the law reads no masses
     forces = np.zeros_like(x)
-    forces[:-1] += stretch
-    forces[1:] -= stretch
+    forces[:-1] += pair[:, 1]
+    forces[1:] += pair[:, 0]
     return forces
 
 
@@ -452,9 +451,9 @@ def run_cm_experiment(
         positions = frames + offsets[:, 0]
         external_total = 0.0
         for l in groups:
-            external_total += math.fsum(external_forces(positions, l))
+            external_total += math.fsum(external_forces(positions, l).tolist())
         pairwise = _chain_forces(spec.coupling, positions) if spec.coupling is not None else np.zeros(n)
-        pairwise_total = math.fsum(pairwise)
+        pairwise_total = math.fsum(pairwise.tolist())
         limit = CANCELLATION_BOUND * n * max(np.abs(pairwise).max(), 1e-300)
         if spec.coupling is not None and abs(pairwise_total) > limit:
             raise RuntimeError(
@@ -464,24 +463,20 @@ def run_cm_experiment(
         classical_force[row] = external_total + pairwise_total
         fq = 0.0
         for l in groups:
-            fq += math.fsum(fields_resampling(force_caches[l], t, l)[:, 0])
+            fq += math.fsum(fields_resampling(force_caches[l], t, l)[:, 0].tolist())
         quantum_force[row] = fq
-        x_cm[row] = math.fsum(masses * positions) / total_mass
+        x_cm[row] = math.fsum((masses * positions).tolist()) / total_mass
 
     for step_index in range(n_steps + 1):
         t = float(times[step_index])
         record_row(step_index, t)
         if step_index == n_steps:
             break
-        # Offsets: RK4 along each type's packet guidance flow.
+        # Offsets: RK4 along each type's packet guidance flow, from the
+        # offsets as they stand after any redraw at the stage-one read.
         for l, group in groups.items():
-            cache = vel_caches[l]
-            k1 = fields_resampling(cache, t, l)
-            u = offsets[group]
-            k2 = _eval_fields(cache, t + 0.5 * dt, u + 0.5 * dt * k1)
-            k3 = _eval_fields(cache, t + 0.5 * dt, u + 0.5 * dt * k2)
-            k4 = _eval_fields(cache, t + dt, u + dt * k3)
-            offsets[group] = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = fields_resampling(vel_caches[l], t, l)
+            offsets[group] = _rk4_step(vel_caches[l], t, offsets[group], dt, k1)
         # Frames: kick-drift-kick under the classical forces.
         half_kick = frame_velocities + 0.5 * dt * frame_force(frames) / masses
         frames = frames + dt * half_kick
@@ -491,7 +486,6 @@ def run_cm_experiment(
     rms_cl = float(np.sqrt(np.mean(classical_force**2)))
     contrast = rms_q / (rms_q + rms_cl) if (rms_q + rms_cl) > 0 else float("nan")
     return CMResult(
-        label="cm-newton",
         times=times,
         x_cm=x_cm,
         classical_force=classical_force,
@@ -541,13 +535,13 @@ def run_bec_experiment(
 
     v_i, fq_i = _interp.Stencil(grid, x0).sample(np.concatenate([velocity_field(wf), qf.force])).T
     spread = float(v_i.max() - v_i.min())
-    fq_total = math.fsum(fq_i)
+    fq_total = math.fsum(fq_i.tolist())
 
     # The common modulus co-moves with the coherent flow, so offsets from the
     # cloud are constant and each subsystem keeps its phase-gradient velocity.
     times = dt * np.arange(n_steps + 1)
-    x_cm0 = math.fsum(x0[:, 0]) / n_subsystems
-    v_cm = math.fsum(v_i) / n_subsystems
+    x_cm0 = math.fsum(x0[:, 0].tolist()) / n_subsystems
+    v_cm = math.fsum(v_i.tolist()) / n_subsystems
     x_cm = x_cm0 + v_cm * times
     quantum_force = np.full(n_steps + 1, fq_total)
     classical_force = np.zeros(n_steps + 1)
@@ -555,7 +549,6 @@ def run_bec_experiment(
     rms_q = float(np.sqrt(np.mean(quantum_force**2)))
     contrast = rms_q / (rms_q + 0.0) if rms_q > 0 else float("nan")
     return CMResult(
-        label="bec",
         times=times,
         x_cm=x_cm,
         classical_force=classical_force,

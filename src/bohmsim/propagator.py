@@ -107,30 +107,6 @@ class Linear(PotentialSpec):
 
 
 @dataclass(frozen=True)
-class Barrier(PotentialSpec):
-    """Gaussian bump V = height * exp(-sum_d (x_d - center_d)^2 / 2 width^2)."""
-
-    height: float
-    center: float | tuple[float, ...] = 0.0
-    width: float = 1.0
-
-    def value_at(self, x, params):
-        x = np.asarray(x, dtype=float)
-        centers = _as_tuple(self.center, x.shape[-1], "center")
-        r2 = sum((x[..., d] - centers[d]) ** 2 for d in range(x.shape[-1]))
-        return self.height * np.exp(-r2 / (2.0 * self.width**2))
-
-    def force_at(self, x, params):
-        x = np.asarray(x, dtype=float)
-        centers = _as_tuple(self.center, x.shape[-1], "center")
-        v = self.value_at(x, params)
-        out = np.zeros_like(x)
-        for d in range(x.shape[-1]):
-            out[..., d] = v * (x[..., d] - centers[d]) / self.width**2
-        return out
-
-
-@dataclass(frozen=True)
 class PairwiseHarmonic(PotentialSpec):
     """Two-coordinate spring V = (1/2) coupling (x_0 - x_1 - rest_length)^2.
 

@@ -183,6 +183,14 @@ def _step_count(record: EvolutionRecord, dt: float) -> int:
     return _whole_steps(float(record.times[-1] - record.times[0]), dt, "record span")
 
 
+def _rk4_step(cache: _FieldCache, t: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
+    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1."""
+    k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
+    k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
+    k4 = _eval_fields(cache, t + dt, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _guidance_rk4(
     record: EvolutionRecord, x0: np.ndarray, dt: float, keep_velocities: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -207,10 +215,7 @@ def _guidance_rk4(
         k1 = _eval_fields(cache, t, x)
         if velocities is not None:
             velocities[step_index] = k1
-        k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = _eval_fields(cache, t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(cache, t, x, dt, k1)
         positions[step_index + 1] = x
     if velocities is not None:
         velocities[n] = _eval_fields(cache, float(times[n]), x)

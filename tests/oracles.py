@@ -8,8 +8,9 @@ exceptions are former library forms that the current code must reproduce
 bit for bit: ``continuity_residual_pairs``, the per-pair loop, one snapshot
 at a time, behind the batched ``continuity_residual`` (it uses the library's
 spectral derivative on single snapshots only); ``einsum_sample``, the einsum
-that ``Stencil.sample`` replaced; and ``bracket``, the checked time bracket
-that ``trajectories._bracket`` replaced.
+that ``Stencil.sample`` replaced; ``bracket``, the checked time bracket
+that ``trajectories._bracket`` replaced; and ``chain_forces``, the spring
+law written out that ``manybody._chain_forces`` replaced.
 """
 
 from __future__ import annotations
@@ -122,3 +123,13 @@ def bracket(record, t):
         return n, 0.0
     i = min(max(math.floor(span / spacing), 0), last - 1)
     return i, span / spacing - i
+
+
+def chain_forces(coupling, x):
+    """Nearest-neighbour spring forces of a chain x (n,): each stretch k (x[i+1] - x[i] - rest)
+    pulls x[i] forward and x[i+1] back, added in that order."""
+    stretch = coupling.coupling * (x[1:] - x[:-1] - coupling.rest_length)
+    forces = np.zeros_like(x)
+    forces[:-1] += stretch
+    forces[1:] -= stretch
+    return forces

@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, and the README example runs."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,15 @@ def test_field_wrapper_types_are_gone():
         assert name not in bohmsim.__all__
         for module in (bohmsim, bohmsim.wavefield, bohmsim.quantum_potential, bohmsim.trajectories):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_unread_names_are_gone():
+    assert "Barrier" not in bohmsim.__all__
+    for module in (bohmsim, bohmsim.propagator):
+        assert not hasattr(module, "Barrier"), f"{module.__name__}.Barrier"
+    assert not hasattr(bohmsim.ensemble, "HISTOGRAM_BINS")
+    assert "histograms" not in {f.name for f in fields(bohmsim.EnsembleTrajectory)}
+    assert "label" not in {f.name for f in fields(bohmsim.CMResult)}
 
 
 def test_readme_library_example_runs():

@@ -500,6 +500,10 @@ class TestMain:
         assert capsys.readouterr().out.strip() == f"ok: experiment={experiment}"
         assert parse_config_file(str(path)).experiment == experiment
 
+    def test_experiment_defaults_name_known_experiments(self):
+        # a misspelled key would be skipped by the per-experiment lookup
+        assert set(cli._EXPERIMENT_DEFAULTS) <= set(EXPERIMENTS)
+
     def test_list_experiments_prints_all(self, capsys):
         assert main(["list-experiments"]) == 0
         names = capsys.readouterr().out.split()

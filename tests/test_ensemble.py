@@ -168,10 +168,3 @@ class TestEvolveEnsemble:
 
     def test_mean_position_tracks_packet_center(self, transported):
         assert np.abs(transported.mean_position).max() < 4.0 * 1.5 / np.sqrt(2000)
-
-    def test_histograms_cover_every_report(self, transported):
-        assert len(transported.histograms) == len(transported.times)
-        for counts, edges in transported.histograms:
-            assert counts.sum() == 2000
-            assert edges[0] == pytest.approx(-15.0)
-            assert edges[-1] == pytest.approx(15.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bohmsim import (
@@ -190,20 +192,41 @@ def driven_cm_result():
     return run_cm_experiment(spec, 2.0, 0.01, seed=0)
 
 
-def force_bad_offsets(monkeypatch, count):
-    """Mark the first ``count`` offsets of the third field read as in a node region."""
+def force_bad_offsets(monkeypatch, count, read=3):
+    """Mark the first ``count`` offsets of field read number ``read`` as in a node region.
+
+    Each step reads the quantum force of its row, then the stage-one
+    velocity of its RK4 step: read 2 is a velocity read, read 3 a force row.
+    Returns the list of (time, offsets) of every read.
+    """
     real_fields_at = manybody._fields_at
     calls = []
 
     def bad_read(cache, t, x):
         values, ok = real_fields_at(cache, t, x)
-        calls.append(t)
-        if len(calls) == 3:
+        calls.append((t, x.copy()))
+        if len(calls) == read:
             ok = ok.copy()
             ok[:count] = False
         return values, ok
 
     monkeypatch.setattr(manybody, "_fields_at", bad_read)
+    return calls
+
+
+class TestChainForces:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(10, 300),
+        spacing=st.floats(0.1, 50.0),
+        coupling=st.floats(1e-3, 1e3),
+        rest_length=st.floats(-50.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_written_out_spring_law_bit_for_bit(self, n, spacing, coupling, rest_length, seed):
+        x = np.arange(n) * spacing + np.random.default_rng(seed).normal(scale=0.25 * spacing, size=n)
+        spring = PairwiseHarmonic(coupling=coupling, rest_length=rest_length)
+        assert manybody._chain_forces(spring, x).tobytes() == oracles.chain_forces(spring, x).tobytes()
 
 
 class TestRunCmExperiment:
@@ -244,6 +267,28 @@ class TestRunCmExperiment:
         force_bad_offsets(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="too many offsets entered node regions"):
             run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
+
+    def test_redraw_at_the_stage_one_read_starts_the_step(self, monkeypatch):
+        # the RK4 step must start from the offsets its stage-one velocity was read at
+        redrawn, starts = [], []
+        real_eval_fields, real_rk4_step = manybody._eval_fields, manybody._rk4_step
+
+        def recording_eval_fields(cache, t, x):
+            redrawn.append(x.copy())
+            return real_eval_fields(cache, t, x)
+
+        def recording_rk4_step(cache, t, x, dt, k1):
+            starts.append(x.copy())
+            return real_rk4_step(cache, t, x, dt, k1)
+
+        monkeypatch.setattr(manybody, "_eval_fields", recording_eval_fields)
+        monkeypatch.setattr(manybody, "_rk4_step", recording_rk4_step)
+        reads = force_bad_offsets(monkeypatch, 1, read=2)
+        res = run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
+        assert res.resample_count == 1
+        assert len(redrawn) == 1  # the velocity re-read after the one redraw
+        assert redrawn[0][0, 0] != reads[1][1][0, 0]
+        assert np.array_equal(starts[0], redrawn[0])
 
     def test_spring_forces_cancel_exactly(self):
         spec = FactorizedNBody.homogeneous(100, external=Linear(force=0.5), coupling=0.5)

@@ -10,7 +10,6 @@ import bohmsim
 import oracles
 from bohmsim import (
     AccuracyWarning,
-    Barrier,
     Free,
     Harmonic,
     Linear,
@@ -26,6 +25,8 @@ from bohmsim import (
     init_plane_wave,
     make_grid,
     node_mask,
+    norm,
+    normalize,
     position_moments,
     probability_current,
     step,
@@ -40,25 +41,24 @@ def quiet_evolve(*args, **kwargs):
         return evolve(*args, **kwargs)
 
 
-# (spec, dims); append new cases so the ids of the existing ones stay stable
-POTENTIAL_CASES = [
-    (Harmonic(omega=1.3, center=0.2), 1),
-    (Linear(force=0.7), 1),
-    (Barrier(height=2.0, center=0.5, width=0.8), 1),
-    (SumPotential((Harmonic(omega=1.0), Linear(force=0.3))), 1),
-    (Free(), 1),
-    (Harmonic(omega=(1.3, 0.6), center=(0.2, -0.4)), 2),
-    (Barrier(height=2.0, center=(0.5, -0.3), width=0.8), 2),
-    (Linear(force=(0.7, -0.2)), 2),
-    (PairwiseHarmonic(coupling=0.8, rest_length=1.0), 2),
-    (SumPotential((PairwiseHarmonic(coupling=0.5), Harmonic(omega=1.0))), 2),
-]
+# id number -> (spec, dims); new cases take new numbers so existing ids stay
+# stable (2 and 6 were the removed Gaussian barrier)
+POTENTIAL_CASES = {
+    0: (Harmonic(omega=1.3, center=0.2), 1),
+    1: (Linear(force=0.7), 1),
+    3: (SumPotential((Harmonic(omega=1.0), Linear(force=0.3))), 1),
+    4: (Free(), 1),
+    5: (Harmonic(omega=(1.3, 0.6), center=(0.2, -0.4)), 2),
+    7: (Linear(force=(0.7, -0.2)), 2),
+    8: (PairwiseHarmonic(coupling=0.8, rest_length=1.0), 2),
+    9: (SumPotential((PairwiseHarmonic(coupling=0.5), Harmonic(omega=1.0))), 2),
+}
 
 
 class TestPotentials:
     @pytest.mark.parametrize(
         "potential, dims",
-        [pytest.param(p, d, id=f"potential{i}") for i, (p, d) in enumerate(POTENTIAL_CASES)],
+        [pytest.param(p, d, id=f"potential{i}") for i, (p, d) in POTENTIAL_CASES.items()],
     )
     def test_force_is_negative_gradient(self, potential, dims, unit_params):
         x = np.array([[0.7, -0.3], [-1.2, 0.9], [0.0, 0.0]])[:, :dims]
@@ -77,7 +77,7 @@ class TestPotentials:
     def test_grid_evaluation_matches_pointwise(self, dims, unit_params):
         grid = make_grid(dims, -4.0, 4.0, 32)
         points = np.stack(grid.meshes(), axis=-1).reshape(-1, dims)
-        for potential, case_dims in POTENTIAL_CASES:
+        for potential, case_dims in POTENTIAL_CASES.values():
             if case_dims != dims:
                 continue
             on_grid = evaluate_potential(potential, grid, unit_params)
@@ -176,6 +176,56 @@ class TestStep:
             step(unit_gaussian, Free(), 100.0 * bound)
 
 
+# Over 15,000 drawn cases the largest errors were 4.4e-16 (norm) and 1.4e-15
+# (reversal, relative to max |psi|).  A kernel without its closing
+# half-potential factor keeps the norm but reverses with errors up to 1.9;
+# one that takes the potential phase as a real decay fails both by up to 1e14.
+STEP_NORM_BOUND = 1e-14
+STEP_REVERSAL_BOUND = 2e-14
+
+
+@st.composite
+def stepper_cases(draw):
+    """A random normalized state, masses, hbar, dt and SumPotential in 1D or 2D."""
+    dims = draw(st.sampled_from([1, 2]))
+    points = draw(st.sampled_from([16, 32, 64, 128] if dims == 1 else [16, 24, 32]))
+    half = draw(st.floats(2.0, 20.0))
+    params = PhysicalParams(draw(st.floats(0.1, 10.0)), tuple(draw(st.floats(0.1, 10.0)) for _ in range(dims)))
+    terms = [
+        st.builds(Harmonic, omega=st.floats(0.0, 3.0), center=st.floats(-2.0, 2.0)),
+        st.builds(Linear, force=st.floats(-3.0, 3.0)),
+    ]
+    if dims == 2:
+        terms.append(st.builds(PairwiseHarmonic, coupling=st.floats(0.0, 3.0), rest_length=st.floats(-2.0, 2.0)))
+    potential = SumPotential(tuple(draw(st.lists(st.one_of(terms), min_size=1, max_size=3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = make_grid(dims, -half, half, points)
+    amps = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    return normalize(Wavefunction(grid, params, amps, 0.0)), potential, draw(st.floats(1e-4, 0.5))
+
+
+def step_errors(wf, potential, dt):
+    """Norm change of one step, and max |conj(step(conj(step(psi)))) - psi| over max |psi|."""
+    forward = step(wf, potential, dt)
+    mirrored = Wavefunction(wf.grid, wf.params, np.conj(forward.amplitudes), 0.0)
+    back = np.conj(step(mirrored, potential, dt).amplitudes)
+    reversal = np.abs(back - wf.amplitudes).max() / np.abs(wf.amplitudes).max()
+    return abs(norm(forward) - norm(wf)), reversal
+
+
+@pytest.mark.filterwarnings("ignore::bohmsim.AccuracyWarning")
+class TestStepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases())
+    def test_step_keeps_the_norm(self, case):
+        assert step_errors(*case)[0] <= STEP_NORM_BOUND
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases())
+    def test_conjugated_step_reverses_a_step(self, case):
+        assert step_errors(*case)[1] <= STEP_REVERSAL_BOUND
+
+
 class TestEvolve:
     def test_rejects_non_integer_step_count(self, unit_gaussian):
         with pytest.raises(ValueError, match="integer number of steps"):
@@ -203,7 +253,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "potential",
-        [Free(), Harmonic(omega=1.0), Linear(force=0.5), Barrier(height=1.0, width=1.0)],
+        [Free(), Harmonic(omega=1.0), Linear(force=0.5)],
     )
     def test_unitarity(self, wide_grid, unit_params, potential):
         wf = init_gaussian(wide_grid, unit_params, 0.0, 1.0, 1.0)
