@@ -4,14 +4,12 @@ The spline is the cardinal cubic with centered-difference slopes; it
 reproduces quadratics exactly and wraps periodically, matching the grids.
 One ``Stencil`` per query set serves its on-grid flag, its validity check (one read
 per point of a mask that ``erode`` shrank by the footprint) and every field, and
-``locate`` refills it in place for the next set of as many points.  ``sample``
-gathers every field at once; in 1D it sums the four products of a point in the
-explicit order (p0 + p2) + (p1 + p3), the order of einsum's paired SIMD lanes, and
-in 2D it makes one ``einsum``.  ``sample_point`` evaluates one 1D position in
-Python floats with the same weights (``_point_weights``) and the same order, so it
-equals a row of the array result bit for bit without some fifty numpy calls on
-one-element arrays.  ``interpolate`` and ``stencil_valid`` stay public:
-``perfbench/tracer.py`` wraps both by name.
+``locate`` refills it in place for the next set of as many points.  In 1D a cell's
+cubic depends only on its four samples: ``sample`` tabulates the power-form
+coefficients of every cell (``_cubic``) and evaluates each point's cell by Horner's
+rule, and ``sample_point`` does the same for one position in Python floats, bit for
+bit.  In 2D ``locate`` also fills per-axis weights and footprints for one ``einsum``.
+``interpolate`` and ``stencil_valid`` stay public: ``perfbench/tracer.py`` wraps both.
 """
 
 from __future__ import annotations
@@ -45,18 +43,19 @@ def _weights(s: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndar
     return out
 
 
-def _point_weights(s: float) -> tuple[float, float, float, float]:
-    """``_weights`` of one fraction in Python floats, bit for bit: each + - * / rounds
-    as the ufunc it replaces, and the order of the operations is the same."""
-    s2 = s * s
-    s3 = s2 * s
-    three_s3 = 3.0 * s3
-    return (
-        0.5 * (2.0 * s2 - s3 - s),
-        0.5 * (three_s3 - 5.0 * s2 + 2.0),
-        0.5 * (4.0 * s2 - three_s3 + s),
-        0.5 * (s3 - s2),
-    )
+def _cubic(before, here, after, beyond):
+    """Power-form coefficients c0..c3 of the Catmull-Rom cubic through samples f(-1), f(0), f(1), f(2) on
+    the cell [0, 1]; floats and arrays round alike, as each expression is evaluated left to right."""
+    c2 = before - 2.5 * here + 2.0 * after - 0.5 * beyond
+    return here, 0.5 * (after - before), c2, 0.5 * (beyond - before) + 1.5 * (here - after)
+
+
+def _shifts(a: np.ndarray, axis: int) -> list[np.ndarray]:
+    """Four views of ``a`` wrapped along ``axis`` whose entry j holds a[j + k], for k = -1, 0, 1, 2."""
+    n = a.shape[axis]
+    pad = np.take(a, np.arange(-1, n + 2), axis=axis, mode="wrap")
+    tail = (slice(None),) * (a.ndim - 1 - axis % a.ndim)
+    return [pad[(..., slice(k, k + n)) + tail] for k in range(4)]
 
 
 def erode(mask: np.ndarray, dims: int) -> np.ndarray:
@@ -64,7 +63,8 @@ def erode(mask: np.ndarray, dims: int) -> np.ndarray:
     wrapped) lies in ``mask``, over its trailing ``dims`` axes.  Erosion
     distributes over ``&``: ``erode(a & b) == erode(a) & erode(b)``."""
     for axis in range(mask.ndim - dims, mask.ndim):
-        mask = np.logical_and.reduce([np.roll(mask, -k, axis) for k in _OFFSETS])
+        before, here, after, beyond = _shifts(mask, axis)
+        mask = before & here & after & beyond
     return mask
 
 
@@ -72,27 +72,32 @@ class Stencil:
     """Wrap-around interpolation stencil of query points ``x`` (M, dims).
 
     ``on_grid`` flags the points with lo <= x < hi on every axis and ``off_grid``
-    counts the others, which wrap.  ``index`` holds flat grid indices, (M, 4) in 1D
-    and (M, 4, 4) in 2D, ``base`` those of offset 0, and ``weights`` the per-axis
-    weights, (dims, M, 4).  All are allocated once; ``locate`` refills them, and
-    raises ``ValueError`` for positions of another shape.
+    counts the others, which wrap.  ``base`` holds the flat grid index of each point's
+    cell and ``fraction`` the point's place in it per axis, (dims, M).  In 2D ``index``
+    holds the flat footprint indices, (M, 4, 4), and ``weights`` the per-axis weights,
+    (2, M, 4).  All are allocated once; ``locate`` refills them, and raises
+    ``ValueError`` for positions of another shape.
     """
 
     def __init__(self, grid: Grid, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._tables, rows = grid._stencil_tables, (grid.dims, len(x))
         self._shape = (len(x), grid.dims)
-        self.weights = np.empty(rows + (4,))
-        # lo <= x, x < hi, both; x - lo, u, floor, fraction and two more for _weights
-        self._flags, self._rows = tuple(np.empty((3,) + rows, dtype=bool)), tuple(np.empty((6,) + rows))
-        self._truncated, self._wrapped = np.empty((2,) + rows, dtype=np.int64)
-        self._taken = np.empty(rows + (4,), dtype=np.int64)  # per-axis footprints
-        self._per_axis = tuple(zip(self._tables[-1], self._wrapped, self._taken))
         two = grid.dims == 2
-        self.on_grid = np.empty(len(x), dtype=bool) if two else self._flags[2][0]
-        self.index = np.empty((len(x), 4, 4), dtype=np.int64) if two else self._taken[0]
-        self.base = self.index[:, 1, 1] if two else self._wrapped[0]
-        self._gather = np.empty((0,) + self.index.shape)  # (C, *index.shape), reallocated when C changes
+        # lo <= x, x < hi, both; x - lo, u, floor, fraction and, in 2D, two more for _weights
+        self._flags, self._rows = tuple(np.empty((3,) + rows, dtype=bool)), tuple(np.empty((4 + 2 * two,) + rows))
+        self._truncated, self._wrapped = np.empty((2,) + rows, dtype=np.int64)
+        self.fraction = self._rows[3]
+        if two:
+            self.weights = np.empty(rows + (4,))
+            self._taken = np.empty(rows + (4,), dtype=np.int64)  # per-axis footprints
+            self._per_axis = tuple(zip(self._tables[-1], self._wrapped, self._taken))
+            self.on_grid = np.empty(len(x), dtype=bool)
+            self.index = np.empty((len(x), 4, 4), dtype=np.int64)
+            self.base = self.index[:, 1, 1]
+        else:
+            self.on_grid, self.base = self._flags[2][0], self._wrapped[0]
+        self._gather = np.empty((0,))  # gathered fields, reallocated when their count changes
         self.locate(x)
 
     def locate(self, x: np.ndarray) -> Stencil:
@@ -105,35 +110,44 @@ class Stencil:
         x = x.T
         above, below, inside = self._flags
         np.logical_and(np.less_equal(lo, x, above), np.less(x, hi, below), inside)
-        if len(inside) == 2:
+        two = len(inside) == 2
+        if two:
             np.logical_and(inside[0], inside[1], self.on_grid)
         self.off_grid = len(self.on_grid) - np.count_nonzero(self.on_grid)
-        shifted, u, base, fraction, spare, other = self._rows
+        shifted, u, base, fraction, *spare = self._rows
         # NaN, infinite or huge positions get a meaningless stencil, quietly
         with np.errstate(invalid="ignore") if self.off_grid else nullcontext():
             np.divide(np.subtract(x, lo, shifted), dx, u)
             np.subtract(u, np.floor(u, base), fraction)
             np.copyto(self._truncated, base, casting="unsafe")
-            _weights(fraction, self.weights, (shifted, u, base, spare, other))
-        np.remainder(self._truncated, n, self._wrapped)
-        # every index is in range after the wrap; "clip" only skips the check
-        for table, wrapped, taken in self._per_axis:
-            table.take(wrapped, axis=0, out=taken, mode="clip")
-        if len(self._taken) == 2:
+            if two:
+                _weights(fraction, self.weights, (shifted, u, base, *spare))
+        # floor mod n: t - (t // n) n takes half the time of np.remainder on int64
+        t, wrapped = self._truncated, self._wrapped
+        np.subtract(t, np.multiply(np.floor_divide(t, n, wrapped), n, wrapped), wrapped)
+        if two:
+            # every index is in range after the wrap; "clip" only skips the check
+            for table, row, taken in self._per_axis:
+                table.take(row, axis=0, out=taken, mode="clip")
             np.add(self._taken[0][:, :, None], self._taken[1][:, None, :], self.index)
         return self
 
     def sample(self, block: np.ndarray) -> np.ndarray:
         """Each real field of a (C, *grid.shape) block at the query points, (M, C)."""
-        if len(self._gather) != len(block):
-            self._gather = np.empty((len(block),) + self.index.shape)
-        block.reshape(len(block), -1).take(self.index, axis=1, out=self._gather, mode="clip")
-        if self.index.ndim == 3:
+        m, c = len(self.base), len(block)
+        if len(self.fraction) == 2:
+            if self._gather.shape != (c,) + self.index.shape:
+                self._gather = np.empty((c,) + self.index.shape)
+            block.reshape(c, -1).take(self.index, axis=1, out=self._gather, mode="clip")
             return np.einsum("cmab,ma,mb->mc", self._gather, *self.weights, order="C")
-        p = np.multiply(self._gather, self.weights[0], out=self._gather)
-        # (p0 + p2) + (p1 + p3), as sample_point sums: the bits depend on this order
-        out = np.empty((len(self.base), len(block)))
-        np.add(np.add(p[..., 0], p[..., 2], out.T), np.add(p[..., 1], p[..., 3], p[..., 1]), out.T)
+        if self._gather.shape != (c, m, 4):
+            self._gather = np.empty((c, m, 4))
+        table = np.stack(_cubic(*_shifts(block, -1)), axis=-1)  # (C, n, 4): a point's gather is one 32-byte row
+        c0, c1, c2, c3 = table.take(self.base, axis=1, out=self._gather, mode="clip").transpose(2, 0, 1)
+        # ((c3 s + c2) s + c1) s + c0, as sample_point evaluates: the bits depend on this order
+        out = np.empty((m, c))
+        h, s = out.T, self.fraction
+        np.add(np.multiply(np.add(np.multiply(np.add(np.multiply(c3, s, h), c2, h), s, h), c1, h), s, h), c0, h)
         return out
 
     def valid(self, eroded: np.ndarray) -> np.ndarray:
@@ -151,10 +165,11 @@ def sample_point(grid: Grid, c: float, block: np.ndarray, eroded: np.ndarray) ->
     n, = grid.points
     u = (c - lo) / grid.dx[0]
     base = math.floor(u)
-    w0, w1, w2, w3 = _point_weights(u - base)
+    s = u - base
     j = base % n
     a = block.item
-    return (a((j - 1) % n) * w0 + a((j + 1) % n) * w2) + (a(j) * w1 + a((j + 2) % n) * w3), eroded.item(j)
+    c0, c1, c2, c3 = _cubic(a((j - 1) % n), a(j), a((j + 1) % n), a((j + 2) % n))
+    return ((c3 * s + c2) * s + c1) * s + c0, eroded.item(j)
 
 
 def checked_stencil(grid: Grid, x: np.ndarray, valid: np.ndarray) -> Stencil:

@@ -15,9 +15,9 @@ interpolation drops out of the error budget entirely.
 
 A batch reads its fields through one ``_interp.Stencil`` per integration.
 One particle in one dimension runs through the same loops as a Python
-float and reads each field with ``_interp.sample_point``; both sum a
-point's four products in the same order, so its path and its aborts are
-bit-identical to a row of a batch.
+float and reads each field with ``_interp.sample_point``, which evaluates
+its cell's cubic with the batch's coefficients and Horner order, so its
+path and its aborts are bit-identical to a row of a batch.
 """
 
 from __future__ import annotations

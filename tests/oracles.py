@@ -8,9 +8,12 @@ exceptions are former library forms that the current code must reproduce
 bit for bit: ``continuity_residual_pairs``, the per-pair loop, one snapshot
 at a time, behind the batched ``continuity_residual`` (it uses the library's
 spectral derivative on single snapshots only); ``einsum_sample``, the einsum
-that ``Stencil.sample`` replaced; ``bracket``, the checked time bracket
+that ``Stencil.sample`` replaced, now the accuracy reference of the 1D power form
+and the bit-for-bit reference in 2D; ``bracket``, the checked time bracket
 that ``trajectories._bracket`` replaced; and ``chain_forces``, the spring
-law written out that ``manybody._chain_forces`` replaced.
+law written out that ``manybody._chain_forces`` replaced.  ``power_sample`` is
+the 1D power form of ``Stencil.sample`` written out one point at a time, the
+bit-for-bit reference of the 1D array and one-point paths.
 """
 
 from __future__ import annotations
@@ -102,6 +105,29 @@ def einsum_sample(block, index, weights):
     gathered = np.take(block.reshape(len(block), -1), index, axis=1)
     subscripts = "cma,ma->mc" if index.ndim == 2 else "cmab,ma,mb->mc"
     return np.einsum(subscripts, gathered, *weights, order="C")
+
+
+def power_sample(block, grid, x):
+    """Fields of a (C, n) block at 1D points x (M, 1), (M, C), one point and field at a time
+    in Python floats: the cell j = floor(u) mod n and fraction s = u - floor(u) of
+    u = (x - lo) / dx, the power-form coefficients of the Catmull-Rom cubic through the
+    wrapped samples f(j - 1), f(j), f(j + 1), f(j + 2), and Horner's rule in s.  For finite
+    x with |u| < 2**63."""
+    (lo, _), = grid.extents
+    n, = grid.points
+    rows = block.tolist()
+    out = np.empty((len(x), len(block)))
+    for m, c in enumerate(x[:, 0].tolist()):
+        u = (c - lo) / grid.dx[0]
+        j = math.floor(u)
+        s = u - j
+        for k, row in enumerate(rows):
+            fm, f0, f1, f2 = (row[(j + offset) % n] for offset in (-1, 0, 1, 2))
+            c1 = 0.5 * (f1 - fm)
+            c2 = fm - 2.5 * f0 + 2.0 * f1 - 0.5 * f2
+            c3 = 0.5 * (f2 - fm) + 1.5 * (f0 - f1)
+            out[m, k] = ((c3 * s + c2) * s + c1) * s + f0
+    return out
 
 
 def bracket(record, t):

@@ -1,6 +1,7 @@
 """Tests for the command line front end: config parsing, runs, and output files."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,7 +24,11 @@ from bohmsim.cli import (
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
-FREE_GAUSSIAN = (Path(__file__).resolve().parent.parent / "configs" / "free_gaussian.cfg").read_text()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FREE_GAUSSIAN = (CONFIGS / "free_gaussian.cfg").read_text()
+CROSSCHECK = (CONFIGS / "crosscheck.cfg").read_text()
+EQUIVARIANCE = (CONFIGS / "equivariance.cfg").read_text()
+HARMONIC_GROUND = (CONFIGS / "harmonic_ground.cfg").read_text()
 
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
@@ -436,6 +441,81 @@ class TestFreeGaussianChecks:
         config_path = tmp_path / "narrow.cfg"
         config_path.write_text(text)
         assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
+
+
+def run_and_main(tmp_path, text):
+    """The report of ``run`` on config text, and ``main``'s exit code and report.txt on the same config."""
+    report = run(parse_config(text), out_dir=tmp_path / "run", quiet=True)
+    config_path = tmp_path / "case.cfg"
+    config_path.write_text(text)
+    code = main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"])
+    return report, code, (tmp_path / "main" / "report.txt").read_text()
+
+
+class TestNegativeControls:
+    """Config inputs that drive a check to FAIL through ``run`` and ``main``."""
+
+    @pytest.mark.filterwarnings("ignore::bohmsim.AccuracyWarning")
+    def test_coarse_steps_split_the_two_routes(self, tmp_path):
+        # four RK4 and leapfrog steps over the record: the routes part by 3.7e-3 widths
+        report, code, text = run_and_main(tmp_path, CROSSCHECK + "\n[run]\ndt = 0.5\n")
+        assert failed_checks(report) == ["max-route-gap-over-width"]
+        assert code == 1 and "FAIL max-route-gap-over-width" in text
+
+    def test_coarse_steps_carry_the_ensemble_off_equilibrium(self, tmp_path):
+        # snapshots 1.0 apart, linear in time between them, while a sigma = 0.7 packet
+        # spreads on a time scale of 2 sigma^2 = 0.98: the ensemble leaves |psi|^2
+        text = EQUIVARIANCE + "\n[physics]\nsigma = 0.7\n[run]\ndt = 0.2\n"
+        report, code, written = run_and_main(tmp_path, text)
+        assert failed_checks(report) == ["ks-distance-max", "ks-growth-ratio"]
+        assert code == 1
+        assert "FAIL ks-distance-max" in written and "FAIL ks-growth-ratio" in written
+
+
+class TestNanFailsTheContract:
+    """A NaN among the values a check reduces makes it FAIL; Python's ``max`` keeps
+    the running value when the new one is NaN."""
+
+    def test_nan_probe_energies(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "hamilton_jacobi_energy", lambda *args: math.nan)
+        report, code, text = run_and_main(tmp_path, HARMONIC_GROUND)
+        assert failed_checks(report) == ["energy-deviation-at-probe"]
+        assert code == 1 and "FAIL energy-deviation-at-probe: measured=nan" in text
+
+    def test_nan_route_gap_after_the_first_case(self, tmp_path, monkeypatch):
+        calls = []
+
+        def gap(*args):
+            calls.append(args)
+            return math.nan if len(calls) % 3 == 2 else 1e-9
+
+        monkeypatch.setattr(cli, "crosscheck", gap)
+        report, code, text = run_and_main(tmp_path, CROSSCHECK + "\n[run]\nt_final = 0.1\n")
+        assert len(calls) == 6
+        assert failed_checks(report) == ["max-route-gap-over-width"]
+        assert code == 1 and "FAIL max-route-gap-over-width: measured=nan" in text
+
+
+class TestCrosscheckMemory:
+    def test_no_record_outlives_its_case(self, monkeypatch):
+        sizes, real = [], cli.evolve
+
+        def evolve(*args, **kwargs):
+            record = real(*args, **kwargs)
+            sizes.append(record.amplitudes.nbytes)
+            return record
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        config = parse_config(CROSSCHECK + "\n[run]\nt_final = 0.5\n")
+        tracemalloc.start()
+        try:
+            cli._run_crosscheck(config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 3 and len(set(sizes)) == 1
+        # one record, its fields and the working set; two records would be 2.0
+        assert peak < 1.5 * sizes[0]
 
 
 class TestMain:

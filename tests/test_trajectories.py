@@ -262,9 +262,9 @@ class TestFieldCache:
         first, _ = _fields_at(cache, 0.0, x)
         kept = first.copy()
         stencil = cache._stencil
-        weights, index = stencil.weights, stencil.index
+        base, fraction = stencil.base, stencil.fraction
         moved, ok = _fields_at(cache, 0.05, x + 0.01)
-        assert cache._stencil is stencil and stencil.weights is weights and stencil.index is index
+        assert cache._stencil is stencil and stencil.base is base and stencil.fraction is fraction
         assert np.array_equal(first, kept)  # results are not views of the stencil's buffers
         fresh, fresh_ok = _fields_at(_FieldCache(heavy_record, "velocity", 0.05), 0.05, x + 0.01)
         assert np.array_equal(moved, fresh) and np.array_equal(ok, fresh_ok)
@@ -306,24 +306,24 @@ def abort_of(call):
     return exc_info.value
 
 
-class ArrayWeightsCalled(Exception):
+class StencilLocated(Exception):
     pass
 
 
 class TestOnePointPath:
     """One particle is located in Python floats; a batch takes the array path."""
 
-    def test_single_particle_routes_never_call_the_array_weights(self, heavy_record, monkeypatch):
+    def test_single_particle_routes_never_locate_a_stencil(self, heavy_record, monkeypatch):
         def refuse(*args, **kwargs):
-            raise ArrayWeightsCalled
+            raise StencilLocated
 
-        monkeypatch.setattr(_interp, "_weights", refuse)
+        monkeypatch.setattr(_interp.Stencil, "locate", refuse)
         integrate_guidance(heavy_record, [0.4], 0.1)
         integrate_newton(heavy_record, [0.4], Free(), 0.1)
         two = np.array([[0.4], [-0.7]])
-        with pytest.raises(ArrayWeightsCalled):
+        with pytest.raises(StencilLocated):
             integrate_guidance_batch(heavy_record, two, 0.1)
-        with pytest.raises(ArrayWeightsCalled):
+        with pytest.raises(StencilLocated):
             integrate_newton_batch(heavy_record, two, Free(), 0.1)
 
     def test_single_particle_equals_a_row_of_a_batch_bit_for_bit(self, heavy_record):
