@@ -634,7 +634,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None and args.seed < 0:
         print("config error: --seed must be non-negative", file=sys.stderr)
         return 2
-    report = run(config, out_dir=args.out, seed=args.seed, quiet=args.quiet)
+    try:
+        report = run(config, out_dir=args.out, seed=args.seed, quiet=args.quiet)
+    except (ValueError, RuntimeError, FloatingPointError) as err:  # RuntimeError includes TrajectoryAbort
+        print(f"run error: {err}", file=sys.stderr)
+        return 2
     return 0 if report.all_passed else 1
 
 

@@ -13,7 +13,7 @@ step must be commensurate with the snapshot spacing; when the spacing is
 half the step, every RK4 stage lands exactly on a snapshot and temporal
 interpolation drops out of the error budget entirely.
 
-A batch reads its fields through one ``_interp.Stencil`` per integration.
+A batch reads its fields through one ``_interp.Stencil`` per read.
 One particle in one dimension runs through the same loops as a Python
 float and reads each field with ``_interp.sample_point``, which evaluates
 its cell's cubic with the batch's coefficients and Horner order, so its
@@ -64,7 +64,8 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.  One stencil serves a batch's integration.
+    previous read snapshot are evicted.  Each read of a batch builds one
+    stencil of its positions, which serves the fields and the mask.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -73,7 +74,6 @@ class _FieldCache:
         self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._stencil: _interp.Stencil | None = None
         self._at: tuple = (None, None, None)  # the last time read, its fields and mask
 
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,14 +106,11 @@ class _FieldCache:
         return self._at[1:]
 
     def stencil(self, t: float, x: np.ndarray) -> _interp.Stencil:
-        """Stencil of positions x (M, dims), refilled while M holds; ``TrajectoryAbort`` off the grid."""
-        if self._stencil is None or len(self._stencil.base) != len(x):
-            self._stencil = _interp.Stencil(self.record.grid, x)
-        else:
-            self._stencil.locate(x)
-        if self._stencil.off_grid:
-            raise _off_grid_abort(self._stencil.off_grid, t, x)
-        return self._stencil
+        """Stencil of positions x (M, dims) read at time t; ``TrajectoryAbort`` off the grid."""
+        stencil = _interp.Stencil(self.record.grid, x)
+        if stencil.off_grid:
+            raise _off_grid_abort(stencil.off_grid, t, x)
+        return stencil
 
 
 def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:

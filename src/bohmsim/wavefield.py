@@ -102,17 +102,6 @@ class Grid:
             k.setflags(write=False)
         return out
 
-    @cached_property
-    def _stencil_tables(self) -> tuple:
-        """What ``_interp.Stencil`` reads: lo, hi, dx and point counts as (dims, 1)
-        columns, and per axis the flat indices of each base index's wrapped footprint."""
-        from ._interp import _OFFSETS
-
-        strides = self.points[1:] + (1,)  # row-major, dims <= 2
-        tables = [(np.arange(n)[:, None] + _OFFSETS) % n * step for n, step in zip(self.points, strides)]
-        lo, hi = zip(*self.extents)
-        return (*(np.array(v)[:, None] for v in (lo, hi, self.dx, self.points)), tables)
-
 
 def make_grid(dims: int, x_min, x_max, points) -> Grid:
     """Build a periodic grid; scalars broadcast across dimensions.

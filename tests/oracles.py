@@ -14,6 +14,8 @@ that ``trajectories._bracket`` replaced; and ``chain_forces``, the spring
 law written out that ``manybody._chain_forces`` replaced.  ``power_sample`` is
 the 1D power form of ``Stencil.sample`` written out one point at a time, the
 bit-for-bit reference of the 1D array and one-point paths.
+``catmull_rom_weights`` is the weight polynomials written out, the former
+library form and now the accuracy reference of a 2D stencil's weights.
 """
 
 from __future__ import annotations
@@ -105,6 +107,23 @@ def einsum_sample(block, index, weights):
     gathered = np.take(block.reshape(len(block), -1), index, axis=1)
     subscripts = "cma,ma->mc" if index.ndim == 2 else "cmab,ma,mb->mc"
     return np.einsum(subscripts, gathered, *weights, order="C")
+
+
+def catmull_rom_weights(s):
+    """Catmull-Rom weights of the samples at offsets -1, 0, 1, 2 for fractions s, (..., 4):
+    the basis polynomials written out, 0.5 (-s3 + 2 s2 - s), 0.5 (3 s3 - 5 s2 + 2),
+    0.5 (-3 s3 + 4 s2 + s) and 0.5 (s3 - s2)."""
+    s2 = s * s
+    s3 = s2 * s
+    return np.stack(
+        [
+            0.5 * (-s3 + 2.0 * s2 - s),
+            0.5 * (3.0 * s3 - 5.0 * s2 + 2.0),
+            0.5 * (-3.0 * s3 + 4.0 * s2 + s),
+            0.5 * (s3 - s2),
+        ],
+        axis=-1,
+    )
 
 
 def power_sample(block, grid, x):

@@ -5,11 +5,12 @@ import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, wavefield
+from bohmsim import cli, manybody, wavefield
 from bohmsim.cli import (
     _SECTIONS,
     EXPERIMENTS,
@@ -21,6 +22,7 @@ from bohmsim.cli import (
     parse_config_file,
     run,
 )
+from bohmsim.trajectories import TrajectoryAbort
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -540,6 +542,67 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 3:")
         assert "points must be >= 16" in err
+
+    @pytest.mark.parametrize(
+        "overlay, message",
+        [
+            ("[grid]\npoints = 32\n", "under-resolved width along dimension 0"),
+            ("[run]\ndt = 0.5\n", "snapshot_stride must divide the number of steps"),
+        ],
+        ids=["under-resolved-width", "stride-does-not-divide-steps"],
+    )
+    def test_config_that_validates_but_cannot_run_exits_two(self, tmp_path, capsys, overlay, message):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("experiment = equivariance\n" + overlay)
+        assert main(["validate", str(config_path)]) == 0
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"run error: {message}")
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            TrajectoryAbort("trajectory entered a node region at t=0.7", 0.7, np.zeros((1, 1))),
+            FloatingPointError("numerical blow-up at step 3: non-finite norm"),
+        ],
+        ids=["trajectory-abort", "blow-up"],
+    )
+    def test_an_abort_in_a_run_exits_two(self, tmp_path, capsys, monkeypatch, error):
+        def abort(config, seed):
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "averaging-identity", abort)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("experiment = averaging-identity\n")
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"run error: {error}\n"
+
+    def test_other_exceptions_in_a_run_still_raise(self, tmp_path, monkeypatch):
+        def broken(config, seed):
+            raise KeyError("bug")
+
+        monkeypatch.setitem(cli._RUNNERS, "averaging-identity", broken)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("experiment = averaging-identity\n")
+        with pytest.raises(KeyError):
+            main(["run", str(config_path), "--out", str(tmp_path / "out")])
+
+    def test_a_path_that_crosses_sectors_fails_no_tunneling(self, tmp_path, monkeypatch):
+        original = manybody.integrate_guidance_batch
+
+        def crossing(record, x0, dt):
+            times, positions = original(record, x0, dt)
+            half = len(times) // 2
+            positions[half:, 0] = positions[half:, 0, ::-1]  # path 0 swaps its bodies: the other sector
+            return times, positions
+
+        monkeypatch.setattr(manybody, "integrate_guidance_batch", crossing)
+        config = parse_config("experiment = no-tunneling")
+        report = run(config, out_dir=tmp_path / "run", quiet=True)
+        failed = [check.name for check in report.checks if not check.passed]
+        assert failed == ["min-sector-residency"]
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("experiment = no-tunneling\n")
+        assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

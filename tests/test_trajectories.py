@@ -33,7 +33,7 @@ from bohmsim import _interp, trajectories
 from bohmsim._interp import erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _fields_at
+from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache
 from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
@@ -256,21 +256,6 @@ class TestFieldCache:
             again = cache.at(t)
             assert again[0] is values and again[1] is eroded
 
-    def test_one_stencil_per_integration_while_m_is_unchanged(self, heavy_record):
-        cache = _FieldCache(heavy_record, "velocity", 0.05)
-        x = np.array([[0.4], [-0.7]])
-        first, _ = _fields_at(cache, 0.0, x)
-        kept = first.copy()
-        stencil = cache._stencil
-        base, fraction = stencil.base, stencil.fraction
-        moved, ok = _fields_at(cache, 0.05, x + 0.01)
-        assert cache._stencil is stencil and stencil.base is base and stencil.fraction is fraction
-        assert np.array_equal(first, kept)  # results are not views of the stencil's buffers
-        fresh, fresh_ok = _fields_at(_FieldCache(heavy_record, "velocity", 0.05), 0.05, x + 0.01)
-        assert np.array_equal(moved, fresh) and np.array_equal(ok, fresh_ok)
-        _fields_at(cache, 0.05, x[:1])
-        assert cache._stencil is not stencil and len(cache._stencil.base) == 1
-
     def test_batch_size_follows_point_budget(self):
         grid = make_grid(2, -8.0, 8.0, 128)
         wf = init_gaussian(grid, PhysicalParams(), 0.0, 1.0)
@@ -317,7 +302,7 @@ class TestOnePointPath:
         def refuse(*args, **kwargs):
             raise StencilLocated
 
-        monkeypatch.setattr(_interp.Stencil, "locate", refuse)
+        monkeypatch.setattr(_interp.Stencil, "__init__", refuse)
         integrate_guidance(heavy_record, [0.4], 0.1)
         integrate_newton(heavy_record, [0.4], Free(), 0.1)
         two = np.array([[0.4], [-0.7]])
