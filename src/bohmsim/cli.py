@@ -639,6 +639,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, FloatingPointError) as err:  # RuntimeError includes TrajectoryAbort
         print(f"run error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 2
     return 0 if report.all_passed else 1
 
 

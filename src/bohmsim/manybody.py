@@ -195,7 +195,7 @@ def no_tunneling_check(
 
 @dataclass(frozen=True)
 class SubsystemType:
-    """A species of subsystem: packet width, mass, and its offset grid."""
+    """The subsystem every frame carries: packet width, mass, and its offset grid."""
 
     sigma: float
     mass: float = 1.0
@@ -211,13 +211,12 @@ class SubsystemType:
 class FactorizedNBody:
     """N localized packets riding classical frames, factorized modulus.
 
-    ``type_of[i]`` selects the ``SubsystemType`` of subsystem i; frames are
-    classical positions/velocities advanced by the external force and the
-    optional nearest-neighbour pairwise coupling.
+    Every subsystem is an instance of ``subsystem``; frames are classical
+    positions/velocities advanced by the external force and the optional
+    nearest-neighbour pairwise coupling.
     """
 
-    types: tuple[SubsystemType, ...]
-    type_of: np.ndarray
+    subsystem: SubsystemType
     frame_positions: np.ndarray
     frame_velocities: np.ndarray
     external: PotentialSpec = Free()
@@ -225,7 +224,6 @@ class FactorizedNBody:
     hbar: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "type_of", np.asarray(self.type_of, dtype=int))
         object.__setattr__(self, "frame_positions", np.asarray(self.frame_positions, dtype=float))
         object.__setattr__(self, "frame_velocities", np.asarray(self.frame_velocities, dtype=float))
         if self.coupling is not None and not isinstance(self.coupling, PairwiseHarmonic):
@@ -233,16 +231,14 @@ class FactorizedNBody:
         n = len(self.frame_positions)
         if n < 10:
             raise ValueError(f"need at least 10 subsystems, got {n}")
-        if len(self.type_of) != n or len(self.frame_velocities) != n:
-            raise ValueError("type_of, frame_positions, frame_velocities must share length")
-        if self.type_of.min() < 0 or self.type_of.max() >= len(self.types):
-            raise ValueError("type_of entries must index into types")
+        if len(self.frame_velocities) != n:
+            raise ValueError("frame_positions and frame_velocities must share length")
         spacing = np.diff(np.sort(self.frame_positions)).min()
-        widest = max(t.sigma for t in self.types)
-        if spacing < LOCALITY_SEPARATION_SIGMAS * widest:
+        sigma = self.subsystem.sigma
+        if spacing < LOCALITY_SEPARATION_SIGMAS * sigma:
             raise ValueError(
                 f"locality assumption violated: frame spacing {spacing:.3g} is below "
-                f"{LOCALITY_SEPARATION_SIGMAS} x max packet width {widest:.3g}"
+                f"{LOCALITY_SEPARATION_SIGMAS} x packet width {sigma:.3g}"
             )
 
     @property
@@ -250,12 +246,8 @@ class FactorizedNBody:
         return len(self.frame_positions)
 
     @property
-    def masses(self) -> np.ndarray:
-        return np.array([self.types[l].mass for l in self.type_of])
-
-    @property
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return float(self.subsystem.mass * self.n_subsystems)
 
     @classmethod
     def homogeneous(
@@ -281,8 +273,7 @@ class FactorizedNBody:
             coupling = PairwiseHarmonic(coupling=float(coupling), rest_length=spacing)
         frames = (np.arange(n) - 0.5 * (n - 1)) * spacing
         return cls(
-            types=(SubsystemType(sigma=sigma, mass=mass, points=points, half_width=half_width),),
-            type_of=np.zeros(n, dtype=int),
+            subsystem=SubsystemType(sigma=sigma, mass=mass, points=points, half_width=half_width),
             frame_positions=frames,
             frame_velocities=np.zeros(n),
             external=external,
@@ -360,8 +351,8 @@ def run_cm_experiment(
 ) -> CMResult:
     """Transport a factorized N-body configuration and record the CM forces.
 
-    Each subsystem's offset from its frame follows the guidance flow of its
-    type's packet (evolved freely in the co-moving frame, which is exact for
+    Each subsystem's offset from its frame follows the guidance flow of the
+    subsystem packet (evolved freely in the co-moving frame, which is exact for
     uniform external forces); frames follow classical dynamics.  The
     recorded classical force is evaluated at the actual subsystem positions,
     and the quantum force is the raw sum over subsystems, also reported per
@@ -373,32 +364,23 @@ def run_cm_experiment(
 
     rng = _rng(seed)
     n = spec.n_subsystems
-    masses = spec.masses
+    mass = spec.subsystem.mass
     total_mass = spec.total_mass
 
-    # One packet record per type, snapshots at dt/2 so RK4 stages align, and
-    # the initial offsets of that type's subsystems.
-    groups = {l: np.flatnonzero(spec.type_of == l) for l in range(len(spec.types))}
-    groups = {l: group for l, group in groups.items() if group.size}
-    vel_caches: dict[int, _FieldCache] = {}
-    force_caches: dict[int, _FieldCache] = {}
-    offsets = np.zeros((n, 1))
+    # The packet record, snapshots at dt/2 so RK4 stages align, and the
+    # initial offsets of the subsystems.
+    packet = spec.subsystem.packet(spec.hbar)
+    record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
+    vel_cache = _FieldCache(record, "velocity", 0.5 * dt)
+    force_cache = _FieldCache(record, "qforce", dt)
+    f_q_max = compute_qfields(packet).f_q_max
     resample_count = 0
-    f_q_max = 0.0
-    for l, group in groups.items():
-        packet = spec.types[l].packet(spec.hbar)
-        record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
-        vel_caches[l] = _FieldCache(record, "velocity", 0.5 * dt)
-        force_caches[l] = _FieldCache(record, "qforce", dt)
-        f_q_max = max(f_q_max, compute_qfields(packet).f_q_max)
-        if sampling == "stratified":
-            offsets[group] = _stratified_offsets(packet, group.size)
-        else:
-            _, eroded = force_caches[l].fields(0)
-            rho = np.abs(packet.amplitudes) ** 2
-            drawn, redraws = _sample_from_snapshot(rho, packet.grid, eroded, group.size, rng)
-            offsets[group] = drawn
-            resample_count += redraws
+    if sampling == "stratified":
+        offsets = _stratified_offsets(packet, n)
+    else:
+        _, eroded = force_cache.fields(0)
+        rho = np.abs(packet.amplitudes) ** 2
+        offsets, resample_count = _sample_from_snapshot(rho, packet.grid, eroded, n, rng)
     if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * n):
         raise RuntimeError(
             f"{resample_count} of {n} offsets needed resampling; sampling is unreliable"
@@ -406,15 +388,13 @@ def run_cm_experiment(
 
     frames = spec.frame_positions.copy()
     frame_velocities = spec.frame_velocities.copy()
-    type_params = [PhysicalParams(spec.hbar, (t.mass,)) for t in spec.types]
+    params = PhysicalParams(spec.hbar, (mass,))
 
-    def external_forces(positions: np.ndarray, l: int) -> np.ndarray:
-        return spec.external.force_at(positions[groups[l], None], type_params[l])[:, 0]
+    def external_forces(positions: np.ndarray) -> np.ndarray:
+        return spec.external.force_at(positions[:, None], params)[:, 0]
 
     def frame_force(positions: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(positions)
-        for l, group in groups.items():
-            out[group] = external_forces(positions, l)
+        out = external_forces(positions)
         if spec.coupling is not None:
             out += _chain_forces(spec.coupling, positions)
         return out
@@ -425,33 +405,30 @@ def run_cm_experiment(
     quantum_force = np.empty(n_steps + 1)
     cancellation = np.empty(n_steps + 1)
 
-    def resample_invalid(t: float, l: int, ok: np.ndarray) -> None:
+    def resample_invalid(t: float, ok: np.ndarray) -> None:
         """Redraw the offsets whose stencil touched a node region at time t."""
         nonlocal resample_count
-        cache = force_caches[l]
-        snap, _ = _bracket(cache.record, t)
-        _, eroded = cache.fields(snap)
-        bad = groups[l][~ok]
-        rho = np.abs(cache.record.amplitudes[snap]) ** 2
-        drawn, redraws = _sample_from_snapshot(rho, cache.record.grid, eroded, bad.size, rng)
+        snap, _ = _bracket(record, t)
+        _, eroded = force_cache.fields(snap)
+        bad = np.flatnonzero(~ok)
+        rho = np.abs(record.amplitudes[snap]) ** 2
+        drawn, redraws = _sample_from_snapshot(rho, record.grid, eroded, bad.size, rng)
         offsets[bad] = drawn
         resample_count += bad.size + redraws
         if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):
             raise RuntimeError("too many offsets entered node regions; model assumptions broken")
 
-    def fields_resampling(cache: _FieldCache, t: float, l: int) -> np.ndarray:
-        """Per-type fields at the offsets of type l, redrawing any in node regions."""
-        values, ok = _fields_at(cache, t, offsets[groups[l]])
+    def fields_resampling(cache: _FieldCache, t: float) -> np.ndarray:
+        """Fields at the offsets, redrawing any in node regions."""
+        values, ok = _fields_at(cache, t, offsets)
         if ok.all():
             return values
-        resample_invalid(t, l, ok)
-        return _eval_fields(cache, t, offsets[groups[l]])
+        resample_invalid(t, ok)
+        return _eval_fields(cache, t, offsets)
 
     def record_row(row: int, t: float) -> None:
         positions = frames + offsets[:, 0]
-        external_total = 0.0
-        for l in groups:
-            external_total += math.fsum(external_forces(positions, l).tolist())
+        external_total = math.fsum(external_forces(positions).tolist())
         pairwise = _chain_forces(spec.coupling, positions) if spec.coupling is not None else np.zeros(n)
         pairwise_total = math.fsum(pairwise.tolist())
         limit = CANCELLATION_BOUND * n * max(np.abs(pairwise).max(), 1e-300)
@@ -461,26 +438,22 @@ def run_cm_experiment(
             )
         cancellation[row] = abs(pairwise_total)
         classical_force[row] = external_total + pairwise_total
-        fq = 0.0
-        for l in groups:
-            fq += math.fsum(fields_resampling(force_caches[l], t, l)[:, 0].tolist())
-        quantum_force[row] = fq
-        x_cm[row] = math.fsum((masses * positions).tolist()) / total_mass
+        quantum_force[row] = math.fsum(fields_resampling(force_cache, t)[:, 0].tolist())
+        x_cm[row] = math.fsum((mass * positions).tolist()) / total_mass
 
     for step_index in range(n_steps + 1):
         t = float(times[step_index])
         record_row(step_index, t)
         if step_index == n_steps:
             break
-        # Offsets: RK4 along each type's packet guidance flow, from the
-        # offsets as they stand after any redraw at the stage-one read.
-        for l, group in groups.items():
-            k1 = fields_resampling(vel_caches[l], t, l)
-            offsets[group] = _rk4_step(vel_caches[l], t, offsets[group], dt, k1)
+        # Offsets: RK4 along the packet's guidance flow, from the offsets as
+        # they stand after any redraw at the stage-one read.
+        k1 = fields_resampling(vel_cache, t)
+        offsets = _rk4_step(vel_cache, t, offsets, dt, k1)
         # Frames: kick-drift-kick under the classical forces.
-        half_kick = frame_velocities + 0.5 * dt * frame_force(frames) / masses
+        half_kick = frame_velocities + 0.5 * dt * frame_force(frames) / mass
         frames = frames + dt * half_kick
-        frame_velocities = half_kick + 0.5 * dt * frame_force(frames) / masses
+        frame_velocities = half_kick + 0.5 * dt * frame_force(frames) / mass
 
     rms_q = float(np.sqrt(np.mean(quantum_force**2)))
     rms_cl = float(np.sqrt(np.mean(classical_force**2)))

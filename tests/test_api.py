@@ -31,6 +31,8 @@ def test_unread_names_are_gone():
     assert not hasattr(bohmsim.ensemble, "HISTOGRAM_BINS")
     assert "histograms" not in {f.name for f in fields(bohmsim.EnsembleTrajectory)}
     assert "label" not in {f.name for f in fields(bohmsim.CMResult)}
+    assert not {"types", "type_of"} & {f.name for f in fields(bohmsim.FactorizedNBody)}
+    assert not hasattr(bohmsim.FactorizedNBody, "masses")
 
 
 def test_readme_library_example_runs():

@@ -31,6 +31,7 @@ FREE_GAUSSIAN = (CONFIGS / "free_gaussian.cfg").read_text()
 CROSSCHECK = (CONFIGS / "crosscheck.cfg").read_text()
 EQUIVARIANCE = (CONFIGS / "equivariance.cfg").read_text()
 HARMONIC_GROUND = (CONFIGS / "harmonic_ground.cfg").read_text()
+CM_NEWTON = (CONFIGS / "cm_newton.cfg").read_text()
 
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
@@ -473,6 +474,12 @@ class TestNegativeControls:
         assert code == 1
         assert "FAIL ks-distance-max" in written and "FAIL ks-growth-ratio" in written
 
+    def test_weak_external_force_loses_to_the_quantum_sum(self, tmp_path):
+        # f_ext = 0.01 on 1000 bodies no longer dominates the sqrt(N)-sized quantum force sum
+        report, code, text = run_and_main(tmp_path, CM_NEWTON + "\n[physics]\nf_ext = 0.01\n")
+        assert failed_checks(report) == ["acceleration-error", "quantum-vs-external-force", "contrast-ratio"]
+        assert code == 1 and "FAIL quantum-vs-external-force" in text
+
 
 class TestNanFailsTheContract:
     """A NaN among the values a check reduces makes it FAIL; Python's ``max`` keeps
@@ -575,6 +582,14 @@ class TestMain:
         config_path.write_text("experiment = averaging-identity\n")
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"run error: {error}\n"
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("experiment = averaging-identity\n")
+        assert main(["run", str(config_path), "--out", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
 
     def test_other_exceptions_in_a_run_still_raise(self, tmp_path, monkeypatch):
         def broken(config, seed):

@@ -143,19 +143,9 @@ class TestFactorizedNBodySpec:
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="share length"):
             FactorizedNBody(
-                types=(SubsystemType(sigma=1.0),),
-                type_of=np.zeros(10, dtype=int),
+                subsystem=SubsystemType(sigma=1.0),
                 frame_positions=np.arange(10) * 10.0,
                 frame_velocities=np.zeros(9),
-            )
-
-    def test_type_indices_must_be_valid(self):
-        with pytest.raises(ValueError, match="index into types"):
-            FactorizedNBody(
-                types=(SubsystemType(sigma=1.0),),
-                type_of=np.ones(10, dtype=int),
-                frame_positions=np.arange(10) * 10.0,
-                frame_velocities=np.zeros(10),
             )
 
     def test_crowded_frames_rejected(self):
@@ -165,8 +155,7 @@ class TestFactorizedNBodySpec:
     def test_coupling_must_be_pairwise_harmonic(self):
         with pytest.raises(TypeError, match="PairwiseHarmonic"):
             FactorizedNBody(
-                types=(SubsystemType(sigma=1.0),),
-                type_of=np.zeros(10, dtype=int),
+                subsystem=SubsystemType(sigma=1.0),
                 frame_positions=np.arange(10) * 10.0,
                 frame_velocities=np.zeros(10),
                 coupling=0.5,
@@ -289,6 +278,14 @@ class TestRunCmExperiment:
         assert len(redrawn) == 1  # the velocity re-read after the one redraw
         assert redrawn[0][0, 0] != reads[1][1][0, 0]
         assert np.array_equal(starts[0], redrawn[0])
+
+    @pytest.mark.parametrize("mass, expected", [(2.0, 0.25), (0.5, 1.0)])
+    def test_cm_acceleration_is_force_over_mass(self, mass, expected):
+        # the frame kicks divide by the mass and x_cm is mass-weighted
+        spec = FactorizedNBody.homogeneous(1000, mass=mass, external=Linear(force=0.5))
+        res = run_cm_experiment(spec, 2.0, 0.01, seed=0)
+        assert res.total_mass == 1000 * mass
+        assert res.fit_acceleration() == pytest.approx(expected, rel=0.05)
 
     def test_spring_forces_cancel_exactly(self):
         spec = FactorizedNBody.homogeneous(100, external=Linear(force=0.5), coupling=0.5)
