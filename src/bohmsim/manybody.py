@@ -63,12 +63,8 @@ RESAMPLE_ABORT_FRACTION = 1e-3
 class SymmetrizedTwoBody:
     """c1 psi_a(x1) psi_b(x2) + c2 psi_b(x1) psi_a(x2) on a 2D grid."""
 
-    psi_a: Wavefunction
-    psi_b: Wavefunction
-    coefficients: tuple[complex, complex]
     wavefunction: Wavefunction
     centers: tuple[float, float]
-    widths: tuple[float, float]
     separation: float
     term_overlap: float  # |<psi_a|psi_b>|^2, the overlap of the two terms
 
@@ -137,12 +133,8 @@ def build_symmetrized(
     )
     wf2 = normalize(Wavefunction(grid2, params2, amps, time=0.0))
     return SymmetrizedTwoBody(
-        psi_a=psi_a,
-        psi_b=psi_b,
-        coefficients=(c1, c2),
         wavefunction=wf2,
         centers=(float(mean_a[0]), float(mean_b[0])),
-        widths=widths,
         separation=separation,
         term_overlap=term_overlap,
     )
@@ -164,9 +156,8 @@ def no_tunneling_check(
     x0,
     t_final: float,
     dt: float = 0.01,
-    potential: PotentialSpec = Free(),
 ) -> SectorReport:
-    """Evolve the symmetrized state and report per-trajectory sector residency.
+    """Evolve the symmetrized state freely and report per-trajectory sector residency.
 
     ``x0`` is one point (2,) or a batch (k, 2); every start must lie inside
     a sector box.  Snapshots are spaced at dt/2 so all RK4 stages land on
@@ -176,7 +167,7 @@ def no_tunneling_check(
     initial = sym.sector_of(x0)
     if (initial == 0).any():
         raise ValueError("every initial condition must lie inside a sector box")
-    record = evolve(sym.wavefunction, potential, t_final, 0.5 * dt, snapshot_stride=1)
+    record = evolve(sym.wavefunction, Free(), t_final, 0.5 * dt, snapshot_stride=1)
     times, positions = integrate_guidance_batch(record, x0, dt)
     sectors = np.stack([sym.sector_of(positions[i]) for i in range(len(times))])
     residency = (sectors == initial[None, :]).mean(axis=0)
@@ -195,15 +186,14 @@ def no_tunneling_check(
 
 @dataclass(frozen=True)
 class SubsystemType:
-    """The subsystem every frame carries: packet width, mass, and its offset grid."""
+    """The subsystem every frame carries: packet width and mass."""
 
     sigma: float
     mass: float = 1.0
-    points: int = 256
-    half_width: float = 10.0
 
     def packet(self, hbar: float) -> Wavefunction:
-        grid = make_grid(1, -self.half_width, self.half_width, self.points)
+        """The packet on its offset grid, 256 points on [-10, 10]."""
+        grid = make_grid(1, -10.0, 10.0, 256)
         return init_gaussian(grid, PhysicalParams(hbar, (self.mass,)), 0.0, self.sigma)
 
 
@@ -259,8 +249,6 @@ class FactorizedNBody:
         external: PotentialSpec = Free(),
         coupling: PairwiseHarmonic | float | None = None,
         hbar: float = 1.0,
-        points: int = 256,
-        half_width: float = 10.0,
     ) -> "FactorizedNBody":
         """Equal-mass subsystems of one type on a centered lattice of frames.
 
@@ -273,7 +261,7 @@ class FactorizedNBody:
             coupling = PairwiseHarmonic(coupling=float(coupling), rest_length=spacing)
         frames = (np.arange(n) - 0.5 * (n - 1)) * spacing
         return cls(
-            subsystem=SubsystemType(sigma=sigma, mass=mass, points=points, half_width=half_width),
+            subsystem=SubsystemType(sigma=sigma, mass=mass),
             frame_positions=frames,
             frame_velocities=np.zeros(n),
             external=external,
@@ -294,7 +282,6 @@ class CMResult:
     f_q_max: float  # largest single quantum force available to one packet
     cancellation_residual: np.ndarray  # |sum of internal pairwise forces| each step
     resample_count: int
-    n_subsystems: int
     total_mass: float
     contrast_ratio: float  # rms|F_Q| / (rms|F_Q| + rms|F_classical|)
     velocity_spread: float | None = None  # coherent-phase runs only
@@ -404,6 +391,8 @@ def run_cm_experiment(
     classical_force = np.empty(n_steps + 1)
     quantum_force = np.empty(n_steps + 1)
     cancellation = np.empty(n_steps + 1)
+    # kick-drift-kick: the closing kick's force opens the next step
+    force = frame_force(frames)
 
     def resample_invalid(t: float, ok: np.ndarray) -> None:
         """Redraw the offsets whose stencil touched a node region at time t."""
@@ -451,9 +440,10 @@ def run_cm_experiment(
         k1 = fields_resampling(vel_cache, t)
         offsets = _rk4_step(vel_cache, t, offsets, dt, k1)
         # Frames: kick-drift-kick under the classical forces.
-        half_kick = frame_velocities + 0.5 * dt * frame_force(frames) / mass
+        half_kick = frame_velocities + 0.5 * dt * force / mass
         frames = frames + dt * half_kick
-        frame_velocities = half_kick + 0.5 * dt * frame_force(frames) / mass
+        force = frame_force(frames)
+        frame_velocities = half_kick + 0.5 * dt * force / mass
 
     rms_q = float(np.sqrt(np.mean(quantum_force**2)))
     rms_cl = float(np.sqrt(np.mean(classical_force**2)))
@@ -467,7 +457,6 @@ def run_cm_experiment(
         f_q_max=f_q_max,
         cancellation_residual=cancellation,
         resample_count=resample_count,
-        n_subsystems=n,
         total_mass=total_mass,
         contrast_ratio=contrast,
     )
@@ -482,7 +471,6 @@ def run_bec_experiment(
     seed: int = 0,
     hbar: float = 1.0,
     mass: float = 1.0,
-    points: int = 512,
 ) -> CMResult:
     """Coherent-phase contrast run: one broad modulus, phase m v x per body.
 
@@ -497,7 +485,7 @@ def run_bec_experiment(
         raise ValueError(f"need at least 10 subsystems, got {n_subsystems}")
     n_steps = _whole_steps(t_final, dt)
     half = 8.0 * packet_width
-    grid = make_grid(1, -half, half, points)
+    grid = make_grid(1, -half, half, 512)
     params = PhysicalParams(hbar, (mass,))
     wf = init_gaussian(grid, params, 0.0, packet_width, wavenumber=mass * velocity / hbar)
 
@@ -530,7 +518,6 @@ def run_bec_experiment(
         f_q_max=qf.f_q_max,
         cancellation_residual=np.zeros(n_steps + 1),
         resample_count=resamples,
-        n_subsystems=n_subsystems,
         total_mass=mass * n_subsystems,
         contrast_ratio=contrast,
         velocity_spread=spread,

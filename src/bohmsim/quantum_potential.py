@@ -70,7 +70,6 @@ def qfields_batch(
         term = np.zeros(r.shape)
         np.divide(second[d], r, out=term, where=valid)
         q -= coeffs[d] * term
-    q[~valid] = 0.0
 
     force = np.zeros((len(r), dims) + grid.shape)
     for e in range(dims):
@@ -80,7 +79,6 @@ def qfields_batch(
             numerator += coeffs[d] * (mixed * r - second[d] * first[e])
         f = force[:, e]
         np.divide(numerator, rho, out=f, where=valid)
-        f[~valid] = 0.0
 
     magnitude = np.zeros(r.shape)
     for e in range(dims):

@@ -13,7 +13,8 @@ step must be commensurate with the snapshot spacing; when the spacing is
 half the step, every RK4 stage lands exactly on a snapshot and temporal
 interpolation drops out of the error budget entirely.
 
-A batch reads its fields through one ``_interp.Stencil`` per read.
+Every field read, from the cache or at the Newton start, goes through
+``_sample`` and ``_read``: a batch builds one ``_interp.Stencil`` per read.
 One particle in one dimension runs through the same loops as a Python
 float and reads each field with ``_interp.sample_point``, which evaluates
 its cell's cubic with the batch's coefficients and Horner order, so its
@@ -52,7 +53,6 @@ class Trajectory:
     times: np.ndarray
     positions: np.ndarray  # (n_times, dims)
     mode: str  # "guidance" or "newton"
-    dt: float
     momenta: np.ndarray | None = None  # (n_times, dims)
 
 
@@ -64,8 +64,7 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.  Each read of a batch builds one
-    stencil of its positions, which serves the fields and the mask.
+    previous read snapshot are evicted.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -105,13 +104,6 @@ class _FieldCache:
             self._at = (t, values, eroded)
         return self._at[1:]
 
-    def stencil(self, t: float, x: np.ndarray) -> _interp.Stencil:
-        """Stencil of positions x (M, dims) read at time t; ``TrajectoryAbort`` off the grid."""
-        stencil = _interp.Stencil(self.record.grid, x)
-        if stencil.off_grid:
-            raise _off_grid_abort(stencil.off_grid, t, x)
-        return stencil
-
 
 def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     """Snapshot index i and fraction theta with t = t_i + theta * spacing, for a finite t;
@@ -134,41 +126,45 @@ def _off_grid_abort(count: int, t: float, x: np.ndarray) -> TrajectoryAbort:
     return TrajectoryAbort(f"{count} trajectory position(s) left the grid at t={t:.6g}", t, x)
 
 
-def _eval_point(grid, t: float, x: float, block: np.ndarray, eroded: np.ndarray) -> float:
-    """``_interp.sample_point`` with the aborts of the array path, positions (1, 1)."""
-    found = _interp.sample_point(grid, x, block, eroded)
-    if found is None:
-        raise _off_grid_abort(1, t, np.array([[x]]))
-    if not found[1]:
-        raise _node_abort(t, np.array([[x]]))
-    return found[0]
+def _sample(grid, t: float, x: np.ndarray, block: np.ndarray, eroded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fields of ``block`` (dims, *grid.shape) at positions x (M, dims), read at time t,
+    and per-point validity against the eroded node mask.
 
-
-def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cached fields at positions x (M, dims), time t, and per-point validity.
-
-    ``ok[m]`` is False when point m's interpolation stencil touches a node
-    region of either bracketing snapshot; its values are then meaningless.
-    Raises ``TrajectoryAbort`` for positions off the grid.
+    ``ok[m]`` is False when point m's interpolation stencil touches the node
+    region; its values are then meaningless.  Raises ``TrajectoryAbort`` for
+    positions off the grid.
     """
-    stencil = cache.stencil(t, x)
-    values, eroded = cache.at(t)
-    return stencil.sample(values), stencil.valid(eroded)
+    stencil = _interp.Stencil(grid, x)
+    if stencil.off_grid:
+        raise _off_grid_abort(stencil.off_grid, t, x)
+    return stencil.sample(block), stencil.valid(eroded)
 
 
-def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
-    """Interpolate the cached fields at positions x (M, dims), time t; at one 1D
-    position given as a Python float, the one field value as a float.
-
-    Raises ``TrajectoryAbort`` when a point is off the grid or its stencil
-    touches a node region.
-    """
+def _read(grid, t: float, x: np.ndarray | float, block: np.ndarray, eroded: np.ndarray) -> np.ndarray | float:
+    """``_sample`` that raises ``TrajectoryAbort`` for a point in the node region; at one
+    1D position given as a Python float, the one field value as a float, by
+    ``_interp.sample_point`` with the same aborts."""
     if type(x) is float:
-        return _eval_point(cache.record.grid, t, x, *cache.at(t))
-    out, ok = _fields_at(cache, t, x)
+        found = _interp.sample_point(grid, x, block, eroded)
+        if found is None:
+            raise _off_grid_abort(1, t, np.array([[x]]))
+        if not found[1]:
+            raise _node_abort(t, np.array([[x]]))
+        return found[0]
+    out, ok = _sample(grid, t, x, block, eroded)
     if not ok.all():
         raise _node_abort(t, x)
     return out
+
+
+def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sample`` of the cached fields at time t."""
+    return _sample(cache.record.grid, t, x, *cache.at(t))
+
+
+def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
+    """``_read`` of the cached fields at time t."""
+    return _read(cache.record.grid, t, x, *cache.at(t))
 
 
 def _step_count(record: EvolutionRecord, dt: float) -> int:
@@ -248,7 +244,7 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     times, positions, velocities = _guidance_rk4(record, x0[None, :], dt, keep_velocities=True)
     masses = np.asarray(record.params.masses_for(record.grid.dims))
     momenta = masses * velocities[:, 0, :]
-    return Trajectory(times=times, positions=positions[:, 0, :], mode="guidance", dt=dt, momenta=momenta)
+    return Trajectory(times=times, positions=positions[:, 0, :], mode="guidance", momenta=momenta)
 
 
 def integrate_newton_batch(
@@ -274,16 +270,10 @@ def integrate_newton_batch(
     momenta = np.empty_like(positions)
     positions[0] = x
     velocity, valid = velocity_batch(record.amplitudes[:1], grid, params)
-    eroded = _interp.erode(valid[0], grid.dims)
     point = x.shape == (1, 1)
     if point:
         x, masses = x.item(), masses.item()
-        p = masses * _eval_point(grid, t0, x, velocity[0], eroded)
-    else:
-        stencil = force_cache.stencil(t0, x)
-        if not stencil.valid(eroded).all():
-            raise _node_abort(t0, x)
-        p = masses * stencil.sample(velocity[0])
+    p = masses * _read(grid, t0, x, velocity[0], _interp.erode(valid[0], grid.dims))
 
     def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
         classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
@@ -310,7 +300,6 @@ def integrate_newton(record: EvolutionRecord, x0, potential: PotentialSpec, dt: 
         times=times,
         positions=positions[:, 0, :],
         mode="newton",
-        dt=dt,
         momenta=momenta[:, 0, :],
     )
 

@@ -295,7 +295,6 @@ def velocity_batch(
         v = out[:, d]
         np.divide(_current(amplitudes, grid, d), rho, out=v, where=valid)
         v *= params.hbar / masses[d]
-        v[~valid] = 0.0
     return out, valid
 
 

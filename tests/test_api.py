@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and the README example runs."""
 
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -33,6 +34,19 @@ def test_unread_names_are_gone():
     assert "label" not in {f.name for f in fields(bohmsim.CMResult)}
     assert not {"types", "type_of"} & {f.name for f in fields(bohmsim.FactorizedNBody)}
     assert not hasattr(bohmsim.FactorizedNBody, "masses")
+    assert not {"psi_a", "psi_b", "coefficients", "widths"} & {f.name for f in fields(bohmsim.SymmetrizedTwoBody)}
+    assert "n_subsystems" not in {f.name for f in fields(bohmsim.CMResult)}
+    assert "dt" not in {f.name for f in fields(bohmsim.Trajectory)}
+    assert not {"points", "half_width"} & {f.name for f in fields(bohmsim.SubsystemType)}
+    unset = {
+        bohmsim.no_tunneling_check: {"potential"},
+        bohmsim.FactorizedNBody.homogeneous: {"points", "half_width"},
+        bohmsim.run_bec_experiment: {"points"},
+    }
+    for function, names in unset.items():
+        assert not names & set(inspect.signature(function).parameters), function.__qualname__
+    assert not hasattr(bohmsim.trajectories, "_eval_point")
+    assert not hasattr(bohmsim.trajectories._FieldCache, "stencil")
 
 
 def test_readme_library_example_runs():

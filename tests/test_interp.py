@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -267,6 +267,8 @@ class TestInterpolationProperties:
         coeffs=arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
         queries=arrays(float, (9, 2), elements=st.floats(-3.0, 3.0)),
     )
+    # subnormal coefficients: got and want differ by two subnormal steps, 1e-323 > 256 u F = 5e-324
+    @example(coeffs=np.full((3, 3), 2.22507386e-311), queries=np.full((9, 2), 0.375))
     def test_reproduces_biquadratics_away_from_seam(self, coeffs, queries):
         # sum of a_ij x0^i x1^j, i, j <= 2: the tensor-product cubic reproduces it exactly
         def biquadratic(a, x0, x1):
@@ -277,9 +279,11 @@ class TestInterpolationProperties:
         want = biquadratic(coeffs, *queries.T)
         # to rounding: F bounds |f| over each point's footprint (within 2 dx = 0.5); the weights' Horner
         # rounding (gamma_6 * 12 per axis, times sum |w| <= 1.25 on the other), the 16-term sum and the
-        # field values' own rounding stay below 256 u F
+        # field values' own rounding stay below 256 u F.  With gradual underflow each of those roundings
+        # may also err by up to 2**-1075 absolute, half the least subnormal (Higham, sec. 2.1), so the
+        # bound gains 256 * 2**-1075 = 2**-1067 (2**-1075 itself is no double).
         scale = biquadratic(np.abs(coeffs), *(np.abs(queries.T) + 0.5))
-        assert (np.abs(got - want) <= 256 * 2.0**-53 * scale).all()
+        assert (np.abs(got - want) <= 256 * 2.0**-53 * scale + 2.0**-1067).all()
 
     @PROPERTY_SETTINGS
     @given(

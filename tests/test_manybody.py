@@ -121,12 +121,8 @@ class TestNoTunneling:
             Wavefunction(grid2, PhysicalParams(masses=(1.0, 1.0)), amps, 0.0)
         )
         sym = SymmetrizedTwoBody(
-            psi_a=psi_a,
-            psi_b=psi_b,
-            coefficients=(2**-0.5, 2**-0.5),
             wavefunction=wf2,
             centers=(-0.75, 0.75),
-            widths=(0.5, 0.5),
             separation=1.5,
             term_overlap=oracles.gaussian_term_overlap(1.5, 0.5),
         )

@@ -112,13 +112,18 @@ class TestComputeQFields:
         fd = -np.gradient(qf.q, line_grid.dx[0])
         assert np.abs(qf.force[0] - fd)[bulk].max() < 1e-6
 
-    def test_masked_points_are_zeroed(self, line_grid, unit_params):
-        wf = antisymmetric_pair(line_grid, unit_params)
-        qf = compute_qfields(wf)
-        assert not qf.valid.all()
-        assert np.isfinite(qf.q).all()
-        assert not qf.q[~qf.valid].any()
-        assert not qf.force[0][~qf.valid].any()
+    def test_masked_points_are_zeroed(self):
+        # +0.0 bit for bit: each field starts from zeros and is written only where valid
+        for dims in (1, 2):
+            grid, params, states = snapshot_stack(dims)
+            amplitudes = np.stack([s.amplitudes for s in states])
+            q, force, valid, _ = qfields_batch(amplitudes, grid, params)
+            velocity, velocity_valid = velocity_batch(amplitudes, grid, params)
+            assert not valid.all() and not velocity_valid.all()
+            assert np.isfinite(q).all()
+            for field, mask in ((q, valid), (force, valid[:, None]), (velocity, velocity_valid[:, None])):
+                masked = field[~np.broadcast_to(mask, field.shape)]
+                assert masked.size and not masked.any() and not np.signbit(masked).any()
 
     def test_f_q_max_is_max_over_valid(self, line_grid, unit_params):
         wf = init_gaussian(line_grid, unit_params, 0.0, 1.0)
