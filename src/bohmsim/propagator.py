@@ -25,7 +25,8 @@ from .wavefield import (
     PhysicalParams,
     Wavefunction,
     _as_tuple,
-    _current,
+    _axis_currents,
+    _fft,
     spectral_derivative,
 )
 
@@ -209,15 +210,15 @@ class _SplitStepKernel:
     def apply(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of ``amps``, into ``out`` (another array) when given.
 
-        The transforms run one axis at a time, last axis first, as ``fftn``
-        does, without its argument handling.
+        The transforms run in place one axis at a time, last axis first, as
+        ``fftn`` does, through ``_fft``.
         """
         out = np.multiply(self.half_potential, amps, out=out)
         for axis in reversed(range(out.ndim)):
-            np.fft.fft(out, axis=axis, out=out)
+            _fft(out, axis, out=out)
         np.multiply(self.kinetic, out, out=out)  # kinetic first: order sets the bits
         for axis in reversed(range(out.ndim)):
-            np.fft.ifft(out, axis=axis, out=out)
+            _fft(out, axis, out=out, inverse=True)
         return np.multiply(self.half_potential, out, out=out)
 
 
@@ -307,22 +308,32 @@ def _evolve_free(wf: Wavefunction, block: np.ndarray, steps: np.ndarray, dt: flo
     """Closed-form free evolution into rows 1.. of ``block`` at the step counts ``steps``.
 
     Strang splitting is exact without a potential, so each snapshot is
-    ifft(exp(-i rate t) fft psi0).  Rows are filled in chunks of at most
-    ``FIELD_BATCH_POINTS`` grid points so the temporaries stay small.
-    Returns the norm drift of every snapshot interval.
+    ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``'s
+    ``fftn``/``ifftn``: ``_fft`` one axis at a time, last axis first, the
+    inverse in place in the row.  ``fftfreq`` makes mode n - j's wavenumber
+    the exact negative of mode j's, so both modes have the same rate bits and
+    the same phase: the exponentials are taken over the modes j <= n/2 of
+    each axis only and gathered back with the index min(j, n - j).  Rows are
+    filled in chunks of at most ``FIELD_BATCH_POINTS`` grid points so the
+    temporaries stay small.  Returns the norm drift of every snapshot
+    interval.
     """
     grid = wf.grid
     cell = grid.cell_volume
-    rate = _kinetic_rate(grid, wf.params)
-    spectrum = np.fft.fftn(wf.amplitudes)
-    axes = tuple(range(1, grid.dims + 1))
+    folded = _kinetic_rate(grid, wf.params)[tuple(slice(n // 2 + 1) for n in grid.shape)]
+    unfold = (slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in grid.shape))
+    spectrum = wf.amplitudes
+    for axis in reversed(range(grid.dims)):
+        spectrum = _fft(spectrum, axis)
     norms = np.empty(len(steps))
     norms[0] = _norm(wf.amplitudes, cell)
     rows = max(1, FIELD_BATCH_POINTS // block[0].size)
     for start in range(1, len(steps), rows):
         part = block[start:start + rows]
-        phase = np.exp(-1j * np.multiply.outer(steps[start:start + rows] * dt, rate))
-        np.fft.ifftn(phase * spectrum, axes=axes, out=part)
+        phase = np.exp(-1j * np.multiply.outer(steps[start:start + rows] * dt, folded))
+        np.multiply(phase[unfold], spectrum, out=part)
+        for axis in reversed(range(1, grid.dims + 1)):
+            _fft(part, axis, out=part, inverse=True)
         flat = part.reshape(len(part), -1).view(float)
         norms[start:start + len(part)] = np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)
     finite = np.isfinite(norms)
@@ -399,8 +410,8 @@ def _currents(amplitudes: np.ndarray, grid: Grid, params: PhysicalParams) -> np.
     """Probability currents of a stack of snapshots (B, *grid.shape), shape (B, dims, *grid.shape)."""
     masses = params.masses_for(grid.dims)
     out = np.empty((len(amplitudes), grid.dims) + grid.shape)
-    for d in range(grid.dims):
-        np.multiply(params.hbar / masses[d], _current(amplitudes, grid, d), out=out[:, d])
+    for d, current in enumerate(_axis_currents(amplitudes, grid)):
+        np.multiply(params.hbar / masses[d], current, out=out[:, d])
     return out
 
 

@@ -27,6 +27,7 @@ from .wavefield import (
     Grid,
     PhysicalParams,
     Wavefunction,
+    _spectral_derivatives,
     density_mask,
     spectral_derivative,
     velocity_field,
@@ -55,6 +56,8 @@ def qfields_batch(
     (B, *grid.shape) and (B,); each snapshot is thresholded against its own
     peak density.  ``f_q_max`` is the largest force magnitude over valid
     points, the scale against which the averaging identity is judged.
+    R's first and second derivatives along each axis share one forward
+    transform, with the bits of two separate ``spectral_derivative`` calls.
     """
     dims = grid.dims
     r = np.abs(amplitudes)
@@ -62,8 +65,7 @@ def qfields_batch(
     valid = density_mask(rho, dims)
     coeffs = [params.hbar**2 / (2.0 * m) for m in params.masses_for(dims)]
 
-    first = [spectral_derivative(r, grid, axis=d) for d in range(dims)]
-    second = [spectral_derivative(r, grid, axis=d, order=2) for d in range(dims)]
+    first, second = zip(*(_spectral_derivatives(r, grid, d, (1, 2)) for d in range(dims)))
 
     q = np.zeros(r.shape)
     for d in range(dims):

@@ -13,6 +13,7 @@ and localized states must keep a margin away from the boundary.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,6 +173,35 @@ class Wavefunction:
         object.__setattr__(self, "amplitudes", amps)
 
 
+# numpy's pocketfft gufuncs (fft, ifft), or () when that private module is
+# missing; looked up on the first transform, so importing bohmsim loads no FFT code
+_pocketfft = None
+
+
+def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
+    """``np.fft.fft(values, axis=axis, out=out)``, or ``np.fft.ifft`` when ``inverse``, bit for bit.
+
+    Calls the gufunc that ``np.fft`` calls, with the same scale factor (1
+    forward, 1/n inverse), without ``np.fft``'s per-call argument handling;
+    falls back to ``np.fft`` when numpy lacks the private module.  ``axis``
+    must be non-negative; ``out``, complex and of ``values``' shape, may be
+    ``values`` itself.
+    """
+    global _pocketfft
+    if _pocketfft is None:
+        try:
+            module = importlib.import_module("numpy.fft._pocketfft_umath")
+            _pocketfft = (module.fft, module.ifft)
+        except (ImportError, AttributeError):
+            _pocketfft = ()
+    if _pocketfft:
+        if out is None:
+            out = np.empty_like(values, dtype=complex)
+        scale = 1 / values.shape[axis] if inverse else 1
+        return _pocketfft[inverse](values, scale, axes=[(axis,), (), (axis,)], out=out)
+    return (np.fft.ifft if inverse else np.fft.fft)(values, axis=axis, out=out)
+
+
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 1) -> np.ndarray:
     """Differentiate a periodic grid function by FFT along grid axis ``axis``.
 
@@ -179,15 +209,28 @@ def spectral_derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 
     every batch entry is differentiated alike.  Returns a real array for
     real input, complex for complex input.
     """
+    return _spectral_derivatives(values, grid, axis, (order,))[0]
+
+
+def _spectral_derivatives(
+    values: np.ndarray, grid: Grid, axis: int, orders: tuple[int, ...], out: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """``spectral_derivative`` of ``values`` for each order in ``orders``, the same bits,
+    from one forward transform.  The last order is computed in place in the
+    spectrum's buffer, which is ``out`` (complex, of ``values``' shape) when given.
+    """
     k = grid.wavenumbers()[axis]
-    axis += values.ndim - grid.dims
+    batch_axis = axis + values.ndim - grid.dims
     shape = [1] * values.ndim
-    shape[axis] = len(k)
-    factor = (1j * k.reshape(shape)) ** order
-    out = np.fft.ifft(factor * np.fft.fft(values, axis=axis), axis=axis)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    shape[batch_axis] = len(k)
+    ik = 1j * k.reshape(shape)
+    spectrum = _fft(values, batch_axis, out=out)
+    derivatives = []
+    for i, order in enumerate(orders):
+        derivative = np.multiply(ik**order, spectrum, out=spectrum if i == len(orders) - 1 else None)
+        _fft(derivative, batch_axis, out=derivative, inverse=True)
+        derivatives.append(derivative.real if np.isrealobj(values) else derivative)
+    return derivatives
 
 
 def norm(wf: Wavefunction) -> float:
@@ -271,10 +314,20 @@ def node_mask(wf: Wavefunction) -> np.ndarray:
     return density_mask(np.abs(wf.amplitudes) ** 2, wf.grid.dims)
 
 
-def _current(amplitudes: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Im(psi* d_axis psi) of a snapshot or a stack of snapshots: the probability
-    current along ``axis`` without its hbar/m factor."""
-    return np.imag(np.conj(amplitudes) * spectral_derivative(amplitudes, grid, axis=axis))
+def _axis_currents(amplitudes: np.ndarray, grid: Grid):
+    """Yield Im(psi* d_d psi) of a stack of snapshots (B, *grid.shape) for each axis d in
+    turn: the probability current along d without its hbar/m_d factor.
+
+    One complex workspace holds each axis's transform, derivative and product
+    in place, and each yielded current is a view of it that the next axis
+    overwrites.  The product keeps the order conj(psi) * d_d psi, which sets
+    the bits.
+    """
+    conj = np.conjugate(amplitudes)
+    workspace = np.empty(amplitudes.shape, dtype=complex)
+    for d in range(grid.dims):
+        derivative, = _spectral_derivatives(amplitudes, grid, d, (1,), out=workspace)
+        yield np.multiply(conj, derivative, out=derivative).imag
 
 
 def velocity_batch(
@@ -285,15 +338,18 @@ def velocity_batch(
     ``amplitudes`` has shape (B, *grid.shape).  Returns the velocities,
     shape (B, dims, *grid.shape), and the node-threshold masks, shape
     (B, *grid.shape), each snapshot thresholded against its own peak.
-    Masked points hold 0.0.
+    Masked points hold 0.0.  Each velocity is the current of
+    ``_axis_currents``, divided by |psi|^2 on valid points straight into
+    the output and scaled there by hbar/m_d, so a batch allocates one
+    complex workspace and one conjugate besides its outputs.
     """
     rho = np.abs(amplitudes) ** 2
     valid = density_mask(rho, grid.dims)
     masses = params.masses_for(grid.dims)
     out = np.zeros((len(amplitudes), grid.dims) + grid.shape)
-    for d in range(grid.dims):
+    for d, current in enumerate(_axis_currents(amplitudes, grid)):
         v = out[:, d]
-        np.divide(_current(amplitudes, grid, d), rho, out=v, where=valid)
+        np.divide(current, rho, out=v, where=valid)
         v *= params.hbar / masses[d]
     return out, valid
 

@@ -1,9 +1,10 @@
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from bohmsim import PhysicalParams, init_gaussian, make_grid
+from bohmsim import PhysicalParams, init_gaussian, make_grid, wavefield
 
 ACCEPTANCE_LINES = []
 
@@ -66,3 +67,16 @@ def unit_gaussian(line_grid, unit_params):
 def pi_grid():
     """Grid whose length is 10*pi so k = 2 sits exactly on the wavenumber lattice."""
     return make_grid(1, -5.0 * np.pi, 5.0 * np.pi, 256)
+
+
+@pytest.fixture(params=["gufunc", "fallback"])
+def fft_path(request, monkeypatch):
+    """Runs a test with ``wavefield._fft`` looked up afresh: once through numpy's pocketfft
+    gufuncs, once with that private module unavailable, so that ``np.fft`` serves it.
+    Checks afterwards that the test took the path it names."""
+    np.fft.fft  # imported before its gufunc module is hidden
+    monkeypatch.setattr(wavefield, "_pocketfft", None)
+    if request.param == "fallback":
+        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+    yield request.param
+    assert bool(wavefield._pocketfft) == (request.param == "gufunc"), wavefield._pocketfft

@@ -16,6 +16,10 @@ the 1D power form of ``Stencil.sample`` written out one point at a time, the
 bit-for-bit reference of the 1D array and one-point paths.
 ``catmull_rom_weights`` is the weight polynomials written out, the former
 library form and now the accuracy reference of a 2D stencil's weights.
+``fft_derivative`` and ``free_record`` are the spectral derivative and the
+closed-form free evolution written with ``np.fft``, one derivative per
+forward transform and one unfolded phase per mode: the bit-for-bit
+references of the field functions and of free records.
 """
 
 from __future__ import annotations
@@ -178,3 +182,27 @@ def chain_forces(coupling, x):
     forces[:-1] += stretch
     forces[1:] -= stretch
     return forces
+
+
+def fft_derivative(values, grid, axis, order=1):
+    """d^order/dx^order of a grid function (optionally after leading batch axes) along grid
+    axis ``axis``: ifft((i k)^order fft(values)) with ``np.fft``, real for real input."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis], d=grid.dx[axis])
+    axis += values.ndim - grid.dims
+    shape = [1] * values.ndim
+    shape[axis] = len(k)
+    out = np.fft.ifft((1j * k.reshape(shape)) ** order * np.fft.fft(values, axis=axis), axis=axis)
+    return out.real if np.isrealobj(values) else out
+
+
+def free_record(psi0, grid, hbar, masses, times):
+    """Free evolution of the grid function psi0 to each of ``times``, (S, *grid.shape): each row
+    ifftn(exp(-i t rate) fftn psi0) with ``np.fft``, rate = sum_d hbar k_d^2 / 2 m_d."""
+    rate = 0.0
+    for d, n in enumerate(grid.points):
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx[d])
+        shape = [1] * grid.dims
+        shape[d] = n
+        rate = rate + hbar * k.reshape(shape) ** 2 / (2.0 * masses[d])
+    spectrum = np.fft.fftn(psi0)
+    return np.array([np.fft.ifftn(np.exp(-1j * t * rate) * spectrum) for t in times])

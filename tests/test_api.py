@@ -1,7 +1,10 @@
 """The public API: every exported name resolves, and the README example runs."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import numpy as np
 
 import bohmsim
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves_once():
@@ -63,3 +67,21 @@ def test_readme_library_example_runs():
     path = namespace["path"]
     assert path.positions.shape == path.momenta.shape == (len(path.times), 1)
     assert np.isfinite(path.positions).all()
+
+
+def test_import_and_parsing_load_no_fft_or_statistics():
+    # set-up time: the FFT and statistics modules load on first use, not on import
+    configs = sorted(str(path) for path in (ROOT / "configs").glob("*.cfg"))
+    assert len(configs) == 8
+    script = (
+        "import sys\n"
+        "import bohmsim\n"
+        "from bohmsim import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    cli.parse_config_file(path)\n"
+        "print(*(name for name in ('numpy.fft', 'statistics', 'decimal', 'fractions') if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script, *configs], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, manybody, wavefield
+from bohmsim import cli, manybody, propagator, wavefield
 from bohmsim.cli import (
     _SECTIONS,
     EXPERIMENTS,
@@ -446,6 +446,16 @@ class TestFreeGaussianChecks:
         config_path = tmp_path / "narrow.cfg"
         config_path.write_text(text)
         assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
+
+
+    def test_non_unitary_phases_fail_the_norm_drift(self, tmp_path, monkeypatch):
+        # a doctored kinetic rate, not a config input: its small imaginary part damps
+        # every mode, so the closed-form phases exp(-i rate t) stop being unitary
+        real = propagator._kinetic_rate
+        monkeypatch.setattr(propagator, "_kinetic_rate", lambda grid, params: real(grid, params) * (1 - 1e-6j))
+        report, code, text = run_and_main(tmp_path, FREE_GAUSSIAN)
+        assert failed_checks(report) == ["norm-drift-per-step"]
+        assert code == 1 and "FAIL norm-drift-per-step" in text
 
 
 def run_and_main(tmp_path, text):

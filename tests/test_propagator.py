@@ -33,6 +33,7 @@ from bohmsim import (
     velocity_field,
 )
 from bohmsim.propagator import _SplitStepKernel, _whole_steps, accuracy_dt_bound
+from bohmsim.wavefield import FIELD_BATCH_POINTS
 
 
 def quiet_evolve(*args, **kwargs):
@@ -347,6 +348,26 @@ class TestClosedFormFree:
         with pytest.raises(FloatingPointError, match="blow-up"):
             quiet_evolve(bad, potential, 0.05, 1e-3, snapshot_stride=5)
 
+    @pytest.mark.parametrize(
+        "points, n_steps, stride",
+        [((384,), 60, 1), ((383,), 60, 1), ((32, 48), 24, 2), ((33, 20), 40, 1)],
+        ids=["1d-even", "1d-odd", "2d-32x48", "2d-33x20"],
+    )
+    def test_equals_the_unfolded_oracle(self, points, n_steps, stride):
+        # every case spans several chunks of FIELD_BATCH_POINTS grid points; odd
+        # counts have no Nyquist mode
+        dims = len(points)
+        grid = make_grid(dims, (-6.0, -5.0)[:dims], (6.0, 5.0)[:dims], points)
+        params = PhysicalParams(0.7, (1.3, 2.1)[:dims])
+        rng = np.random.default_rng(2)
+        psi0 = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        dt = 0.013
+        record = evolve(Wavefunction(grid, params, psi0), Free(), n_steps * dt, dt, snapshot_stride=stride)
+        assert len(record) - 1 > FIELD_BATCH_POINTS // psi0.size
+        times = np.arange(0, n_steps + 1, stride) * dt
+        want = oracles.free_record(psi0, grid, params.hbar, params.masses, times[1:])
+        assert record.amplitudes[1:].tobytes() == want.tobytes()
+
     def test_peak_memory_stays_near_record_size(self, unit_params):
         # the phases and transforms are chunked, so the temporaries stay a
         # small fraction of a 101-snapshot 128 x 128 record
@@ -473,6 +494,21 @@ class TestRecordLayout:
         assert kernel.apply(wf.amplitudes, out=out) is out
         assert np.array_equal(out, want)
         assert np.array_equal(kernel.apply(wf.amplitudes), want)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_step_equals_np_fft_per_axis(self, fft_path, dims, unit_gaussian):
+        wf = unit_gaussian if dims == 1 else _unequal_plane()
+        potential = Harmonic(omega=1.0) if dims == 1 else Harmonic(omega=(1.3, 0.6), center=(0.2, -0.4))
+        kernel = _SplitStepKernel(wf.grid, wf.params, potential, 1e-4)
+        want = kernel.half_potential * wf.amplitudes
+        for axis in reversed(range(dims)):
+            want = np.fft.fft(want, axis=axis)
+        want = kernel.kinetic * want
+        for axis in reversed(range(dims)):
+            want = np.fft.ifft(want, axis=axis)
+        want = kernel.half_potential * want
+        got = step(wf, potential, 1e-4).amplitudes
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("points", [(256,), (64, 32)])
     def test_per_axis_transforms_equal_fftn(self, points):

@@ -207,6 +207,45 @@ class TestBatchedFields:
         assert f_q_max.tobytes() == want.tobytes()
         assert f_q_max[-1] == 0.0 and f_q_max[:-1].min() > 0.0
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_velocity_batch_equals_the_formula(self, dims):
+        # (Im(conj psi * d psi) / rho) * hbar / m on valid points, +0.0 elsewhere
+        grid, params, states = snapshot_stack(dims)
+        amps = np.stack([s.amplitudes for s in states])
+        values, valid = velocity_batch(amps, grid, params)
+        rho = np.abs(amps) ** 2
+        assert not valid.all()
+        for d, mass in enumerate(params.masses_for(dims)):
+            current = np.imag(np.conj(amps) * oracles.fft_derivative(amps, grid, axis=d))
+            want = current[valid] / rho[valid] * (params.hbar / mass)
+            assert values[:, d][valid].tobytes() == want.tobytes()
+            assert values[:, d][~valid].tobytes() == np.zeros(np.count_nonzero(~valid)).tobytes()
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_qfields_batch_equals_the_formula(self, dims):
+        # R's first and second derivatives each from their own forward transform
+        grid, params, states = snapshot_stack(dims)
+        amps = np.stack([s.amplitudes for s in states])
+        q, force, valid, _ = qfields_batch(amps, grid, params)
+        r = np.abs(amps)
+        rho = r * r
+        coeffs = [params.hbar**2 / (2.0 * m) for m in params.masses_for(dims)]
+        first = [oracles.fft_derivative(r, grid, axis=d) for d in range(dims)]
+        second = [oracles.fft_derivative(r, grid, axis=d, order=2) for d in range(dims)]
+        want_q = np.zeros(r.shape)
+        for d in range(dims):
+            term = np.zeros(r.shape)
+            term[valid] = second[d][valid] / r[valid]
+            want_q -= coeffs[d] * term
+        assert q.tobytes() == want_q.tobytes()
+        for e in range(dims):
+            numerator = np.zeros(r.shape)
+            for d in range(dims):
+                mixed = oracles.fft_derivative(second[d], grid, axis=e)
+                numerator += coeffs[d] * (mixed * r - second[d] * first[e])
+            assert force[:, e][valid].tobytes() == (numerator[valid] / rho[valid]).tobytes()
+            assert force[:, e][~valid].tobytes() == np.zeros(np.count_nonzero(~valid)).tobytes()
+
     def test_threshold_is_per_snapshot(self):
         grid, params, states = snapshot_stack(1)
         _, valid = velocity_batch(np.stack([s.amplitudes for s in states]), grid, params)

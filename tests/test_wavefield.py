@@ -15,7 +15,7 @@ from bohmsim import (
     spectral_derivative,
     velocity_field,
 )
-from bohmsim.wavefield import NODE_THRESHOLD
+from bohmsim.wavefield import NODE_THRESHOLD, _fft
 
 
 class TestMakeGrid:
@@ -92,6 +92,36 @@ class TestSpectralDerivative:
         values = np.sin(2.0 * x0) * np.cos(x1)
         d_along_1 = spectral_derivative(values, grid, axis=1)
         assert np.abs(d_along_1 + np.sin(2.0 * x0) * np.sin(x1)).max() < 1e-12
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestTransform:
+    """``_fft`` returns what ``np.fft.fft``/``ifft`` return, bit for bit, on both of its paths."""
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["fft", "ifft"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((48,), 0), ((33,), 0), ((20, 33), 0), ((20, 33), 1), ((3, 16, 12), 1), ((3, 16, 12), 2)],
+    )
+    def test_equals_np_fft(self, fft_path, shape, axis, kind, inverse):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=shape)
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=shape)
+        before = values.copy()
+        want = (np.fft.ifft if inverse else np.fft.fft)(values, axis=axis)
+        assert same_bits(_fft(values, axis, inverse=inverse), want)
+        out = np.empty(shape, dtype=complex)
+        assert _fft(values, axis, out=out, inverse=inverse) is out
+        assert same_bits(out, want)
+        assert same_bits(values, before)
+        if kind == "complex":
+            assert _fft(values, axis, out=values, inverse=inverse) is values
+            assert same_bits(values, want)
 
 
 class TestInitGaussian:
