@@ -3,7 +3,8 @@
 A config file holds an ``experiment = <name>`` line followed by optional
 ``[grid]``, ``[physics]``, ``[run]``, and ``[output]`` sections of
 ``key = value`` pairs; ``#`` starts a comment.  Unknown sections or keys are
-rejected with their line number, as are out-of-range values.  Every key has
+rejected with their line number, as are out-of-range values, a key set
+twice, and a 2D grid for an experiment that runs in 1D only.  Every key has
 a default, so the minimal config is a single experiment line.
 
 Each run writes ``series.csv`` (per-step quantities), ``trajectories.csv``
@@ -48,6 +49,7 @@ from .wavefield import (
 
 POTENTIALS = ("free", "harmonic", "linear", "barrier")
 SAMPLING_MODES = ("random", "stratified")
+_ONE_DIMENSIONAL = ("crosscheck", "equivariance", "harmonic-ground")
 
 
 class ConfigError(ValueError):
@@ -218,6 +220,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if section is None:
             if key != "experiment":
                 raise ConfigError(lineno, f"unknown top-level key {key!r}; only 'experiment'")
+            if experiment is not None:
+                raise ConfigError(lineno, f"experiment already set on line {experiment_line}")
             if raw_value not in EXPERIMENTS:
                 raise ConfigError(
                     lineno, f"unknown experiment {raw_value!r}; see 'bohmsim list-experiments'"
@@ -229,6 +233,8 @@ def parse_config(text: str) -> ExperimentConfig:
         known = {f.name: f.type for f in fields(cls)}
         if key not in known:
             raise ConfigError(lineno, f"unknown key {key!r} in section [{section}]")
+        if key in override_lines[section]:
+            raise ConfigError(lineno, f"{section}.{key} already set on line {override_lines[section][key]}")
         kind = {"int": int, "float": float, "str": str}[known[key]]
         value = _parse_value(kind, raw_value, lineno, key)
         _validate(section, key, value, lineno)
@@ -247,6 +253,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if config.grid.x_max <= config.grid.x_min:
         line = override_lines["grid"].get("x_max", override_lines["grid"].get("x_min", experiment_line))
         raise ConfigError(line, f"degenerate extent: x_min={config.grid.x_min} >= x_max={config.grid.x_max}")
+    if config.grid.dims != 1 and experiment in _ONE_DIMENSIONAL:
+        line = override_lines["grid"]["dims"]
+        raise ConfigError(line, f"grid.dims: {experiment} runs on 1D grids only, got {config.grid.dims}")
     return config
 
 
@@ -281,7 +290,6 @@ class ContractCheck:
 class ExperimentReport:
     experiment: str
     checks: tuple[ContractCheck, ...]
-    outputs: tuple[str, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -340,7 +348,7 @@ def _worst(values) -> float:
 def _grid_params(config: ExperimentConfig):
     g = config.grid
     grid = make_grid(g.dims, g.x_min, g.x_max, g.points)
-    params = PhysicalParams(config.physics.hbar, (config.physics.mass,))
+    params = PhysicalParams(config.physics.hbar, config.physics.mass)
     return grid, params
 
 
@@ -351,7 +359,7 @@ def _run_free_gaussian(config: ExperimentConfig, seed: int):
     record = evolve(wf, Free(), r.t_final, r.dt, snapshot_stride=r.snapshot_stride)
     residuals = continuity_residual(record)
     sigma0 = p.sigma
-    hbar, mass = params.hbar, params.masses[0]
+    hbar, mass = params.hbar, params.mass
     rows = []
     for i, snap in enumerate(record.snapshots):
         t = float(record.times[i])
@@ -372,7 +380,7 @@ def _run_harmonic_ground(config: ExperimentConfig, seed: int):
     grid, params = _grid_params(config)
     p, r = config.physics, config.run
     omega = p.omega
-    sigma = float(np.sqrt(params.hbar / (2.0 * params.masses[0] * omega)))
+    sigma = float(np.sqrt(params.hbar / (2.0 * params.mass * omega)))
     wf = init_gaussian(grid, params, p.x0, sigma)
     potential = Harmonic(omega=omega, center=p.x0)
     record = evolve(wf, potential, r.t_final, r.dt, snapshot_stride=r.snapshot_stride)
@@ -436,7 +444,7 @@ def _run_averaging_identity(config: ExperimentConfig, seed: int):
         Wavefunction(grid, params, a.amplitudes + b.amplitudes, 0.0)
     )
     suite.append(("double-hump", hump))
-    sigma_ground = float(np.sqrt(params.hbar / (2.0 * params.masses[0])))
+    sigma_ground = float(np.sqrt(params.hbar / (2.0 * params.mass)))
     suite.append(("harmonic-ground", init_gaussian(grid, params, 0.0, sigma_ground)))
     rows = []
     for name, wf in suite:
@@ -451,7 +459,7 @@ def _run_averaging_identity(config: ExperimentConfig, seed: int):
 def _run_no_tunneling(config: ExperimentConfig, seed: int):
     g, p, r = config.grid, config.physics, config.run
     grid1 = make_grid(1, g.x_min, g.x_max, g.points)
-    params = PhysicalParams(p.hbar, (p.mass,))
+    params = PhysicalParams(p.hbar, p.mass)
     half = 0.5 * p.separation
     psi_a = init_gaussian(grid1, params, -half, p.sigma)
     psi_b = init_gaussian(grid1, params, +half, p.sigma)
@@ -545,7 +553,7 @@ def _run_crosscheck(config: ExperimentConfig, seed: int):
     wf = init_plane_wave(grid, params, 2.0)
     cases.append(("plane-wave", wf, Free(), 0.5, 1.0))
     omega = p.omega
-    sigma_g = float(np.sqrt(params.hbar / (2.0 * params.masses[0] * omega)))
+    sigma_g = float(np.sqrt(params.hbar / (2.0 * params.mass * omega)))
     wf = init_gaussian(grid, params, 0.0, sigma_g)
     cases.append(("harmonic-ground", wf, Harmonic(omega=omega), sigma_g, sigma_g))
     rows = []
@@ -587,15 +595,12 @@ def run(
     os.makedirs(directory, exist_ok=True)
     checks, header, rows, trajectories = _RUNNERS[config.experiment](config, effective_seed)
     metadata = _config_echo(config, effective_seed)
-    outputs = [os.path.join(directory, "series.csv")]
-    _write_csv(outputs[0], metadata, header, list(rows)[:: config.output.stride])
+    _write_csv(os.path.join(directory, "series.csv"), metadata, header, list(rows)[:: config.output.stride])
     if trajectories is not None:
         traj_header, traj_rows = trajectories
-        outputs.append(os.path.join(directory, "trajectories.csv"))
-        _write_csv(outputs[-1], metadata, traj_header, traj_rows)
-    outputs.append(os.path.join(directory, "report.txt"))
-    report = ExperimentReport(config.experiment, tuple(checks), tuple(outputs))
-    with open(outputs[-1], "w", encoding="utf-8", newline="\n") as fh:
+        _write_csv(os.path.join(directory, "trajectories.csv"), metadata, traj_header, traj_rows)
+    report = ExperimentReport(config.experiment, tuple(checks))
+    with open(os.path.join(directory, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(report.lines()) + "\n")
     if not quiet:
         for line in report.lines():

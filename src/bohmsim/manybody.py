@@ -61,7 +61,7 @@ RESAMPLE_ABORT_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class SymmetrizedTwoBody:
-    """c1 psi_a(x1) psi_b(x2) + c2 psi_b(x1) psi_a(x2) on a 2D grid."""
+    """(psi_a(x1) psi_b(x2) + psi_b(x1) psi_a(x2)) / sqrt(2), normalized, on a 2D grid."""
 
     wavefunction: Wavefunction
     centers: tuple[float, float]
@@ -82,9 +82,7 @@ class SymmetrizedTwoBody:
         return np.where(in_one, 1, np.where(in_two, 2, 0))
 
 
-def build_symmetrized(
-    psi_a: Wavefunction, psi_b: Wavefunction, coefficients=(2**-0.5, 2**-0.5)
-) -> SymmetrizedTwoBody:
+def build_symmetrized(psi_a: Wavefunction, psi_b: Wavefunction) -> SymmetrizedTwoBody:
     """Symmetrize two separated one-dimensional packets over two bodies.
 
     Raises
@@ -100,9 +98,6 @@ def build_symmetrized(
         raise ValueError("symmetrization takes one-dimensional packets")
     if psi_a.params != psi_b.params:
         raise ValueError("both packets must share physical parameters")
-    c1, c2 = complex(coefficients[0]), complex(coefficients[1])
-    if c1 == 0 and c2 == 0:
-        raise ValueError("at least one coefficient must be nonzero")
 
     mean_a, var_a = position_moments(psi_a)
     mean_b, var_b = position_moments(psi_b)
@@ -125,13 +120,9 @@ def build_symmetrized(
     lo, hi = psi_a.grid.extents[0]
     n = psi_a.grid.points[0]
     grid2 = make_grid(2, lo, hi, n)
-    params2 = PhysicalParams(
-        hbar=psi_a.params.hbar, masses=(psi_a.params.masses[0], psi_a.params.masses[0])
-    )
-    amps = c1 * np.outer(psi_a.amplitudes, psi_b.amplitudes) + c2 * np.outer(
-        psi_b.amplitudes, psi_a.amplitudes
-    )
-    wf2 = normalize(Wavefunction(grid2, params2, amps, time=0.0))
+    c = complex(2**-0.5)
+    amps = c * np.outer(psi_a.amplitudes, psi_b.amplitudes) + c * np.outer(psi_b.amplitudes, psi_a.amplitudes)
+    wf2 = normalize(Wavefunction(grid2, psi_a.params, amps, time=0.0))
     return SymmetrizedTwoBody(
         wavefunction=wf2,
         centers=(float(mean_a[0]), float(mean_b[0])),
@@ -194,7 +185,7 @@ class SubsystemType:
     def packet(self, hbar: float) -> Wavefunction:
         """The packet on its offset grid, 256 points on [-10, 10]."""
         grid = make_grid(1, -10.0, 10.0, 256)
-        return init_gaussian(grid, PhysicalParams(hbar, (self.mass,)), 0.0, self.sigma)
+        return init_gaussian(grid, PhysicalParams(hbar, self.mass), 0.0, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -245,18 +236,16 @@ class FactorizedNBody:
         n: int,
         sigma: float = 1.0,
         mass: float = 1.0,
-        spacing: float | None = None,
         external: PotentialSpec = Free(),
         coupling: PairwiseHarmonic | float | None = None,
         hbar: float = 1.0,
     ) -> "FactorizedNBody":
-        """Equal-mass subsystems of one type on a centered lattice of frames.
+        """Equal-mass subsystems of one type on a centered lattice of frames 10 sigma apart.
 
         A bare number for ``coupling`` means nearest-neighbour springs with
         that constant and rest length equal to the lattice spacing.
         """
-        if spacing is None:
-            spacing = 10.0 * sigma
+        spacing = 10.0 * sigma
         if coupling is not None and not isinstance(coupling, PairwiseHarmonic):
             coupling = PairwiseHarmonic(coupling=float(coupling), rest_length=spacing)
         frames = (np.arange(n) - 0.5 * (n - 1)) * spacing
@@ -299,7 +288,7 @@ class CMResult:
 
 def _chain_forces(coupling: PairwiseHarmonic, x: np.ndarray) -> np.ndarray:
     """Nearest-neighbour spring forces, the spring law of each (x[i+1], x[i]) pair."""
-    pair = coupling.force_at(np.stack([x[1:], x[:-1]], axis=-1), None)  # the law reads no masses
+    pair = coupling.force_at(np.stack([x[1:], x[:-1]], axis=-1), None)  # the law reads no mass
     forces = np.zeros_like(x)
     forces[:-1] += pair[:, 1]
     forces[1:] += pair[:, 0]
@@ -375,7 +364,7 @@ def run_cm_experiment(
 
     frames = spec.frame_positions.copy()
     frame_velocities = spec.frame_velocities.copy()
-    params = PhysicalParams(spec.hbar, (mass,))
+    params = PhysicalParams(spec.hbar, mass)
 
     def external_forces(positions: np.ndarray) -> np.ndarray:
         return spec.external.force_at(positions[:, None], params)[:, 0]
@@ -486,7 +475,7 @@ def run_bec_experiment(
     n_steps = _whole_steps(t_final, dt)
     half = 8.0 * packet_width
     grid = make_grid(1, -half, half, 512)
-    params = PhysicalParams(hbar, (mass,))
+    params = PhysicalParams(hbar, mass)
     wf = init_gaussian(grid, params, 0.0, packet_width, wavenumber=mass * velocity / hbar)
 
     rng = _rng(seed)

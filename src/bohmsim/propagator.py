@@ -67,26 +67,25 @@ class Free(PotentialSpec):
 
 @dataclass(frozen=True)
 class Harmonic(PotentialSpec):
-    """V = sum_d (1/2) m_d omega_d^2 (x_d - center_d)^2."""
+    """V = sum_d (1/2) m omega_d^2 (x_d - center_d)^2."""
 
     omega: float | tuple[float, ...]
     center: float | tuple[float, ...] = 0.0
 
-    def _terms(self, x, params):
+    def _terms(self, x):
         x = np.asarray(x, dtype=float)
         dims = x.shape[-1]
-        omegas = _as_tuple(self.omega, dims, "omega")
-        return x, params.masses_for(dims), omegas, _as_tuple(self.center, dims, "center")
+        return x, _as_tuple(self.omega, dims, "omega"), _as_tuple(self.center, dims, "center")
 
     def value_at(self, x, params):
-        x, masses, omegas, centers = self._terms(x, params)
-        return sum(0.5 * masses[d] * omegas[d] ** 2 * (x[..., d] - centers[d]) ** 2 for d in range(x.shape[-1]))
+        x, omegas, centers = self._terms(x)
+        return sum(0.5 * params.mass * omegas[d] ** 2 * (x[..., d] - centers[d]) ** 2 for d in range(x.shape[-1]))
 
     def force_at(self, x, params):
-        x, masses, omegas, centers = self._terms(x, params)
+        x, omegas, centers = self._terms(x)
         out = np.zeros_like(x)
         for d in range(x.shape[-1]):
-            out[..., d] = -masses[d] * omegas[d] ** 2 * (x[..., d] - centers[d])
+            out[..., d] = -params.mass * omegas[d] ** 2 * (x[..., d] - centers[d])
         return out
 
 
@@ -163,9 +162,8 @@ def evaluate_potential(pot: PotentialSpec, grid: Grid, params: PhysicalParams) -
 # --------------------------------------------------------------------------
 
 def accuracy_dt_bound(grid: Grid, params: PhysicalParams) -> float:
-    """Guidance (not a hard limit): dt <= 0.2 min_d(m_d dx_d^2) / (2 pi hbar)."""
-    masses = params.masses_for(grid.dims)
-    scale = min(m * step**2 for m, step in zip(masses, grid.dx))
+    """Guidance (not a hard limit): dt <= 0.2 min_d(m dx_d^2) / (2 pi hbar)."""
+    scale = min(params.mass * step**2 for step in grid.dx)
     return 0.2 * scale / (2.0 * np.pi * params.hbar)
 
 
@@ -189,13 +187,12 @@ def _kinetic_rate(grid: Grid, params: PhysicalParams) -> np.ndarray:
     A free state's mode k evolves as exp(-i rate t); the Strang kernel and
     the closed-form free evolution both take their kinetic phase from here.
     """
-    masses = params.masses_for(grid.dims)
     ks = grid.wavenumbers()
     rate = np.zeros(grid.shape)
     for d in range(grid.dims):
         shape = [1] * grid.dims
         shape[d] = len(ks[d])
-        rate = rate + params.hbar * ks[d].reshape(shape) ** 2 / (2.0 * masses[d])
+        rate = rate + params.hbar * ks[d].reshape(shape) ** 2 / (2.0 * params.mass)
     return rate
 
 
@@ -280,7 +277,6 @@ class EvolutionRecord:
     amplitudes: np.ndarray
     grid: Grid
     params: PhysicalParams
-    dt: float
     norm_drift: np.ndarray
     potential: PotentialSpec
 
@@ -347,7 +343,6 @@ def _evolve_split(wf: Wavefunction, potential: PotentialSpec, block: np.ndarray,
 
     Returns the norm drift of every step.
     """
-    _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     kernel = _SplitStepKernel(wf.grid, wf.params, potential, dt)
     cell = wf.grid.cell_volume
     n_steps = (len(block) - 1) * stride
@@ -391,6 +386,7 @@ def evolve(
     steps = np.arange(0, n_steps + 1, snapshot_stride)
     amplitudes = np.empty((len(steps),) + wf.grid.shape, dtype=complex)
     amplitudes[0] = wf.amplitudes
+    _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     if isinstance(potential, Free):
         drift = _evolve_free(wf, amplitudes, steps, dt)
     else:
@@ -400,7 +396,6 @@ def evolve(
         amplitudes=amplitudes,
         grid=wf.grid,
         params=wf.params,
-        dt=dt,
         norm_drift=drift,
         potential=potential,
     )
@@ -408,15 +403,14 @@ def evolve(
 
 def _currents(amplitudes: np.ndarray, grid: Grid, params: PhysicalParams) -> np.ndarray:
     """Probability currents of a stack of snapshots (B, *grid.shape), shape (B, dims, *grid.shape)."""
-    masses = params.masses_for(grid.dims)
     out = np.empty((len(amplitudes), grid.dims) + grid.shape)
     for d, current in enumerate(_axis_currents(amplitudes, grid)):
-        np.multiply(params.hbar / masses[d], current, out=out[:, d])
+        np.multiply(params.hbar / params.mass, current, out=out[:, d])
     return out
 
 
 def probability_current(wf: Wavefunction) -> np.ndarray:
-    """j_d = (hbar/m_d) Im(psi* d_d psi), shape (dims, *grid.shape); finite everywhere, no mask needed."""
+    """j_d = (hbar/m) Im(psi* d_d psi), shape (dims, *grid.shape); finite everywhere, no mask needed."""
     return _currents(wf.amplitudes[None], wf.grid, wf.params)[0]
 
 

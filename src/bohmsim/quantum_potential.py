@@ -2,12 +2,12 @@
 
 For psi = R exp(iS/hbar) the quantum potential is
 
-    Q = - sum_d (hbar^2 / 2 m_d) (d_d^2 R) / R
+    Q = - sum_d (hbar^2 / 2 m) (d_d^2 R) / R
 
 and the quantum force is F_Q = -grad Q.  Derivatives of R are spectral.
 F_Q is assembled with the quotient rule on derivatives of R,
 
-    -d_e Q = sum_d c_d (d_e d_d^2 R * R - d_d^2 R * d_e R) / R^2,
+    -d_e Q = sum_d c (d_e d_d^2 R * R - d_d^2 R * d_e R) / R^2,  c = hbar^2 / 2 m,
 
 so the only division happens pointwise at the end; differentiating the
 masked Q field directly would smear node-region garbage across the grid.
@@ -63,7 +63,7 @@ def qfields_batch(
     r = np.abs(amplitudes)
     rho = r * r
     valid = density_mask(rho, dims)
-    coeffs = [params.hbar**2 / (2.0 * m) for m in params.masses_for(dims)]
+    coeff = params.hbar**2 / (2.0 * params.mass)
 
     first, second = zip(*(_spectral_derivatives(r, grid, d, (1, 2)) for d in range(dims)))
 
@@ -71,14 +71,14 @@ def qfields_batch(
     for d in range(dims):
         term = np.zeros(r.shape)
         np.divide(second[d], r, out=term, where=valid)
-        q -= coeffs[d] * term
+        q -= coeff * term
 
     force = np.zeros((len(r), dims) + grid.shape)
     for e in range(dims):
         numerator = np.zeros(r.shape)
         for d in range(dims):
             mixed = spectral_derivative(second[d], grid, axis=e)
-            numerator += coeffs[d] * (mixed * r - second[d] * first[e])
+            numerator += coeff * (mixed * r - second[d] * first[e])
         f = force[:, e]
         np.divide(numerator, rho, out=f, where=valid)
 
@@ -131,7 +131,7 @@ def _warn_if_boundary_touched(rho: np.ndarray) -> None:
 
 
 def hamilton_jacobi_energy(wf: Wavefunction, potential: PotentialSpec, x) -> float:
-    """Pointwise energy E = sum_d (1/2) m_d v_d^2 + V + Q at position ``x``.
+    """Pointwise energy E = sum_d (1/2) m v_d^2 + V + Q at position ``x``.
 
     ``x`` is interpolated between grid points (cubic).  Raises ``ValueError``
     when ``x`` lies off the grid or its interpolation stencil touches the
@@ -142,10 +142,9 @@ def hamilton_jacobi_energy(wf: Wavefunction, potential: PotentialSpec, x) -> flo
         raise ValueError(f"x must be a single point with {wf.grid.dims} coordinates")
     qf = compute_qfields(wf)
     stencil = _interp.checked_stencil(wf.grid, x, qf.valid)
-    masses = wf.params.masses_for(wf.grid.dims)
     *velocity, q = stencil.sample(np.concatenate([velocity_field(wf), qf.q[None]]))[0].tolist()
     kinetic = 0.0
-    for d, v in enumerate(velocity):
-        kinetic += 0.5 * masses[d] * v * v
+    for v in velocity:
+        kinetic += 0.5 * wf.params.mass * v * v
     v_cl = float(potential.value_at(x[0], wf.params))
     return kinetic + v_cl + q

@@ -52,7 +52,6 @@ class Trajectory:
 
     times: np.ndarray
     positions: np.ndarray  # (n_times, dims)
-    mode: str  # "guidance" or "newton"
     momenta: np.ndarray | None = None  # (n_times, dims)
 
 
@@ -201,7 +200,7 @@ def _guidance_rk4(
     positions = np.empty((n + 1,) + x.shape)
     positions[0] = x
     velocities = np.empty_like(positions) if keep_velocities else None
-    if x.shape == (1, 1):
+    if x.shape == (1, 1) and record.grid.dims == 1:
         x = x.item()
     for step_index in range(n):
         t = float(times[step_index])
@@ -242,9 +241,8 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     """Integrate the guidance equation for a single initial position."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times, positions, velocities = _guidance_rk4(record, x0[None, :], dt, keep_velocities=True)
-    masses = np.asarray(record.params.masses_for(record.grid.dims))
-    momenta = masses * velocities[:, 0, :]
-    return Trajectory(times=times, positions=positions[:, 0, :], mode="guidance", momenta=momenta)
+    momenta = record.params.mass * velocities[:, 0, :]
+    return Trajectory(times=times, positions=positions[:, 0, :], momenta=momenta)
 
 
 def integrate_newton_batch(
@@ -262,7 +260,7 @@ def integrate_newton_batch(
     n = _step_count(record, dt)
     x = np.array(np.atleast_2d(x0), dtype=float)
     grid, params = record.grid, record.params
-    masses = np.asarray(params.masses_for(grid.dims))
+    mass = params.mass
     t0 = float(record.times[0])
     times = t0 + dt * np.arange(n + 1)
     force_cache = _FieldCache(record, "qforce", dt)
@@ -270,10 +268,10 @@ def integrate_newton_batch(
     momenta = np.empty_like(positions)
     positions[0] = x
     velocity, valid = velocity_batch(record.amplitudes[:1], grid, params)
-    point = x.shape == (1, 1)
+    point = x.shape == (1, 1) and grid.dims == 1
     if point:
-        x, masses = x.item(), masses.item()
-    p = masses * _read(grid, t0, x, velocity[0], _interp.erode(valid[0], grid.dims))
+        x = x.item()
+    p = mass * _read(grid, t0, x, velocity[0], _interp.erode(valid[0], grid.dims))
 
     def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
         classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
@@ -284,7 +282,7 @@ def integrate_newton_batch(
     force = total_force(t0, x)
     for step_index in range(n):
         p = p + 0.5 * dt * force
-        x = x + dt * p / masses
+        x = x + dt * p / mass
         force = total_force(float(times[step_index + 1]), x)
         p = p + 0.5 * dt * force
         positions[step_index + 1] = x
@@ -296,12 +294,7 @@ def integrate_newton(record: EvolutionRecord, x0, potential: PotentialSpec, dt: 
     """Integrate the Newton form for a single initial position."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times, positions, momenta = integrate_newton_batch(record, x0[None, :], potential, dt)
-    return Trajectory(
-        times=times,
-        positions=positions[:, 0, :],
-        mode="newton",
-        momenta=momenta[:, 0, :],
-    )
+    return Trajectory(times=times, positions=positions[:, 0, :], momenta=momenta[:, 0, :])
 
 
 def crosscheck(record: EvolutionRecord, x0, potential: PotentialSpec, dt: float) -> float:

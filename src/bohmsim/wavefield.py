@@ -2,10 +2,11 @@
 
 Everything downstream (propagation, quantum potential, trajectories) works
 with the types defined here: a rectangular periodic ``Grid`` in one or two
-dimensions, ``PhysicalParams`` carrying hbar and per-dimension masses, and
-an immutable ``Wavefunction`` snapshot.  Derived fields are plain arrays:
-one component per dimension along a leading axis, shape (dims, *grid.shape),
-with node-region points masked by ``node_mask`` and holding 0.0.
+dimensions, ``PhysicalParams`` carrying hbar and the one mass of every
+configuration-space coordinate, and an immutable ``Wavefunction``
+snapshot.  Derived fields are plain arrays: one component per dimension
+along a leading axis, shape (dims, *grid.shape), with node-region points
+masked by ``node_mask`` and holding 0.0.
 
 Derivatives are spectral (FFT) throughout, which is why grids are periodic
 and localized states must keep a margin away from the boundary.
@@ -134,27 +135,17 @@ def make_grid(dims: int, x_min, x_max, points) -> Grid:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """hbar and per-dimension masses (a single mass broadcasts)."""
+    """hbar and the one mass m that every configuration-space coordinate carries."""
 
     hbar: float = 1.0
-    masses: tuple[float, ...] = (1.0,)
+    mass: float = 1.0
 
     def __post_init__(self):
-        if np.isscalar(self.masses):
-            object.__setattr__(self, "masses", (float(self.masses),))
-        else:
-            object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError(f"masses must be positive, got {self.masses}")
-
-    def masses_for(self, dims: int) -> tuple[float, ...]:
-        if len(self.masses) == dims:
-            return self.masses
-        if len(self.masses) == 1:
-            return self.masses * dims
-        raise ValueError(f"have {len(self.masses)} masses for {dims} dimensions")
+        for name in ("hbar", "mass"):
+            value = float(getattr(self, name))
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,6 @@ def init_gaussian(grid: Grid, params: PhysicalParams, center, sigma, wavenumber=
     centers = _as_tuple(center, grid.dims, "center")
     sigmas = _as_tuple(sigma, grid.dims, "sigma")
     k0s = _as_tuple(wavenumber, grid.dims, "wavenumber")
-    params.masses_for(grid.dims)  # fail early on a mass/dims mismatch
     for d, (c, s) in enumerate(zip(centers, sigmas)):
         step = grid.dx[d]
         lo, hi = grid.extents[d]
@@ -316,7 +306,7 @@ def node_mask(wf: Wavefunction) -> np.ndarray:
 
 def _axis_currents(amplitudes: np.ndarray, grid: Grid):
     """Yield Im(psi* d_d psi) of a stack of snapshots (B, *grid.shape) for each axis d in
-    turn: the probability current along d without its hbar/m_d factor.
+    turn: the probability current along d without its hbar/m factor.
 
     One complex workspace holds each axis's transform, derivative and product
     in place, and each yielded current is a view of it that the next axis
@@ -340,22 +330,21 @@ def velocity_batch(
     (B, *grid.shape), each snapshot thresholded against its own peak.
     Masked points hold 0.0.  Each velocity is the current of
     ``_axis_currents``, divided by |psi|^2 on valid points straight into
-    the output and scaled there by hbar/m_d, so a batch allocates one
+    the output and scaled there by hbar/m, so a batch allocates one
     complex workspace and one conjugate besides its outputs.
     """
     rho = np.abs(amplitudes) ** 2
     valid = density_mask(rho, grid.dims)
-    masses = params.masses_for(grid.dims)
     out = np.zeros((len(amplitudes), grid.dims) + grid.shape)
     for d, current in enumerate(_axis_currents(amplitudes, grid)):
         v = out[:, d]
         np.divide(current, rho, out=v, where=valid)
-        v *= params.hbar / masses[d]
+        v *= params.hbar / params.mass
     return out, valid
 
 
 def velocity_field(wf: Wavefunction) -> np.ndarray:
-    """Guidance velocity v_d = (hbar/m_d) Im(psi* d_d psi) / |psi|^2, shape (dims, *grid.shape).
+    """Guidance velocity v_d = (hbar/m) Im(psi* d_d psi) / |psi|^2, shape (dims, *grid.shape).
 
     The ratio form is gauge-safe (no phase unwrapping).  Points outside
     ``node_mask(wf)`` hold 0.0.

@@ -84,11 +84,10 @@ def continuity_residual_pairs(record):
     from bohmsim import spectral_derivative
 
     grid = record.grid
-    masses = record.params.masses_for(grid.dims)
     currents = []
     for psi in record.amplitudes:
         currents.append([
-            record.params.hbar / masses[d] * np.imag(np.conj(psi) * spectral_derivative(psi, grid, axis=d))
+            record.params.hbar / record.params.mass * np.imag(np.conj(psi) * spectral_derivative(psi, grid, axis=d))
             for d in range(grid.dims)
         ])
     rho = np.abs(record.amplitudes) ** 2
@@ -195,14 +194,14 @@ def fft_derivative(values, grid, axis, order=1):
     return out.real if np.isrealobj(values) else out
 
 
-def free_record(psi0, grid, hbar, masses, times):
+def free_record(psi0, grid, hbar, mass, times):
     """Free evolution of the grid function psi0 to each of ``times``, (S, *grid.shape): each row
-    ifftn(exp(-i t rate) fftn psi0) with ``np.fft``, rate = sum_d hbar k_d^2 / 2 m_d."""
+    ifftn(exp(-i t rate) fftn psi0) with ``np.fft``, rate = sum_d hbar k_d^2 / 2 m."""
     rate = 0.0
     for d, n in enumerate(grid.points):
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx[d])
         shape = [1] * grid.dims
         shape[d] = n
-        rate = rate + hbar * k.reshape(shape) ** 2 / (2.0 * masses[d])
+        rate = rate + hbar * k.reshape(shape) ** 2 / (2.0 * mass)
     spectrum = np.fft.fftn(psi0)
     return np.array([np.fft.ifftn(np.exp(-1j * t * rate) * spectrum) for t in times])

@@ -1,5 +1,7 @@
 """The public API: every exported name resolves, and the README example runs."""
 
+import ast
+import importlib
 import inspect
 import os
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import bohmsim
+from bohmsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -40,17 +43,37 @@ def test_unread_names_are_gone():
     assert not hasattr(bohmsim.FactorizedNBody, "masses")
     assert not {"psi_a", "psi_b", "coefficients", "widths"} & {f.name for f in fields(bohmsim.SymmetrizedTwoBody)}
     assert "n_subsystems" not in {f.name for f in fields(bohmsim.CMResult)}
-    assert "dt" not in {f.name for f in fields(bohmsim.Trajectory)}
+    assert not {"dt", "mode"} & {f.name for f in fields(bohmsim.Trajectory)}
+    assert [f.name for f in fields(bohmsim.PhysicalParams)] == ["hbar", "mass"]
+    assert not {"masses", "masses_for"} & set(dir(bohmsim.PhysicalParams))
+    assert "dt" not in {f.name for f in fields(bohmsim.EvolutionRecord)}
+    assert "outputs" not in {f.name for f in fields(cli.ExperimentReport)}
     assert not {"points", "half_width"} & {f.name for f in fields(bohmsim.SubsystemType)}
     unset = {
         bohmsim.no_tunneling_check: {"potential"},
-        bohmsim.FactorizedNBody.homogeneous: {"points", "half_width"},
+        bohmsim.FactorizedNBody.homogeneous: {"points", "half_width", "spacing"},
         bohmsim.run_bec_experiment: {"points"},
+        bohmsim.build_symmetrized: {"coefficients"},
     }
     for function, names in unset.items():
         assert not names & set(inspect.signature(function).parameters), function.__qualname__
     assert not hasattr(bohmsim.trajectories, "_eval_point")
     assert not hasattr(bohmsim.trajectories._FieldCache, "stencil")
+
+
+def test_every_traced_benchmark_name_resolves():
+    # the benchmark's tracer wraps these functions by name; read its table without importing it
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for module_name, names in targets.items():
+        module = importlib.import_module(f"bohmsim.{module_name}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"{module_name}.{name}"
 
 
 def test_readme_library_example_runs():

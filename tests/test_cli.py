@@ -1,6 +1,7 @@
 """Tests for the command line front end: config parsing, runs, and output files."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -62,6 +63,14 @@ dt = 0.01
 t_final = 1.0
 snapshot_stride = 10
 """
+
+
+def with_values(text, **values):
+    """Config ``text`` with new values for keys it sets once each (a key set twice is an error)."""
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    return text
 
 
 def data_rows(path):
@@ -135,12 +144,6 @@ class TestParseConfig:
         assert config.experiment == "bec"
         assert config.grid.points == 128
 
-    def test_last_assignment_wins(self):
-        config = parse_config(
-            "experiment = bec\n[run]\nt_final = 1.0\nt_final = 3.0\n"
-        )
-        assert config.run.t_final == 3.0
-
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_every_experiment_name_parses(self, name):
         assert parse_config(f"experiment = {name}").experiment == name
@@ -194,6 +197,18 @@ class TestParseErrors:
 
     def test_unsupported_dims(self):
         self.check("experiment = bec\n[grid]\ndims = 3\n", 3, "dims must be 1 or 2, got 3")
+
+    def test_repeated_key_names_both_lines(self):
+        text = "experiment = bec\n[run]\nt_final = 1.0\ndt = 0.01\n[physics]\nmass = 2\n[run]\nt_final = 3.0\n"
+        self.check(text, 8, r"^line 8: run\.t_final already set on line 3$")
+
+    def test_second_experiment_line_names_both_lines(self):
+        self.check("# demo\nexperiment = bec\nexperiment = crosscheck\n", 3, "^line 3: experiment already set on line 2$")
+
+    @pytest.mark.parametrize("name", ["crosscheck", "equivariance", "harmonic-ground"])
+    def test_two_dims_rejected_for_one_dimensional_experiments(self, name):
+        text = f"experiment = {name}\n[grid]\ndims = 2\npoints = 32\n"
+        self.check(text, 3, rf"^line 3: grid\.dims: {name} runs on 1D grids only, got 2$")
 
     def test_unknown_potential(self):
         self.check("experiment = bec\n[physics]\npotential = coulomb\n", 3, "potential must be one of")
@@ -293,9 +308,7 @@ class TestContractCheck:
         assert not ContractCheck("x", float("nan"), 1.0, kind="min").passed
 
     def test_report_lines(self):
-        report = ExperimentReport(
-            "demo", (ContractCheck("alpha", 0.25, 1.0), ContractCheck("beta", 2.0, 1.0)), ()
-        )
+        report = ExperimentReport("demo", (ContractCheck("alpha", 0.25, 1.0), ContractCheck("beta", 2.0, 1.0)))
         assert not report.all_passed
         lines = report.lines()
         assert lines[0] == "experiment: demo"
@@ -304,12 +317,12 @@ class TestContractCheck:
         assert lines[-1] == "result: FAILED"
 
     def test_report_all_pass(self):
-        report = ExperimentReport("demo", (ContractCheck("alpha", 0.25, 1.0),), ())
+        report = ExperimentReport("demo", (ContractCheck("alpha", 0.25, 1.0),))
         assert report.all_passed
         assert report.lines()[-1] == "result: ALL PASS"
 
     def test_min_kind_direction_in_line(self):
-        report = ExperimentReport("demo", (ContractCheck("gamma", 1.0, 0.5, kind="min"),), ())
+        report = ExperimentReport("demo", (ContractCheck("gamma", 1.0, 0.5, kind="min"),))
         assert report.lines()[1] == "PASS gamma: measured=1.0 >= bound=0.5"
 
 
@@ -431,7 +444,7 @@ class TestFreeGaussianChecks:
 
     def test_coarse_snapshots_fail_only_continuity(self, tmp_path):
         # three snapshots 1.0 apart: the centred time difference is too coarse
-        text = FREE_GAUSSIAN + "\n[run]\nsnapshot_stride = 1000\n"
+        text = with_values(FREE_GAUSSIAN, snapshot_stride=1000)
         report = run(parse_config(text), out_dir=tmp_path / "run", quiet=True)
         assert failed_checks(report) == ["continuity-residual-max"]
         config_path = tmp_path / "coarse.cfg"
@@ -440,7 +453,7 @@ class TestFreeGaussianChecks:
 
     def test_narrow_grid_fails_the_variance_law(self, tmp_path):
         # the spreading packet wraps around a 12-wide periodic box
-        text = FREE_GAUSSIAN + "\n[grid]\nx_min = -6.0\nx_max = 6.0\n"
+        text = with_values(FREE_GAUSSIAN, x_min=-6.0, x_max=6.0)
         report = run(parse_config(text), out_dir=tmp_path / "run", quiet=True)
         assert "variance-law-relative-error" in failed_checks(report)
         config_path = tmp_path / "narrow.cfg"
@@ -473,14 +486,14 @@ class TestNegativeControls:
     @pytest.mark.filterwarnings("ignore::bohmsim.AccuracyWarning")
     def test_coarse_steps_split_the_two_routes(self, tmp_path):
         # four RK4 and leapfrog steps over the record: the routes part by 3.7e-3 widths
-        report, code, text = run_and_main(tmp_path, CROSSCHECK + "\n[run]\ndt = 0.5\n")
+        report, code, text = run_and_main(tmp_path, with_values(CROSSCHECK, dt=0.5))
         assert failed_checks(report) == ["max-route-gap-over-width"]
         assert code == 1 and "FAIL max-route-gap-over-width" in text
 
     def test_coarse_steps_carry_the_ensemble_off_equilibrium(self, tmp_path):
         # snapshots 1.0 apart, linear in time between them, while a sigma = 0.7 packet
         # spreads on a time scale of 2 sigma^2 = 0.98: the ensemble leaves |psi|^2
-        text = EQUIVARIANCE + "\n[physics]\nsigma = 0.7\n[run]\ndt = 0.2\n"
+        text = with_values(EQUIVARIANCE, sigma=0.7, dt=0.2)
         report, code, written = run_and_main(tmp_path, text)
         assert failed_checks(report) == ["ks-distance-max", "ks-growth-ratio"]
         assert code == 1
@@ -488,7 +501,7 @@ class TestNegativeControls:
 
     def test_weak_external_force_loses_to_the_quantum_sum(self, tmp_path):
         # f_ext = 0.01 on 1000 bodies no longer dominates the sqrt(N)-sized quantum force sum
-        report, code, text = run_and_main(tmp_path, CM_NEWTON + "\n[physics]\nf_ext = 0.01\n")
+        report, code, text = run_and_main(tmp_path, with_values(CM_NEWTON, f_ext=0.01))
         assert failed_checks(report) == ["acceleration-error", "quantum-vs-external-force", "contrast-ratio"]
         assert code == 1 and "FAIL quantum-vs-external-force" in text
 
@@ -511,7 +524,7 @@ class TestNanFailsTheContract:
             return math.nan if len(calls) % 3 == 2 else 1e-9
 
         monkeypatch.setattr(cli, "crosscheck", gap)
-        report, code, text = run_and_main(tmp_path, CROSSCHECK + "\n[run]\nt_final = 0.1\n")
+        report, code, text = run_and_main(tmp_path, with_values(CROSSCHECK, t_final=0.1))
         assert len(calls) == 6
         assert failed_checks(report) == ["max-route-gap-over-width"]
         assert code == 1 and "FAIL max-route-gap-over-width: measured=nan" in text
@@ -527,7 +540,7 @@ class TestCrosscheckMemory:
             return record
 
         monkeypatch.setattr(cli, "evolve", evolve)
-        config = parse_config(CROSSCHECK + "\n[run]\nt_final = 0.5\n")
+        config = parse_config(with_values(CROSSCHECK, t_final=0.5))
         tracemalloc.start()
         try:
             cli._run_crosscheck(config, 0)
@@ -561,6 +574,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 3:")
         assert "points must be >= 16" in err
+
+    def test_validate_rejects_repeated_keys(self, tmp_path, capsys):
+        config_path = tmp_path / "twice.cfg"
+        config_path.write_text("experiment = bec\n[run]\ndt = 0.01\ndt = 0.02\n")
+        assert main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr().err == "config error: line 4: run.dt already set on line 3\n"
+        config_path.write_text("experiment = bec\nexperiment = crosscheck\n")
+        assert main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr().err == "config error: line 2: experiment already set on line 1\n"
 
     @pytest.mark.parametrize(
         "overlay, message",

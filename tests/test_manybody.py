@@ -55,11 +55,16 @@ class TestBuildSymmetrized:
         with pytest.raises(ValueError, match="overlap"):
             build_symmetrized(psi_a, psi_b)
 
-    def test_single_coefficient_gives_product_state(self, line_grid, unit_params):
+    def test_amplitudes_are_the_normalized_symmetric_sum(self, line_grid, unit_params):
         psi_a, psi_b = packet_pair(line_grid, unit_params, 10.0, 1.0)
-        sym = build_symmetrized(psi_a, psi_b, coefficients=(1.0, 0.0))
-        product = np.outer(psi_a.amplitudes, psi_b.amplitudes)
-        assert np.abs(sym.wavefunction.amplitudes - product).max() < 1e-12
+        sym = build_symmetrized(psi_a, psi_b)
+        a, b = psi_a.amplitudes, psi_b.amplitudes
+        grid2 = make_grid(2, -10.0, 10.0, 256)
+        want = normalize(Wavefunction(grid2, unit_params, (np.outer(a, b) + np.outer(b, a)) / np.sqrt(2.0), 0.0))
+        assert sym.wavefunction.grid == grid2
+        assert sym.wavefunction.params == unit_params
+        # equal up to rounding: 2^-1/2 multiplies each term before the sum here, after it in the oracle
+        assert np.allclose(sym.wavefunction.amplitudes, want.amplitudes, rtol=1e-15, atol=0.0)
 
     def test_mismatched_grids_rejected(self, unit_params):
         a = init_gaussian(make_grid(1, -10.0, 10.0, 256), unit_params, -5.0, 1.0)
@@ -69,14 +74,9 @@ class TestBuildSymmetrized:
 
     def test_mismatched_params_rejected(self, line_grid, unit_params):
         a = init_gaussian(line_grid, unit_params, -5.0, 1.0)
-        b = init_gaussian(line_grid, PhysicalParams(masses=(2.0,)), 5.0, 1.0)
+        b = init_gaussian(line_grid, PhysicalParams(mass=2.0), 5.0, 1.0)
         with pytest.raises(ValueError, match="physical parameters"):
             build_symmetrized(a, b)
-
-    def test_zero_coefficients_rejected(self, line_grid, unit_params):
-        psi_a, psi_b = packet_pair(line_grid, unit_params, 10.0, 1.0)
-        with pytest.raises(ValueError, match="nonzero"):
-            build_symmetrized(psi_a, psi_b, coefficients=(0.0, 0.0))
 
     def test_sector_labels(self, line_grid, unit_params):
         psi_a, psi_b = packet_pair(line_grid, unit_params, 10.0, 1.0)
@@ -117,9 +117,7 @@ class TestNoTunneling:
         grid2 = make_grid(2, -8.0, 8.0, 128)
         amps = np.outer(psi_a.amplitudes, psi_b.amplitudes)
         amps = amps + np.outer(psi_b.amplitudes, psi_a.amplitudes)
-        wf2 = normalize(
-            Wavefunction(grid2, PhysicalParams(masses=(1.0, 1.0)), amps, 0.0)
-        )
+        wf2 = normalize(Wavefunction(grid2, unit_params, amps, 0.0))
         sym = SymmetrizedTwoBody(
             wavefunction=wf2,
             centers=(-0.75, 0.75),
@@ -146,7 +144,11 @@ class TestFactorizedNBodySpec:
 
     def test_crowded_frames_rejected(self):
         with pytest.raises(ValueError, match="locality assumption violated"):
-            FactorizedNBody.homogeneous(10, sigma=1.0, spacing=5.0)
+            FactorizedNBody(
+                subsystem=SubsystemType(sigma=1.0),
+                frame_positions=np.arange(10) * 5.0,
+                frame_velocities=np.zeros(10),
+            )
 
     def test_coupling_must_be_pairwise_harmonic(self):
         with pytest.raises(TypeError, match="PairwiseHarmonic"):

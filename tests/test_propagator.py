@@ -105,7 +105,7 @@ class TestPotentials:
         assert np.abs(v - 0.5 * 4.0 * x**2).max() < 1e-12
 
     def test_pairwise_harmonic_obeys_action_reaction(self):
-        params = PhysicalParams(1.0, (1.0, 1.0))
+        params = PhysicalParams()
         potential = PairwiseHarmonic(coupling=0.8, rest_length=1.0)
         force = potential.force_at(np.array([[1.5, -0.5]]), params)
         assert force[0, 0] == pytest.approx(-0.8)
@@ -168,6 +168,18 @@ class TestStep:
             warnings.simplefilter("error", AccuracyWarning)
             step(unit_gaussian, Harmonic(omega=1.0), 0.5 * bound)
 
+    @pytest.mark.parametrize("entry", ["step", "evolve"])
+    def test_large_dt_warning_names_the_caller(self, unit_gaussian, entry):
+        dt = 2.0 * accuracy_dt_bound(unit_gaussian.grid, unit_gaussian.params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AccuracyWarning)
+            if entry == "step":
+                step(unit_gaussian, Harmonic(omega=1.0), dt)
+            else:
+                evolve(unit_gaussian, Harmonic(omega=1.0), 2.0 * dt, dt)
+        assert [w.category for w in caught] == [AccuracyWarning]
+        assert caught[0].filename == __file__
+
     def test_free_step_never_warns(self, unit_gaussian):
         # the splitting has no error term without a potential, so no
         # accuracy guidance applies
@@ -187,11 +199,11 @@ STEP_REVERSAL_BOUND = 2e-14
 
 @st.composite
 def stepper_cases(draw):
-    """A random normalized state, masses, hbar, dt and SumPotential in 1D or 2D."""
+    """A random normalized state, mass, hbar, dt and SumPotential in 1D or 2D."""
     dims = draw(st.sampled_from([1, 2]))
     points = draw(st.sampled_from([16, 32, 64, 128] if dims == 1 else [16, 24, 32]))
     half = draw(st.floats(2.0, 20.0))
-    params = PhysicalParams(draw(st.floats(0.1, 10.0)), tuple(draw(st.floats(0.1, 10.0)) for _ in range(dims)))
+    params = PhysicalParams(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
     terms = [
         st.builds(Harmonic, omega=st.floats(0.0, 3.0), center=st.floats(-2.0, 2.0)),
         st.builds(Linear, force=st.floats(-3.0, 3.0)),
@@ -294,9 +306,9 @@ class TestEvolve:
 
 
 def _unequal_plane():
-    """2D state on a grid with unequal extents, point counts and masses."""
+    """2D state of mass 2 on a grid with unequal extents and point counts."""
     grid = make_grid(2, (-6.0, -5.0), (6.0, 5.0), (48, 40))
-    params = PhysicalParams(1.0, (1.0, 2.0))
+    params = PhysicalParams(1.0, 2.0)
     return init_gaussian(grid, params, (0.5, -0.3), (1.0, 0.8), (1.0, -0.5))
 
 
@@ -358,14 +370,14 @@ class TestClosedFormFree:
         # counts have no Nyquist mode
         dims = len(points)
         grid = make_grid(dims, (-6.0, -5.0)[:dims], (6.0, 5.0)[:dims], points)
-        params = PhysicalParams(0.7, (1.3, 2.1)[:dims])
+        params = PhysicalParams(0.7, 1.3)
         rng = np.random.default_rng(2)
         psi0 = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         dt = 0.013
         record = evolve(Wavefunction(grid, params, psi0), Free(), n_steps * dt, dt, snapshot_stride=stride)
         assert len(record) - 1 > FIELD_BATCH_POINTS // psi0.size
         times = np.arange(0, n_steps + 1, stride) * dt
-        want = oracles.free_record(psi0, grid, params.hbar, params.masses, times[1:])
+        want = oracles.free_record(psi0, grid, params.hbar, params.mass, times[1:])
         assert record.amplitudes[1:].tobytes() == want.tobytes()
 
     def test_peak_memory_stays_near_record_size(self, unit_params):
@@ -399,15 +411,15 @@ class TestProbabilityCurrent:
         seed=st.integers(0, 2**32 - 1),
         width=st.floats(0.4, 3.0),
         hbar=st.floats(0.25, 4.0),
-        masses=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+        mass=st.floats(0.25, 4.0),
     )
-    def test_velocity_times_density_is_the_current(self, dims, seed, width, hbar, masses):
+    def test_velocity_times_density_is_the_current(self, dims, seed, width, hbar, mass):
         # rough random states under an envelope whose tails fall below the node threshold
         grid = make_grid(dims, -6.0, 6.0, 24)
         rng = np.random.default_rng(seed)
         envelope = np.exp(-sum(mesh**2 for mesh in grid.meshes()) / (4.0 * width**2))
         amps = (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)) * envelope
-        wf = Wavefunction(grid, PhysicalParams(hbar, masses[:dims]), amps, 0.0)
+        wf = Wavefunction(grid, PhysicalParams(hbar, mass), amps, 0.0)
         current = probability_current(wf)
         v = velocity_field(wf)
         assert current.shape == v.shape == (dims,) + grid.shape
@@ -423,12 +435,12 @@ class TestContinuityResidual:
     def test_batch_equals_the_per_pair_loop(self, case):
         if case == "strang-2d":
             grid = make_grid(2, -8.0, 8.0, 48)
-            params = PhysicalParams(0.8, (1.0, 2.5))
+            params = PhysicalParams(0.8, 2.5)
             wf = init_gaussian(grid, params, [0.5, -0.3], [1.2, 1.1], [1.0, -0.7])
             record = quiet_evolve(wf, Harmonic(omega=0.7), 0.04, 1e-2, snapshot_stride=1)
         else:
             grid = make_grid(1, -15.0, 15.0, 384)
-            params = PhysicalParams(1.3, (0.9,))
+            params = PhysicalParams(1.3, 0.9)
             wf = init_gaussian(grid, params, 0.7, 1.0, 1.5)
             potential = Free() if case == "free-1d" else Harmonic(omega=1.0)
             record = quiet_evolve(wf, potential, 0.1, 1e-3, snapshot_stride=10)
@@ -515,7 +527,7 @@ class TestRecordLayout:
         dims = len(points)
         grid = make_grid(dims, -6.0, 6.0, points)
         potential = Harmonic(omega=(1.3, 0.6)[:dims], center=(0.2, -0.4)[:dims])
-        kernel = _SplitStepKernel(grid, PhysicalParams(1.0, (1.0, 2.0)[:dims]), potential, 1e-2)
+        kernel = _SplitStepKernel(grid, PhysicalParams(1.0, 2.0), potential, 1e-2)
         rng = np.random.default_rng(5)
         amps = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         before = amps.copy()

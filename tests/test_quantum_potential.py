@@ -136,7 +136,7 @@ def snapshot_stack(dims):
     """States with and without nodes, at different scales, on one grid."""
     if dims == 1:
         grid = make_grid(1, -10.0, 10.0, 256)
-        params = PhysicalParams(1.0, (2.0,))
+        params = PhysicalParams(1.0, 2.0)
         states = [
             init_gaussian(grid, params, 0.5, 1.0, wavenumber=1.5),
             double_hump(grid, params),
@@ -144,7 +144,7 @@ def snapshot_stack(dims):
         ]
     else:
         grid = make_grid(2, -8.0, 8.0, 64)
-        params = PhysicalParams(1.0, (1.0, 3.0))
+        params = PhysicalParams(1.0, 3.0)
         x0, x1 = grid.meshes()
         hump = double_hump(make_grid(1, -8.0, 8.0, 64), params, separation=5.0).amplitudes
         odd = hump[:, None] * (x1 * np.exp(-(x1**2) / 4.0))  # node line at x1 = 0
@@ -215,9 +215,9 @@ class TestBatchedFields:
         values, valid = velocity_batch(amps, grid, params)
         rho = np.abs(amps) ** 2
         assert not valid.all()
-        for d, mass in enumerate(params.masses_for(dims)):
+        for d in range(dims):
             current = np.imag(np.conj(amps) * oracles.fft_derivative(amps, grid, axis=d))
-            want = current[valid] / rho[valid] * (params.hbar / mass)
+            want = current[valid] / rho[valid] * (params.hbar / params.mass)
             assert values[:, d][valid].tobytes() == want.tobytes()
             assert values[:, d][~valid].tobytes() == np.zeros(np.count_nonzero(~valid)).tobytes()
 
@@ -229,20 +229,20 @@ class TestBatchedFields:
         q, force, valid, _ = qfields_batch(amps, grid, params)
         r = np.abs(amps)
         rho = r * r
-        coeffs = [params.hbar**2 / (2.0 * m) for m in params.masses_for(dims)]
+        coeff = params.hbar**2 / (2.0 * params.mass)
         first = [oracles.fft_derivative(r, grid, axis=d) for d in range(dims)]
         second = [oracles.fft_derivative(r, grid, axis=d, order=2) for d in range(dims)]
         want_q = np.zeros(r.shape)
         for d in range(dims):
             term = np.zeros(r.shape)
             term[valid] = second[d][valid] / r[valid]
-            want_q -= coeffs[d] * term
+            want_q -= coeff * term
         assert q.tobytes() == want_q.tobytes()
         for e in range(dims):
             numerator = np.zeros(r.shape)
             for d in range(dims):
                 mixed = oracles.fft_derivative(second[d], grid, axis=e)
-                numerator += coeffs[d] * (mixed * r - second[d] * first[e])
+                numerator += coeff * (mixed * r - second[d] * first[e])
             assert force[:, e][valid].tobytes() == (numerator[valid] / rho[valid]).tobytes()
             assert force[:, e][~valid].tobytes() == np.zeros(np.count_nonzero(~valid)).tobytes()
 

@@ -183,9 +183,9 @@ class TestGuidance:
 
 @pytest.fixture(scope="module")
 def heavy_record():
-    # mass 2 so the momenta test sees the masses; spacing dt/4 at dt = 0.1
+    # mass 2 so the momenta test sees the mass; spacing dt/4 at dt = 0.1
     grid = make_grid(1, -15.0, 15.0, 384)
-    wf = init_gaussian(grid, PhysicalParams(1.0, (2.0,)), 0.3, 1.0, wavenumber=0.5)
+    wf = init_gaussian(grid, PhysicalParams(1.0, 2.0), 0.3, 1.0, wavenumber=0.5)
     return evolve_quiet(wf, Free(), 1.0, 1e-3, snapshot_stride=25)
 
 
@@ -268,9 +268,8 @@ class TestGuidanceMomenta:
         dt = 0.1
         traj = integrate_guidance(heavy_record, [0.4], dt)
         cache = _FieldCache(heavy_record, "velocity", 0.5 * dt)
-        masses = np.array([2.0])
         want = np.array(
-            [masses * _eval_fields(cache, float(t), traj.positions[i : i + 1])[0] for i, t in enumerate(traj.times)]
+            [2.0 * _eval_fields(cache, float(t), traj.positions[i : i + 1])[0] for i, t in enumerate(traj.times)]
         )
         assert np.array_equal(traj.momenta, want)
 
@@ -321,6 +320,23 @@ class TestOnePointPath:
         assert np.array_equal(newton.positions, positions[:, 1])
         assert np.array_equal(newton.momenta, momenta[:, 1])
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_coordinate_on_a_plane_names_the_shape(self, unit_params, count):
+        # one point too: the float path is for 1D records only
+        grid = make_grid(2, -8.0, 8.0, 64)
+        record = evolve(init_gaussian(grid, unit_params, 0.0, 1.0), Free(), 0.2, 0.05)
+        x0 = np.full((count, 1), 0.5)
+        calls = [
+            lambda: integrate_guidance_batch(record, x0, 0.1),
+            lambda: integrate_newton_batch(record, x0, Free(), 0.1),
+        ]
+        if count == 1:
+            calls += [lambda: integrate_guidance(record, [0.5], 0.1), lambda: integrate_newton(record, [0.5], Free(), 0.1)]
+        message = rf"^x has shape \({count}, 1\); a stencil locates M point\(s\) of 2 coordinate\(s\)$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
     @pytest.mark.parametrize(
         "case, x0, dt",
         [
@@ -365,7 +381,6 @@ class TestNewtonRoute:
 
     def test_momentum_seeded_from_guidance_value(self, plane_record):
         traj = integrate_newton(plane_record, [0.7], Free(), 0.2)
-        assert traj.mode == "newton"
         assert np.abs(traj.momenta[:, 0] - 2.0).max() < 1e-9
 
     def test_initial_momentum_needs_one_velocity_field(self, heavy_record, monkeypatch):
@@ -491,7 +506,7 @@ class TestBracket:
         grid = make_grid(1, -1.0, 1.0, 16)
         times = t0 + spacing * np.arange(k + 2)
         record = EvolutionRecord(
-            times, np.zeros((k + 2, 16), complex), grid, PhysicalParams(), spacing, np.zeros(k + 1), Free()
+            times, np.zeros((k + 2, 16), complex), grid, PhysicalParams(), np.zeros(k + 1), Free()
         )
         t = t0 + k * spacing * (1.0 + relative)
         steps = _whole_steps(t - t0, record.snapshot_spacing, required=False)
@@ -516,7 +531,7 @@ class TestBracket:
         grid = make_grid(1, -1.0, 1.0, 16)
         times = t0 + spacing * np.arange(8002)
         record = EvolutionRecord(
-            times, np.zeros((8002, 16), complex), grid, PhysicalParams(), spacing, np.zeros(8001), Free()
+            times, np.zeros((8002, 16), complex), grid, PhysicalParams(), np.zeros(8001), Free()
         )
         kind, value = offset
         t = t0 + k * spacing * (1.0 + value) if kind == "relative" else t0 + (k + value) * spacing

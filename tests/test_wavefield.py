@@ -61,6 +61,19 @@ class TestMakeGrid:
                 k[0] = 1.0
 
 
+class TestPhysicalParams:
+    def test_scalars_are_stored_as_floats(self):
+        params = PhysicalParams(2, 3)
+        assert (params.hbar, params.mass) == (2.0, 3.0)
+        assert type(params.hbar) is type(params.mass) is float
+
+    @pytest.mark.parametrize("name", ["hbar", "mass"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_non_positive_values_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+            PhysicalParams(**{name: value})
+
+
 class TestSpectralDerivative:
     def test_exact_on_lattice_mode(self):
         grid = make_grid(1, 0.0, 2.0 * np.pi, 64)
@@ -228,7 +241,7 @@ class TestVelocityField:
         assert np.abs(v1[both] - v0[both] - k).max() < 1e-6
 
     def test_mass_scales_velocity(self, pi_grid):
-        heavy = PhysicalParams(1.0, (4.0,))
+        heavy = PhysicalParams(1.0, 4.0)
         wf = init_plane_wave(pi_grid, heavy, 2.0)
         v = velocity_field(wf)[0]
         assert np.abs(v - 0.5).max() < 1e-9
@@ -262,10 +275,9 @@ class TestNodeMask:
 class TestPositionMoments:
     def test_2d_moments(self, unit_params):
         grid = make_grid(2, -8.0, 8.0, 128)
-        params = PhysicalParams(1.0, (1.0, 1.0))
         x0, x1 = grid.meshes()
         amp = np.exp(-((x0 - 1.0) ** 2) / 4.0 - ((x1 + 2.0) ** 2) / (4.0 * 0.49))
-        wf = normalize(Wavefunction(grid, params, amp.astype(complex), 0.0))
+        wf = normalize(Wavefunction(grid, unit_params, amp.astype(complex), 0.0))
         means, variances = position_moments(wf)
         assert means[0] == pytest.approx(1.0, abs=1e-9)
         assert means[1] == pytest.approx(-2.0, abs=1e-9)
