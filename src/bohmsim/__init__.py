@@ -61,7 +61,6 @@ from .ensemble import (
 from .manybody import (
     CMResult,
     FactorizedNBody,
-    SubsystemType,
     SymmetrizedTwoBody,
     build_symmetrized,
     no_tunneling_check,
@@ -86,7 +85,6 @@ __all__ = [
     "PhysicalParams",
     "PotentialSpec",
     "QFields",
-    "SubsystemType",
     "SumPotential",
     "SymmetrizedTwoBody",
     "Trajectory",

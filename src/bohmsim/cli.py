@@ -4,8 +4,9 @@ A config file holds an ``experiment = <name>`` line followed by optional
 ``[grid]``, ``[physics]``, ``[run]``, and ``[output]`` sections of
 ``key = value`` pairs; ``#`` starts a comment.  Unknown sections or keys are
 rejected with their line number, as are out-of-range values, a key set
-twice, and a 2D grid for an experiment that runs in 1D only.  Every key has
-a default, so the minimal config is a single experiment line.
+twice, a 2D grid for an experiment that runs in 1D only, and a ``[grid]``
+key the experiment does not read.  Every key has a default, so the minimal
+config is a single experiment line.
 
 Each run writes ``series.csv`` (per-step quantities), ``trajectories.csv``
 where paths are produced, and ``report.txt`` with one PASS/FAIL line per
@@ -50,6 +51,8 @@ from .wavefield import (
 POTENTIALS = ("free", "harmonic", "linear", "barrier")
 SAMPLING_MODES = ("random", "stratified")
 _ONE_DIMENSIONAL = ("crosscheck", "equivariance", "harmonic-ground")
+# The [grid] keys of the experiments that do not read all of them; a config may set only these.
+_GRID_KEYS_READ = {"bec": (), "cm-newton": (), "no-tunneling": ("x_min", "x_max", "points")}
 
 
 class ConfigError(ValueError):
@@ -256,6 +259,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if config.grid.dims != 1 and experiment in _ONE_DIMENSIONAL:
         line = override_lines["grid"]["dims"]
         raise ConfigError(line, f"grid.dims: {experiment} runs on 1D grids only, got {config.grid.dims}")
+    read = _GRID_KEYS_READ.get(experiment)
+    for key, line in override_lines["grid"].items():
+        if read is not None and key not in read:
+            raise ConfigError(line, f"grid.{key}: {experiment} reads {'only ' + ', '.join(read) if read else 'no'} [grid] keys")
     return config
 
 

@@ -45,9 +45,6 @@ from .wavefield import (
 # symmetrized constructions to make sense.
 LOCALITY_SEPARATION_SIGMAS = 8.0
 
-# Mutual overlap allowed between symmetrization terms.
-OVERLAP_BOUND = 1e-8
-
 # Internal pairwise forces must cancel to this relative level per step.
 CANCELLATION_BOUND = 1e-12
 
@@ -88,9 +85,9 @@ def build_symmetrized(psi_a: Wavefunction, psi_b: Wavefunction) -> SymmetrizedTw
     Raises
     ------
     ValueError
-        If the packets share no grid, sit closer than 8 widths apart
-        ("locality assumption violated"), or their symmetrization terms
-        overlap by more than 1e-8.
+        If the packets share no grid or parameters, or sit closer than 8
+        widths apart ("locality assumption violated").  Their term overlap
+        is returned as ``term_overlap``, for the caller to gate.
     """
     if psi_a.grid != psi_b.grid:
         raise ValueError("both packets must live on the same 1D grid")
@@ -111,11 +108,6 @@ def build_symmetrized(psi_a: Wavefunction, psi_b: Wavefunction) -> SymmetrizedTw
     cell = psi_a.grid.cell_volume
     single_overlap = abs(np.sum(np.conj(psi_a.amplitudes) * psi_b.amplitudes) * cell)
     term_overlap = float(single_overlap**2)
-    if term_overlap >= OVERLAP_BOUND:
-        raise ValueError(
-            f"symmetrization terms overlap by {term_overlap:.3e} "
-            f"(bound {OVERLAP_BOUND:.0e}); separate the packets further"
-        )
 
     lo, hi = psi_a.grid.extents[0]
     n = psi_a.grid.points[0]
@@ -176,30 +168,18 @@ def no_tunneling_check(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SubsystemType:
-    """The subsystem every frame carries: packet width and mass."""
-
-    sigma: float
-    mass: float = 1.0
-
-    def packet(self, hbar: float) -> Wavefunction:
-        """The packet on its offset grid, 256 points on [-10, 10]."""
-        grid = make_grid(1, -10.0, 10.0, 256)
-        return init_gaussian(grid, PhysicalParams(hbar, self.mass), 0.0, self.sigma)
-
-
-@dataclass(frozen=True)
 class FactorizedNBody:
     """N localized packets riding classical frames, factorized modulus.
 
-    Every subsystem is an instance of ``subsystem``; frames are classical
-    positions/velocities advanced by the external force and the optional
-    nearest-neighbour pairwise coupling.
+    Every subsystem is a Gaussian packet of width ``sigma`` and mass ``mass``;
+    frames are classical positions/velocities advanced by the external force
+    and the optional nearest-neighbour pairwise coupling.
     """
 
-    subsystem: SubsystemType
+    sigma: float
     frame_positions: np.ndarray
     frame_velocities: np.ndarray
+    mass: float = 1.0
     external: PotentialSpec = Free()
     coupling: PairwiseHarmonic | None = None
     hbar: float = 1.0
@@ -215,11 +195,10 @@ class FactorizedNBody:
         if len(self.frame_velocities) != n:
             raise ValueError("frame_positions and frame_velocities must share length")
         spacing = np.diff(np.sort(self.frame_positions)).min()
-        sigma = self.subsystem.sigma
-        if spacing < LOCALITY_SEPARATION_SIGMAS * sigma:
+        if spacing < LOCALITY_SEPARATION_SIGMAS * self.sigma:
             raise ValueError(
                 f"locality assumption violated: frame spacing {spacing:.3g} is below "
-                f"{LOCALITY_SEPARATION_SIGMAS} x packet width {sigma:.3g}"
+                f"{LOCALITY_SEPARATION_SIGMAS} x packet width {self.sigma:.3g}"
             )
 
     @property
@@ -228,7 +207,7 @@ class FactorizedNBody:
 
     @property
     def total_mass(self) -> float:
-        return float(self.subsystem.mass * self.n_subsystems)
+        return float(self.mass * self.n_subsystems)
 
     @classmethod
     def homogeneous(
@@ -237,24 +216,23 @@ class FactorizedNBody:
         sigma: float = 1.0,
         mass: float = 1.0,
         external: PotentialSpec = Free(),
-        coupling: PairwiseHarmonic | float | None = None,
+        coupling: float | None = None,
         hbar: float = 1.0,
     ) -> "FactorizedNBody":
-        """Equal-mass subsystems of one type on a centered lattice of frames 10 sigma apart.
+        """Subsystems at rest on a centered lattice of frames 10 sigma apart.
 
-        A bare number for ``coupling`` means nearest-neighbour springs with
-        that constant and rest length equal to the lattice spacing.
+        ``coupling``, if given, is the spring constant of nearest-neighbour
+        springs whose rest length is the lattice spacing.
         """
         spacing = 10.0 * sigma
-        if coupling is not None and not isinstance(coupling, PairwiseHarmonic):
-            coupling = PairwiseHarmonic(coupling=float(coupling), rest_length=spacing)
         frames = (np.arange(n) - 0.5 * (n - 1)) * spacing
         return cls(
-            subsystem=SubsystemType(sigma=sigma, mass=mass),
+            sigma=sigma,
             frame_positions=frames,
             frame_velocities=np.zeros(n),
+            mass=mass,
             external=external,
-            coupling=coupling,
+            coupling=None if coupling is None else PairwiseHarmonic(coupling=float(coupling), rest_length=spacing),
             hbar=hbar,
         )
 
@@ -328,11 +306,12 @@ def run_cm_experiment(
     """Transport a factorized N-body configuration and record the CM forces.
 
     Each subsystem's offset from its frame follows the guidance flow of the
-    subsystem packet (evolved freely in the co-moving frame, which is exact for
-    uniform external forces); frames follow classical dynamics.  The
-    recorded classical force is evaluated at the actual subsystem positions,
-    and the quantum force is the raw sum over subsystems, also reported per
-    particle.
+    ``spec.sigma`` packet (256 points on [-10, 10], evolved freely in the
+    co-moving frame, which is exact for uniform external forces); frames
+    follow classical dynamics.  The recorded classical force is evaluated at
+    the actual subsystem positions, and the quantum force is the raw sum over
+    subsystems, also reported per particle.  Offsets in a node region at a
+    row's force read are redrawn there, before the step reads velocities.
     """
     if sampling not in ("random", "stratified"):
         raise ValueError(f"sampling must be 'random' or 'stratified', got {sampling!r}")
@@ -340,12 +319,13 @@ def run_cm_experiment(
 
     rng = _rng(seed)
     n = spec.n_subsystems
-    mass = spec.subsystem.mass
+    mass = spec.mass
     total_mass = spec.total_mass
+    params = PhysicalParams(spec.hbar, mass)
 
     # The packet record, snapshots at dt/2 so RK4 stages align, and the
     # initial offsets of the subsystems.
-    packet = spec.subsystem.packet(spec.hbar)
+    packet = init_gaussian(make_grid(1, -10.0, 10.0, 256), params, 0.0, spec.sigma)
     record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
     vel_cache = _FieldCache(record, "velocity", 0.5 * dt)
     force_cache = _FieldCache(record, "qforce", dt)
@@ -364,13 +344,9 @@ def run_cm_experiment(
 
     frames = spec.frame_positions.copy()
     frame_velocities = spec.frame_velocities.copy()
-    params = PhysicalParams(spec.hbar, mass)
-
-    def external_forces(positions: np.ndarray) -> np.ndarray:
-        return spec.external.force_at(positions[:, None], params)[:, 0]
 
     def frame_force(positions: np.ndarray) -> np.ndarray:
-        out = external_forces(positions)
+        out = spec.external.force_at(positions[:, None], params)[:, 0]
         if spec.coupling is not None:
             out += _chain_forces(spec.coupling, positions)
         return out
@@ -383,51 +359,39 @@ def run_cm_experiment(
     # kick-drift-kick: the closing kick's force opens the next step
     force = frame_force(frames)
 
-    def resample_invalid(t: float, ok: np.ndarray) -> None:
-        """Redraw the offsets whose stencil touched a node region at time t."""
-        nonlocal resample_count
-        snap, _ = _bracket(record, t)
-        _, eroded = force_cache.fields(snap)
-        bad = np.flatnonzero(~ok)
-        rho = np.abs(record.amplitudes[snap]) ** 2
-        drawn, redraws = _sample_from_snapshot(rho, record.grid, eroded, bad.size, rng)
-        offsets[bad] = drawn
-        resample_count += bad.size + redraws
-        if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):
-            raise RuntimeError("too many offsets entered node regions; model assumptions broken")
-
-    def fields_resampling(cache: _FieldCache, t: float) -> np.ndarray:
-        """Fields at the offsets, redrawing any in node regions."""
-        values, ok = _fields_at(cache, t, offsets)
-        if ok.all():
-            return values
-        resample_invalid(t, ok)
-        return _eval_fields(cache, t, offsets)
-
-    def record_row(row: int, t: float) -> None:
+    for row in range(n_steps + 1):
+        t = float(times[row])
         positions = frames + offsets[:, 0]
-        external_total = math.fsum(external_forces(positions).tolist())
-        pairwise = _chain_forces(spec.coupling, positions) if spec.coupling is not None else np.zeros(n)
-        pairwise_total = math.fsum(pairwise.tolist())
-        limit = CANCELLATION_BOUND * n * max(np.abs(pairwise).max(), 1e-300)
-        if spec.coupling is not None and abs(pairwise_total) > limit:
-            raise RuntimeError(
-                f"internal pairwise forces failed to cancel: {pairwise_total:.3e} > {limit:.3e}"
-            )
+        external_total = math.fsum(spec.external.force_at(positions[:, None], params)[:, 0].tolist())
+        pairwise_total = 0.0
+        if spec.coupling is not None:
+            pairwise = _chain_forces(spec.coupling, positions)
+            pairwise_total = math.fsum(pairwise.tolist())
+            limit = CANCELLATION_BOUND * n * max(np.abs(pairwise).max(), 1e-300)
+            if abs(pairwise_total) > limit:
+                raise RuntimeError(
+                    f"internal pairwise forces failed to cancel: {pairwise_total:.3e} > {limit:.3e}"
+                )
         cancellation[row] = abs(pairwise_total)
         classical_force[row] = external_total + pairwise_total
-        quantum_force[row] = math.fsum(fields_resampling(force_cache, t)[:, 0].tolist())
         x_cm[row] = math.fsum((mass * positions).tolist()) / total_mass
-
-    for step_index in range(n_steps + 1):
-        t = float(times[step_index])
-        record_row(step_index, t)
-        if step_index == n_steps:
+        # The quantum force at the offsets, redrawing those in node regions.
+        q, ok = _fields_at(force_cache, t, offsets)
+        if not ok.all():
+            snap, _ = _bracket(record, t)
+            bad = np.flatnonzero(~ok)
+            rho = np.abs(record.amplitudes[snap]) ** 2
+            drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(snap)[1], bad.size, rng)
+            offsets[bad] = drawn
+            resample_count += bad.size + redraws
+            if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):
+                raise RuntimeError("too many offsets entered node regions; model assumptions broken")
+            q = _eval_fields(force_cache, t, offsets)
+        quantum_force[row] = math.fsum(q[:, 0].tolist())
+        if row == n_steps:
             break
-        # Offsets: RK4 along the packet's guidance flow, from the offsets as
-        # they stand after any redraw at the stage-one read.
-        k1 = fields_resampling(vel_cache, t)
-        offsets = _rk4_step(vel_cache, t, offsets, dt, k1)
+        # Offsets: RK4 along the packet's guidance flow.
+        offsets = _rk4_step(vel_cache, t, offsets, dt, _eval_fields(vel_cache, t, offsets))
         # Frames: kick-drift-kick under the classical forces.
         half_kick = frame_velocities + 0.5 * dt * force / mass
         frames = frames + dt * half_kick

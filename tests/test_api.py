@@ -48,7 +48,13 @@ def test_unread_names_are_gone():
     assert not {"masses", "masses_for"} & set(dir(bohmsim.PhysicalParams))
     assert "dt" not in {f.name for f in fields(bohmsim.EvolutionRecord)}
     assert "outputs" not in {f.name for f in fields(cli.ExperimentReport)}
-    assert not {"points", "half_width"} & {f.name for f in fields(bohmsim.SubsystemType)}
+    assert "SubsystemType" not in bohmsim.__all__
+    for module in (bohmsim, bohmsim.manybody):
+        assert not hasattr(module, "SubsystemType"), f"{module.__name__}.SubsystemType"
+    assert not hasattr(bohmsim.manybody, "OVERLAP_BOUND")
+    assert [f.name for f in fields(bohmsim.FactorizedNBody)] == [
+        "sigma", "frame_positions", "frame_velocities", "mass", "external", "coupling", "hbar"
+    ]
     unset = {
         bohmsim.no_tunneling_check: {"potential"},
         bohmsim.FactorizedNBody.homogeneous: {"points", "half_width", "spacing"},

@@ -24,6 +24,7 @@ from bohmsim.cli import (
     run,
 )
 from bohmsim.trajectories import TrajectoryAbort
+from test_manybody import force_bad_offsets
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -33,6 +34,7 @@ CROSSCHECK = (CONFIGS / "crosscheck.cfg").read_text()
 EQUIVARIANCE = (CONFIGS / "equivariance.cfg").read_text()
 HARMONIC_GROUND = (CONFIGS / "harmonic_ground.cfg").read_text()
 CM_NEWTON = (CONFIGS / "cm_newton.cfg").read_text()
+NO_TUNNELING = (CONFIGS / "no_tunneling.cfg").read_text()
 
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
@@ -134,14 +136,14 @@ class TestParseConfig:
     def test_comments_and_blank_lines_are_ignored(self):
         config = parse_config(
             """
-            # pick the condensate run
-            experiment = bec
+            # pick the free packet run
+            experiment = free-gaussian
 
             [grid]
             points = 128   # coarse is fine here
             """
         )
-        assert config.experiment == "bec"
+        assert config.experiment == "free-gaussian"
         assert config.grid.points == 128
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -210,6 +212,32 @@ class TestParseErrors:
         text = f"experiment = {name}\n[grid]\ndims = 2\npoints = 32\n"
         self.check(text, 3, rf"^line 3: grid\.dims: {name} runs on 1D grids only, got 2$")
 
+    @pytest.mark.parametrize(
+        "name, text, line, message",
+        [
+            ("bec", "[grid]\npoints = 16\nx_min = -1\nx_max = 1\n", 3, "grid.points: bec reads no [grid] keys"),
+            ("cm-newton", "[run]\ndt = 0.02\n[grid]\nx_max = 4\n", 5, "grid.x_max: cm-newton reads no [grid] keys"),
+            (
+                "no-tunneling",
+                "[grid]\npoints = 64\ndims = 2\n",
+                4,
+                "grid.dims: no-tunneling reads only x_min, x_max, points [grid] keys",
+            ),
+        ],
+        ids=["bec", "cm-newton", "no-tunneling"],
+    )
+    def test_grid_keys_the_experiment_does_not_read(self, name, text, line, message):
+        self.check(f"experiment = {name}\n{text}", line, f"^line {line}: {re.escape(message)}$")
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_grid_keys_the_experiment_reads(self, name):
+        keys = {"bec": {}, "cm-newton": {}, "no-tunneling": {"x_min": -6.0, "x_max": 6.0, "points": 64}}.get(
+            name, {"dims": 1, "x_min": -6.0, "x_max": 6.0, "points": 64}
+        )
+        text = f"experiment = {name}\n[grid]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        grid = parse_config(text).grid
+        assert {key: getattr(grid, key) for key in keys} == keys
+
     def test_unknown_potential(self):
         self.check("experiment = bec\n[physics]\npotential = coulomb\n", 3, "potential must be one of")
 
@@ -275,9 +303,9 @@ _BLOCKS = st.one_of(
 
 class TestParseConfigProperties:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_BLOCKS, max_size=4), st.booleans())
+    @given(st.lists(_BLOCKS, max_size=4), st.none() | st.sampled_from(EXPERIMENTS))
     def test_raises_only_config_error_and_accepts_finite_floats(self, blocks, lead):
-        lines = ["experiment = bec"] if lead else []
+        lines = [f"experiment = {lead}"] if lead else []
         for block in blocks:
             lines += block
         try:
@@ -505,6 +533,36 @@ class TestNegativeControls:
         assert failed_checks(report) == ["acceleration-error", "quantum-vs-external-force", "contrast-ratio"]
         assert code == 1 and "FAIL quantum-vs-external-force" in text
 
+    def test_marginal_separation_fails_the_term_overlap(self, tmp_path):
+        # 4.2 = 8.4 sigma passes the 8-sigma locality gate, but the two terms overlap by 2.2e-8
+        report, code, text = run_and_main(tmp_path, with_values(NO_TUNNELING, separation=4.2))
+        assert failed_checks(report) == ["term-overlap"]
+        assert code == 1 and "FAIL term-overlap: measured=2.18" in text
+
+
+class TestDoctoredControls:
+    """Checks that no config input drives to FAIL: a doctored internal does, through ``run`` and ``main``."""
+
+    def test_damped_modes_fail_the_harmonic_norm_drift(self, tmp_path, monkeypatch):
+        # a constant imaginary part of the kinetic rate damps every mode by the same factor
+        # each step, so the ground state keeps its shape: only the norm drifts
+        real = propagator._kinetic_rate
+        monkeypatch.setattr(propagator, "_kinetic_rate", lambda grid, params: real(grid, params) - 2e-6j)
+        report, code, text = run_and_main(tmp_path, HARMONIC_GROUND)
+        assert failed_checks(report) == ["norm-drift-per-step"]
+        assert code == 1 and "FAIL norm-drift-per-step" in text
+
+    def test_two_redraws_in_a_thousand_fail_the_resample_fraction(self, tmp_path, monkeypatch):
+        # the first force read finds 2 of the 1000 offsets in a node region: 0.002 > 1e-3
+        force_bad_offsets(monkeypatch, 2, read=1)
+        report = run(parse_config(CM_NEWTON), out_dir=tmp_path / "run", quiet=True)
+        assert failed_checks(report) == ["resample-fraction"]
+        force_bad_offsets(monkeypatch, 2, read=1)  # a fresh read count for the run through main
+        config_path = tmp_path / "case.cfg"
+        config_path.write_text(CM_NEWTON)
+        assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
+        assert "FAIL resample-fraction: measured=0.002 " in (tmp_path / "main" / "report.txt").read_text()
+
 
 class TestNanFailsTheContract:
     """A NaN among the values a check reduces makes it FAIL; Python's ``max`` keeps
@@ -669,6 +727,12 @@ class TestMain:
         assert main(["validate", str(config_path)]) == 0
         assert capsys.readouterr().out.strip() == "ok: experiment=bec"
         assert not (tmp_path / "out").exists()
+
+    def test_validate_rejects_grid_keys_the_run_does_not_read(self, tmp_path, capsys):
+        config_path = tmp_path / "bec.cfg"
+        config_path.write_text("experiment = bec\n[grid]\npoints = 16\nx_min = -1\nx_max = 1\n")
+        assert main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr().err == "config error: line 3: grid.points: bec reads no [grid] keys\n"
 
     def test_validate_reports_config_errors(self, tmp_path, capsys):
         config_path = tmp_path / "bad.cfg"

@@ -10,7 +10,6 @@ from bohmsim import (
     Linear,
     PairwiseHarmonic,
     PhysicalParams,
-    SubsystemType,
     SymmetrizedTwoBody,
     build_symmetrized,
     init_gaussian,
@@ -48,12 +47,13 @@ class TestBuildSymmetrized:
         with pytest.raises(ValueError, match="locality assumption violated"):
             build_symmetrized(psi_a, psi_b)
 
-    def test_marginal_separation_rejected_by_overlap(self, line_grid, unit_params):
-        # 8.4 sigma passes the separation gate but the terms still overlap
-        # by more than the bound; both preconditions bite independently
+    def test_marginal_separation_returns_its_overlap(self, line_grid, unit_params):
+        # 8.4 sigma passes the separation gate while the terms overlap by more than
+        # no-tunneling's 1e-8 bound: the overlap is returned for that check to gate
         psi_a, psi_b = packet_pair(line_grid, unit_params, 8.4, 1.0)
-        with pytest.raises(ValueError, match="overlap"):
-            build_symmetrized(psi_a, psi_b)
+        sym = build_symmetrized(psi_a, psi_b)
+        assert sym.term_overlap >= 1e-8
+        assert sym.term_overlap == pytest.approx(oracles.gaussian_term_overlap(8.4, 1.0), rel=1e-6)
 
     def test_amplitudes_are_the_normalized_symmetric_sum(self, line_grid, unit_params):
         psi_a, psi_b = packet_pair(line_grid, unit_params, 10.0, 1.0)
@@ -137,7 +137,7 @@ class TestFactorizedNBodySpec:
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="share length"):
             FactorizedNBody(
-                subsystem=SubsystemType(sigma=1.0),
+                sigma=1.0,
                 frame_positions=np.arange(10) * 10.0,
                 frame_velocities=np.zeros(9),
             )
@@ -145,7 +145,7 @@ class TestFactorizedNBodySpec:
     def test_crowded_frames_rejected(self):
         with pytest.raises(ValueError, match="locality assumption violated"):
             FactorizedNBody(
-                subsystem=SubsystemType(sigma=1.0),
+                sigma=1.0,
                 frame_positions=np.arange(10) * 5.0,
                 frame_velocities=np.zeros(10),
             )
@@ -153,7 +153,7 @@ class TestFactorizedNBodySpec:
     def test_coupling_must_be_pairwise_harmonic(self):
         with pytest.raises(TypeError, match="PairwiseHarmonic"):
             FactorizedNBody(
-                subsystem=SubsystemType(sigma=1.0),
+                sigma=1.0,
                 frame_positions=np.arange(10) * 10.0,
                 frame_velocities=np.zeros(10),
                 coupling=0.5,
@@ -179,12 +179,12 @@ def driven_cm_result():
     return run_cm_experiment(spec, 2.0, 0.01, seed=0)
 
 
-def force_bad_offsets(monkeypatch, count, read=3):
+def force_bad_offsets(monkeypatch, count, read=2):
     """Mark the first ``count`` offsets of field read number ``read`` as in a node region.
 
-    Each step reads the quantum force of its row, then the stage-one
-    velocity of its RK4 step: read 2 is a velocity read, read 3 a force row.
-    Returns the list of (time, offsets) of every read.
+    The only reads that can redraw are the quantum-force reads of the rows:
+    read k is the force read of row k - 1.  Returns the list of (time,
+    offsets) of every such read, before any redraw.
     """
     real_fields_at = manybody._fields_at
     calls = []
@@ -255,17 +255,17 @@ class TestRunCmExperiment:
         with pytest.raises(RuntimeError, match="too many offsets entered node regions"):
             run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
 
-    def test_redraw_at_the_stage_one_read_starts_the_step(self, monkeypatch):
-        # the RK4 step must start from the offsets its stage-one velocity was read at
-        redrawn, starts = [], []
+    def test_redraw_at_the_force_read_starts_the_step(self, monkeypatch):
+        # a redraw at row 1's force read moves the offsets that step 1's velocity read and RK4 start from
+        eval_reads, starts = [], []
         real_eval_fields, real_rk4_step = manybody._eval_fields, manybody._rk4_step
 
         def recording_eval_fields(cache, t, x):
-            redrawn.append(x.copy())
+            eval_reads.append((cache.kind, t, x.copy()))
             return real_eval_fields(cache, t, x)
 
         def recording_rk4_step(cache, t, x, dt, k1):
-            starts.append(x.copy())
+            starts.append((t, x.copy()))
             return real_rk4_step(cache, t, x, dt, k1)
 
         monkeypatch.setattr(manybody, "_eval_fields", recording_eval_fields)
@@ -273,9 +273,39 @@ class TestRunCmExperiment:
         reads = force_bad_offsets(monkeypatch, 1, read=2)
         res = run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
         assert res.resample_count == 1
-        assert len(redrawn) == 1  # the velocity re-read after the one redraw
-        assert redrawn[0][0, 0] != reads[1][1][0, 0]
-        assert np.array_equal(starts[0], redrawn[0])
+        t, found = reads[1]
+        # one velocity read per step, and one force re-read after the redraw
+        kinds = [kind for kind, _, _ in eval_reads]
+        assert kinds == ["velocity", "qforce"] + ["velocity"] * 9
+        (_, _, force_x), (_, t_vel, vel_x) = eval_reads[1:3]
+        assert t_vel == t == 0.01
+        assert vel_x[0, 0] != found[0, 0]
+        assert np.array_equal(vel_x[1:], found[1:])
+        assert np.array_equal(force_x, vel_x)
+        assert starts[1][0] == t and np.array_equal(starts[1][1], vel_x)
+
+    def test_velocity_and_force_reads_share_the_node_mask(self, monkeypatch):
+        # why the row's force read is the only redraw site: at every row time the step's velocity
+        # read sees the same eroded node mask, so offsets valid for the force are valid for it
+        caches = []
+        real_cache = manybody._FieldCache
+
+        def recording_cache(*args):
+            caches.append(real_cache(*args))
+            return caches[-1]
+
+        monkeypatch.setattr(manybody, "_FieldCache", recording_cache)
+        masked = 0
+        for sigma, hbar, mass in [(1.0, 1.0, 1.0), (0.3, 1.0, 1.0), (2.0, 1.0, 0.5), (0.5, 2.0, 1.0)]:
+            spec = FactorizedNBody.homogeneous(10, sigma=sigma, mass=mass, hbar=hbar)
+            res = run_cm_experiment(spec, 2.0, 0.01, seed=0)
+            velocity, force = caches[-2:]
+            assert (velocity.kind, force.kind) == ("velocity", "qforce")
+            for t in res.times.tolist():
+                mask = velocity.at(t)[1]
+                assert np.array_equal(mask, force.at(t)[1]), (sigma, hbar, mass, t)
+                masked += int((~mask).sum())
+        assert masked > 0  # the masks have node regions to disagree on
 
     @pytest.mark.parametrize("mass, expected", [(2.0, 0.25), (0.5, 1.0)])
     def test_cm_acceleration_is_force_over_mass(self, mass, expected):
