@@ -16,7 +16,7 @@ import numpy as np
 from . import _interp
 from .propagator import EvolutionRecord, _whole_steps
 from .quantum_potential import QFields, compute_qfields
-from .trajectories import integrate_guidance_batch
+from .trajectories import _FieldCache, _guidance_rk4, _step_times
 from .wavefield import Grid, Wavefunction
 
 
@@ -115,30 +115,33 @@ class EnsembleTrajectory:
 def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> EnsembleTrajectory:
     """Sample at the first snapshot and transport along the guidance flow.
 
-    Positions and summaries are reported at the record's snapshot times.
+    Positions and summaries are reported, and positions kept, only at the
+    record's snapshot times that fall on a trajectory step.
     """
-    x0 = sample_equilibrium(spec)
-    times, positions = integrate_guidance_batch(record, x0, dt)
-    # Report at snapshot times that also fall on the integration grid.
     t0 = record.times[0]
-    rows = np.array([0] + [_whole_steps(float(t - t0), dt, required=False) for t in record.times[1:]])
-    keep_snap = np.r_[0, np.flatnonzero(rows[1:]) + 1]
+    steps = [0] + [_whole_steps(float(t - t0), dt, required=False) for t in record.times[1:]]
+    keep_snap = np.r_[0, np.flatnonzero(steps[1:]) + 1]
     if len(keep_snap) < 2:
         raise ValueError("snapshot times and trajectory steps share too few common times")
-    traj_rows = rows[keep_snap]
+    traj_rows = np.array(steps)[keep_snap]
+    row_of = {step: row for row, step in enumerate(traj_rows.tolist())}
+    times = _step_times(record, dt)
+    x0 = sample_equilibrium(spec)
+    positions = np.empty((len(keep_snap),) + x0.shape)
+    for step, x, _ in _guidance_rk4(_FieldCache(record, "velocity", 0.5 * dt), x0, times, dt):
+        if step in row_of:
+            positions[row_of[step]] = x
     grid = record.grid
     mean_pos = np.empty((len(keep_snap), grid.dims))
     mean_force = np.empty((len(keep_snap), grid.dims))
-    for row, (snap_idx, traj_idx) in enumerate(zip(keep_snap, traj_rows)):
-        snap = record.snapshots[snap_idx]
-        pos = positions[traj_idx]
-        qf = compute_qfields(snap)
+    for row, (snap_idx, pos) in enumerate(zip(keep_snap, positions)):
+        qf = compute_qfields(record.snapshots[snap_idx])
         mean_force[row] = mean_quantum_force(pos, qf)
         for d in range(grid.dims):
             mean_pos[row, d] = _fsum_mean(pos[:, d])
     return EnsembleTrajectory(
         times=times[traj_rows],
-        positions=positions[traj_rows],
+        positions=positions,
         mean_position=mean_pos,
         mean_force=mean_force,
         snapshot_indices=keep_snap,

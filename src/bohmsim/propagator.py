@@ -203,6 +203,7 @@ class _SplitStepKernel:
         v = evaluate_potential(pot, grid, params)
         self.half_potential = np.exp(-0.5j * v * dt / params.hbar)
         self.kinetic = np.exp(-1j * _kinetic_rate(grid, params) * dt)
+        self.axes = tuple(reversed(range(grid.dims)))  # last axis first, as fftn
 
     def apply(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of ``amps``, into ``out`` (another array) when given.
@@ -211,10 +212,10 @@ class _SplitStepKernel:
         ``fftn`` does, through ``_fft``.
         """
         out = np.multiply(self.half_potential, amps, out=out)
-        for axis in reversed(range(out.ndim)):
+        for axis in self.axes:
             _fft(out, axis, out=out)
         np.multiply(self.kinetic, out, out=out)  # kinetic first: order sets the bits
-        for axis in reversed(range(out.ndim)):
+        for axis in self.axes:
             _fft(out, axis, out=out, inverse=True)
         return np.multiply(self.half_potential, out, out=out)
 
@@ -355,7 +356,7 @@ def _evolve_split(wf: Wavefunction, potential: PotentialSpec, block: np.ndarray,
         current_norm = _norm(amps, cell)
         drift[i - 1] = abs(current_norm - previous_norm)
         previous_norm = current_norm
-        if not np.isfinite(current_norm):
+        if not math.isfinite(current_norm):
             raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
         if i % stride == 0:
             block[i // stride] = amps

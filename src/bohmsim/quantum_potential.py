@@ -46,18 +46,12 @@ class QFields:
     f_q_max: float
 
 
-def qfields_batch(
+def qforce_batch(
     amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quantum potential and force of a stack of snapshots.
-
-    ``amplitudes`` has shape (B, *grid.shape).  Returns ``(q, force, valid,
-    f_q_max)`` with shapes (B, *grid.shape), (B, dims, *grid.shape),
-    (B, *grid.shape) and (B,); each snapshot is thresholded against its own
-    peak density.  ``f_q_max`` is the largest force magnitude over valid
-    points, the scale against which the averaging identity is judged.
-    R's first and second derivatives along each axis share one forward
-    transform, with the bits of two separate ``spectral_derivative`` calls.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """``qfields_batch``'s force and mask, and the R = |psi| and d_d^2 R per axis d
+    that Q is built from.  R's first and second derivatives along each axis
+    share one forward transform, with the bits of two ``spectral_derivative`` calls.
     """
     dims = grid.dims
     r = np.abs(amplitudes)
@@ -67,23 +61,38 @@ def qfields_batch(
 
     first, second = zip(*(_spectral_derivatives(r, grid, d, (1, 2)) for d in range(dims)))
 
-    q = np.zeros(r.shape)
-    for d in range(dims):
-        term = np.zeros(r.shape)
-        np.divide(second[d], r, out=term, where=valid)
-        q -= coeff * term
-
     force = np.zeros((len(r), dims) + grid.shape)
     for e in range(dims):
-        numerator = np.zeros(r.shape)
+        numerator = np.zeros(r.shape)  # 0.0 + term: a -0.0 term comes out as +0.0
         for d in range(dims):
             mixed = spectral_derivative(second[d], grid, axis=e)
             numerator += coeff * (mixed * r - second[d] * first[e])
         f = force[:, e]
         np.divide(numerator, rho, out=f, where=valid)
+    return force, valid, r, second
+
+
+def qfields_batch(
+    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quantum potential and force of a stack of snapshots.
+
+    ``amplitudes`` has shape (B, *grid.shape).  Returns ``(q, force, valid,
+    f_q_max)`` with shapes (B, *grid.shape), (B, dims, *grid.shape),
+    (B, *grid.shape) and (B,); each snapshot is thresholded against its own
+    peak density.  Q and ``f_q_max``, the largest force magnitude over valid
+    points, are built on ``qforce_batch``.
+    """
+    force, valid, r, second = qforce_batch(amplitudes, grid, params)
+    coeff = params.hbar**2 / (2.0 * params.mass)
+    q = np.zeros(r.shape)
+    for d in range(grid.dims):
+        term = np.zeros(r.shape)
+        np.divide(second[d], r, out=term, where=valid)
+        q -= coeff * term
 
     magnitude = np.zeros(r.shape)
-    for e in range(dims):
+    for e in range(grid.dims):
         magnitude += force[:, e] ** 2
     # magnitudes are >= 0, so masking with 0 keeps the valid maximum and gives 0 when none is valid
     f_q_max = np.sqrt(np.where(valid, magnitude, 0.0).max(axis=tuple(range(1, r.ndim))))

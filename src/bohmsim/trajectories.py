@@ -13,6 +13,9 @@ step must be commensurate with the snapshot spacing; when the spacing is
 half the step, every RK4 stage lands exactly on a snapshot and temporal
 interpolation drops out of the error budget entirely.
 
+The RK4 loop ``_guidance_rk4`` yields each step's state, and its callers
+keep only what they read: ``ensemble.evolve_ensemble`` the reported rows.
+
 Every field read, from the cache or at the Newton start, goes through
 ``_sample`` and ``_read``: a batch builds one ``_interp.Stencil`` per read.
 One particle in one dimension runs through the same loops as a Python
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import _interp
 from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps, _whole_steps_unchecked
-from .quantum_potential import qfields_batch
+from .quantum_potential import qforce_batch
 from .wavefield import FIELD_BATCH_POINTS, velocity_batch
 
 
@@ -63,7 +66,8 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.
+    previous read snapshot are evicted.  A ``"qforce"`` cache computes
+    ``qforce_batch``'s force alone, without Q and ``f_q_max``.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -83,7 +87,7 @@ class _FieldCache:
             if self.kind == "velocity":
                 values, valid = velocity_batch(amplitudes, record.grid, record.params)
             else:
-                _, values, valid, _ = qfields_batch(amplitudes, record.grid, record.params)
+                values, valid, _, _ = qforce_batch(amplitudes, record.grid, record.params)
             eroded = _interp.erode(valid, record.grid.dims)
             for stale in [k for k in self._cache if k < i - self.stride]:
                 del self._cache[stale]
@@ -166,13 +170,14 @@ def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndar
     return _read(cache.record.grid, t, x, *cache.at(t))
 
 
-def _step_count(record: EvolutionRecord, dt: float) -> int:
-    """Whole steps of ``dt`` across the record, checked commensurate with its spacing."""
+def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
+    """Times of the whole steps of ``dt`` across the record, checked commensurate with its spacing."""
     _check_positive_finite("dt", dt)
     spacing = record.snapshot_spacing
     if not _whole_steps(max(spacing, dt), min(spacing, dt), required=False):
         raise ValueError(f"trajectory dt={dt} is not commensurate with the snapshot spacing {spacing}")
-    return _whole_steps(float(record.times[-1] - record.times[0]), dt, "record span")
+    n = _whole_steps(float(record.times[-1] - record.times[0]), dt, "record span")
+    return float(record.times[0]) + dt * np.arange(n + 1)
 
 
 def _rk4_step(cache: _FieldCache, t: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
@@ -183,41 +188,27 @@ def _rk4_step(cache: _FieldCache, t: float, x: np.ndarray | float, dt: float, k1
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _guidance_rk4(
-    record: EvolutionRecord, x0: np.ndarray, dt: float, keep_velocities: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """RK4 guidance integration; with ``keep_velocities`` also v(x, t) at every time.
+def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, times: np.ndarray, dt: float):
+    """RK4 guidance integration from positions x0 (M, dims) across ``times``, one step at a time.
 
-    The velocities are the stage-one values RK4 evaluates anyway, plus one
-    evaluation at the final time.  One particle in one dimension is carried
-    as a Python float, whose arithmetic rounds as the array's.
+    Yields ``(step, x, k1)`` at every time but the last, k1 being the
+    stage-one velocity v(x, t) that RK4 evaluates anyway, and ``(n, x,
+    None)`` at the last, where nothing is read; the caller keeps what it
+    reads.  One particle in one dimension is carried as a Python float,
+    whose arithmetic rounds as the array's.
     """
-    n = _step_count(record, dt)
-    x = np.array(np.atleast_2d(x0), dtype=float)
-    cache = _FieldCache(record, "velocity", 0.5 * dt)
-    t0 = float(record.times[0])
-    times = t0 + dt * np.arange(n + 1)
-    positions = np.empty((n + 1,) + x.shape)
-    positions[0] = x
-    velocities = np.empty_like(positions) if keep_velocities else None
-    if x.shape == (1, 1) and record.grid.dims == 1:
-        x = x.item()
-    for step_index in range(n):
-        t = float(times[step_index])
+    x = x0.item() if x0.shape == (1, 1) and cache.record.grid.dims == 1 else x0
+    for step_index, t in enumerate(times[:-1].tolist()):
         k1 = _eval_fields(cache, t, x)
-        if velocities is not None:
-            velocities[step_index] = k1
+        yield step_index, x, k1
         x = _rk4_step(cache, t, x, dt, k1)
-        positions[step_index + 1] = x
-    if velocities is not None:
-        velocities[n] = _eval_fields(cache, float(times[n]), x)
-    return times, positions, velocities
+    yield len(times) - 1, x, None
 
 
 def integrate_guidance_batch(
     record: EvolutionRecord, x0: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 guidance integration of many particles at once.
+    """RK4 guidance integration of many particles at once, keeping every step.
 
     Parameters
     ----------
@@ -233,16 +224,26 @@ def integrate_guidance_batch(
     times : ndarray, shape (n+1,)
     positions : ndarray, shape (n+1, M, dims)
     """
-    times, positions, _ = _guidance_rk4(record, x0, dt, keep_velocities=False)
+    times = _step_times(record, dt)
+    x0 = np.array(np.atleast_2d(x0), dtype=float)
+    positions = np.empty((len(times),) + x0.shape)
+    for step_index, x, _ in _guidance_rk4(_FieldCache(record, "velocity", 0.5 * dt), x0, times, dt):
+        positions[step_index] = x
     return times, positions
 
 
 def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
-    """Integrate the guidance equation for a single initial position."""
+    """Integrate the guidance equation for a single initial position; the momenta
+    are m times RK4's stage-one velocities and the one read at the final time."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    times, positions, velocities = _guidance_rk4(record, x0[None, :], dt, keep_velocities=True)
-    momenta = record.params.mass * velocities[:, 0, :]
-    return Trajectory(times=times, positions=positions[:, 0, :], momenta=momenta)
+    times = _step_times(record, dt)
+    cache = _FieldCache(record, "velocity", 0.5 * dt)
+    positions = np.empty((len(times), len(x0)))
+    velocities = np.empty_like(positions)
+    for step_index, x, k1 in _guidance_rk4(cache, x0[None, :], times, dt):
+        positions[step_index] = x
+        velocities[step_index] = _eval_fields(cache, float(times[step_index]), x) if k1 is None else k1
+    return Trajectory(times=times, positions=positions, momenta=record.params.mass * velocities)
 
 
 def integrate_newton_batch(
@@ -257,14 +258,13 @@ def integrate_newton_batch(
     Returns ``(times, positions, momenta)``.  One particle in one dimension
     is carried as a Python float, whose arithmetic rounds as the array's.
     """
-    n = _step_count(record, dt)
+    times = _step_times(record, dt)
     x = np.array(np.atleast_2d(x0), dtype=float)
     grid, params = record.grid, record.params
     mass = params.mass
     t0 = float(record.times[0])
-    times = t0 + dt * np.arange(n + 1)
     force_cache = _FieldCache(record, "qforce", dt)
-    positions = np.empty((n + 1,) + x.shape)
+    positions = np.empty((len(times),) + x.shape)
     momenta = np.empty_like(positions)
     positions[0] = x
     velocity, valid = velocity_batch(record.amplitudes[:1], grid, params)
@@ -280,7 +280,7 @@ def integrate_newton_batch(
     momenta[0] = p
     # kick-drift-kick: the closing kick's force opens the next step
     force = total_force(t0, x)
-    for step_index in range(n):
+    for step_index in range(len(times) - 1):
         p = p + 0.5 * dt * force
         x = x + dt * p / mass
         force = total_force(float(times[step_index + 1]), x)

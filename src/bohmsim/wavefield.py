@@ -167,6 +167,8 @@ class Wavefunction:
 # numpy's pocketfft gufuncs (fft, ifft), or () when that private module is
 # missing; looked up on the first transform, so importing bohmsim loads no FFT code
 _pocketfft = None
+# the gufuncs' ``axes`` argument for a transform along each axis a batch of grids has, built once
+_GUFUNC_AXES = [[(axis,), (), (axis,)] for axis in range(3)]
 
 
 def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
@@ -175,8 +177,8 @@ def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: 
     Calls the gufunc that ``np.fft`` calls, with the same scale factor (1
     forward, 1/n inverse), without ``np.fft``'s per-call argument handling;
     falls back to ``np.fft`` when numpy lacks the private module.  ``axis``
-    must be non-negative; ``out``, complex and of ``values``' shape, may be
-    ``values`` itself.
+    is 0, 1 or 2, as on a batch of 2D grids; ``out``, complex and of
+    ``values``' shape, may be ``values`` itself.
     """
     global _pocketfft
     if _pocketfft is None:
@@ -189,7 +191,7 @@ def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: 
         if out is None:
             out = np.empty_like(values, dtype=complex)
         scale = 1 / values.shape[axis] if inverse else 1
-        return _pocketfft[inverse](values, scale, axes=[(axis,), (), (axis,)], out=out)
+        return _pocketfft[inverse](values, scale, axes=_GUFUNC_AXES[axis], out=out)
     return (np.fft.ifft if inverse else np.fft.fft)(values, axis=axis, out=out)
 
 

@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+class TestMedianInterval:
+    def test_covers_one_without_a_shift(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        low, median, high = ab.median_interval(np.exp(rng.normal(0.0, 0.05, 12)).tolist())
+        assert low <= 1.0 <= high
+        assert low <= median <= high
+
+    def test_excludes_one_for_a_clear_shift(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        low, median, high = ab.median_interval((0.85 * np.exp(rng.normal(0.0, 0.05, 12))).tolist())
+        assert high < 1.0
+        assert median == pytest.approx(0.85, rel=0.05)
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (8, 1), (9, 2), (12, 3), (20, 6)])
+    def test_ranks_are_the_binomial_ones(self, n, k):
+        # the k-th smallest and largest of 1..n; k from tables of the sign test at 95%
+        assert ab.median_interval(list(range(n, 0, -1))) == (k, (n + 1) / 2, n + 1 - k)
+
+    def test_too_few_ratios_give_no_interval(self):
+        with pytest.raises(ValueError, match="5 ratios give no 95% interval"):
+            ab.median_interval([0.9, 1.0, 1.1, 1.2, 1.3])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from bohmsim import (
     evolve,
     evolve_ensemble,
     init_gaussian,
+    integrate_guidance_batch,
     make_grid,
     mean_quantum_force,
     normalize,
@@ -168,3 +170,33 @@ class TestEvolveEnsemble:
 
     def test_mean_position_tracks_packet_center(self, transported):
         assert np.abs(transported.mean_position).max() < 4.0 * 1.5 / np.sqrt(2000)
+
+
+@pytest.fixture(scope="module")
+def coarse_record():
+    # snapshot spacing 0.1: at dt = 0.0125 seven of every eight steps are not reported
+    grid = make_grid(1, -15.0, 15.0, 384)
+    wf = init_gaussian(grid, PhysicalParams(), 0.0, 1.0)
+    return evolve_quiet(wf, Free(), 1.0, 1e-3, snapshot_stride=100)
+
+
+class TestReportedRows:
+    def test_positions_are_the_batch_rows_bit_for_bit(self, coarse_record):
+        spec = EnsembleSpec(500, 7, coarse_record.snapshots[0])
+        cloud = evolve_ensemble(spec, coarse_record, 0.0125)
+        times, positions = integrate_guidance_batch(coarse_record, sample_equilibrium(spec), 0.0125)
+        assert len(times) == 81 and cloud.positions.shape == (11, 500, 1)
+        assert cloud.positions.tobytes() == positions[::8].tobytes()
+        assert cloud.times.tobytes() == times[::8].tobytes()
+
+    def test_peak_memory_follows_the_reported_rows(self, coarse_record):
+        # keeping all 81 steps would take 7.4 times the 11 reported rows' bytes on their own
+        evolve_ensemble(EnsembleSpec(100, 5, coarse_record.snapshots[0]), coarse_record, 0.0125)
+        spec = EnsembleSpec(4000, 5, coarse_record.snapshots[0])
+        tracemalloc.start()
+        try:
+            cloud = evolve_ensemble(spec, coarse_record, 0.0125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cloud.positions.nbytes

@@ -18,7 +18,7 @@ from bohmsim import (
     velocity_field,
 )
 from bohmsim import quantum_potential
-from bohmsim.quantum_potential import qfields_batch
+from bohmsim.quantum_potential import qfields_batch, qforce_batch
 from bohmsim.wavefield import velocity_batch
 
 
@@ -183,6 +183,17 @@ class TestBatchedFields:
             assert f_q_max[b] == qf.f_q_max
             for e in range(dims):
                 assert np.array_equal(force[b, e], qf.force[e])
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_qforce_batch_is_the_force_and_mask_of_qfields_batch(self, dims):
+        grid, params, states = snapshot_stack(dims)
+        amplitudes = np.stack([s.amplitudes for s in states])
+        _, force, valid, _ = qfields_batch(amplitudes, grid, params)
+        only_force, only_valid, _, _ = qforce_batch(amplitudes, grid, params)
+        assert not valid[1].all()
+        assert only_force.tobytes() == force.tobytes()
+        assert np.array_equal(only_valid, valid)
+        assert not np.signbit(only_force[only_force == 0.0]).any()  # masked and zero forces are +0.0
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_f_q_max_equals_the_per_snapshot_loop(self, dims, monkeypatch):

@@ -221,7 +221,7 @@ class TestFieldCache:
             # a batch fills only the snapshots on the stride
             assert all(k % stride == 0 for k in cache._cache)
 
-    @pytest.mark.parametrize("kind, name", [("velocity", "velocity_batch"), ("qforce", "qfields_batch")])
+    @pytest.mark.parametrize("kind, name", [("velocity", "velocity_batch"), ("qforce", "qforce_batch")])
     def test_batches_are_views_of_the_record(self, heavy_record, monkeypatch, kind, name):
         seen = []
         original = getattr(trajectories, name)
@@ -282,6 +282,22 @@ class TestGuidanceMomenta:
         integrate_guidance(heavy_record, [0.4], 0.1)
         assert len(seen) == 4 * n + 1  # the momenta add only v at the final time
         assert seen[-1] == pytest.approx(float(times[-1]), abs=0.0)
+
+    def test_batch_ending_beside_a_node_region_returns(self, line_grid, unit_params):
+        # one step of 0.2: k1 (t = 0) and k2, k3 (t = 0.1) ride at v = 1, k4 (t = 0.2) at v = -5,
+        # so the step ends where it began; the last snapshot's node region, its packet's far
+        # tail left of about -0.04, spares k4's read at x0 + 0.2 but not a read at the end
+        x = line_grid.axes()[0]
+
+        def packet(center, sigma, wavenumber):
+            return np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * wavenumber * x)
+
+        amplitudes = np.stack([packet(0.0, 1.0, 1.0), packet(0.0, 1.0, 1.0), packet(3.68, 0.5, -5.0)])
+        record = EvolutionRecord(np.array([0.0, 0.1, 0.2]), amplitudes, line_grid, unit_params, np.zeros(2), Free())
+        times, positions = integrate_guidance_batch(record, np.array([[-0.04]]), 0.2)
+        assert positions[-1, 0, 0] == pytest.approx(-0.04, abs=1e-9)
+        abort = abort_of(lambda: integrate_guidance(record, [-0.04], 0.2))
+        assert "node region" in str(abort) and abort.time == times[-1]
 
 
 def abort_of(call):
