@@ -55,7 +55,6 @@ from .ensemble import (
     EnsembleTrajectory,
     equivariance_distance,
     evolve_ensemble,
-    mean_quantum_force,
     sample_equilibrium,
 )
 from .manybody import (
@@ -107,7 +106,6 @@ __all__ = [
     "integrate_newton",
     "integrate_newton_batch",
     "make_grid",
-    "mean_quantum_force",
     "no_tunneling_check",
     "node_mask",
     "norm",

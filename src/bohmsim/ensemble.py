@@ -1,9 +1,9 @@
 """Quantum-equilibrium ensembles: sampling, transport, and statistics.
 
-Sampling is inverse-CDF on the grid cells with uniform placement inside a
-cell, driven by the counter-based Philox4x64-10 generator so runs are
-reproducible from a single integer seed.  Statistical reductions use
-compensated (exact) summation so results do not depend on summation order.
+Sampling is inverse-CDF on the grid cells with uniform placement inside a cell, driven by
+the counter-based Philox4x64-10 generator so runs are reproducible from a single integer
+seed.  Particles read the velocity and the quantum force through ``trajectories._read``, as on
+the Newton route.  Reductions use compensated (exact) summation, so no order sets the bits.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _interp
 from .propagator import EvolutionRecord, _whole_steps
-from .quantum_potential import QFields, compute_qfields
-from .trajectories import _FieldCache, _guidance_rk4, _step_times
+from .quantum_potential import qforce_batch
+from .trajectories import _FieldCache, _guidance_rk4, _read, _step_times
 from .wavefield import Grid, Wavefunction
 
 
@@ -91,16 +91,6 @@ def equivariance_distance(positions: np.ndarray, wf: Wavefunction) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def mean_quantum_force(positions: np.ndarray, qfields: QFields) -> np.ndarray:
-    """Ensemble mean of F_Q at the given positions, shape (dims,).
-
-    Raises ``ValueError`` naming the positions that lie off the grid or whose
-    interpolation stencil touches the node region.
-    """
-    forces = _interp.checked_stencil(qfields.grid, positions, qfields.valid).sample(qfields.force)
-    return np.array([_fsum_mean(f) for f in forces.T])
-
-
 @dataclass(frozen=True)
 class EnsembleTrajectory:
     """Transported ensemble with per-snapshot summaries."""
@@ -115,8 +105,9 @@ class EnsembleTrajectory:
 def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> EnsembleTrajectory:
     """Sample at the first snapshot and transport along the guidance flow.
 
-    Positions and summaries are reported, and positions kept, only at the
-    record's snapshot times that fall on a trajectory step.
+    Positions and summaries are reported, and positions kept, only at the record's snapshot
+    times that fall on a trajectory step.  Each row reads its snapshot's ``qforce_batch`` force with
+    ``trajectories._read``: positions off the grid or in a node region raise ``TrajectoryAbort``.
     """
     t0 = record.times[0]
     steps = [0] + [_whole_steps(float(t - t0), dt, required=False) for t in record.times[1:]]
@@ -135,9 +126,11 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
     mean_pos = np.empty((len(keep_snap), grid.dims))
     mean_force = np.empty((len(keep_snap), grid.dims))
     for row, (snap_idx, pos) in enumerate(zip(keep_snap, positions)):
-        qf = compute_qfields(record.snapshots[snap_idx])
-        mean_force[row] = mean_quantum_force(pos, qf)
+        # one snapshot at a time: a field cache's batch of them would grow the heap past transport's peak
+        force, valid, _, _ = qforce_batch(record.amplitudes[snap_idx:snap_idx + 1], grid, record.params)
+        forces = _read(grid, float(times[traj_rows[row]]), pos, force[0], _interp.erode(valid[0], grid.dims))
         for d in range(grid.dims):
+            mean_force[row, d] = _fsum_mean(forces[:, d])
             mean_pos[row, d] = _fsum_mean(pos[:, d])
     return EnsembleTrajectory(
         times=times[traj_rows],

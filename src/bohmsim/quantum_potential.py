@@ -49,9 +49,9 @@ class QFields:
 def qforce_batch(
     amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """``qfields_batch``'s force and mask, and the R = |psi| and d_d^2 R per axis d
-    that Q is built from.  R's first and second derivatives along each axis
-    share one forward transform, with the bits of two ``spectral_derivative`` calls.
+    """Quantum force (B, dims, *grid.shape) and node mask of a stack of snapshots (B, *grid.shape), each
+    thresholded against its own peak density, and the R = |psi| and d_d^2 R per axis d that ``compute_qfields``
+    builds Q from.  Both derivatives of R per axis come from one forward transform, bit for bit as ``spectral_derivative``.
     """
     dims = grid.dims
     r = np.abs(amplitudes)
@@ -67,46 +67,30 @@ def qforce_batch(
         for d in range(dims):
             mixed = spectral_derivative(second[d], grid, axis=e)
             numerator += coeff * (mixed * r - second[d] * first[e])
-        f = force[:, e]
-        np.divide(numerator, rho, out=f, where=valid)
+        np.divide(numerator, rho, out=force[:, e], where=valid)
     return force, valid, r, second
 
 
-def qfields_batch(
-    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quantum potential and force of a stack of snapshots.
+def compute_qfields(wf: Wavefunction) -> QFields:
+    """Quantum potential and force of a wavefunction snapshot, on ``qforce_batch``.
 
-    ``amplitudes`` has shape (B, *grid.shape).  Returns ``(q, force, valid,
-    f_q_max)`` with shapes (B, *grid.shape), (B, dims, *grid.shape),
-    (B, *grid.shape) and (B,); each snapshot is thresholded against its own
-    peak density.  Q and ``f_q_max``, the largest force magnitude over valid
-    points, are built on ``qforce_batch``.
+    ``f_q_max`` is the largest force magnitude over valid points, 0.0 when
+    none is valid: the scale against which the averaging identity is judged.
     """
-    force, valid, r, second = qforce_batch(amplitudes, grid, params)
-    coeff = params.hbar**2 / (2.0 * params.mass)
+    force, valid, r, second = qforce_batch(wf.amplitudes[None], wf.grid, wf.params)
+    coeff = wf.params.hbar**2 / (2.0 * wf.params.mass)
     q = np.zeros(r.shape)
-    for d in range(grid.dims):
+    for d in range(wf.grid.dims):
         term = np.zeros(r.shape)
         np.divide(second[d], r, out=term, where=valid)
         q -= coeff * term
 
     magnitude = np.zeros(r.shape)
-    for e in range(grid.dims):
+    for e in range(wf.grid.dims):
         magnitude += force[:, e] ** 2
     # magnitudes are >= 0, so masking with 0 keeps the valid maximum and gives 0 when none is valid
-    f_q_max = np.sqrt(np.where(valid, magnitude, 0.0).max(axis=tuple(range(1, r.ndim))))
-    return q, force, valid, f_q_max
-
-
-def compute_qfields(wf: Wavefunction) -> QFields:
-    """Quantum potential and force of a wavefunction snapshot.
-
-    ``f_q_max`` is the largest force magnitude over valid points, the scale
-    against which the averaging identity is judged.
-    """
-    q, force, valid, f_q_max = qfields_batch(wf.amplitudes[None], wf.grid, wf.params)
-    return QFields(wf.grid, q[0], force[0], valid[0], float(f_q_max[0]))
+    f_q_max = np.sqrt(np.where(valid, magnitude, 0.0).max())
+    return QFields(wf.grid, q[0], force[0], valid[0], float(f_q_max))
 
 
 def averaged_quantum_force(wf: Wavefunction) -> np.ndarray:

@@ -66,8 +66,8 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.  A ``"qforce"`` cache computes
-    ``qforce_batch``'s force alone, without Q and ``f_q_max``.
+    previous read snapshot are evicted.  A ``"qforce"`` cache holds
+    ``qforce_batch``'s force, without the Q of ``compute_qfields``.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):

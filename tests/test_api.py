@@ -65,6 +65,10 @@ def test_unread_names_are_gone():
         assert not names & set(inspect.signature(function).parameters), function.__qualname__
     assert not hasattr(bohmsim.trajectories, "_eval_point")
     assert not hasattr(bohmsim.trajectories._FieldCache, "stencil")
+    assert "mean_quantum_force" not in bohmsim.__all__
+    for module in (bohmsim, bohmsim.ensemble):
+        assert not hasattr(module, "mean_quantum_force"), f"{module.__name__}.mean_quantum_force"
+    assert not hasattr(bohmsim.quantum_potential, "qfields_batch")
 
 
 def test_every_traced_benchmark_name_resolves():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, manybody, propagator, wavefield
+from bohmsim import cli, manybody, propagator, quantum_potential, wavefield
 from bohmsim.cli import (
     _SECTIONS,
     EXPERIMENTS,
@@ -35,6 +35,7 @@ EQUIVARIANCE = (CONFIGS / "equivariance.cfg").read_text()
 HARMONIC_GROUND = (CONFIGS / "harmonic_ground.cfg").read_text()
 CM_NEWTON = (CONFIGS / "cm_newton.cfg").read_text()
 NO_TUNNELING = (CONFIGS / "no_tunneling.cfg").read_text()
+AVERAGING_IDENTITY = (CONFIGS / "averaging_identity.cfg").read_text()
 
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
@@ -562,6 +563,17 @@ class TestDoctoredControls:
         config_path.write_text(CM_NEWTON)
         assert main(["run", str(config_path), "--out", str(tmp_path / "main"), "--quiet"]) == 1
         assert "FAIL resample-fraction: measured=0.002 " in (tmp_path / "main" / "report.txt").read_text()
+
+    def test_a_coarse_force_mask_fails_the_averaging_identity(self, tmp_path, monkeypatch):
+        # on the periodic grid the sum of rho F_Q vanishes to rounding for any R, and only the
+        # points the node mask leaves out move it: a force mask at 1e-4 of the peak, not 1e-12
+        def coarse(rho, dims):
+            return rho >= 1e-4 * rho.max(axis=tuple(range(rho.ndim - dims, rho.ndim)), keepdims=True)
+
+        monkeypatch.setattr(quantum_potential, "density_mask", coarse)
+        report, code, text = run_and_main(tmp_path, AVERAGING_IDENTITY)
+        assert failed_checks(report) == ["averaging-identity-relative"]
+        assert code == 1 and "FAIL averaging-identity-relative" in text
 
 
 class TestNanFailsTheContract:

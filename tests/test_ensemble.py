@@ -8,20 +8,22 @@ import oracles
 from bohmsim import (
     AccuracyWarning,
     EnsembleSpec,
+    EvolutionRecord,
     Free,
     PhysicalParams,
+    TrajectoryAbort,
     Wavefunction,
-    compute_qfields,
     equivariance_distance,
     evolve,
     evolve_ensemble,
     init_gaussian,
     integrate_guidance_batch,
     make_grid,
-    mean_quantum_force,
     normalize,
     sample_equilibrium,
 )
+from bohmsim import ensemble, quantum_potential
+from bohmsim.quantum_potential import qforce_batch
 
 SAMPLE_COUNT = 100_000
 
@@ -91,50 +93,50 @@ class TestSampleEquilibrium:
         assert np.abs(x.mean(axis=0) - [1.0, -0.5]).max() < 4.0 / np.sqrt(20_000)
 
 
+def still_record(wf, rows=2, spacing=0.1):
+    """A record that holds ``wf`` at every one of ``rows`` snapshots, ``spacing`` apart."""
+    amplitudes = np.stack([wf.amplitudes] * rows)
+    times = spacing * np.arange(rows)
+    return EvolutionRecord(times, amplitudes, wf.grid, wf.params, np.zeros(rows - 1), Free())
+
+
 class TestMeanQuantumForce:
+    """Row 0 of ``evolve_ensemble`` reads the force of the sampled state at the sampled positions."""
+
     def test_gaussian_mean_within_standard_error(self, gaussian_wf):
-        qf = compute_qfields(gaussian_wf)
-        x = sample_equilibrium(EnsembleSpec(10_000, 2, gaussian_wf))
+        mean = evolve_ensemble(EnsembleSpec(10_000, 2, gaussian_wf), still_record(gaussian_wf), 0.1).mean_force[0]
         # F_Q is linear in x here, so its ensemble spread is known in
         # closed form: std = sigma / (4 sigma^4)
         sigma_f = oracles.gaussian_quantum_force(1.0, 1.0)
-        mean = mean_quantum_force(x, qf)
         assert abs(mean[0]) < 4.0 * sigma_f / np.sqrt(10_000)
 
     def test_positions_near_node_are_rejected(self, line_grid, unit_params):
+        # a doctored record: one step of 0.2 rides at v = 1, 1, 1, -5 and ends where it began;
+        # the last snapshot's node region, its packet's far tail, holds every stencil based left
+        # of x = 0.078, so it spares k4's reads near x0 + 0.2 but not the final force read at x0
         x = line_grid.axes()[0]
-        psi = np.exp(-((x - 2.0) ** 2) / 4.0) - np.exp(-((x + 2.0) ** 2) / 4.0)
-        wf = normalize(Wavefunction(line_grid, unit_params, psi.astype(complex), 0.0))
-        qf = compute_qfields(wf)
-        with pytest.raises(ValueError, match="node region"):
-            mean_quantum_force(np.array([[2.0], [0.01]]), qf)
 
-    def test_off_grid_positions_are_rejected(self, gaussian_wf):
-        # wrapped, [[0.3], [20.3]] would return the mean of [[0.3], [0.3]]
-        qf = compute_qfields(gaussian_wf)
-        with pytest.raises(ValueError, match="off the grid") as err:
-            mean_quantum_force(np.array([[0.3], [20.3], [np.nan], [-0.4]]), qf)
-        assert "[[20.3], [nan]]" in str(err.value)  # the off-grid points only
+        def packet(center, sigma, wavenumber):
+            return np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * wavenumber * x)
 
-    def test_off_grid_positions_are_rejected_in_2d(self):
-        grid = make_grid(2, -8.0, 8.0, 64)
-        qf = compute_qfields(init_gaussian(grid, PhysicalParams(), 0.0, 1.0))
-        inside = np.array([[0.3, -0.2], [-0.5, 0.4]])
-        assert mean_quantum_force(inside, qf).shape == (2,)
-        with pytest.raises(ValueError, match="off the grid") as err:
-            mean_quantum_force(np.array([[0.3, -0.2], [0.1, -9.0], [np.nan, 0.0]]), qf)
-        assert "[[0.1, -9.0], [nan, 0.0]]" in str(err.value)
+        amplitudes = np.stack([packet(0.0, 1.0, 1.0), packet(0.0, 1.0, 1.0), packet(3.68, 0.5, -5.0)])
+        record = EvolutionRecord(np.array([0.0, 0.1, 0.2]), amplitudes, line_grid, unit_params, np.zeros(2), Free())
+        start = normalize(Wavefunction(line_grid, unit_params, packet(0.0, 0.01, 0.0), 0.0))
+        spec = EnsembleSpec(100, 4, start)
+        _, positions = integrate_guidance_batch(record, sample_equilibrium(spec), 0.2)
+        with pytest.raises(TrajectoryAbort, match="node region") as exc_info:
+            evolve_ensemble(spec, record, 0.2)
+        assert exc_info.value.time == 0.2
+        assert exc_info.value.positions.tobytes() == positions[-1].tobytes()
 
     def test_mean_shrinks_with_ensemble_size(self, gaussian_wf):
         # |mean F_Q| should fall roughly like 1/sqrt(M); compare the
         # medians over seeds at M = 100 and M = 10000
-        qf = compute_qfields(gaussian_wf)
+        record = still_record(gaussian_wf)
         small, large = [], []
         for seed in range(20):
-            xs = sample_equilibrium(EnsembleSpec(100, seed, gaussian_wf))
-            xl = sample_equilibrium(EnsembleSpec(10_000, seed, gaussian_wf))
-            small.append(abs(mean_quantum_force(xs, qf)[0]))
-            large.append(abs(mean_quantum_force(xl, qf)[0]))
+            small.append(abs(evolve_ensemble(EnsembleSpec(100, seed, gaussian_wf), record, 0.1).mean_force[0, 0]))
+            large.append(abs(evolve_ensemble(EnsembleSpec(10_000, seed, gaussian_wf), record, 0.1).mean_force[0, 0]))
         ratio = np.median(small) / np.median(large)
         assert 5.0 <= ratio <= 20.0
 
@@ -200,3 +202,26 @@ class TestReportedRows:
         finally:
             tracemalloc.stop()
         assert peak < 4 * cloud.positions.nbytes
+
+    def test_each_row_computes_its_own_snapshot_force(self, monkeypatch):
+        # equivariance's record: 41 snapshots of 384 points; Q and f_q_max are never built
+        grid = make_grid(1, -18.0, 18.0, 384)
+        wf = init_gaussian(grid, PhysicalParams(), 0.0, 1.0, 1.0)
+        record = evolve_quiet(wf, Free(), 2.0, 0.005, snapshot_stride=10)
+        stacks = []
+
+        def counting(amplitudes, grid, params):
+            stacks.append(amplitudes)
+            return qforce_batch(amplitudes, grid, params)
+
+        def refused(wf):
+            raise AssertionError("a row built a whole compute_qfields")
+
+        monkeypatch.setattr(ensemble, "qforce_batch", counting, raising=False)
+        monkeypatch.setattr(quantum_potential, "compute_qfields", refused)
+        monkeypatch.setattr(ensemble, "compute_qfields", refused, raising=False)
+        cloud = evolve_ensemble(EnsembleSpec(100, 1, wf), record, 0.01)
+        assert len(record) == len(cloud.times) == 41 and len(stacks) == 41
+        for snap_index, amplitudes in zip(cloud.snapshot_indices, stacks):
+            assert amplitudes.shape == (1, 384) and np.shares_memory(amplitudes, record.amplitudes[snap_index])
+        assert "snapshots" not in vars(record)  # no Wavefunction per snapshot

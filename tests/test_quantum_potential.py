@@ -18,7 +18,7 @@ from bohmsim import (
     velocity_field,
 )
 from bohmsim import quantum_potential
-from bohmsim.quantum_potential import qfields_batch, qforce_batch
+from bohmsim.quantum_potential import qforce_batch
 from bohmsim.wavefield import velocity_batch
 
 
@@ -117,11 +117,15 @@ class TestComputeQFields:
         for dims in (1, 2):
             grid, params, states = snapshot_stack(dims)
             amplitudes = np.stack([s.amplitudes for s in states])
-            q, force, valid, _ = qfields_batch(amplitudes, grid, params)
+            force, valid, _, _ = qforce_batch(amplitudes, grid, params)
             velocity, velocity_valid = velocity_batch(amplitudes, grid, params)
             assert not valid.all() and not velocity_valid.all()
-            assert np.isfinite(q).all()
-            for field, mask in ((q, valid), (force, valid[:, None]), (velocity, velocity_valid[:, None])):
+            fields = [(force, valid[:, None]), (velocity, velocity_valid[:, None])]
+            for wf in states:
+                qf = compute_qfields(wf)
+                assert np.isfinite(qf.q).all()
+                fields += [(qf.q, qf.valid), (qf.force, qf.valid)]
+            for field, mask in fields:
                 masked = field[~np.broadcast_to(mask, field.shape)]
                 assert masked.size and not masked.any() and not np.signbit(masked).any()
 
@@ -172,51 +176,36 @@ class TestBatchedFields:
                 assert np.array_equal(values[b, d], fields[d])
 
     @pytest.mark.parametrize("dims", [1, 2])
-    def test_qfields_batch_equals_per_snapshot(self, dims):
+    def test_qforce_batch_equals_per_snapshot(self, dims):
+        # a stack gives each snapshot compute_qfields' bits: the ensemble's force cache reads stacks
         grid, params, states = snapshot_stack(dims)
-        q, force, valid, f_q_max = qfields_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        force, valid, _, _ = qforce_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        assert force.shape == (len(states), dims) + grid.shape
         assert not valid[1].all()
         for b, wf in enumerate(states):
             qf = compute_qfields(wf)
-            assert np.array_equal(q[b], qf.q)
             assert np.array_equal(valid[b], qf.valid)
-            assert f_q_max[b] == qf.f_q_max
-            for e in range(dims):
-                assert np.array_equal(force[b, e], qf.force[e])
-
-    @pytest.mark.parametrize("dims", [1, 2])
-    def test_qforce_batch_is_the_force_and_mask_of_qfields_batch(self, dims):
-        grid, params, states = snapshot_stack(dims)
-        amplitudes = np.stack([s.amplitudes for s in states])
-        _, force, valid, _ = qfields_batch(amplitudes, grid, params)
-        only_force, only_valid, _, _ = qforce_batch(amplitudes, grid, params)
-        assert not valid[1].all()
-        assert only_force.tobytes() == force.tobytes()
-        assert np.array_equal(only_valid, valid)
-        assert not np.signbit(only_force[only_force == 0.0]).any()  # masked and zero forces are +0.0
+            assert force[b].tobytes() == qf.force.tobytes()
+        assert not np.signbit(force[force == 0.0]).any()  # masked and zero forces are +0.0
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_f_q_max_equals_the_per_snapshot_loop(self, dims, monkeypatch):
         grid, params, states = snapshot_stack(dims)
         real_mask = quantum_potential.density_mask
-
-        def masking_the_last(rho, d):
-            valid = real_mask(rho, d)
-            valid[-1] = False
-            return valid
-
-        monkeypatch.setattr(quantum_potential, "density_mask", masking_the_last)
-        _, force, valid, f_q_max = qfields_batch(np.stack([s.amplitudes for s in states]), grid, params)
-        assert not valid[-1].any() and valid[0].any()
-        magnitude = np.zeros(valid.shape)
-        for e in range(dims):
-            magnitude += force[:, e] ** 2
-        want = np.zeros(len(valid))
-        for b in range(len(valid)):
-            if valid[b].any():
-                want[b] = np.sqrt(magnitude[b][valid[b]].max())
-        assert f_q_max.tobytes() == want.tobytes()
-        assert f_q_max[-1] == 0.0 and f_q_max[:-1].min() > 0.0
+        mask_all = False
+        monkeypatch.setattr(quantum_potential, "density_mask", lambda rho, d: real_mask(rho, d) & (not mask_all))
+        found = []
+        for b, wf in enumerate(states):
+            mask_all = b == len(states) - 1  # the last snapshot has no valid point
+            qf = compute_qfields(wf)
+            assert qf.valid.any() != mask_all
+            magnitude = np.zeros(grid.shape)
+            for e in range(dims):
+                magnitude += qf.force[e] ** 2
+            want = np.sqrt(magnitude[qf.valid].max()) if qf.valid.any() else 0.0
+            assert type(qf.f_q_max) is float and qf.f_q_max == want
+            found.append(qf.f_q_max)
+        assert found[-1] == 0.0 and min(found[:-1]) > 0.0
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_velocity_batch_equals_the_formula(self, dims):
@@ -233,11 +222,11 @@ class TestBatchedFields:
             assert values[:, d][~valid].tobytes() == np.zeros(np.count_nonzero(~valid)).tobytes()
 
     @pytest.mark.parametrize("dims", [1, 2])
-    def test_qfields_batch_equals_the_formula(self, dims):
+    def test_qfields_equal_the_formula(self, dims):
         # R's first and second derivatives each from their own forward transform
         grid, params, states = snapshot_stack(dims)
         amps = np.stack([s.amplitudes for s in states])
-        q, force, valid, _ = qfields_batch(amps, grid, params)
+        force, valid, _, _ = qforce_batch(amps, grid, params)
         r = np.abs(amps)
         rho = r * r
         coeff = params.hbar**2 / (2.0 * params.mass)
@@ -248,7 +237,8 @@ class TestBatchedFields:
             term = np.zeros(r.shape)
             term[valid] = second[d][valid] / r[valid]
             want_q -= coeff * term
-        assert q.tobytes() == want_q.tobytes()
+        for b, wf in enumerate(states):
+            assert compute_qfields(wf).q.tobytes() == want_q[b].tobytes()
         for e in range(dims):
             numerator = np.zeros(r.shape)
             for d in range(dims):
