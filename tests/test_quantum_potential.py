@@ -177,15 +177,27 @@ class TestBatchedFields:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_qforce_batch_equals_per_snapshot(self, dims):
-        # a stack gives each snapshot compute_qfields' bits: the ensemble's force cache reads stacks
+        # a stack gives each snapshot the bits of a one-snapshot call: ensemble rows read one-row stacks
         grid, params, states = snapshot_stack(dims)
-        force, valid, _, _ = qforce_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        force, valid, r, second = qforce_batch(np.stack([s.amplitudes for s in states]), grid, params)
         assert force.shape == (len(states), dims) + grid.shape
         assert not valid[1].all()
         for b, wf in enumerate(states):
-            qf = compute_qfields(wf)
-            assert np.array_equal(valid[b], qf.valid)
-            assert force[b].tobytes() == qf.force.tobytes()
+            one_force, one_valid, one_r, one_second = qforce_batch(wf.amplitudes[None], grid, params)
+            assert np.array_equal(valid[b], one_valid[0])
+            assert np.array_equal(r[b], one_r[0])
+            for e in range(dims):
+                assert np.array_equal(force[b, e], one_force[0, e])
+                assert np.array_equal(second[e][b], one_second[e][0])
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_qforce_batch_is_compute_qfields_force(self, dims):
+        grid, params, states = snapshot_stack(dims)
+        force, valid, _, _ = qforce_batch(np.stack([s.amplitudes for s in states]), grid, params)
+        fields = [compute_qfields(wf) for wf in states]
+        assert not valid[1].all()
+        assert force.tobytes() == np.stack([qf.force for qf in fields]).tobytes()
+        assert np.array_equal(valid, np.stack([qf.valid for qf in fields]))
         assert not np.signbit(force[force == 0.0]).any()  # masked and zero forces are +0.0
 
     @pytest.mark.parametrize("dims", [1, 2])
