@@ -5,9 +5,12 @@ reproduces quadratics exactly and wraps periodically, matching the grids.
 ``_cubic`` is its one definition.  A ``Stencil`` is built once from its query
 points and serves their on-grid flag, their validity check (one read per point of
 a mask that ``erode`` shrank by the footprint) and every field.  In 1D a cell's
-cubic depends only on its four samples: ``sample`` tabulates the power-form
-coefficients of every cell and evaluates each point's cell by Horner's rule, and
-``sample_point`` does the same for one position in Python floats, bit for bit.
+cubic depends only on its four samples: ``cubic_table`` tabulates the power-form
+coefficients of every cell, which a caller that reads one block many times keeps,
+``sample`` evaluates each point's cell by Horner's rule, and ``sample_point`` does
+the same for one position in Python floats, bit for bit.  A 1D stencil is located
+from its extreme positions when they show every point on the grid with no cell to
+wrap, and then checks a mask over the span of its bases (``all_valid``).
 In 2D a stencil holds per-axis weights, the cubics of the four unit samples
 (``_BASIS``) by the same Horner rule, and footprints for one ``einsum``.
 ``interpolate`` and ``stencil_valid`` stay public: ``perfbench/tracer.py`` wraps both.
@@ -64,6 +67,27 @@ def erode(mask: np.ndarray, dims: int) -> np.ndarray:
     return mask
 
 
+def cubic_table(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Power-form coefficients c0..c3 of every cell of a 1D (C, n) block, each (C, n), cell j
+    spanning nodes j..j+1 with wrapped neighbours; a read time's fields need one."""
+    return _cubic(*_shifts(block, -1))
+
+
+def _span(grid: Grid, x: np.ndarray) -> tuple[int, int] | None:
+    """The smallest and largest base index of 1D points x (1, M) when every point is on the
+    grid and no cell rounds up to n, so none wraps; else None (NaN included).  Rounding is
+    monotone, so the floors at the extreme positions are the extreme floors."""
+    (lo, hi), = grid.extents
+    if not x.size:
+        return None
+    first, last = x.min(), x.max()
+    if not (lo <= first and last < hi):
+        return None
+    dx, = grid.dx
+    low, high = math.floor((first - lo) / dx), math.floor((last - lo) / dx)
+    return (low, high) if high < grid.points[0] else None
+
+
 class Stencil:
     """Wrap-around interpolation stencil of query points ``x`` (M, dims), built once
     from them; ``ValueError`` for positions of another shape.
@@ -73,6 +97,11 @@ class Stencil:
     cell and ``fraction`` the point's place in it per axis, (dims, M).  In 2D ``index``
     holds the flat footprint indices, (M, 4, 4), and ``weights`` the per-axis weights,
     (2, M, 4): ``_BASIS`` in ``sample_point``'s Horner order.
+
+    In 1D ``span`` holds the smallest and largest base index when the extreme positions
+    show every point on the grid with no cell to wrap (``_span``).  Such a stencil skips
+    the per-point flags and the wrap, makes ``on_grid`` only when asked, and lets
+    ``all_valid`` read the mask over the span; otherwise ``span`` is None.
     """
 
     def __init__(self, grid: Grid, x: np.ndarray):
@@ -81,6 +110,14 @@ class Stencil:
             raise ValueError(f"x has shape {x.shape}; a stencil locates M point(s) of {grid.dims} coordinate(s)")
         lo, hi, dx, n, footprints = _tables(grid)
         x = x.T
+        self.span = _span(grid, x) if grid.dims == 1 else None
+        if self.span is not None:
+            u = x - lo
+            u /= dx
+            cell = np.floor(u)
+            u -= cell
+            self.fraction, self.base, self.off_grid = u, cell[0].astype(np.int64), 0
+            return
         inside = (lo <= x) & (x < hi)
         self.on_grid = inside[0] if grid.dims == 1 else inside[0] & inside[1]
         self.off_grid = len(self.on_grid) - np.count_nonzero(self.on_grid)
@@ -104,22 +141,40 @@ class Stencil:
         self.index = rows[:, :, None] + columns[:, None, :]
         self.base = self.index[:, 1, 1]
 
-    def sample(self, block: np.ndarray) -> np.ndarray:
-        """Each real field of a (C, *grid.shape) block at the query points, (M, C)."""
+    @functools.cached_property
+    def on_grid(self) -> np.ndarray:
+        # reached only when a span showed every point on the grid; otherwise __init__ set it
+        return np.ones(len(self.base), dtype=bool)
+
+    def sample(self, block: np.ndarray, table: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+        """Each real field of a (C, *grid.shape) block at the query points, (M, C).  In 1D
+        ``table`` is the block's ``cubic_table`` when the caller keeps it; else it is built."""
         if len(self.fraction) == 2:
             gathered = block.reshape(len(block), -1).take(self.index, axis=1, mode="clip")
             return np.einsum("cmab,ma,mb->mc", gathered, *self.weights, order="C")
-        # four (C, M) gathers: one (C, M, 4) gather churns the heap when every read builds its stencil
-        c0, c1, c2, c3 = (c.take(self.base, axis=1, mode="clip") for c in _cubic(*_shifts(block, -1)))
-        # ((c3 s + c2) s + c1) s + c0, as sample_point evaluates: the bits depend on this order
+        c0, c1, c2, c3 = cubic_table(block) if table is None else table
         out = np.empty((len(self.base), len(block)))
-        h, s = out.T, self.fraction
-        np.add(np.multiply(np.add(np.multiply(np.add(np.multiply(c3, s, h), c2, h), s, h), c1, h), s, h), c0, h)
+        h, s, base = out.T, self.fraction, self.base
+        # ((c3 s + c2) s + c1) s + c0, as sample_point evaluates: the bits depend on this order.
+        # One (C, M) gather per coefficient, into h or one scratch array: one (C, M, 4) gather
+        # churns the heap when every read builds its stencil
+        c3.take(base, axis=1, mode="clip", out=h)
+        term = np.empty(h.shape)
+        for c in (c2, c1, c0):
+            h *= s
+            h += c.take(base, axis=1, mode="clip", out=term)
         return out
 
     def valid(self, eroded: np.ndarray) -> np.ndarray:
         """True for points whose whole stencil lies in the mask ``eroded`` came from, (M,)."""
         return eroded.reshape(-1)[self.base]
+
+    def all_valid(self, eroded: np.ndarray) -> bool:
+        """Whether ``valid(eroded)`` holds at every point; with a ``span`` and no hole in
+        the mask across it, from that slice alone."""
+        if self.span is not None and eroded.reshape(-1)[self.span[0]:self.span[1] + 1].all():
+            return True
+        return bool(self.valid(eroded).all())
 
 
 def sample_point(grid: Grid, c: float, block: np.ndarray, eroded: np.ndarray) -> tuple[float, bool] | None:

@@ -3,7 +3,8 @@
 Sampling is inverse-CDF on the grid cells with uniform placement inside a cell, driven by
 the counter-based Philox4x64-10 generator so runs are reproducible from a single integer
 seed.  Particles read the velocity and the quantum force through ``trajectories._read``, as on
-the Newton route.  Reductions use compensated (exact) summation, so no order sets the bits.
+the Newton route.  Means are exactly rounded, so no order sets the bits: ``_fsum`` returns
+``math.fsum``'s bits by error-free extraction, whose level sums are exact in numpy.
 """
 
 from __future__ import annotations
@@ -65,8 +66,38 @@ def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     return sample_density(rho, spec.wavefunction.grid, spec.count, _rng(spec.seed))
 
 
+_EXTRACT_MIN = 512  # about where two extraction levels cost what math.fsum does
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` bit for bit, for a 1D float array, by error-free extraction.
+
+    With sigma = 2**(e + ceil(log2(M + 2))) and every |r| <= 2**e, q = (sigma + r) - sigma
+    splits each r into q + (r - q) exactly and rounds q to a multiple of eps * sigma,
+    so ``q.sum()`` is exact in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31, 189 (2008)).  Two levels leave a few nonzero residuals, and ``math.fsum`` of the
+    level sums and those residuals rounds the same exact sum once, as of the values.
+    Non-finite input, input above 2**900 and all-zero input go to ``math.fsum`` itself,
+    as do fewer than ``_EXTRACT_MIN`` values, which it sums sooner.
+    """
+    big = np.abs(values).max() if len(values) >= _EXTRACT_MIN else math.nan
+    if not 0.0 < big <= 2.0**900:
+        return math.fsum(values.tolist())
+    r = values.copy()
+    headroom = (len(values) + 1).bit_length()  # ceil(log2(M + 2))
+    sums = []
+    for _ in range(2):
+        sigma = math.ldexp(1.0, math.frexp(big)[1] + headroom)
+        q = r + sigma
+        q -= sigma
+        r -= q
+        sums.append(q.sum())
+        big = np.abs(r).max()
+    return math.fsum(sums + r[r != 0.0].tolist())
+
+
 def _fsum_mean(values: np.ndarray) -> float:
-    return math.fsum(values.tolist()) / len(values)  # exactly rounded: a list gives the same bits, sooner
+    return _fsum(values) / len(values)  # the exactly rounded sum, then one division
 
 
 def _grid_cdf(wf: Wavefunction) -> tuple[np.ndarray, np.ndarray]:

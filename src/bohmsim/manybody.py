@@ -20,13 +20,12 @@ Three experiments live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _interp
-from .ensemble import _grid_cdf, _rng, sample_density
+from .ensemble import _fsum, _grid_cdf, _rng, sample_density
 from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
 from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, _rk4_step, integrate_guidance_batch
@@ -362,11 +361,11 @@ def run_cm_experiment(
     for row in range(n_steps + 1):
         t = float(times[row])
         positions = frames + offsets[:, 0]
-        external_total = math.fsum(spec.external.force_at(positions[:, None], params)[:, 0].tolist())
+        external_total = _fsum(spec.external.force_at(positions[:, None], params)[:, 0])
         pairwise_total = 0.0
         if spec.coupling is not None:
             pairwise = _chain_forces(spec.coupling, positions)
-            pairwise_total = math.fsum(pairwise.tolist())
+            pairwise_total = _fsum(pairwise)
             limit = CANCELLATION_BOUND * n * max(np.abs(pairwise).max(), 1e-300)
             if abs(pairwise_total) > limit:
                 raise RuntimeError(
@@ -374,7 +373,7 @@ def run_cm_experiment(
                 )
         cancellation[row] = abs(pairwise_total)
         classical_force[row] = external_total + pairwise_total
-        x_cm[row] = math.fsum((mass * positions).tolist()) / total_mass
+        x_cm[row] = _fsum(mass * positions) / total_mass
         # The quantum force at the offsets, redrawing those in node regions.
         q, ok = _fields_at(force_cache, t, offsets)
         if not ok.all():
@@ -387,7 +386,7 @@ def run_cm_experiment(
             if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):
                 raise RuntimeError("too many offsets entered node regions; model assumptions broken")
             q = _eval_fields(force_cache, t, offsets)
-        quantum_force[row] = math.fsum(q[:, 0].tolist())
+        quantum_force[row] = _fsum(q[:, 0])
         if row == n_steps:
             break
         # Offsets: RK4 along the packet's guidance flow.
@@ -449,13 +448,13 @@ def run_bec_experiment(
 
     v_i, fq_i = _interp.Stencil(grid, x0).sample(np.concatenate([velocity_field(wf), qf.force])).T
     spread = float(v_i.max() - v_i.min())
-    fq_total = math.fsum(fq_i.tolist())
+    fq_total = _fsum(fq_i)
 
     # The common modulus co-moves with the coherent flow, so offsets from the
     # cloud are constant and each subsystem keeps its phase-gradient velocity.
     times = dt * np.arange(n_steps + 1)
-    x_cm0 = math.fsum(x0[:, 0].tolist()) / n_subsystems
-    v_cm = math.fsum(v_i.tolist()) / n_subsystems
+    x_cm0 = _fsum(x0[:, 0]) / n_subsystems
+    v_cm = _fsum(v_i) / n_subsystems
     x_cm = x_cm0 + v_cm * times
     quantum_force = np.full(n_steps + 1, fq_total)
     classical_force = np.zeros(n_steps + 1)

@@ -18,6 +18,11 @@ keep only what they read: ``ensemble.evolve_ensemble`` the reported rows.
 
 Every field read, from the cache or at the Newton start, goes through
 ``_sample`` and ``_read``: a batch builds one ``_interp.Stencil`` per read.
+In 1D a batch read from the cache evaluates the fields through the read
+time's coefficient table (``_FieldCache.table``), built once per time, so
+RK4's k2 and k3 share one, as do k4 and the next k1 when their times round
+alike; a batch on the grid whose bases span no hole in the mask is checked
+from that span alone.
 One particle in one dimension runs through the same loops as a Python
 float and reads each field with ``_interp.sample_point``, which evaluates
 its cell's cubic with the batch's coefficients and Horner order, so its
@@ -68,6 +73,10 @@ class _FieldCache:
     masks are stored eroded (``_interp.erode``).  Entries behind the
     previous read snapshot are evicted.  A ``"qforce"`` cache holds
     ``qforce_batch``'s force, without the Q of ``compute_qfields``.
+
+    The last time read keeps its blended fields, their mask and, once a 1D
+    batch reads them, their ``_interp.cubic_table``; a one-particle float
+    read never builds a table.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
@@ -76,7 +85,7 @@ class _FieldCache:
         self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._at: tuple = (None, None, None)  # the last time read, its fields and mask
+        self._at: list = [None, None, None, None]  # the last time read, its fields, mask and table
 
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
@@ -104,8 +113,16 @@ class _FieldCache:
                 vb, eroded_b = self.fields(i + 1)
                 # erosion distributes over &: the eroded mask of both sides' nodes
                 values, eroded = (1.0 - theta) * values + theta * vb, eroded & eroded_b
-            self._at = (t, values, eroded)
-        return self._at[1:]
+            self._at = [t, values, eroded, None]
+        return self._at[1], self._at[2]
+
+    def table(self, t: float) -> tuple[np.ndarray, ...] | None:
+        """``_interp.cubic_table`` of the fields at time t, built on the first call at t;
+        None on a 2D grid, whose stencils weigh the samples themselves."""
+        self.at(t)
+        if self._at[3] is None and self.record.grid.dims == 1:
+            self._at[3] = _interp.cubic_table(self._at[1])
+        return self._at[3]
 
 
 def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
@@ -129,21 +146,32 @@ def _off_grid_abort(count: int, t: float, x: np.ndarray) -> TrajectoryAbort:
     return TrajectoryAbort(f"{count} trajectory position(s) left the grid at t={t:.6g}", t, x)
 
 
-def _sample(grid, t: float, x: np.ndarray, block: np.ndarray, eroded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(grid, t: float, x: np.ndarray) -> _interp.Stencil:
+    """The stencil of positions x (M, dims) read at time t; ``TrajectoryAbort`` for positions off the grid."""
+    stencil = _interp.Stencil(grid, x)
+    if stencil.off_grid:
+        raise _off_grid_abort(stencil.off_grid, t, x)
+    return stencil
+
+
+def _sample(
+    grid, t: float, x: np.ndarray, block: np.ndarray, eroded: np.ndarray, table=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Fields of ``block`` (dims, *grid.shape) at positions x (M, dims), read at time t,
-    and per-point validity against the eroded node mask.
+    and per-point validity against the eroded node mask; ``table`` as in
+    ``_interp.Stencil.sample``.
 
     ``ok[m]`` is False when point m's interpolation stencil touches the node
     region; its values are then meaningless.  Raises ``TrajectoryAbort`` for
     positions off the grid.
     """
-    stencil = _interp.Stencil(grid, x)
-    if stencil.off_grid:
-        raise _off_grid_abort(stencil.off_grid, t, x)
-    return stencil.sample(block), stencil.valid(eroded)
+    stencil = _stencil(grid, t, x)
+    return stencil.sample(block, table), stencil.valid(eroded)
 
 
-def _read(grid, t: float, x: np.ndarray | float, block: np.ndarray, eroded: np.ndarray) -> np.ndarray | float:
+def _read(
+    grid, t: float, x: np.ndarray | float, block: np.ndarray, eroded: np.ndarray, table=None
+) -> np.ndarray | float:
     """``_sample`` that raises ``TrajectoryAbort`` for a point in the node region; at one
     1D position given as a Python float, the one field value as a float, by
     ``_interp.sample_point`` with the same aborts."""
@@ -154,20 +182,22 @@ def _read(grid, t: float, x: np.ndarray | float, block: np.ndarray, eroded: np.n
         if not found[1]:
             raise _node_abort(t, np.array([[x]]))
         return found[0]
-    out, ok = _sample(grid, t, x, block, eroded)
-    if not ok.all():
+    stencil = _stencil(grid, t, x)
+    if not stencil.all_valid(eroded):
         raise _node_abort(t, x)
-    return out
+    return stencil.sample(block, table)
 
 
 def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_sample`` of the cached fields at time t."""
-    return _sample(cache.record.grid, t, x, *cache.at(t))
+    """``_sample`` of the cached fields at time t, through the time's kept table."""
+    return _sample(cache.record.grid, t, x, *cache.at(t), cache.table(t))
 
 
 def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
-    """``_read`` of the cached fields at time t."""
-    return _read(cache.record.grid, t, x, *cache.at(t))
+    """``_read`` of the cached fields at time t; a batch reads through the time's kept table."""
+    if type(x) is float:  # sample_point reads the one cell from the block itself
+        return _read(cache.record.grid, t, x, *cache.at(t))
+    return _read(cache.record.grid, t, x, *cache.at(t), cache.table(t))
 
 
 def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
@@ -181,11 +211,21 @@ def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
 
 
 def _rk4_step(cache: _FieldCache, t: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
-    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1."""
+    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1.
+
+    x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is formed left to right in k2: reads return fresh
+    arrays, so arrays combine in place, and the caller's x and k1 stay as they are."""
     k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
     k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
     k4 = _eval_fields(cache, t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    return k2
 
 
 def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, times: np.ndarray, dt: float):

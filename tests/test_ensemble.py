@@ -1,8 +1,12 @@
+import math
+import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bohmsim import (
@@ -43,6 +47,65 @@ def gaussian_wf():
 @pytest.fixture(scope="module")
 def big_sample(gaussian_wf):
     return sample_equilibrium(EnsembleSpec(SAMPLE_COUNT, 11, gaussian_wf))
+
+
+SPECIAL_VALUES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 2.0**900, -(2.0**900), math.nextafter(2.0**900, math.inf),
+     1.7e308, 5e-324, -5e-324, 2.0**-1022]
+)
+
+
+@st.composite
+def summands(draw):
+    """A float array of any length up to 20,000: random significands, signs and exponents
+    in a drawn range (from subnormals and zeros to near the largest float), optionally
+    followed by the exact negation of a prefix, with a few special values placed in it."""
+    n = draw(st.integers(0, 20_000) | st.sampled_from([2**k - 2 for k in range(9, 15)]))
+    low = draw(st.integers(-1100, 1022))
+    high = draw(st.integers(low, 1022))
+    sign = draw(st.sampled_from([-1.0, 1.0, 0.0]))  # 0: mixed signs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(low, high + 1, n))
+    v *= sign if sign else rng.choice([-1.0, 1.0], n)
+    if draw(st.booleans()):
+        v[n - n // 3 :] = -v[: n // 3]
+    for where, value in draw(st.lists(st.tuples(st.floats(0.0, 1.0), SPECIAL_VALUES | st.floats()), max_size=4)):
+        if n:
+            v[int(where * (n - 1))] = value
+    return v
+
+
+def outcome(total):
+    """The bits of a sum, or the type and message of what it raised."""
+    try:
+        return struct.pack("<d", total())
+    except (ValueError, OverflowError) as error:
+        return type(error), str(error)
+
+
+class TestExactSum:
+    """``ensemble._fsum`` returns ``math.fsum(values.tolist())`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=summands())
+    # M = 2**k - 2 negative values in (-2, -1]: their level sums fill sigma's headroom, and
+    # with a sigma one power of two smaller these two lose bits that show in the sum
+    @example(values=-np.random.default_rng(8).uniform(1.0, 2.0, 1022))
+    @example(values=-np.random.default_rng(0).uniform(1.0, 2.0, 4094))
+    @example(values=np.concatenate([np.random.default_rng(2).uniform(-18.0, 18.0, 10_000), [1e-300, -1e-310]]))
+    @example(values=np.array([-0.0] * 600))
+    @example(values=np.array([1.0, -1.0] * 300))
+    def test_equals_math_fsum_bit_for_bit(self, values):
+        want = outcome(lambda: math.fsum(values.tolist()))
+        assert outcome(lambda: ensemble._fsum(values)) == want
+        assert outcome(lambda: ensemble._fsum(values[::-1].copy())) == want  # no order sets the bits
+
+    def test_column_views_and_the_mean(self):
+        rng = np.random.default_rng(3)
+        block = rng.normal(size=(5_000, 2)) * 10.0 ** rng.integers(-8, 8, size=(5_000, 2))
+        for d in range(2):
+            assert ensemble._fsum(block[:, d]) == math.fsum(block[:, d].tolist())
+            assert ensemble._fsum_mean(block[:, d]) == math.fsum(block[:, d].tolist()) / 5_000
 
 
 class TestEnsembleSpec:

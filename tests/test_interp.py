@@ -12,6 +12,7 @@ from bohmsim._interp import (
     _OFFSETS,
     Stencil,
     _cubic,
+    cubic_table,
     erode,
     interpolate,
     sample_point,
@@ -353,7 +354,8 @@ POWER_VS_WEIGHTS_ULPS = 132
 
 class TestSampleOrder:
     """In 1D ``Stencil.sample`` equals the power-form oracle bit for bit and the einsum it
-    replaced within ``POWER_VS_WEIGHTS_ULPS``; in 2D it still makes the einsum."""
+    replaced within ``POWER_VS_WEIGHTS_ULPS``; in 2D it still makes the einsum.  A kept
+    ``cubic_table`` and a stencil located from its span read the same bits."""
 
     @pytest.mark.parametrize("dims", [1, 2])
     @pytest.mark.parametrize("components", [1, 2, 3])
@@ -376,3 +378,47 @@ class TestSampleOrder:
         scale = np.abs(np.take(block, index, axis=1)).max(axis=-1).T  # F, (M, C)
         gap = np.abs(got - oracles.einsum_sample(block, index, weights))
         assert (gap <= POWER_VS_WEIGHTS_ULPS * 2.0**-53 * scale).all()
+
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 5, 64, 10_000])
+    @pytest.mark.parametrize("spread", [5.0, 15.0])  # on the grid; off it too, wrapping
+    def test_kept_table_and_span_read_as_the_stencil_bit_for_bit(self, components, count, spread):
+        grid = make_grid(1, -5.0, 5.0, 40)
+        rng = np.random.default_rng(count * 10 + components + int(spread))
+        x = rng.uniform(-spread, spread, size=(count, 1))
+        block = rng.normal(size=(components,) + grid.shape) * 10.0 ** rng.integers(-6, 7, size=grid.shape)
+        stencil = Stencil(grid, x)
+        got = stencil.sample(block, cubic_table(block))
+        assert got.flags.c_contiguous
+        assert got.tobytes() == stencil.sample(block).tobytes() == oracles.power_sample(block, grid, x).tobytes()
+        cells = np.floor((x[:, 0] + 5.0) / grid.dx[0]).astype(np.int64)
+        assert np.array_equal(stencil.base, cells % 40)
+        on_grid = (-5.0 <= x[:, 0]) & (x[:, 0] < 5.0)
+        assert np.array_equal(stencil.on_grid, on_grid) and stencil.off_grid == count - on_grid.sum()
+        assert stencil.span == ((cells.min(), cells.max()) if on_grid.all() and cells.max() < 40 else None)
+        for density in (0.0, 0.02, 0.3):
+            mask = rng.random(grid.shape) > density
+            eroded = erode(mask, 1)
+            footprints = (cells[:, None] + _OFFSETS) % 40
+            assert np.array_equal(stencil.valid(eroded), mask[footprints].all(axis=1))
+            assert stencil.all_valid(eroded) is bool(mask[footprints].all())
+
+    def test_a_span_is_read_from_the_extreme_positions(self):
+        grid = make_grid(1, -8.0, 8.0, 16)  # dx = 1
+        below_hi = float(np.nextafter(8.0, 0.0))
+        assert (below_hi + 8.0) / 1.0 == 16.0  # its cell rounds to n and wraps to 0
+        cases = [
+            ([[-8.0], [7.5], [0.0]], (0, 15)),
+            ([[3.25]], (11, 11)),
+            ([[0.5], [below_hi]], None),
+            ([[0.5], [np.nan]], None),
+            ([[np.inf], [0.5]], None),
+            ([[-8.5], [0.5]], None),
+            ([[0.5], [8.0]], None),
+        ]
+        for x, span in cases:
+            assert Stencil(grid, np.array(x)).span == span
+        assert Stencil(grid, np.array([[-8.0], [7.5], [0.0]])).base.tolist() == [0, 15, 8]
+        assert Stencil(grid, np.array([[0.5], [below_hi]])).base.tolist() == [8, 0]
+        assert Stencil(grid, np.empty((0, 1))).span is None
+        assert Stencil(make_grid(2, -8.0, 8.0, 16), np.zeros((3, 2))).span is None

@@ -30,10 +30,10 @@ from bohmsim import (
     normalize,
 )
 from bohmsim import _interp, trajectories
-from bohmsim._interp import erode
+from bohmsim._interp import _OFFSETS, erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache
+from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, _rk4_step
 from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
@@ -508,6 +508,118 @@ class TestErodedNodeMask:
         for t in (1.5e-3, 2e-3, 2.5e-3):
             with pytest.raises(TrajectoryAbort, match="node region"):
                 _eval_fields(cache, t, x)
+
+
+def per_point_abort(grid, mask, t, x):
+    """The message of the abort a read of 1D positions x at t raises, decided point by
+    point: the count off the grid (NaN included), else a masked node in any point's
+    footprint; None for a clean read."""
+    (lo, hi), = grid.extents
+    n, = grid.points
+    c = x[:, 0]
+    off = np.count_nonzero(~((lo <= c) & (c < hi)))
+    if off:
+        return f"{off} trajectory position(s) left the grid at t={t:.6g}"
+    base = np.floor((c - lo) / grid.dx[0]).astype(np.int64) % n
+    if not mask[(base[:, None] + _OFFSETS) % n].all():
+        return f"trajectory entered a node region at t={t:.6g}"
+    return None
+
+
+BELOW_HI = float(np.nextafter(8.0, 0.0))  # on the grid, but (x - lo) / dx rounds to n = 16
+
+
+class TestBatchReadChecks:
+    """A 1D batch read is checked from its extreme positions and the mask across its
+    bases' span when that settles it, and point by point otherwise; either way it
+    raises what a point-by-point check raises, with the same time and positions."""
+
+    @pytest.mark.parametrize(
+        "x, node",
+        [
+            ([[0.5], [BELOW_HI]], None),  # the cell rounds to n and wraps to base 0
+            ([[0.5], [BELOW_HI]], (2,)),  # ... whose footprint holds node 2
+            ([[0.5], [np.nan]], None),
+            ([[np.inf], [0.5]], None),
+            ([[-np.inf]], None),
+            ([[np.nan], [np.inf], [-np.inf], [0.5]], (7,)),
+            ([[1.5], [-4.5], [-1.5]], (2,)),  # bases 9, 3, 6: only the lowest base's footprint
+            ([[1.5], [-4.5], [-1.5]], (1,)),
+            ([[1.5], [-4.5], [-1.5]], (11,)),  # only the highest base's footprint
+            ([[1.5], [-4.5], [-1.5]], (12,)),
+            ([[-4.5], [4.5]], (8,)),  # bases 3 and 12 around a hole at eroded bases 5..8
+            ([[-4.5], [-0.5], [4.5]], (8,)),  # ... and base 7 in it
+        ],
+    )
+    @pytest.mark.parametrize("t", [0.0, 5e-4])  # on a snapshot, between two
+    def test_reads_abort_as_a_point_by_point_check(self, monkeypatch, x, node, t):
+        x = np.array(x)
+        cache = masked_cache(monkeypatch, 1, node or (0,), range(5) if node else [])
+        mask = np.ones(16, dtype=bool)
+        if node:
+            mask[node] = False
+        message = per_point_abort(cache.record.grid, mask, t, x)
+        if message is None:
+            assert np.array_equal(_eval_fields(cache, t, x), np.zeros((len(x), 1)))
+            return
+        abort = abort_of(lambda: _eval_fields(cache, t, x))
+        assert str(abort) == message
+        assert abort.time == t and abort.positions is x
+        if "grid" in message:  # the per-point path reads the same
+            assert str(abort_of(lambda: _fields_at(cache, t, x))) == message
+
+
+class TestKeptTable:
+    """``_FieldCache`` keeps one ``cubic_table`` per read time for 1D batch reads."""
+
+    def test_one_table_per_distinct_read_time_and_none_for_one_particle(self, heavy_record, monkeypatch):
+        built = []
+        real = _interp.cubic_table
+
+        def counting(block):
+            built.append(block)
+            return real(block)
+
+        monkeypatch.setattr(_interp, "cubic_table", counting)
+        seen = count_evaluations(monkeypatch)
+        dt = 0.0125  # a quarter of the spacing: half steps fall between snapshots
+        times, _ = integrate_guidance_batch(heavy_record, np.array([[0.4], [-0.7]]), dt)
+        n = len(times) - 1
+        assert any(_bracket(heavy_record, t)[1] != 0.0 for t in seen)
+        # k1 at t, k2 and k3 at t + dt/2, k4 at t + dt: the next k1's time, unless the
+        # two round apart (they do in some steps here)
+        assert len(seen) == 4 * n and 2 * n + 1 <= len(set(seen)) < 3 * n
+        assert len(built) == len(set(seen))
+        built.clear()
+        integrate_guidance(heavy_record, [0.4], dt)
+        integrate_newton(heavy_record, [0.4], Free(), dt)
+        assert built == []
+
+    def test_cached_reads_equal_a_fresh_stencil_bit_for_bit(self, heavy_record):
+        cache = _FieldCache(heavy_record, "velocity", 0.00625)
+        x = np.random.default_rng(7).uniform(-4.0, 4.0, size=(500, 1))
+        for t in (0.0, 0.00625, 0.3, 0.30625, 0.30625, 0.3125):
+            block, eroded = cache.at(t)
+            stencil = _interp.Stencil(heavy_record.grid, x)
+            want = stencil.sample(block)
+            assert stencil.valid(eroded).all()
+            assert _eval_fields(cache, t, x).tobytes() == want.tobytes()
+            values, ok = _fields_at(cache, t, x)
+            assert values.tobytes() == want.tobytes() and np.array_equal(ok, stencil.valid(eroded))
+
+    def test_rk4_step_keeps_its_inputs_and_the_order_of_the_sum(self, heavy_record):
+        cache = _FieldCache(heavy_record, "velocity", 0.00625)
+        x = np.random.default_rng(8).uniform(-4.0, 4.0, size=(300, 1))
+        dt, t = 0.0125, 0.3
+        k1 = _eval_fields(cache, t, x)
+        x_before, k1_before = x.copy(), k1.copy()
+        got = _rk4_step(cache, t, x, dt, k1)
+        assert np.array_equal(x, x_before) and np.array_equal(k1, k1_before)
+        assert not np.shares_memory(got, x) and not np.shares_memory(got, k1)
+        k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = _eval_fields(cache, t + dt, x + dt * k3)
+        assert got.tobytes() == (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tobytes()
 
 
 class TestBracket:

@@ -1,4 +1,4 @@
-"""Paired in-process A/B of the shipped configs' wall time: a parent revision against this tree.
+"""Paired in-process A/B of the shipped configs' wall and CPU time: a parent revision against this tree.
 
     python3 tools/ab.py --parent REV [--pairs N] CONFIG...
 
@@ -11,9 +11,10 @@ pair, so drift over the run falls on both sides alike.  A CONFIG is a
 path or a name in ``configs/``.
 
 For each config, and for the sum over configs when there are several,
-prints the median of the pairs' B/A ratios with a distribution-free 95%
-interval from order statistics; an interval that contains 1 is called
-unresolved.  Every run of either tree must write the same bytes, or the
+prints the median of the pairs' B/A ratios of wall time (``perf_counter``)
+with a distribution-free 95% interval from order statistics, and beside it
+the same for CPU time (``process_time``); an interval that contains 1 is
+called unresolved.  Every run of either tree must write the same bytes, or the
 tool says which files differ and exits with status 1.
 """
 
@@ -68,23 +69,29 @@ def _import_parent(rev: str, into: str):
     return importlib.import_module("bohmsim_parent.cli")
 
 
-def _timed_run(cli, config: Path, out: Path) -> tuple[float, dict[str, str]]:
-    """Seconds one ``cli.run`` of ``config`` takes, and the sha256 of each file it wrote."""
+def _timed_run(cli, config: Path, out: Path) -> tuple[float, float, dict[str, str]]:
+    """Wall and CPU seconds one ``cli.run`` of ``config`` takes, and the sha256 of each file it wrote."""
     parsed = cli.parse_config_file(str(config))
     gc.collect()
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     cli.run(parsed, out_dir=str(out), quiet=True)
+    cpu = time.process_time() - cpu_start
     seconds = time.perf_counter() - start
-    return seconds, {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+    return seconds, cpu, {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
 
-def _line(name: str, a: list[float], b: list[float]) -> str:
-    ratios = [tb / ta for ta, tb in zip(a, b)]
-    low, mid, high = median_interval(ratios)
+def _ratio(a: list[float], b: list[float]) -> str:
+    """The median B/A ratio of paired times, its 95% interval and the verdict."""
+    low, mid, high = median_interval([tb / ta for ta, tb in zip(a, b)])
     verdict = "unresolved" if low <= 1.0 <= high else ("faster" if high < 1.0 else "slower")
+    return f"B/A median {mid:.4f}  95% [{low:.4f}, {high:.4f}]  {verdict}"
+
+
+def _line(name: str, a: list[float], b: list[float], cpu_a: list[float], cpu_b: list[float]) -> str:
+    """One config's wall-time ratio and, beside it, its CPU-time ratio."""
     return (
-        f"{name:<20} pairs={len(ratios)}  A median {statistics.median(a):.4f} s  "
-        f"B/A median {mid:.4f}  95% [{low:.4f}, {high:.4f}]  {verdict}"
+        f"{name:<20} pairs={len(a)}  A median {statistics.median(a):.4f} s  "
+        f"{_ratio(a, b)}  |  cpu {_ratio(cpu_a, cpu_b)}"
     )
 
 
@@ -103,20 +110,21 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = (_import_parent(args.parent, str(Path(tmp, "parent"))), this_cli)
-        times = {config.stem: ([], []) for config in configs}
+        times = {config.stem: ([], [], [], []) for config in configs}  # wall A, wall B, cpu A, cpu B
         first, differ = {}, set()
         for pair in range(args.pairs):
             for config in configs:
                 for side in (0, 1) if pair % 2 == 0 else (1, 0):
                     out = Path(tmp, "out", f"{config.stem}-{pair}-{side}")
-                    seconds, digests = _timed_run(trees[side], config, out)
+                    seconds, cpu, digests = _timed_run(trees[side], config, out)
                     times[config.stem][side].append(seconds)
+                    times[config.stem][2 + side].append(cpu)
                     want = first.setdefault(config.stem, digests)
                     differ |= {f"{config.stem}/{name}" for name in digests.keys() | want.keys()
                                if digests.get(name) != want.get(name)}
 
-    for name, (a, b) in times.items():
-        print(_line(name, a, b))
+    for name, series in times.items():
+        print(_line(name, *series))
     if len(times) > 1:
         print(_line("sum", *(list(map(sum, zip(*side))) for side in zip(*times.values()))))
     if differ:
