@@ -100,8 +100,8 @@ class Stencil:
 
     In 1D ``span`` holds the smallest and largest base index when the extreme positions
     show every point on the grid with no cell to wrap (``_span``).  Such a stencil skips
-    the per-point flags and the wrap, makes ``on_grid`` only when asked, and lets
-    ``all_valid`` read the mask over the span; otherwise ``span`` is None.
+    the per-point flags and the wrap, so it has no ``on_grid``, and lets ``all_valid``
+    read the mask over the span; otherwise ``span`` is None.
     """
 
     def __init__(self, grid: Grid, x: np.ndarray):
@@ -140,11 +140,6 @@ class Stencil:
         rows, columns = (table.take(j, axis=0, mode="clip") for table, j in zip(footprints, cell))
         self.index = rows[:, :, None] + columns[:, None, :]
         self.base = self.index[:, 1, 1]
-
-    @functools.cached_property
-    def on_grid(self) -> np.ndarray:
-        # reached only when a span showed every point on the grid; otherwise __init__ set it
-        return np.ones(len(self.base), dtype=bool)
 
     def sample(self, block: np.ndarray, table: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
         """Each real field of a (C, *grid.shape) block at the query points, (M, C).  In 1D

@@ -66,9 +66,6 @@ def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     return sample_density(rho, spec.wavefunction.grid, spec.count, _rng(spec.seed))
 
 
-_EXTRACT_MIN = 512  # about where two extraction levels cost what math.fsum does
-
-
 def _fsum(values: np.ndarray) -> float:
     """``math.fsum(values.tolist())`` bit for bit, for a 1D float array, by error-free extraction.
 
@@ -77,10 +74,9 @@ def _fsum(values: np.ndarray) -> float:
     so ``q.sum()`` is exact in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
     31, 189 (2008)).  Two levels leave a few nonzero residuals, and ``math.fsum`` of the
     level sums and those residuals rounds the same exact sum once, as of the values.
-    Non-finite input, input above 2**900 and all-zero input go to ``math.fsum`` itself,
-    as do fewer than ``_EXTRACT_MIN`` values, which it sums sooner.
+    Non-finite input, input above 2**900, all-zero input and no input go to ``math.fsum`` itself.
     """
-    big = np.abs(values).max() if len(values) >= _EXTRACT_MIN else math.nan
+    big = np.abs(values).max() if len(values) else math.nan
     if not 0.0 < big <= 2.0**900:
         return math.fsum(values.tolist())
     r = values.copy()

@@ -194,10 +194,9 @@ def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray,
 
 
 def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
-    """``_read`` of the cached fields at time t; a batch reads through the time's kept table."""
-    if type(x) is float:  # sample_point reads the one cell from the block itself
-        return _read(cache.record.grid, t, x, *cache.at(t))
-    return _read(cache.record.grid, t, x, *cache.at(t), cache.table(t))
+    """``_read`` of the cached fields at time t; a batch reads through the time's kept table,
+    one float position from the block itself."""
+    return _read(cache.record.grid, t, x, *cache.at(t), None if type(x) is float else cache.table(t))
 
 
 def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
@@ -211,21 +210,11 @@ def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
 
 
 def _rk4_step(cache: _FieldCache, t: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
-    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1.
-
-    x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is formed left to right in k2: reads return fresh
-    arrays, so arrays combine in place, and the caller's x and k1 stay as they are."""
+    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1."""
     k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
     k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
     k4 = _eval_fields(cache, t + dt, x + dt * k3)
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += x
-    return k2
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, times: np.ndarray, dt: float):

@@ -218,7 +218,7 @@ def assert_same_row(grid, c, many, m, block, eroded):
     """``sample_point`` at the 1D position c equals row m of the stencil ``many``:
     None off the grid, else the first field bit for bit and the validity flag."""
     got = sample_point(grid, c, block[:1], eroded)
-    if not many.on_grid[m]:
+    if many.span is None and not many.on_grid[m]:  # a span stencil's points all lie on the grid
         assert got is None
         return
     value, ok = got
@@ -394,8 +394,10 @@ class TestSampleOrder:
         cells = np.floor((x[:, 0] + 5.0) / grid.dx[0]).astype(np.int64)
         assert np.array_equal(stencil.base, cells % 40)
         on_grid = (-5.0 <= x[:, 0]) & (x[:, 0] < 5.0)
-        assert np.array_equal(stencil.on_grid, on_grid) and stencil.off_grid == count - on_grid.sum()
+        assert stencil.off_grid == count - on_grid.sum()
         assert stencil.span == ((cells.min(), cells.max()) if on_grid.all() and cells.max() < 40 else None)
+        if stencil.span is None:
+            assert np.array_equal(stencil.on_grid, on_grid)
         for density in (0.0, 0.02, 0.3):
             mask = rng.random(grid.shape) > density
             eroded = erode(mask, 1)
