@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _interp
 from .propagator import EvolutionRecord, _whole_steps
-from .quantum_potential import qforce_batch
-from .trajectories import _FieldCache, _guidance_rk4, _read, _step_times
+from .trajectories import _FieldCache, _guidance_rk4, _read, _snapshot_fields, _step_times
 from .wavefield import Grid, Wavefunction
 
 
@@ -133,8 +131,9 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
     """Sample at the first snapshot and transport along the guidance flow.
 
     Positions and summaries are reported, and positions kept, only at the record's snapshot
-    times that fall on a trajectory step.  Each row reads its snapshot's ``qforce_batch`` force with
-    ``trajectories._read``: positions off the grid or in a node region raise ``TrajectoryAbort``.
+    times that fall on a trajectory step.  Each row reads its snapshot's ``"qforce"`` fields
+    (``trajectories._snapshot_fields``) with ``trajectories._read``: positions off the grid or
+    in a node region raise ``TrajectoryAbort``.
     """
     t0 = record.times[0]
     steps = [0] + [_whole_steps(float(t - t0), dt, required=False) for t in record.times[1:]]
@@ -154,8 +153,8 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
     mean_force = np.empty((len(keep_snap), grid.dims))
     for row, (snap_idx, pos) in enumerate(zip(keep_snap, positions)):
         # one snapshot at a time: a field cache's batch of them would grow the heap past transport's peak
-        force, valid, _, _ = qforce_batch(record.amplitudes[snap_idx:snap_idx + 1], grid, record.params)
-        forces = _read(grid, float(times[traj_rows[row]]), pos, force[0], _interp.erode(valid[0], grid.dims))
+        force, eroded = _snapshot_fields(record, "qforce", slice(snap_idx, snap_idx + 1))
+        forces = _read(grid, float(times[traj_rows[row]]), pos, force[0], eroded[0])
         for d in range(grid.dims):
             mean_force[row, d] = _fsum_mean(forces[:, d])
             mean_pos[row, d] = _fsum_mean(pos[:, d])

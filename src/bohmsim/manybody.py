@@ -28,7 +28,9 @@ from . import _interp
 from .ensemble import _fsum, _grid_cdf, _rng, sample_density
 from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
-from .trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, _rk4_step, integrate_guidance_batch
+from .trajectories import (
+    TrajectoryAbort, _bracket, _eval_fields, _FieldCache, _read, _rk4_step, _step_times, integrate_guidance_batch
+)
 from .wavefield import (
     Grid,
     PhysicalParams,
@@ -275,17 +277,18 @@ def _chain_forces(coupling: PairwiseHarmonic, x: np.ndarray) -> np.ndarray:
 def _sample_from_snapshot(
     rho: np.ndarray, grid: Grid, eroded: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Samples of the density ``rho`` whose stencils avoid the ``eroded`` node mask; counts redraws."""
+    """Samples of the density ``rho`` whose stencils avoid the ``eroded`` node mask, and the count of
+    redraws; ``RuntimeError`` naming how many still touch it after 100 rounds of redraws."""
     x = sample_density(rho, grid, count, rng)
     resamples = 0
-    for _ in range(100):
-        ok = _interp.Stencil(grid, x).valid(eroded)
-        if ok.all():
-            break
-        bad = np.flatnonzero(~ok)
+    for rounds in range(101):
+        bad = np.flatnonzero(~_interp.Stencil(grid, x).valid(eroded))
+        if not bad.size:
+            return x, resamples
+        if rounds == 100:
+            raise RuntimeError(f"{bad.size} of {count} samples still touch a node region after 100 rounds of redraws")
         resamples += bad.size
         x[bad] = sample_density(rho, grid, bad.size, rng)
-    return x, resamples
 
 
 def _stratified_offsets(wf: Wavefunction, count: int) -> np.ndarray:
@@ -310,7 +313,8 @@ def run_cm_experiment(
     follow classical dynamics.  The recorded classical force is evaluated at
     the actual subsystem positions, and the quantum force is the raw sum over
     subsystems, also reported per particle.  Offsets in a node region at a
-    row's force read are redrawn there, before the step reads velocities.
+    row's force read, the rows its ``TrajectoryAbort`` names, are redrawn there
+    and read again, before the step reads velocities; offsets off the grid abort.
     """
     if sampling not in ("random", "stratified"):
         raise ValueError(f"sampling must be 'random' or 'stratified', got {sampling!r}")
@@ -350,7 +354,7 @@ def run_cm_experiment(
             out += _chain_forces(spec.coupling, positions)
         return out
 
-    times = dt * np.arange(n_steps + 1)
+    times = _step_times(record, dt)
     x_cm = np.empty(n_steps + 1)
     classical_force = np.empty(n_steps + 1)
     quantum_force = np.empty(n_steps + 1)
@@ -375,10 +379,13 @@ def run_cm_experiment(
         classical_force[row] = external_total + pairwise_total
         x_cm[row] = _fsum(mass * positions) / total_mass
         # The quantum force at the offsets, redrawing those in node regions.
-        q, ok = _fields_at(force_cache, t, offsets)
-        if not ok.all():
+        try:
+            q = _eval_fields(force_cache, t, offsets)
+        except TrajectoryAbort as abort:
+            if abort.left_grid:
+                raise
+            bad = abort.indices
             snap, _ = _bracket(record, t)
-            bad = np.flatnonzero(~ok)
             rho = np.abs(record.amplitudes[snap]) ** 2
             drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(snap)[1], bad.size, rng)
             offsets[bad] = drawn
@@ -390,7 +397,7 @@ def run_cm_experiment(
         if row == n_steps:
             break
         # Offsets: RK4 along the packet's guidance flow.
-        offsets = _rk4_step(vel_cache, t, offsets, dt, _eval_fields(vel_cache, t, offsets))
+        offsets = _rk4_step(vel_cache, t, float(times[row + 1]), offsets, dt, _eval_fields(vel_cache, t, offsets))
         # Frames: kick-drift-kick under the classical forces.
         half_kick = frame_velocities + 0.5 * dt * force / mass
         frames = frames + dt * half_kick
@@ -446,7 +453,7 @@ def run_bec_experiment(
     eroded = _interp.erode(qf.valid, 1)
     x0, resamples = _sample_from_snapshot(np.abs(wf.amplitudes) ** 2, grid, eroded, n_subsystems, rng)
 
-    v_i, fq_i = _interp.Stencil(grid, x0).sample(np.concatenate([velocity_field(wf), qf.force])).T
+    v_i, fq_i = _read(grid, 0.0, x0, np.concatenate([velocity_field(wf), qf.force]), eroded).T
     spread = float(v_i.max() - v_i.min())
     fq_total = _fsum(fq_i)
 

@@ -16,13 +16,15 @@ interpolation drops out of the error budget entirely.
 The RK4 loop ``_guidance_rk4`` yields each step's state, and its callers
 keep only what they read: ``ensemble.evolve_ensemble`` the reported rows.
 
-Every field read, from the cache or at the Newton start, goes through
-``_sample`` and ``_read``: a batch builds one ``_interp.Stencil`` per read.
+Every field read at particle positions, from the cache, at the Newton start, at
+an ensemble row or at a many-body row, goes through ``_read``: a batch builds
+one ``_interp.Stencil`` per read, and an abort names the rows that stopped it.
+``_snapshot_fields`` is the one place that computes a field kind of snapshot rows.
 In 1D a batch read from the cache evaluates the fields through the read
 time's coefficient table (``_FieldCache.table``), built once per time, so
-RK4's k2 and k3 share one, as do k4 and the next k1 when their times round
-alike; a batch on the grid whose bases span no hole in the mask is checked
-from that span alone.
+RK4's k2 and k3 share one, as do k4 and the next k1, both read at the next
+entry of the step grid; a batch on the grid whose bases span no hole in the
+mask is checked from that span alone.
 One particle in one dimension runs through the same loops as a Python
 float and reads each field with ``_interp.sample_point``, which evaluates
 its cell's cubic with the batch's coefficients and Horner order, so its
@@ -31,6 +33,7 @@ path and its aborts are bit-identical to a row of a batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +48,18 @@ from .wavefield import FIELD_BATCH_POINTS, velocity_batch
 class TrajectoryAbort(RuntimeError):
     """Raised when a trajectory leaves the grid or enters a node region.
 
-    Carries the last valid time and positions as ``time`` and ``positions``.
+    Carries the last valid time and positions as ``time`` and ``positions``,
+    the rows of ``positions`` that stopped the read as the int array
+    ``indices``, and ``left_grid``: True when they left the grid, False when
+    they touched a node region.
     """
 
-    def __init__(self, message: str, time: float, positions: np.ndarray):
+    def __init__(self, message: str, time: float, positions: np.ndarray, indices=(), left_grid: bool = False):
         super().__init__(message)
         self.time = time
         self.positions = positions
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.left_grid = left_grid
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,8 @@ class _FieldCache:
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  Node
     masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted.  A ``"qforce"`` cache holds
+    previous read snapshot are evicted before the next batch is computed,
+    so they do not add to its transient peak.  A ``"qforce"`` cache holds
     ``qforce_batch``'s force, without the Q of ``compute_qfields``.
 
     The last time read keeps its blended fields, their mask and, once a 1D
@@ -90,16 +99,10 @@ class _FieldCache:
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
         if i not in self._cache:
-            record = self.record
-            stop = min(i + self.stride * self.batch, len(record))
-            amplitudes = record.amplitudes[i:stop:self.stride]
-            if self.kind == "velocity":
-                values, valid = velocity_batch(amplitudes, record.grid, record.params)
-            else:
-                values, valid, _, _ = qforce_batch(amplitudes, record.grid, record.params)
-            eroded = _interp.erode(valid, record.grid.dims)
             for stale in [k for k in self._cache if k < i - self.stride]:
                 del self._cache[stale]
+            stop = min(i + self.stride * self.batch, len(self.record))
+            values, eroded = _snapshot_fields(self.record, self.kind, slice(i, stop, self.stride))
             for j, k in enumerate(range(i, stop, self.stride)):
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
@@ -138,59 +141,43 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     return i, span / spacing - i
 
 
-def _node_abort(t: float, x: np.ndarray) -> TrajectoryAbort:
-    return TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x)
+def _snapshot_fields(record: EvolutionRecord, kind: str, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The ``kind`` fields of the snapshot rows ``rows``, (S, dims, *grid.shape), and their eroded
+    node masks: ``"velocity"`` or ``"qforce"``, ``qforce_batch``'s force without its Q."""
+    amplitudes = record.amplitudes[rows]
+    if kind == "velocity":
+        values, valid = velocity_batch(amplitudes, record.grid, record.params)
+    else:
+        values, valid, _, _ = qforce_batch(amplitudes, record.grid, record.params)
+    return values, _interp.erode(valid, record.grid.dims)
 
 
-def _off_grid_abort(count: int, t: float, x: np.ndarray) -> TrajectoryAbort:
-    return TrajectoryAbort(f"{count} trajectory position(s) left the grid at t={t:.6g}", t, x)
-
-
-def _stencil(grid, t: float, x: np.ndarray) -> _interp.Stencil:
-    """The stencil of positions x (M, dims) read at time t; ``TrajectoryAbort`` for positions off the grid."""
-    stencil = _interp.Stencil(grid, x)
-    if stencil.off_grid:
-        raise _off_grid_abort(stencil.off_grid, t, x)
-    return stencil
-
-
-def _sample(
-    grid, t: float, x: np.ndarray, block: np.ndarray, eroded: np.ndarray, table=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fields of ``block`` (dims, *grid.shape) at positions x (M, dims), read at time t,
-    and per-point validity against the eroded node mask; ``table`` as in
-    ``_interp.Stencil.sample``.
-
-    ``ok[m]`` is False when point m's interpolation stencil touches the node
-    region; its values are then meaningless.  Raises ``TrajectoryAbort`` for
-    positions off the grid.
-    """
-    stencil = _stencil(grid, t, x)
-    return stencil.sample(block, table), stencil.valid(eroded)
+def _abort(t: float, x: np.ndarray, indices, left_grid: bool) -> TrajectoryAbort:
+    """The abort of a read at time t of positions x whose rows ``indices`` left the grid or touched a node region."""
+    what = f"{len(indices)} trajectory position(s) left the grid" if left_grid else "trajectory entered a node region"
+    return TrajectoryAbort(f"{what} at t={t:.6g}", t, x, indices, left_grid)
 
 
 def _read(
     grid, t: float, x: np.ndarray | float, block: np.ndarray, eroded: np.ndarray, table=None
 ) -> np.ndarray | float:
-    """``_sample`` that raises ``TrajectoryAbort`` for a point in the node region; at one
-    1D position given as a Python float, the one field value as a float, by
-    ``_interp.sample_point`` with the same aborts."""
+    """Fields of a (C, *grid.shape) ``block`` at positions x (M, dims), read at time t, (M, C);
+    ``table`` as in ``_interp.Stencil.sample``.  Raises ``TrajectoryAbort`` naming the rows off
+    the grid (NaN included), or else the rows whose stencil touches the node region of the mask
+    ``eroded`` came from; either set is found only while raising.  At one 1D position given as a
+    Python float, the one field value as a float, by ``_interp.sample_point``, with the same
+    aborts naming row 0."""
     if type(x) is float:
         found = _interp.sample_point(grid, x, block, eroded)
-        if found is None:
-            raise _off_grid_abort(1, t, np.array([[x]]))
-        if not found[1]:
-            raise _node_abort(t, np.array([[x]]))
+        if found is None or not found[1]:
+            raise _abort(t, np.array([[x]]), [0], found is None)
         return found[0]
-    stencil = _stencil(grid, t, x)
+    stencil = _interp.Stencil(grid, x)
+    if stencil.off_grid:
+        raise _abort(t, x, np.flatnonzero(~stencil.on_grid), True)
     if not stencil.all_valid(eroded):
-        raise _node_abort(t, x)
+        raise _abort(t, x, np.flatnonzero(~stencil.valid(eroded)), False)
     return stencil.sample(block, table)
-
-
-def _fields_at(cache: _FieldCache, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_sample`` of the cached fields at time t, through the time's kept table."""
-    return _sample(cache.record.grid, t, x, *cache.at(t), cache.table(t))
 
 
 def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
@@ -209,11 +196,12 @@ def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
     return float(record.times[0]) + dt * np.arange(n + 1)
 
 
-def _rk4_step(cache: _FieldCache, t: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
-    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1."""
+def _rk4_step(cache: _FieldCache, t: float, t_next: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
+    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1;
+    k4 reads at ``t_next``, the step grid's next time, where the next step's k1 reads."""
     k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
     k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = _eval_fields(cache, t + dt, x + dt * k3)
+    k4 = _eval_fields(cache, t_next, x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -227,10 +215,10 @@ def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, times: np.ndarray, dt: flo
     whose arithmetic rounds as the array's.
     """
     x = x0.item() if x0.shape == (1, 1) and cache.record.grid.dims == 1 else x0
-    for step_index, t in enumerate(times[:-1].tolist()):
+    for step_index, (t, t_next) in enumerate(itertools.pairwise(times.tolist())):
         k1 = _eval_fields(cache, t, x)
         yield step_index, x, k1
-        x = _rk4_step(cache, t, x, dt, k1)
+        x = _rk4_step(cache, t, t_next, x, dt, k1)
     yield len(times) - 1, x, None
 
 
@@ -296,11 +284,11 @@ def integrate_newton_batch(
     positions = np.empty((len(times),) + x.shape)
     momenta = np.empty_like(positions)
     positions[0] = x
-    velocity, valid = velocity_batch(record.amplitudes[:1], grid, params)
+    velocity, eroded = _snapshot_fields(record, "velocity", slice(0, 1))
     point = x.shape == (1, 1) and grid.dims == 1
     if point:
         x = x.item()
-    p = mass * _read(grid, t0, x, velocity[0], _interp.erode(valid[0], grid.dims))
+    p = mass * _read(grid, t0, x, velocity[0], eroded[0])
 
     def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
         classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)

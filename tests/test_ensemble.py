@@ -26,7 +26,7 @@ from bohmsim import (
     normalize,
     sample_equilibrium,
 )
-from bohmsim import ensemble, quantum_potential
+from bohmsim import ensemble, quantum_potential, trajectories
 from bohmsim.quantum_potential import qforce_batch
 
 SAMPLE_COUNT = 100_000
@@ -191,6 +191,7 @@ class TestMeanQuantumForce:
             evolve_ensemble(spec, record, 0.2)
         assert exc_info.value.time == 0.2
         assert exc_info.value.positions.tobytes() == positions[-1].tobytes()
+        assert not exc_info.value.left_grid and exc_info.value.indices.size
 
     def test_mean_shrinks_with_ensemble_size(self, gaussian_wf):
         # |mean F_Q| should fall roughly like 1/sqrt(M); compare the
@@ -280,7 +281,7 @@ class TestReportedRows:
         def refused(wf):
             raise AssertionError("a row built a whole compute_qfields")
 
-        monkeypatch.setattr(ensemble, "qforce_batch", counting, raising=False)
+        monkeypatch.setattr(trajectories, "qforce_batch", counting)
         monkeypatch.setattr(quantum_potential, "compute_qfields", refused)
         monkeypatch.setattr(ensemble, "compute_qfields", refused, raising=False)
         cloud = evolve_ensemble(EnsembleSpec(100, 1, wf), record, 0.01)

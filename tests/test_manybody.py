@@ -20,6 +20,7 @@ from bohmsim import (
     run_cm_experiment,
 )
 from bohmsim import manybody
+from bohmsim.trajectories import TrajectoryAbort
 from bohmsim.wavefield import Wavefunction
 
 
@@ -180,24 +181,25 @@ def driven_cm_result():
 
 
 def force_bad_offsets(monkeypatch, count, read=2):
-    """Mark the first ``count`` offsets of field read number ``read`` as in a node region.
+    """Make quantum-force read number ``read`` abort as if its first ``count`` offsets were in a node region.
 
     The only reads that can redraw are the quantum-force reads of the rows:
-    read k is the force read of row k - 1.  Returns the list of (time,
-    offsets) of every such read, before any redraw.
+    read k is the force read of row k - 1 until a redraw, whose re-read is
+    the next read.  Returns the list of (time, offsets) of every such read,
+    before any redraw.
     """
-    real_fields_at = manybody._fields_at
+    real_eval_fields = manybody._eval_fields
     calls = []
 
     def bad_read(cache, t, x):
-        values, ok = real_fields_at(cache, t, x)
-        calls.append((t, x.copy()))
-        if len(calls) == read:
-            ok = ok.copy()
-            ok[:count] = False
-        return values, ok
+        values = real_eval_fields(cache, t, x)
+        if cache.kind == "qforce":
+            calls.append((t, x.copy()))
+            if len(calls) == read:
+                raise TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x, np.arange(count), False)
+        return values
 
-    monkeypatch.setattr(manybody, "_fields_at", bad_read)
+    monkeypatch.setattr(manybody, "_eval_fields", bad_read)
     return calls
 
 
@@ -264,9 +266,9 @@ class TestRunCmExperiment:
             eval_reads.append((cache.kind, t, x.copy()))
             return real_eval_fields(cache, t, x)
 
-        def recording_rk4_step(cache, t, x, dt, k1):
+        def recording_rk4_step(cache, t, t_next, x, dt, k1):
             starts.append((t, x.copy()))
-            return real_rk4_step(cache, t, x, dt, k1)
+            return real_rk4_step(cache, t, t_next, x, dt, k1)
 
         monkeypatch.setattr(manybody, "_eval_fields", recording_eval_fields)
         monkeypatch.setattr(manybody, "_rk4_step", recording_rk4_step)
@@ -274,15 +276,43 @@ class TestRunCmExperiment:
         res = run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
         assert res.resample_count == 1
         t, found = reads[1]
-        # one velocity read per step, and one force re-read after the redraw
+        # one force read per row and one velocity read per step, and one force re-read after the redraw
         kinds = [kind for kind, _, _ in eval_reads]
-        assert kinds == ["velocity", "qforce"] + ["velocity"] * 9
-        (_, _, force_x), (_, t_vel, vel_x) = eval_reads[1:3]
+        assert kinds == ["qforce", "velocity", "qforce", "qforce"] + ["velocity", "qforce"] * 9
+        (_, _, force_x), (_, t_vel, vel_x) = eval_reads[3:5]
         assert t_vel == t == 0.01
         assert vel_x[0, 0] != found[0, 0]
         assert np.array_equal(vel_x[1:], found[1:])
         assert np.array_equal(force_x, vel_x)
         assert starts[1][0] == t and np.array_equal(starts[1][1], vel_x)
+
+    def test_an_offset_off_the_grid_at_a_row_read_aborts_without_a_redraw(self, monkeypatch):
+        # row 1's force read sees offset 3 beyond the packet's grid [-10, 10): the abort propagates
+        force_reads, draws = [], []
+        real_eval_fields, real_sample = manybody._eval_fields, manybody._sample_from_snapshot
+
+        def doctored(cache, t, x):
+            if cache.kind == "qforce":
+                force_reads.append(t)
+                if len(force_reads) == 2:
+                    x = x.copy()
+                    x[3, 0] = 25.0
+            return real_eval_fields(cache, t, x)
+
+        def counting(*args):
+            draws.append(args)
+            return real_sample(*args)
+
+        monkeypatch.setattr(manybody, "_eval_fields", doctored)
+        monkeypatch.setattr(manybody, "_sample_from_snapshot", counting)
+        message = r"^1 trajectory position\(s\) left the grid at t=0\.01$"
+        with pytest.raises(TrajectoryAbort, match=message) as exc_info:
+            run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
+        abort = exc_info.value
+        assert abort.left_grid and abort.indices.tolist() == [3]
+        assert abort.time == 0.01 and abort.positions[3, 0] == 25.0
+        assert force_reads == [0.0, 0.01]  # no re-read
+        assert len(draws) == 1  # the initial draw, and no redraw
 
     def test_velocity_and_force_reads_share_the_node_mask(self, monkeypatch):
         # why the row's force read is the only redraw site: at every row time the step's velocity
@@ -351,6 +381,23 @@ class TestRunCmExperiment:
         spec = FactorizedNBody.homogeneous(10)
         with pytest.raises(ValueError, match="integer number of steps"):
             run_cm_experiment(spec, 1.0, 0.3)
+
+
+class TestSampleFromSnapshot:
+    def test_samples_are_redrawn_off_the_node_region(self):
+        grid = make_grid(1, -10.0, 10.0, 256)
+        rho = np.abs(init_gaussian(grid, PhysicalParams(), 0.0, 1.0).amplitudes) ** 2
+        eroded = grid.axes()[0] > 0.0
+        x, redraws = manybody._sample_from_snapshot(rho, grid, eroded, 50, manybody._rng(0))
+        assert redraws > 0 and x.shape == (50, 1)
+        assert manybody._interp.Stencil(grid, x).valid(eroded).all()
+
+    def test_samples_still_on_a_node_after_100_rounds_raise(self):
+        grid = make_grid(1, -10.0, 10.0, 256)
+        rho = np.abs(init_gaussian(grid, PhysicalParams(), 0.0, 1.0).amplitudes) ** 2
+        message = r"^7 of 7 samples still touch a node region after 100 rounds of redraws$"
+        with pytest.raises(RuntimeError, match=message):
+            manybody._sample_from_snapshot(rho, grid, np.zeros(256, dtype=bool), 7, manybody._rng(0))
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from bohmsim import _interp, trajectories
 from bohmsim._interp import _OFFSETS, erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _fields_at, _rk4_step
+from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _rk4_step, _step_times
 from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
@@ -238,6 +238,21 @@ class TestFieldCache:
             assert np.shares_memory(amplitudes, heavy_record.amplitudes)
         assert np.array_equal(seen[0], heavy_record.amplitudes[0:41:2])
         assert np.array_equal(seen[1], heavy_record.amplitudes[21:])
+
+    def test_stale_snapshots_are_evicted_before_the_next_batch(self, heavy_record, monkeypatch):
+        cache = _FieldCache(heavy_record, "velocity", 0.025)  # stride 1, batches of 21
+        held = []
+        original = trajectories.velocity_batch
+
+        def spying(amplitudes, grid, params):
+            held.append(sorted(cache._cache))
+            return original(amplitudes, grid, params)
+
+        monkeypatch.setattr(trajectories, "velocity_batch", spying)
+        cache.fields(0)
+        cache.fields(21)
+        assert held == [[], [20]]
+        assert sorted(cache._cache) == list(range(20, 41))
 
     @pytest.mark.parametrize("kind", ["velocity", "qforce"])
     def test_at_blends_the_bracket_once_per_time(self, heavy_record, kind):
@@ -511,19 +526,26 @@ class TestErodedNodeMask:
 
 
 def per_point_abort(grid, mask, t, x):
-    """The message of the abort a read of 1D positions x at t raises, decided point by
-    point: the count off the grid (NaN included), else a masked node in any point's
-    footprint; None for a clean read."""
+    """The message, ``indices`` and ``left_grid`` of the abort a read of 1D positions x at t
+    raises, decided point by point: the rows off the grid (NaN included), else the rows with a
+    masked node in their footprint; None for a clean read."""
     (lo, hi), = grid.extents
     n, = grid.points
     c = x[:, 0]
-    off = np.count_nonzero(~((lo <= c) & (c < hi)))
-    if off:
-        return f"{off} trajectory position(s) left the grid at t={t:.6g}"
+    off = np.flatnonzero(~((lo <= c) & (c < hi)))
+    if off.size:
+        return f"{off.size} trajectory position(s) left the grid at t={t:.6g}", off.tolist(), True
     base = np.floor((c - lo) / grid.dx[0]).astype(np.int64) % n
-    if not mask[(base[:, None] + _OFFSETS) % n].all():
-        return f"trajectory entered a node region at t={t:.6g}"
+    touched = np.flatnonzero(~mask[(base[:, None] + _OFFSETS) % n].all(axis=1))
+    if touched.size:
+        return f"trajectory entered a node region at t={t:.6g}", touched.tolist(), False
     return None
+
+
+def abort_fields(abort):
+    """What ``per_point_abort`` decides, as the abort reports it."""
+    assert abort.indices.dtype == np.intp
+    return str(abort), abort.indices.tolist(), abort.left_grid
 
 
 BELOW_HI = float(np.nextafter(8.0, 0.0))  # on the grid, but (x - lo) / dx rounds to n = 16
@@ -532,7 +554,8 @@ BELOW_HI = float(np.nextafter(8.0, 0.0))  # on the grid, but (x - lo) / dx round
 class TestBatchReadChecks:
     """A 1D batch read is checked from its extreme positions and the mask across its
     bases' span when that settles it, and point by point otherwise; either way it
-    raises what a point-by-point check raises, with the same time and positions."""
+    raises what a point-by-point check raises, with the same time, positions, rows
+    and kind.  Each point read alone as a float aborts as a one-row batch."""
 
     @pytest.mark.parametrize(
         "x, node",
@@ -558,15 +581,21 @@ class TestBatchReadChecks:
         mask = np.ones(16, dtype=bool)
         if node:
             mask[node] = False
-        message = per_point_abort(cache.record.grid, mask, t, x)
-        if message is None:
+        want = per_point_abort(cache.record.grid, mask, t, x)
+        if want is None:
             assert np.array_equal(_eval_fields(cache, t, x), np.zeros((len(x), 1)))
-            return
-        abort = abort_of(lambda: _eval_fields(cache, t, x))
-        assert str(abort) == message
-        assert abort.time == t and abort.positions is x
-        if "grid" in message:  # the per-point path reads the same
-            assert str(abort_of(lambda: _fields_at(cache, t, x))) == message
+        else:
+            abort = abort_of(lambda: _eval_fields(cache, t, x))
+            assert abort_fields(abort) == want
+            assert abort.time == t and abort.positions is x
+        for c in x[:, 0].tolist():
+            want = per_point_abort(cache.record.grid, mask, t, np.array([[c]]))
+            if want is None:
+                assert _eval_fields(cache, t, c) == 0.0
+                continue
+            abort = abort_of(lambda: _eval_fields(cache, t, c))
+            assert abort_fields(abort) == want and want[1] == [0]
+            assert abort.time == t and np.array_equal(abort.positions, [[c]], equal_nan=True)
 
 
 class TestKeptTable:
@@ -586,9 +615,8 @@ class TestKeptTable:
         times, _ = integrate_guidance_batch(heavy_record, np.array([[0.4], [-0.7]]), dt)
         n = len(times) - 1
         assert any(_bracket(heavy_record, t)[1] != 0.0 for t in seen)
-        # k1 at t, k2 and k3 at t + dt/2, k4 at t + dt: the next k1's time, unless the
-        # two round apart (they do in some steps here)
-        assert len(seen) == 4 * n and 2 * n + 1 <= len(set(seen)) < 3 * n
+        # k1 at t, k2 and k3 at t + dt/2, k4 at the next step time: the next k1's time
+        assert len(seen) == 4 * n and len(set(seen)) == 2 * n + 1
         assert len(built) == len(set(seen))
         built.clear()
         integrate_guidance(heavy_record, [0.4], dt)
@@ -604,21 +632,33 @@ class TestKeptTable:
             want = stencil.sample(block)
             assert stencil.valid(eroded).all()
             assert _eval_fields(cache, t, x).tobytes() == want.tobytes()
-            values, ok = _fields_at(cache, t, x)
-            assert values.tobytes() == want.tobytes() and np.array_equal(ok, stencil.valid(eroded))
+            # beside points in the packet's far tails, the abort names the rows the stencil finds invalid
+            tails = np.vstack([x, [[-14.5], [13.9]], x[:3]])
+            ok = _interp.Stencil(heavy_record.grid, tails).valid(eroded)
+            assert ok[:500].all() and not ok[500:502].any()
+            abort = abort_of(lambda: _eval_fields(cache, t, tails))
+            assert np.array_equal(abort.indices, np.flatnonzero(~ok)) and not abort.left_grid
 
-    def test_rk4_step_keeps_its_inputs_and_the_order_of_the_sum(self, heavy_record):
+    def test_rk4_step_keeps_its_inputs_and_the_order_of_the_sum(self, heavy_record, monkeypatch):
         cache = _FieldCache(heavy_record, "velocity", 0.00625)
         x = np.random.default_rng(8).uniform(-4.0, 4.0, size=(300, 1))
-        dt, t = 0.0125, 0.3
+        dt = 0.0125
+        times = _step_times(heavy_record, dt).tolist()
+        # a step whose t + dt blends the snapshots apart from its next step time: k4 reads at the latter
+        brackets = [(_bracket(heavy_record, a + dt), _bracket(heavy_record, b)) for a, b in zip(times, times[1:])]
+        step = next(k for k, (after_dt, next_time) in enumerate(brackets) if after_dt != next_time)
+        t, t_next = times[step], times[step + 1]
         k1 = _eval_fields(cache, t, x)
         x_before, k1_before = x.copy(), k1.copy()
-        got = _rk4_step(cache, t, x, dt, k1)
+        seen = count_evaluations(monkeypatch)
+        got = _rk4_step(cache, t, t_next, x, dt, k1)
+        assert seen == [t + 0.5 * dt, t + 0.5 * dt, t_next]
+        monkeypatch.undo()
         assert np.array_equal(x, x_before) and np.array_equal(k1, k1_before)
         assert not np.shares_memory(got, x) and not np.shares_memory(got, k1)
         k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
         k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = _eval_fields(cache, t + dt, x + dt * k3)
+        k4 = _eval_fields(cache, t_next, x + dt * k3)
         assert got.tobytes() == (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tobytes()
 
 
