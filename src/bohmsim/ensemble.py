@@ -3,8 +3,8 @@
 Sampling is inverse-CDF on the grid cells with uniform placement inside a cell, driven by
 the counter-based Philox4x64-10 generator so runs are reproducible from a single integer
 seed.  Particles read the velocity and the quantum force through ``trajectories._read``, as on
-the Newton route.  Means are exactly rounded, so no order sets the bits: ``_fsum`` returns
-``math.fsum``'s bits by error-free extraction, whose level sums are exact in numpy.
+the Newton route.  Means are exactly rounded, so no order sets the bits: ``_fsum`` sums by
+error-free extraction, whose level sums are exact in numpy, with ``math.fsum``'s bits.
 """
 
 from __future__ import annotations
@@ -64,30 +64,42 @@ def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     return sample_density(rho, spec.wavefunction.grid, spec.count, _rng(spec.seed))
 
 
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum(values.tolist())`` bit for bit, for a 1D float array, by error-free extraction.
-
-    With sigma = 2**(e + ceil(log2(M + 2))) and every |r| <= 2**e, q = (sigma + r) - sigma
-    splits each r into q + (r - q) exactly and rounds q to a multiple of eps * sigma,
-    so ``q.sum()`` is exact in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    31, 189 (2008)).  Two levels leave a few nonzero residuals, and ``math.fsum`` of the
-    level sums and those residuals rounds the same exact sum once, as of the values.
-    Non-finite input, input above 2**900, all-zero input and no input go to ``math.fsum`` itself.
-    """
-    big = np.abs(values).max() if len(values) else math.nan
-    if not 0.0 < big <= 2.0**900:
-        return math.fsum(values.tolist())
-    r = values.copy()
-    headroom = (len(values) + 1).bit_length()  # ceil(log2(M + 2))
+def _levels(r: np.ndarray) -> list[float]:
+    """Two level sums of ``r`` (1D, finite, |r| <= 2**900), which is left holding their residuals.
+    With sigma = 2**(e + ceil(log2(M + 2))) and every |r| <= 2**e, q = (sigma + r) - sigma splits
+    each r into q + (r - q) exactly and rounds q to a multiple of eps * sigma, so ``q.sum()`` is exact
+    in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 189 (2008))."""
+    headroom = (len(r) + 1).bit_length()  # ceil(log2(M + 2))
     sums = []
     for _ in range(2):
-        sigma = math.ldexp(1.0, math.frexp(big)[1] + headroom)
+        sigma = math.ldexp(1.0, math.frexp(np.abs(r).max(initial=0.0))[1] + headroom)
         q = r + sigma
         q -= sigma
         r -= q
         sums.append(q.sum())
-        big = np.abs(r).max()
-    return math.fsum(sums + r[r != 0.0].tolist())
+    return sums
+
+
+def _fsum(values: np.ndarray) -> float:
+    """The exactly rounded sum of a 1D float array in any order: ``math.fsum`` of the ``_levels`` and the few
+    residuals, ``math.fsum(values.tolist())``'s bits wherever that returns a value.  Above 2**900 the values
+    from 2**-800 up are scaled by 2**-200, exactly, both groups are extracted to no residual, and the levels are
+    summed in integers, which round once or raise ``OverflowError``.  Non-finite input sums its non-finite values."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        return math.fsum(values[~finite].tolist())  # no finite value changes an inf or a NaN
+    big = np.abs(values).max(initial=0.0)
+    if big <= 2.0**900:
+        r = values.copy()
+        return math.fsum(_levels(r) + r[r != 0.0].tolist() if big else values.tolist())
+    large = np.abs(values) >= 2.0**-800
+    exact = 0  # in units of 2**-1074
+    for r, shift in ((np.ldexp(values[large], -200), 200), (values[~large], 0)):
+        while r.any():
+            for x in _levels(r):
+                n, d = x.as_integer_ratio()
+                exact += n * (1 << 1074) // d << shift
+    return exact / (1 << 1074)
 
 
 def _fsum_mean(values: np.ndarray) -> float:

@@ -386,7 +386,7 @@ def run_cm_experiment(
                 raise
             bad = abort.indices
             snap, _ = _bracket(record, t)
-            rho = np.abs(record.amplitudes[snap]) ** 2
+            rho = np.abs(record.rows(snap)) ** 2
             drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(snap)[1], bad.size, rng)
             offsets[bad] = drawn
             resample_count += bad.size + redraws

@@ -267,11 +267,11 @@ def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
 class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
-    ``amplitudes`` holds every snapshot as one block of shape
-    (S, *grid.shape), row i at ``times[i]``.  ``times`` are strictly
-    increasing and include t0 and the final time.  ``norm_drift`` holds
-    |norm_after - norm_before| for every step taken, except for free
-    records, which take no steps and hold one entry per snapshot interval.
+    ``rows`` reads snapshot i, at ``times[i]``, from the block ``amplitudes``
+    (S, *grid.shape), or computes it for a free record (``_FreeRecord``).
+    ``times`` are strictly increasing and include t0 and the final time.
+    ``norm_drift`` holds |norm_after - norm_before| for every step taken,
+    except for free records, which hold one entry per snapshot interval.
     """
 
     times: np.ndarray
@@ -288,55 +288,66 @@ class EvolutionRecord:
     def snapshot_spacing(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def rows(self, index: int | slice) -> np.ndarray:
+        """Snapshot ``index`` (*grid.shape), or the rows of a slice (B, *grid.shape)."""
+        return self.amplitudes[index]
+
     @cached_property
     def snapshots(self) -> tuple[Wavefunction, ...]:
-        """Row views of ``amplitudes`` as wavefunctions, built once per record."""
-        return tuple(
-            Wavefunction(self.grid, self.params, amps, float(t))
-            for amps, t in zip(self.amplitudes, self.times)
+        """The rows as wavefunctions, built once per record."""
+        rows = self.rows(slice(None))
+        return tuple(Wavefunction(self.grid, self.params, amps, float(t)) for amps, t in zip(rows, self.times))
+
+
+class _FreeRecord(EvolutionRecord):
+    """A free record, which keeps psi0 and its spectrum and computes each row where it is read.
+
+    Strang splitting is exact without a potential, so the row at elapsed time t is
+    ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``: ``_fft`` one axis at a time, last
+    axis first.  ``fftfreq`` makes mode n - j's rate bits those of mode j, so the exponentials are
+    taken over the modes j <= n/2 of each axis and gathered back with the index min(j, n - j).
+    Row 0 is psi0's own bits.  ``amplitudes`` and ``norm_drift`` are computed when read.
+    """
+
+    def __init__(self, wf: Wavefunction, elapsed: np.ndarray, potential: PotentialSpec):
+        spectrum, shape = wf.amplitudes, wf.grid.shape
+        for axis in reversed(range(wf.grid.dims)):
+            spectrum = _fft(spectrum, axis)
+        self.__dict__.update(  # every field but amplitudes and norm_drift, past the frozen __setattr__
+            times=wf.time + elapsed, grid=wf.grid, params=wf.params, potential=potential, _elapsed=elapsed,
+            _psi0=wf.amplitudes.copy(), _spectrum=spectrum, _chunk=max(1, FIELD_BATCH_POINTS // wf.amplitudes.size),
+            _folded=_kinetic_rate(wf.grid, wf.params)[tuple(slice(n // 2 + 1) for n in shape)],
+            _unfold=(slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape)),
         )
+
+    def rows(self, index: int | slice) -> np.ndarray:
+        """Rows computed afresh, ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
+        elapsed = np.atleast_1d(self._elapsed[index])
+        block = np.empty(elapsed.shape + self.grid.shape, dtype=complex)
+        for start in range(0, len(block), self._chunk):
+            part = block[start:start + self._chunk]
+            phase = np.multiply.outer(elapsed[start:start + self._chunk], self._folded) * -1j
+            np.multiply(np.exp(phase, out=phase)[self._unfold], self._spectrum, out=part)
+            for axis in reversed(range(1, self.grid.dims + 1)):
+                _fft(part, axis, out=part, inverse=True)
+        block[elapsed == 0.0] = self._psi0  # only row 0 has no elapsed time
+        return block.reshape(np.shape(self._elapsed[index]) + self.grid.shape)  # an int index reads one row
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return self.rows(slice(None))
+
+    @cached_property
+    def norm_drift(self) -> np.ndarray:
+        norms = [_norm(self._psi0, self.grid.cell_volume)]
+        for start in range(1, len(self), self._chunk):
+            flat = self.rows(slice(start, start + self._chunk)).reshape(-1, self._psi0.size).view(float)
+            norms.extend(np.sqrt(np.einsum("ij,ij->i", flat, flat) * self.grid.cell_volume))
+        return np.abs(np.diff(norms))
 
 
 def _norm(amps: np.ndarray, cell: float) -> float:
     return float(np.sqrt(np.vdot(amps, amps).real * cell))
-
-
-def _evolve_free(wf: Wavefunction, block: np.ndarray, steps: np.ndarray, dt: float):
-    """Closed-form free evolution into rows 1.. of ``block`` at the step counts ``steps``.
-
-    Strang splitting is exact without a potential, so each snapshot is
-    ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``'s
-    ``fftn``/``ifftn``: ``_fft`` one axis at a time, last axis first, the
-    inverse in place in the row.  ``fftfreq`` makes mode n - j's wavenumber
-    the exact negative of mode j's, so both modes have the same rate bits and
-    the same phase: the exponentials are taken over the modes j <= n/2 of
-    each axis only and gathered back with the index min(j, n - j).  Rows are
-    filled in chunks of at most ``FIELD_BATCH_POINTS`` grid points so the
-    temporaries stay small.  Returns the norm drift of every snapshot
-    interval.
-    """
-    grid = wf.grid
-    cell = grid.cell_volume
-    folded = _kinetic_rate(grid, wf.params)[tuple(slice(n // 2 + 1) for n in grid.shape)]
-    unfold = (slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in grid.shape))
-    spectrum = wf.amplitudes
-    for axis in reversed(range(grid.dims)):
-        spectrum = _fft(spectrum, axis)
-    norms = np.empty(len(steps))
-    norms[0] = _norm(wf.amplitudes, cell)
-    rows = max(1, FIELD_BATCH_POINTS // block[0].size)
-    for start in range(1, len(steps), rows):
-        part = block[start:start + rows]
-        phase = np.exp(-1j * np.multiply.outer(steps[start:start + rows] * dt, folded))
-        np.multiply(phase[unfold], spectrum, out=part)
-        for axis in reversed(range(1, grid.dims + 1)):
-            _fft(part, axis, out=part, inverse=True)
-        flat = part.reshape(len(part), -1).view(float)
-        norms[start:start + len(part)] = np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)
-    finite = np.isfinite(norms)
-    if not finite.all():
-        raise FloatingPointError(f"numerical blow-up at step {steps[np.argmin(finite)]}: non-finite norm")
-    return np.abs(np.diff(norms))
 
 
 def _evolve_split(wf: Wavefunction, potential: PotentialSpec, block: np.ndarray, stride: int, dt: float):
@@ -375,9 +386,10 @@ def evolve(
 
     ``t_final`` must be a whole number of steps of ``dt`` (1e-9 relative).  A
     ``Free`` potential is evolved in closed form, which equals the split
-    steps up to rounding; its ``norm_drift`` has one entry per snapshot
-    interval instead of one per step.  Raises ``FloatingPointError`` on a
-    non-finite norm.
+    steps up to rounding: the record computes each row when it is read, and
+    its ``norm_drift`` has one entry per snapshot interval instead of one per
+    step.  Raises ``FloatingPointError`` on a non-finite norm, for a free
+    record psi0's, which bounds its unitary images.
     """
     n_steps = _whole_steps(t_final, dt)
     if snapshot_stride < 1:
@@ -385,21 +397,15 @@ def evolve(
     if n_steps % snapshot_stride != 0:
         raise ValueError("snapshot_stride must divide the number of steps")
     steps = np.arange(0, n_steps + 1, snapshot_stride)
-    amplitudes = np.empty((len(steps),) + wf.grid.shape, dtype=complex)
-    amplitudes[0] = wf.amplitudes
     _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     if isinstance(potential, Free):
-        drift = _evolve_free(wf, amplitudes, steps, dt)
-    else:
-        drift = _evolve_split(wf, potential, amplitudes, snapshot_stride, dt)
-    return EvolutionRecord(
-        times=wf.time + steps * dt,
-        amplitudes=amplitudes,
-        grid=wf.grid,
-        params=wf.params,
-        norm_drift=drift,
-        potential=potential,
-    )
+        if not math.isfinite(_norm(wf.amplitudes, wf.grid.cell_volume)):
+            raise FloatingPointError("numerical blow-up at step 0: non-finite norm")
+        return _FreeRecord(wf, steps * dt, potential)
+    amplitudes = np.empty((len(steps),) + wf.grid.shape, dtype=complex)
+    amplitudes[0] = wf.amplitudes
+    drift = _evolve_split(wf, potential, amplitudes, snapshot_stride, dt)
+    return EvolutionRecord(wf.time + steps * dt, amplitudes, wf.grid, wf.params, drift, potential)
 
 
 def _currents(amplitudes: np.ndarray, grid: Grid, params: PhysicalParams) -> np.ndarray:
@@ -423,13 +429,14 @@ def continuity_residual(record: EvolutionRecord) -> np.ndarray:
     snapshot currents (so the estimate is second order in the snapshot
     spacing).  The current form rho*v = (hbar/m) Im(psi* grad psi) avoids
     dividing by rho, so no node mask is needed.  All pairs are computed at
-    once, over the record's whole amplitude block.
+    once, over the block of all the record's rows.
     """
     if len(record) < 2:
         raise ValueError("need at least two snapshots")
     grid = record.grid
-    currents = _currents(record.amplitudes, grid, record.params)
-    rho = np.abs(record.amplitudes) ** 2
+    amplitudes = record.rows(slice(None))
+    currents = _currents(amplitudes, grid, record.params)
+    rho = np.abs(amplitudes) ** 2
     spacing = np.diff(record.times).reshape((-1,) + (1,) * grid.dims)
     divergence = np.zeros((len(record) - 1,) + grid.shape)
     for d in range(grid.dims):

@@ -77,11 +77,12 @@ class _FieldCache:
     ``interval`` is the time between the field reads of the integrator (half
     a step for RK4, a whole step for leapfrog).  When it spans a whole number
     of snapshot spacings, only every such snapshot is read, so a batch holds
-    the next snapshots at that stride; otherwise the stride is one.  Node
-    masks are stored eroded (``_interp.erode``).  Entries behind the
-    previous read snapshot are evicted before the next batch is computed,
-    so they do not add to its transient peak.  A ``"qforce"`` cache holds
-    ``qforce_batch``'s force, without the Q of ``compute_qfields``.
+    the next snapshots at that stride; otherwise the stride is one.  A batch
+    takes its rows from ``record.rows``, where a free record computes them,
+    so only one batch's rows are held.  Node masks are stored eroded
+    (``_interp.erode``).  Entries behind the previous read snapshot are
+    evicted before the next batch is computed, so they do not add to its
+    transient peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
 
     The last time read keeps its blended fields, their mask and, once a 1D
     batch reads them, their ``_interp.cubic_table``; a one-particle float
@@ -144,7 +145,7 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
 def _snapshot_fields(record: EvolutionRecord, kind: str, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     """The ``kind`` fields of the snapshot rows ``rows``, (S, dims, *grid.shape), and their eroded
     node masks: ``"velocity"`` or ``"qforce"``, ``qforce_batch``'s force without its Q."""
-    amplitudes = record.amplitudes[rows]
+    amplitudes = record.rows(rows)
     if kind == "velocity":
         values, valid = velocity_batch(amplitudes, record.grid, record.params)
     else:

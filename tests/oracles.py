@@ -205,3 +205,11 @@ def free_record(psi0, grid, hbar, mass, times):
         rate = rate + hbar * k.reshape(shape) ** 2 / (2.0 * mass)
     spectrum = np.fft.fftn(psi0)
     return np.array([np.fft.ifftn(np.exp(-1j * t * rate) * spectrum) for t in times])
+
+
+def free_rows(wf, times):
+    """The rows a free record of ``wf`` holds at the elapsed ``times``: ``free_record``'s, but
+    psi0's own bits at elapsed time 0, where the record keeps psi0 rather than ifftn(fftn psi0)."""
+    rows = free_record(wf.amplitudes, wf.grid, wf.params.hbar, wf.params.mass, times)
+    rows[np.asarray(times) == 0.0] = wf.amplitudes
+    return rows

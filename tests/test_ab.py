@@ -52,3 +52,8 @@ class TestLine:
         a = [1.0 + 0.01 * i for i in range(8)]
         line = ab._line("x", a, a[::-1], a, [1.3 * t for t in a])
         assert line.endswith("cpu B/A median 1.3000  95% [1.3000, 1.3000]  slower")
+
+    def test_prints_both_traced_peaks_after_the_times(self):
+        a = [1.0 + 0.01 * i for i in range(8)]
+        line = ab._line("no_tunneling", a, a, a, a, (54_738_534, 2_284_902))
+        assert line == ab._line("no_tunneling", a, a, a, a) + "  |  traced peak A 52.20 MiB  B 2.18 MiB"

@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from bohmsim import (
     PhysicalParams,
     SymmetrizedTwoBody,
     build_symmetrized,
+    evolve,
     init_gaussian,
     make_grid,
     no_tunneling_check,
@@ -19,7 +23,7 @@ from bohmsim import (
     run_bec_experiment,
     run_cm_experiment,
 )
-from bohmsim import manybody
+from bohmsim import cli, manybody
 from bohmsim.trajectories import TrajectoryAbort
 from bohmsim.wavefield import Wavefunction
 
@@ -128,6 +132,29 @@ class TestNoTunneling:
         report = no_tunneling_check(sym, [-0.75, 0.75], t_final=0.5, dt=0.01)
         assert report.residency.shape == (1,)
         assert 0.0 <= report.residency[0] <= 1.0
+
+
+class TestNoTunnelingMemory:
+    def test_the_free_record_is_never_held_as_a_block(self):
+        # no_tunneling.cfg's grid, sigma and separation over half its t_final: 101 snapshots of 128 x 128
+        config = cli.parse_config_file(str(Path(__file__).resolve().parent.parent / "configs" / "no_tunneling.cfg"))
+        g, p, r = config.grid, config.physics, config.run
+        grid = make_grid(1, g.x_min, g.x_max, g.points)
+        sym = build_symmetrized(*packet_pair(grid, PhysicalParams(p.hbar, p.mass), p.separation, p.sigma))
+        t_final, half = 0.5 * r.t_final, 0.5 * p.separation
+        points = g.points**2
+        tracemalloc.start()
+        try:
+            report = no_tunneling_check(sym, [[-half, half], [half, -half]], t_final, dt=r.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.residency.tolist() == [1.0, 1.0] and len(report.times) == 51
+        record = evolve(sym.wavefunction, Free(), t_final, 0.5 * r.dt)
+        assert len(record) == 101
+        assert peak < 0.25 * len(record) * points * 16  # a quarter of the block of every snapshot
+        held = [value for value in vars(record).values() if isinstance(value, np.ndarray)]
+        assert held and max(a.size for a in held) < len(record) * points and "amplitudes" not in vars(record)
 
 
 class TestFactorizedNBodySpec:

@@ -370,30 +370,40 @@ class TestClosedFormFree:
         # counts have no Nyquist mode
         dims = len(points)
         grid = make_grid(dims, (-6.0, -5.0)[:dims], (6.0, 5.0)[:dims], points)
-        params = PhysicalParams(0.7, 1.3)
         rng = np.random.default_rng(2)
-        psi0 = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        wf = Wavefunction(grid, PhysicalParams(0.7, 1.3), rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
         dt = 0.013
-        record = evolve(Wavefunction(grid, params, psi0), Free(), n_steps * dt, dt, snapshot_stride=stride)
-        assert len(record) - 1 > FIELD_BATCH_POINTS // psi0.size
-        times = np.arange(0, n_steps + 1, stride) * dt
-        want = oracles.free_record(psi0, grid, params.hbar, params.mass, times[1:])
-        assert record.amplitudes[1:].tobytes() == want.tobytes()
+        record = evolve(wf, Free(), n_steps * dt, dt, snapshot_stride=stride)
+        rows = len(record)
+        assert rows - 1 > FIELD_BATCH_POINTS // wf.amplitudes.size
+        want = oracles.free_rows(wf, np.arange(0, n_steps + 1, stride) * dt)
+        assert record.amplitudes.tobytes() == want.tobytes()
+        # rows are computed when read: by an int, a slice, a stride-2 slice and one-row batches out of order
+        one_rows = [slice(i, i + 1) for i in (5, 1, 0, 4)]
+        for index in [3, 0, rows - 1, slice(None), slice(2, rows - 1), slice(1, None, 2), *one_rows]:
+            assert record.rows(index).tobytes() == want[index].tobytes(), index
+        assert record.rows(0).tobytes() == wf.amplitudes.tobytes()  # psi0 itself, not ifftn(fftn psi0)
+        # the oracle rows' norms, summed as the record sums them
+        cell = grid.cell_volume
+        flat = want[1:].reshape(rows - 1, -1).view(float)
+        norm0 = np.sqrt(np.vdot(wf.amplitudes, wf.amplitudes).real * cell)
+        norms = np.r_[norm0, np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)]
+        assert record.norm_drift.tobytes() == np.abs(np.diff(norms)).tobytes()
 
     def test_peak_memory_stays_near_record_size(self, unit_params):
-        # the phases and transforms are chunked, so the temporaries stay a
-        # small fraction of a 101-snapshot 128 x 128 record
+        # evolve and a read of every row: the phases and transforms are chunked,
+        # so the temporaries stay a small fraction of a 101-snapshot 128 x 128 block
         grid = make_grid(2, -8.0, 8.0, 128)
         wf = init_gaussian(grid, unit_params, 0.0, 0.5)
         tracemalloc.start()
         try:
             record = evolve(wf, Free(), 1.0, 0.01, snapshot_stride=1)
+            block = record.rows(slice(None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        record_bytes = sum(s.amplitudes.nbytes for s in record.snapshots)
-        assert len(record) == 101
-        assert peak <= 1.1 * record_bytes
+        assert len(record) == 101 and block.shape == (101, 128, 128)
+        assert peak <= 1.1 * block.nbytes
 
 
 class TestProbabilityCurrent:
@@ -470,7 +480,7 @@ class TestContinuityResidual:
 
 
 class TestRecordLayout:
-    """A record holds one amplitude block; its snapshots are row views of it."""
+    """A record's snapshots are its rows: views of its one amplitude block, or computed rows for a free record."""
 
     @pytest.mark.parametrize("potential", [Free(), Harmonic(omega=1.0)])
     @pytest.mark.parametrize("dims", [1, 2])
@@ -481,8 +491,12 @@ class TestRecordLayout:
         assert record.grid == wf.grid and record.params == wf.params
         assert record.snapshots is record.snapshots
         assert len(record.snapshots) == len(record) == 4
+        rows = oracles.free_rows(wf, record.times) if isinstance(potential, Free) else None
         for i, snap in enumerate(record.snapshots):
-            assert np.shares_memory(snap.amplitudes, record.amplitudes[i])
+            if rows is None:
+                assert np.shares_memory(snap.amplitudes, record.amplitudes[i])
+            else:  # a free record computes its rows, with the oracle's bits
+                assert snap.amplitudes.tobytes() == rows[i].tobytes()
             assert snap.time == record.times[i]
         assert np.array_equal(record.amplitudes[0], wf.amplitudes)
         assert not np.shares_memory(record.amplitudes, wf.amplitudes)

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -181,12 +180,16 @@ class TestGuidance:
         assert exc_info.value.time == pytest.approx(0.0)
 
 
+def heavy_wf():
+    # mass 2 so the momenta test sees the mass
+    grid = make_grid(1, -15.0, 15.0, 384)
+    return init_gaussian(grid, PhysicalParams(1.0, 2.0), 0.3, 1.0, wavenumber=0.5)
+
+
 @pytest.fixture(scope="module")
 def heavy_record():
-    # mass 2 so the momenta test sees the mass; spacing dt/4 at dt = 0.1
-    grid = make_grid(1, -15.0, 15.0, 384)
-    wf = init_gaussian(grid, PhysicalParams(1.0, 2.0), 0.3, 1.0, wavenumber=0.5)
-    return evolve_quiet(wf, Free(), 1.0, 1e-3, snapshot_stride=25)
+    # spacing dt/4 at dt = 0.1
+    return evolve_quiet(heavy_wf(), Free(), 1.0, 1e-3, snapshot_stride=25)
 
 
 def count_evaluations(monkeypatch):
@@ -222,7 +225,7 @@ class TestFieldCache:
             assert all(k % stride == 0 for k in cache._cache)
 
     @pytest.mark.parametrize("kind, name", [("velocity", "velocity_batch"), ("qforce", "qforce_batch")])
-    def test_batches_are_views_of_the_record(self, heavy_record, monkeypatch, kind, name):
+    def test_batches_are_the_record_rows(self, heavy_record, monkeypatch, kind, name):
         seen = []
         original = getattr(trajectories, name)
 
@@ -231,13 +234,16 @@ class TestFieldCache:
             return original(amplitudes, grid, params)
 
         monkeypatch.setattr(trajectories, name, spying)
-        _FieldCache(heavy_record, kind, 0.05).fields(0)  # stride 2
-        _FieldCache(heavy_record, kind, 0.025).fields(21)  # stride 1
-        assert [len(a) for a in seen] == [21, 20]
-        for amplitudes in seen:
-            assert np.shares_memory(amplitudes, heavy_record.amplitudes)
-        assert np.array_equal(seen[0], heavy_record.amplitudes[0:41:2])
-        assert np.array_equal(seen[1], heavy_record.amplitudes[21:])
+        rows = oracles.free_rows(heavy_wf(), heavy_record.times)
+        stored = EvolutionRecord(heavy_record.times, rows, heavy_record.grid, heavy_record.params, np.zeros(40), Free())
+        for record in (heavy_record, stored):
+            _FieldCache(record, kind, 0.05).fields(0)  # stride 2
+            _FieldCache(record, kind, 0.025).fields(21)  # stride 1
+        assert [len(a) for a in seen] == [21, 20, 21, 20]
+        # the free record computes its rows with the oracle's bits; a stored block hands out views
+        for amplitudes, want in zip(seen, [rows[0:41:2], rows[21:]] * 2):
+            assert amplitudes.tobytes() == want.tobytes()
+        assert np.shares_memory(seen[2], rows) and np.shares_memory(seen[3], rows)
 
     def test_stale_snapshots_are_evicted_before_the_next_batch(self, heavy_record, monkeypatch):
         cache = _FieldCache(heavy_record, "velocity", 0.025)  # stride 1, batches of 21
@@ -422,10 +428,10 @@ class TestNewtonRoute:
             return velocity_batch(amplitudes, grid, params)
 
         monkeypatch.setattr(trajectories, "velocity_batch", counting)
-        record = dataclasses.replace(heavy_record)  # no snapshot views built yet
+        record = evolve_quiet(heavy_wf(), Free(), 1.0, 1e-3, snapshot_stride=25)  # no snapshots built yet
         newton = integrate_newton(record, [0.4], Free(), 0.1)
         assert len(calls) == 1 and calls[0].shape == (1,) + record.grid.shape
-        assert np.shares_memory(calls[0], record.amplitudes[0])
+        assert calls[0].tobytes() == oracles.free_rows(heavy_wf(), [0.0]).tobytes()  # row 0: psi0's bits
         assert "snapshots" not in vars(record)  # one row read, no Wavefunction per snapshot
         monkeypatch.undo()
         guided = integrate_guidance(heavy_record, [0.4], 0.1)

@@ -1,4 +1,4 @@
-"""Paired in-process A/B of the shipped configs' wall and CPU time: a parent revision against this tree.
+"""Paired in-process A/B of the shipped configs' wall and CPU time and traced memory: a parent revision against this tree.
 
     python3 tools/ab.py --parent REV [--pairs N] CONFIG...
 
@@ -14,8 +14,10 @@ For each config, and for the sum over configs when there are several,
 prints the median of the pairs' B/A ratios of wall time (``perf_counter``)
 with a distribution-free 95% interval from order statistics, and beside it
 the same for CPU time (``process_time``); an interval that contains 1 is
-called unresolved.  Every run of either tree must write the same bytes, or the
-tool says which files differ and exits with status 1.
+called unresolved.  After the timed pairs, each config runs once more on
+each tree under ``tracemalloc``, untimed, and its line ends with both
+traced peaks in MiB.  Every run of either tree must write the same bytes,
+or the tool says which files differ and exits with status 1.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +80,24 @@ def _timed_run(cli, config: Path, out: Path) -> tuple[float, float, dict[str, st
     cli.run(parsed, out_dir=str(out), quiet=True)
     cpu = time.process_time() - cpu_start
     seconds = time.perf_counter() - start
-    return seconds, cpu, {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+    return seconds, cpu, _digests(out)
+
+
+def _traced_run(cli, config: Path, out: Path) -> tuple[int, dict[str, str]]:
+    """The ``tracemalloc`` peak in bytes of one untimed ``cli.run`` of ``config``, and the sha256 of each file it wrote."""
+    parsed = cli.parse_config_file(str(config))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli.run(parsed, out_dir=str(out), quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, _digests(out)
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
 
 def _ratio(a: list[float], b: list[float]) -> str:
@@ -87,12 +107,13 @@ def _ratio(a: list[float], b: list[float]) -> str:
     return f"B/A median {mid:.4f}  95% [{low:.4f}, {high:.4f}]  {verdict}"
 
 
-def _line(name: str, a: list[float], b: list[float], cpu_a: list[float], cpu_b: list[float]) -> str:
-    """One config's wall-time ratio and, beside it, its CPU-time ratio."""
-    return (
-        f"{name:<20} pairs={len(a)}  A median {statistics.median(a):.4f} s  "
-        f"{_ratio(a, b)}  |  cpu {_ratio(cpu_a, cpu_b)}"
-    )
+def _line(name: str, a: list[float], b: list[float], cpu_a: list[float], cpu_b: list[float], peaks=None) -> str:
+    """One config's wall-time ratio and, beside it, its CPU-time ratio and, when given, the traced
+    peaks in bytes of A and B."""
+    line = f"{name:<20} pairs={len(a)}  A median {statistics.median(a):.4f} s  {_ratio(a, b)}  |  cpu {_ratio(cpu_a, cpu_b)}"
+    if peaks is None:
+        return line
+    return line + f"  |  traced peak A {peaks[0] / 2**20:.2f} MiB  B {peaks[1] / 2**20:.2f} MiB"
 
 
 def main(argv=None) -> int:
@@ -112,6 +133,11 @@ def main(argv=None) -> int:
         trees = (_import_parent(args.parent, str(Path(tmp, "parent"))), this_cli)
         times = {config.stem: ([], [], [], []) for config in configs}  # wall A, wall B, cpu A, cpu B
         first, differ = {}, set()
+
+        def check(stem: str, digests: dict[str, str]) -> None:
+            want = first.setdefault(stem, digests)
+            differ.update(f"{stem}/{name}" for name in digests.keys() | want.keys() if digests.get(name) != want.get(name))
+
         for pair in range(args.pairs):
             for config in configs:
                 for side in (0, 1) if pair % 2 == 0 else (1, 0):
@@ -119,12 +145,16 @@ def main(argv=None) -> int:
                     seconds, cpu, digests = _timed_run(trees[side], config, out)
                     times[config.stem][side].append(seconds)
                     times[config.stem][2 + side].append(cpu)
-                    want = first.setdefault(config.stem, digests)
-                    differ |= {f"{config.stem}/{name}" for name in digests.keys() | want.keys()
-                               if digests.get(name) != want.get(name)}
+                    check(config.stem, digests)
+        peaks = {config.stem: [0, 0] for config in configs}
+        for config in configs:
+            for side in (0, 1):
+                out = Path(tmp, "out", f"{config.stem}-traced-{side}")
+                peaks[config.stem][side], digests = _traced_run(trees[side], config, out)
+                check(config.stem, digests)
 
     for name, series in times.items():
-        print(_line(name, *series))
+        print(_line(name, *series, peaks[name]))
     if len(times) > 1:
         print(_line("sum", *(list(map(sum, zip(*side))) for side in zip(*times.values()))))
     if differ:
