@@ -394,7 +394,7 @@ def _run_harmonic_ground(config: ExperimentConfig, seed: int):
     probe = p.x0 + sigma
     target = 0.5 * params.hbar * omega
     rows = []
-    velocities, valid = velocity_batch(record.rows(slice(None)), grid, params)
+    velocities, valid = velocity_batch(record.amplitudes, grid, params)
     for i, snap in enumerate(record.snapshots):
         energy = hamilton_jacobi_energy(snap, potential, [probe])
         speed = float(np.abs(velocities[i, 0][valid[i]]).max())

@@ -64,42 +64,38 @@ def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     return sample_density(rho, spec.wavefunction.grid, spec.count, _rng(spec.seed))
 
 
-def _levels(r: np.ndarray) -> list[float]:
-    """Two level sums of ``r`` (1D, finite, |r| <= 2**900), which is left holding their residuals.
-    With sigma = 2**(e + ceil(log2(M + 2))) and every |r| <= 2**e, q = (sigma + r) - sigma splits
-    each r into q + (r - q) exactly and rounds q to a multiple of eps * sigma, so ``q.sum()`` is exact
-    in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 189 (2008))."""
-    headroom = (len(r) + 1).bit_length()  # ceil(log2(M + 2))
+def _fsum(values: np.ndarray) -> float:
+    """The exactly rounded sum of a 1D float array in any order, ``math.fsum(values.tolist())``'s bits
+    wherever that returns a value, by error-free extraction.
+
+    With sigma = 2**(e + ceil(log2(M + 2))) and every |r| <= 2**e, q = (sigma + r) - sigma
+    splits each r into q + (r - q) exactly and rounds q to a multiple of eps * sigma,
+    so ``q.sum()`` is exact in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31, 189 (2008)).  Two levels leave a few nonzero residuals, and ``math.fsum`` of the
+    level sums and those residuals rounds the same exact sum once, as of the values.
+    Input above 2**900, where ``math.fsum``'s intermediate overflow depends on the order, is
+    summed in fractions, which round once or raise ``OverflowError``.  Non-finite input sums
+    its non-finite values alone; all-zero input and no input go to ``math.fsum`` itself.
+    """
+    big = np.abs(values).max(initial=0.0)  # NaN when a value is NaN
+    if not math.isfinite(big):
+        return math.fsum(values[~np.isfinite(values)].tolist())  # no finite value changes an inf or a NaN
+    if big > 2.0**900:
+        from fractions import Fraction  # imported only for this rare range
+        return float(sum(map(Fraction, values.tolist())))
+    if big == 0.0:
+        return math.fsum(values.tolist())
+    r = values.copy()
+    headroom = (len(values) + 1).bit_length()  # ceil(log2(M + 2))
     sums = []
     for _ in range(2):
-        sigma = math.ldexp(1.0, math.frexp(np.abs(r).max(initial=0.0))[1] + headroom)
+        sigma = math.ldexp(1.0, math.frexp(big)[1] + headroom)
         q = r + sigma
         q -= sigma
         r -= q
         sums.append(q.sum())
-    return sums
-
-
-def _fsum(values: np.ndarray) -> float:
-    """The exactly rounded sum of a 1D float array in any order: ``math.fsum`` of the ``_levels`` and the few
-    residuals, ``math.fsum(values.tolist())``'s bits wherever that returns a value.  Above 2**900 the values
-    from 2**-800 up are scaled by 2**-200, exactly, both groups are extracted to no residual, and the levels are
-    summed in integers, which round once or raise ``OverflowError``.  Non-finite input sums its non-finite values."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        return math.fsum(values[~finite].tolist())  # no finite value changes an inf or a NaN
-    big = np.abs(values).max(initial=0.0)
-    if big <= 2.0**900:
-        r = values.copy()
-        return math.fsum(_levels(r) + r[r != 0.0].tolist() if big else values.tolist())
-    large = np.abs(values) >= 2.0**-800
-    exact = 0  # in units of 2**-1074
-    for r, shift in ((np.ldexp(values[large], -200), 200), (values[~large], 0)):
-        while r.any():
-            for x in _levels(r):
-                n, d = x.as_integer_ratio()
-                exact += n * (1 << 1074) // d << shift
-    return exact / (1 << 1074)
+        big = np.abs(r).max()
+    return math.fsum(sums + r[r != 0.0].tolist())
 
 
 def _fsum_mean(values: np.ndarray) -> float:

@@ -263,7 +263,7 @@ def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
     return Wavefunction(wf.grid, wf.params, amps, wf.time + dt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
@@ -294,9 +294,11 @@ class EvolutionRecord:
 
     @cached_property
     def snapshots(self) -> tuple[Wavefunction, ...]:
-        """The rows as wavefunctions, built once per record."""
-        rows = self.rows(slice(None))
-        return tuple(Wavefunction(self.grid, self.params, amps, float(t)) for amps, t in zip(rows, self.times))
+        """Row views of ``amplitudes`` as wavefunctions, built once per record."""
+        return tuple(
+            Wavefunction(self.grid, self.params, amps, float(t))
+            for amps, t in zip(self.amplitudes, self.times)
+        )
 
 
 class _FreeRecord(EvolutionRecord):
@@ -306,7 +308,8 @@ class _FreeRecord(EvolutionRecord):
     ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``: ``_fft`` one axis at a time, last
     axis first.  ``fftfreq`` makes mode n - j's rate bits those of mode j, so the exponentials are
     taken over the modes j <= n/2 of each axis and gathered back with the index min(j, n - j).
-    Row 0 is psi0's own bits.  ``amplitudes`` and ``norm_drift`` are computed when read.
+    Row 0 is psi0's own bits.  ``amplitudes``, all the rows, is computed and kept when first read,
+    and ``norm_drift`` when read.
     """
 
     def __init__(self, wf: Wavefunction, elapsed: np.ndarray, potential: PotentialSpec):
@@ -321,7 +324,10 @@ class _FreeRecord(EvolutionRecord):
         )
 
     def rows(self, index: int | slice) -> np.ndarray:
-        """Rows computed afresh, ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
+        """Rows read from ``amplitudes`` once that is kept, or else computed ``_chunk`` at a time (at most
+        ``FIELD_BATCH_POINTS`` grid points)."""
+        if "amplitudes" in vars(self):
+            return self.amplitudes[index]
         elapsed = np.atleast_1d(self._elapsed[index])
         block = np.empty(elapsed.shape + self.grid.shape, dtype=complex)
         for start in range(0, len(block), self._chunk):
@@ -429,14 +435,13 @@ def continuity_residual(record: EvolutionRecord) -> np.ndarray:
     snapshot currents (so the estimate is second order in the snapshot
     spacing).  The current form rho*v = (hbar/m) Im(psi* grad psi) avoids
     dividing by rho, so no node mask is needed.  All pairs are computed at
-    once, over the block of all the record's rows.
+    once, over the record's whole amplitude block.
     """
     if len(record) < 2:
         raise ValueError("need at least two snapshots")
     grid = record.grid
-    amplitudes = record.rows(slice(None))
-    currents = _currents(amplitudes, grid, record.params)
-    rho = np.abs(amplitudes) ** 2
+    currents = _currents(record.amplitudes, grid, record.params)
+    rho = np.abs(record.amplitudes) ** 2
     spacing = np.diff(record.times).reshape((-1,) + (1,) * grid.dims)
     divergence = np.zeros((len(record) - 1,) + grid.shape)
     for d in range(grid.dims):

@@ -80,9 +80,10 @@ class _FieldCache:
     the next snapshots at that stride; otherwise the stride is one.  A batch
     takes its rows from ``record.rows``, where a free record computes them,
     so only one batch's rows are held.  Node masks are stored eroded
-    (``_interp.erode``).  Entries behind the previous read snapshot are
-    evicted before the next batch is computed, so they do not add to its
-    transient peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
+    (``_interp.erode``).  Before the next batch is computed, entries behind
+    the previous read snapshot are evicted, the rest copied and the last
+    time's fields dropped, so no view keeps the last batch in its transient
+    peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
 
     The last time read keeps its blended fields, their mask and, once a 1D
     batch reads them, their ``_interp.cubic_table``; a one-particle float
@@ -100,8 +101,8 @@ class _FieldCache:
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
         if i not in self._cache:
-            for stale in [k for k in self._cache if k < i - self.stride]:
-                del self._cache[stale]
+            self._cache = {k: (v.copy(), m.copy()) for k, (v, m) in self._cache.items() if k >= i - self.stride}
+            self._at = [None, None, None, None]
             stop = min(i + self.stride * self.batch, len(self.record))
             values, eroded = _snapshot_fields(self.record, self.kind, slice(i, stop, self.stride))
             for j, k in enumerate(range(i, stop, self.stride)):
@@ -264,6 +265,33 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     return Trajectory(times=times, positions=positions, momenta=record.params.mass * velocities)
 
 
+def _leapfrog(record: EvolutionRecord, x: np.ndarray, potential: PotentialSpec, dt: float, times: np.ndarray):
+    """``integrate_newton_batch`` from positions x (M, dims), yielding the positions and momenta at each of ``times``."""
+    grid, params = record.grid, record.params
+    mass = params.mass
+    t0 = float(record.times[0])
+    force_cache = _FieldCache(record, "qforce", dt)
+    velocity, eroded = _snapshot_fields(record, "velocity", slice(0, 1))
+    point = x.shape == (1, 1) and grid.dims == 1
+    if point:
+        x = x.item()
+    p = mass * _read(grid, t0, x, velocity[0], eroded[0])
+
+    def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
+        classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
+        return (classical.item() if point else classical) + _eval_fields(force_cache, t, pos)
+
+    yield x, p
+    # kick-drift-kick: the closing kick's force opens the next step
+    force = total_force(t0, x)
+    for t_next in times[1:].tolist():
+        p = p + 0.5 * dt * force
+        x = x + dt * p / mass
+        force = total_force(t_next, x)
+        p = p + 0.5 * dt * force
+        yield x, p
+
+
 def integrate_newton_batch(
     record: EvolutionRecord, x0: np.ndarray, potential: PotentialSpec, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,34 +305,11 @@ def integrate_newton_batch(
     is carried as a Python float, whose arithmetic rounds as the array's.
     """
     times = _step_times(record, dt)
-    x = np.array(np.atleast_2d(x0), dtype=float)
-    grid, params = record.grid, record.params
-    mass = params.mass
-    t0 = float(record.times[0])
-    force_cache = _FieldCache(record, "qforce", dt)
-    positions = np.empty((len(times),) + x.shape)
+    x0 = np.array(np.atleast_2d(x0), dtype=float)
+    positions = np.empty((len(times),) + x0.shape)
     momenta = np.empty_like(positions)
-    positions[0] = x
-    velocity, eroded = _snapshot_fields(record, "velocity", slice(0, 1))
-    point = x.shape == (1, 1) and grid.dims == 1
-    if point:
-        x = x.item()
-    p = mass * _read(grid, t0, x, velocity[0], eroded[0])
-
-    def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
-        classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
-        return (classical.item() if point else classical) + _eval_fields(force_cache, t, pos)
-
-    momenta[0] = p
-    # kick-drift-kick: the closing kick's force opens the next step
-    force = total_force(t0, x)
-    for step_index in range(len(times) - 1):
-        p = p + 0.5 * dt * force
-        x = x + dt * p / mass
-        force = total_force(float(times[step_index + 1]), x)
-        p = p + 0.5 * dt * force
-        positions[step_index + 1] = x
-        momenta[step_index + 1] = p
+    for step_index, (x, p) in enumerate(_leapfrog(record, x0, potential, dt, times)):
+        positions[step_index], momenta[step_index] = x, p
     return times, positions, momenta
 
 
@@ -315,9 +320,41 @@ def integrate_newton(record: EvolutionRecord, x0, potential: PotentialSpec, dt: 
     return Trajectory(times=times, positions=positions[:, 0, :], momenta=momenta[:, 0, :])
 
 
+class _SharedRows:
+    """A record's times, grid and params, and its ``rows``, which serves each read that lies in the last
+    window of rows it computed, so two field caches read side by side compute each row once.  A window
+    starts at the first row read outside the last one and spans the longest read so far."""
+
+    def __init__(self, record: EvolutionRecord):
+        self.record, self._span, self._window = record, 0, (0, 0, None)
+        self.times, self.grid, self.params = record.times, record.grid, record.params
+        self.snapshot_spacing = record.snapshot_spacing
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def rows(self, index: slice) -> np.ndarray:
+        start, stop, step = index.indices(len(self))
+        self._span = max(self._span, stop - start)
+        lo, hi = self._window[:2]
+        if not lo <= start <= stop <= hi:
+            self._window = 0, 0, None  # freed before the next window is computed
+            lo, hi = start, min(start + self._span, len(self))
+            self._window = lo, hi, self.record.rows(slice(lo, hi))
+        return self._window[2][start - lo:stop - lo:step]
+
+
 def crosscheck(record: EvolutionRecord, x0, potential: PotentialSpec, dt: float) -> float:
-    """Largest position gap between the guidance and Newton routes."""
-    guided = integrate_guidance(record, x0, dt)
-    newton = integrate_newton(record, x0, potential, dt)
-    gap = np.linalg.norm(guided.positions - newton.positions, axis=-1)
-    return float(gap.max())
+    """Largest position gap between the guidance and Newton routes, stepped side by side over one
+    ``_SharedRows`` so that a free record computes each row once; an abort raises at its step."""
+    shared = _SharedRows(record)
+    times = _step_times(shared, dt)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
+    velocity = _FieldCache(shared, "velocity", 0.5 * dt)
+    routes = zip(_guidance_rk4(velocity, x0, times, dt), _leapfrog(shared, x0, potential, dt, times))
+    gaps = np.empty((len(times), x0.shape[1]))
+    for (step_index, guided, k1), (newton, _) in routes:
+        if k1 is None:  # integrate_guidance reads the final velocity too
+            _eval_fields(velocity, float(times[-1]), guided)
+        gaps[step_index] = guided - newton
+    return float(np.linalg.norm(gaps, axis=-1).max())

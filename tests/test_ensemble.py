@@ -94,6 +94,7 @@ class TestExactSum:
     @example(values=np.array([1.7e308, -1e308, -1e308]))
     @example(values=np.array([-1e308, -1e308, 1.7e308]))
     @example(values=np.array([2.0**1000, 5e-324, -(2.0**1000)]))  # the values under 2**-800 still count
+    @example(values=np.array([np.inf, 1.0, -np.inf]))  # math.fsum raises ValueError, and so must _fsum
     # M = 2**k - 2 negative values in (-2, -1]: their level sums fill sigma's headroom, and
     # with a sigma one power of two smaller these two lose bits that show in the sum
     @example(values=-np.random.default_rng(8).uniform(1.0, 2.0, 1022))
@@ -109,6 +110,8 @@ class TestExactSum:
             assert got == fsum
         elif np.isfinite(values).all():  # it overflowed on the way: the order-free oracle
             assert got == outcome(lambda: float(sum(map(Fraction, values.tolist()))))
+        elif fsum[0] is ValueError:  # -inf + inf, which the non-finite values alone raise too
+            assert got == fsum
 
     def test_column_views_and_the_mean(self):
         rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ from bohmsim import (
     run_bec_experiment,
     run_cm_experiment,
 )
-from bohmsim import cli, manybody
+from bohmsim import cli, manybody, propagator
 from bohmsim.trajectories import TrajectoryAbort
 from bohmsim.wavefield import Wavefunction
 
@@ -277,6 +277,20 @@ class TestRunCmExperiment:
         assert res.resample_count == 1
         assert records
         assert all("snapshots" not in record.__dict__ for record in records)
+
+    def test_both_caches_share_each_computed_row(self, monkeypatch):
+        # 0.5 time units at dt = 0.01: 101 snapshots of 256 points, read by the velocity cache (every
+        # snapshot, batches of 32) and the force cache (every second one, batches of 32)
+        computed = []
+        fft = propagator._fft
+
+        def counting(values, axis, out=None, inverse=False):
+            computed.extend([len(values)] if inverse else [])  # a 1D row's one inverse transform
+            return fft(values, axis, out, inverse)
+
+        monkeypatch.setattr(propagator, "_fft", counting)
+        run_cm_experiment(FactorizedNBody.homogeneous(10), 0.5, 0.01, seed=0)
+        assert sum(computed) == 101
 
     def test_one_redraw_over_the_limit_aborts(self, monkeypatch):
         # 10 subsystems over 10 steps: the in-run limit is its floor of one redraw

@@ -377,7 +377,6 @@ class TestClosedFormFree:
         rows = len(record)
         assert rows - 1 > FIELD_BATCH_POINTS // wf.amplitudes.size
         want = oracles.free_rows(wf, np.arange(0, n_steps + 1, stride) * dt)
-        assert record.amplitudes.tobytes() == want.tobytes()
         # rows are computed when read: by an int, a slice, a stride-2 slice and one-row batches out of order
         one_rows = [slice(i, i + 1) for i in (5, 1, 0, 4)]
         for index in [3, 0, rows - 1, slice(None), slice(2, rows - 1), slice(1, None, 2), *one_rows]:
@@ -389,6 +388,34 @@ class TestClosedFormFree:
         norm0 = np.sqrt(np.vdot(wf.amplitudes, wf.amplitudes).real * cell)
         norms = np.r_[norm0, np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)]
         assert record.norm_drift.tobytes() == np.abs(np.diff(norms)).tobytes()
+        assert "amplitudes" not in vars(record)  # every read above computed its rows
+        assert record.amplitudes.tobytes() == want.tobytes()
+
+    def test_block_readers_compute_the_rows_once(self, wide_grid, unit_params, monkeypatch):
+        # continuity_residual, snapshots and norm_drift, in the order the free-gaussian run reads them
+        wf = init_gaussian(wide_grid, unit_params, 0.0, 1.0)
+        drift = evolve(wf, Free(), 0.2, 0.01).norm_drift  # from rows computed a chunk at a time
+        record = evolve(wf, Free(), 0.2, 0.01)
+        computed = []
+        fft = bohmsim.propagator._fft
+
+        def counting(values, axis, out=None, inverse=False):
+            computed.extend([len(values)] if inverse else [])  # a 1D row's one inverse transform
+            return fft(values, axis, out, inverse)
+
+        monkeypatch.setattr(bohmsim.propagator, "_fft", counting)
+        continuity_residual(record)
+        assert len(record.snapshots) == 21
+        assert record.norm_drift.tobytes() == drift.tobytes()  # from the kept block, with the same bits
+        assert record.rows(slice(3, 9, 2)).tobytes() == record.amplitudes[3:9:2].tobytes()
+        assert computed == [21]  # every row once, in one chunk
+
+    def test_repr_and_equality_read_no_rows(self, wide_grid, unit_params):
+        wf = init_gaussian(wide_grid, unit_params, 0.0, 1.0)
+        record = evolve(wf, Free(), 0.2, 0.01)
+        assert "Record" in repr(record)
+        assert record == record and record != evolve(wf, Free(), 0.2, 0.01)  # identity
+        assert "amplitudes" not in vars(record)  # no block computed
 
     def test_peak_memory_stays_near_record_size(self, unit_params):
         # evolve and a read of every row: the phases and transforms are chunked,
@@ -480,7 +507,7 @@ class TestContinuityResidual:
 
 
 class TestRecordLayout:
-    """A record's snapshots are its rows: views of its one amplitude block, or computed rows for a free record."""
+    """A record's snapshots are row views of its one amplitude block, which a free record computes when first read."""
 
     @pytest.mark.parametrize("potential", [Free(), Harmonic(omega=1.0)])
     @pytest.mark.parametrize("dims", [1, 2])
@@ -493,9 +520,8 @@ class TestRecordLayout:
         assert len(record.snapshots) == len(record) == 4
         rows = oracles.free_rows(wf, record.times) if isinstance(potential, Free) else None
         for i, snap in enumerate(record.snapshots):
-            if rows is None:
-                assert np.shares_memory(snap.amplitudes, record.amplitudes[i])
-            else:  # a free record computes its rows, with the oracle's bits
+            assert np.shares_memory(snap.amplitudes, record.amplitudes[i])
+            if rows is not None:  # a free record computes its rows, with the oracle's bits
                 assert snap.amplitudes.tobytes() == rows[i].tobytes()
             assert snap.time == record.times[i]
         assert np.array_equal(record.amplitudes[0], wf.amplitudes)

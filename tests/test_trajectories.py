@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from bohmsim._interp import _OFFSETS, erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
 from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _rk4_step, _step_times
-from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
+from bohmsim.wavefield import FIELD_BATCH_POINTS, node_mask, velocity_batch, velocity_field
 
 
 def evolve_quiet(*args, **kwargs):
@@ -251,13 +252,17 @@ class TestFieldCache:
         original = trajectories.velocity_batch
 
         def spying(amplitudes, grid, params):
-            held.append(sorted(cache._cache))
+            held.append((sorted(cache._cache), first() is None if first else None))
             return original(amplitudes, grid, params)
 
         monkeypatch.setattr(trajectories, "velocity_batch", spying)
+        first = None
         cache.fields(0)
+        cache.at(heavy_record.times[20])  # the last time read keeps views of snapshot 20's fields
+        first = weakref.ref(cache._cache[20][0].base)
         cache.fields(21)
-        assert held == [[], [20]]
+        # entry 20 is kept as a copy, so the first batch is freed before the second is computed
+        assert held == [([], None), ([20], True)]
         assert sorted(cache._cache) == list(range(20, 41))
 
     @pytest.mark.parametrize("kind", ["velocity", "qforce"])
@@ -415,6 +420,38 @@ class TestNewtonRoute:
     def test_matches_guidance_on_ground_state(self, ground_record):
         gap = crosscheck(ground_record, [0.5], Harmonic(omega=1.0), 0.2)
         assert gap < 1e-8
+
+    @pytest.mark.parametrize("case", ["free", "harmonic", "free-2d"])
+    def test_crosscheck_is_the_gap_of_the_two_routes(self, spreading_record, ground_record, case):
+        if case == "free-2d":
+            wf = init_gaussian(make_grid(2, -8.0, 8.0, 64), PhysicalParams(), 0.0, 1.0, wavenumber=0.5)
+            record, potential, x0, dt = evolve_quiet(wf, Free(), 0.4, 0.01, snapshot_stride=5), Free(), [0.3, -0.2], 0.1
+        else:
+            record, potential, x0, dt = {
+                "free": (spreading_record, Free(), [0.8], 0.1),
+                "harmonic": (ground_record, Harmonic(omega=1.0), [0.5], 0.2),
+            }[case]
+        guided = integrate_guidance(record, x0, dt).positions
+        newton = integrate_newton(record, x0, potential, dt).positions
+        assert crosscheck(record, x0, potential, dt) == np.linalg.norm(guided - newton, axis=-1).max()
+
+    def test_crosscheck_computes_each_free_row_once(self, monkeypatch):
+        # the crosscheck config's grid and snapshot spacing, over 0.2 time units: the guidance route
+        # reads every row in batches of 21 and the Newton route every second row in batches of 21
+        wf = init_gaussian(make_grid(1, -15.0, 15.0, 384), PhysicalParams(), 0.0, 1.0)
+        record = evolve_quiet(wf, Free(), 0.2, 1.25e-4, snapshot_stride=4)
+        computed = []
+        rows = type(record).rows
+
+        def counting(self, index):
+            computed.extend(range(len(self))[index])
+            return rows(self, index)
+
+        monkeypatch.setattr(type(record), "rows", counting)
+        crosscheck(record, [1.0], Free(), 1e-3)
+        assert sorted(set(computed)) == list(range(len(record))) == list(range(401))
+        # only the first window is computed twice, before the longest read has been seen
+        assert len(computed) == len(record) + FIELD_BATCH_POINTS // 384
 
     def test_momentum_seeded_from_guidance_value(self, plane_record):
         traj = integrate_newton(plane_record, [0.7], Free(), 0.2)
