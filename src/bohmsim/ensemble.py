@@ -161,7 +161,7 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
     mean_force = np.empty((len(keep_snap), grid.dims))
     for row, (snap_idx, pos) in enumerate(zip(keep_snap, positions)):
         # one snapshot at a time: a field cache's batch of them would grow the heap past transport's peak
-        force, eroded = _snapshot_fields(record, "qforce", slice(snap_idx, snap_idx + 1))
+        force, eroded = _snapshot_fields(record, "qforce", record.rows(slice(snap_idx, snap_idx + 1)))
         forces = _read(grid, float(times[traj_rows[row]]), pos, force[0], eroded[0])
         for d in range(grid.dims):
             mean_force[row, d] = _fsum_mean(forces[:, d])

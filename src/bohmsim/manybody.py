@@ -29,7 +29,7 @@ from .ensemble import _fsum, _grid_cdf, _rng, sample_density
 from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
 from .trajectories import (
-    TrajectoryAbort, _bracket, _eval_fields, _FieldCache, _read, _rk4_step, _SharedRows, _step_times,
+    TrajectoryAbort, _bracket, _eval_fields, _read, _rk4_step, _shared_caches, _step_times,
     integrate_guidance_batch,
 )
 from .wavefield import (
@@ -331,9 +331,7 @@ def run_cm_experiment(
     # initial offsets of the subsystems.
     packet = init_gaussian(make_grid(1, -10.0, 10.0, 256), params, 0.0, spec.sigma)
     record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
-    shared = _SharedRows(record)  # both caches read side by side, so each row is computed once
-    vel_cache = _FieldCache(shared, "velocity", 0.5 * dt)
-    force_cache = _FieldCache(shared, "qforce", dt)
+    vel_cache, force_cache = _shared_caches(record, dt)  # read side by side, so each row is computed once
     f_q_max = compute_qfields(packet).f_q_max
     resample_count = 0
     if sampling == "stratified":

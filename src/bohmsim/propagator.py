@@ -6,8 +6,9 @@ A single step applies the second-order Strang factorization
 
 with the kinetic factor diagonal in Fourier space.  Both factors are unitary,
 so the norm is conserved to rounding and the map is exactly time-reversible
-under complex conjugation.  Without a potential the splitting is exact, so
-free states are evolved in closed form instead of step by step.
+under complex conjugation.  ``evolve`` takes no step: its record computes
+each row where it is read, in closed form without a potential, where the
+splitting is exact, and else by stepping forward from psi0 (``_StrangRecord``).
 """
 
 from __future__ import annotations
@@ -268,8 +269,8 @@ class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
     ``rows`` reads snapshot i, at ``times[i]``, from the block ``amplitudes``
-    (S, *grid.shape), or computes it for a free record (``_FreeRecord``).
-    ``times`` are strictly increasing and include t0 and the final time.
+    (S, *grid.shape), or computes it (``_compute``, in the records ``evolve``
+    returns) until that is read.  ``times`` strictly increase from t0 to the end.
     ``norm_drift`` holds |norm_after - norm_before| for every step taken,
     except for free records, which hold one entry per snapshot interval.
     """
@@ -290,7 +291,7 @@ class EvolutionRecord:
 
     def rows(self, index: int | slice) -> np.ndarray:
         """Snapshot ``index`` (*grid.shape), or the rows of a slice (B, *grid.shape)."""
-        return self.amplitudes[index]
+        return self.amplitudes[index] if "amplitudes" in vars(self) else self._compute(index)
 
     @cached_property
     def snapshots(self) -> tuple[Wavefunction, ...]:
@@ -301,47 +302,54 @@ class EvolutionRecord:
         )
 
 
-class _FreeRecord(EvolutionRecord):
+class _RowsOnRead(EvolutionRecord):
+    """A record at ``steps`` of dt that keeps a copy of psi0 and computes rows where they are read until
+    ``amplitudes``, all the rows, is read and kept.  Fields skip the frozen ``__setattr__`` here only."""
+
+    def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float, **state):
+        elapsed = steps * dt
+        self.__dict__.update(times=wf.time + elapsed, grid=wf.grid, params=wf.params, potential=potential,
+                             _elapsed=elapsed, _psi0=wf.amplitudes.copy(), **state)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return self._compute(slice(None))
+
+
+class _FreeRecord(_RowsOnRead):
     """A free record, which keeps psi0 and its spectrum and computes each row where it is read.
 
     Strang splitting is exact without a potential, so the row at elapsed time t is
     ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``: ``_fft`` one axis at a time, last
     axis first.  ``fftfreq`` makes mode n - j's rate bits those of mode j, so the exponentials are
     taken over the modes j <= n/2 of each axis and gathered back with the index min(j, n - j).
-    Row 0 is psi0's own bits.  ``amplitudes``, all the rows, is computed and kept when first read,
-    and ``norm_drift`` when read.
+    Row 0 is psi0's own bits, not transformed.  ``norm_drift`` is computed when read.
     """
 
-    def __init__(self, wf: Wavefunction, elapsed: np.ndarray, potential: PotentialSpec):
+    def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float):
         spectrum, shape = wf.amplitudes, wf.grid.shape
         for axis in reversed(range(wf.grid.dims)):
             spectrum = _fft(spectrum, axis)
-        self.__dict__.update(  # every field but amplitudes and norm_drift, past the frozen __setattr__
-            times=wf.time + elapsed, grid=wf.grid, params=wf.params, potential=potential, _elapsed=elapsed,
-            _psi0=wf.amplitudes.copy(), _spectrum=spectrum, _chunk=max(1, FIELD_BATCH_POINTS // wf.amplitudes.size),
+        super().__init__(
+            wf, steps, potential, dt, _spectrum=spectrum, _chunk=max(1, FIELD_BATCH_POINTS // wf.amplitudes.size),
             _folded=_kinetic_rate(wf.grid, wf.params)[tuple(slice(n // 2 + 1) for n in shape)],
             _unfold=(slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape)),
         )
 
-    def rows(self, index: int | slice) -> np.ndarray:
-        """Rows read from ``amplitudes`` once that is kept, or else computed ``_chunk`` at a time (at most
-        ``FIELD_BATCH_POINTS`` grid points)."""
-        if "amplitudes" in vars(self):
-            return self.amplitudes[index]
+    def _compute(self, index: int | slice) -> np.ndarray:
+        """The rows of ``index``, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
         elapsed = np.atleast_1d(self._elapsed[index])
         block = np.empty(elapsed.shape + self.grid.shape, dtype=complex)
-        for start in range(0, len(block), self._chunk):
-            part = block[start:start + self._chunk]
-            phase = np.multiply.outer(elapsed[start:start + self._chunk], self._folded) * -1j
+        psi0 = elapsed == 0.0  # only row 0 has no elapsed time, and it ends any slice's rows
+        block[psi0] = self._psi0
+        lo, hi = (int(psi0[0]), len(block) - int(psi0[-1])) if len(block) else (0, 0)
+        for start in range(lo, hi, self._chunk):
+            part = block[start:min(start + self._chunk, hi)]
+            phase = np.multiply.outer(elapsed[start:start + len(part)], self._folded) * -1j
             np.multiply(np.exp(phase, out=phase)[self._unfold], self._spectrum, out=part)
             for axis in reversed(range(1, self.grid.dims + 1)):
                 _fft(part, axis, out=part, inverse=True)
-        block[elapsed == 0.0] = self._psi0  # only row 0 has no elapsed time
         return block.reshape(np.shape(self._elapsed[index]) + self.grid.shape)  # an int index reads one row
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        return self.rows(slice(None))
 
     @cached_property
     def norm_drift(self) -> np.ndarray:
@@ -352,32 +360,53 @@ class _FreeRecord(EvolutionRecord):
         return np.abs(np.diff(norms))
 
 
+class _StrangRecord(_RowsOnRead):
+    """A record in a potential, which keeps psi0, its ``_SplitStepKernel`` and a cursor: the state at step
+    ``_cursor[0]``, stepped in place, and that step's norm.  A read steps the cursor through its rows from the
+    first to the last in one loop, from psi0 if it starts behind the cursor.  Each step's norm drift is kept
+    (8 B a step); a non-finite norm raises at the read that reaches its step."""
+
+    def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float):
+        super().__init__(wf, steps, potential, dt, _kernel=_SplitStepKernel(wf.grid, wf.params, potential, dt),
+                         _stride=int(steps[1]), _drift=np.empty(int(steps[-1])), _state=np.empty_like(wf.amplitudes),
+                         _cursor=[math.inf, 0.0])  # no state yet: the first read starts from psi0
+
+    def _compute(self, index: int | slice) -> np.ndarray:
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self._compute(slice(rows, rows + 1))[0]
+        if not rows:
+            return np.empty((0,) + self.grid.shape, dtype=complex)
+        (first, last), stride, cursor, state = sorted((rows[0], rows[-1])), self._stride, self._cursor, self._state
+        cell = self.grid.cell_volume  # a product each time it is read: kept out of the loop
+        if cursor[0] > first * stride:
+            np.copyto(state, self._psi0)
+            cursor[:] = [0, _norm(state, cell)]
+        window = np.empty((last - first + 1,) + state.shape, dtype=complex)
+        i, previous = cursor
+        if i == first * stride:
+            window[0] = state
+        for i in range(i + 1, last * stride + 1):
+            self._kernel.apply(state, out=state)
+            current = _norm(state, cell)
+            self._drift[i - 1] = abs(current - previous)
+            previous = current
+            if not math.isfinite(current):
+                cursor[0] = math.inf  # the next read starts from psi0 again
+                raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
+            if i % stride == 0 and i >= first * stride:
+                window[i // stride - first] = state
+        cursor[:] = [i, previous]
+        return window[::rows.step]
+
+    @property
+    def norm_drift(self) -> np.ndarray:
+        self._compute(-1)  # steps to the end, keeping the last row only
+        return self._drift
+
+
 def _norm(amps: np.ndarray, cell: float) -> float:
     return float(np.sqrt(np.vdot(amps, amps).real * cell))
-
-
-def _evolve_split(wf: Wavefunction, potential: PotentialSpec, block: np.ndarray, stride: int, dt: float):
-    """Strang steps of size ``dt``, keeping every ``stride``-th state in rows 1.. of ``block``.
-
-    Returns the norm drift of every step.
-    """
-    kernel = _SplitStepKernel(wf.grid, wf.params, potential, dt)
-    cell = wf.grid.cell_volume
-    n_steps = (len(block) - 1) * stride
-    amps = wf.amplitudes
-    buffers = np.empty((2,) + amps.shape, dtype=complex)
-    previous_norm = _norm(amps, cell)
-    drift = np.empty(n_steps)
-    for i in range(1, n_steps + 1):
-        amps = kernel.apply(amps, out=buffers[i % 2])
-        current_norm = _norm(amps, cell)
-        drift[i - 1] = abs(current_norm - previous_norm)
-        previous_norm = current_norm
-        if not math.isfinite(current_norm):
-            raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
-        if i % stride == 0:
-            block[i // stride] = amps
-    return drift
 
 
 def evolve(
@@ -390,12 +419,14 @@ def evolve(
     """Propagate to ``t_final`` in steps of ``dt``, recording every
     ``snapshot_stride``-th state (the initial and final states always).
 
-    ``t_final`` must be a whole number of steps of ``dt`` (1e-9 relative).  A
-    ``Free`` potential is evolved in closed form, which equals the split
-    steps up to rounding: the record computes each row when it is read, and
-    its ``norm_drift`` has one entry per snapshot interval instead of one per
-    step.  Raises ``FloatingPointError`` on a non-finite norm, for a free
-    record psi0's, which bounds its unitary images.
+    ``t_final`` must be a whole number of steps of ``dt`` (1e-9 relative).
+    The record computes each row where it is read: for ``Free``, in closed
+    form, equal to the split steps up to rounding, with one ``norm_drift``
+    entry per snapshot interval; else Strang-stepped from psi0 to the rows a
+    read asks for (``_StrangRecord``), where ``amplitudes`` steps once and is
+    kept and ``norm_drift`` steps to the end and keeps no rows.  Raises
+    ``FloatingPointError`` here on a non-finite psi0 norm, and on a later
+    step's at the read that reaches it.
     """
     n_steps = _whole_steps(t_final, dt)
     if snapshot_stride < 1:
@@ -404,14 +435,9 @@ def evolve(
         raise ValueError("snapshot_stride must divide the number of steps")
     steps = np.arange(0, n_steps + 1, snapshot_stride)
     _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
-    if isinstance(potential, Free):
-        if not math.isfinite(_norm(wf.amplitudes, wf.grid.cell_volume)):
-            raise FloatingPointError("numerical blow-up at step 0: non-finite norm")
-        return _FreeRecord(wf, steps * dt, potential)
-    amplitudes = np.empty((len(steps),) + wf.grid.shape, dtype=complex)
-    amplitudes[0] = wf.amplitudes
-    drift = _evolve_split(wf, potential, amplitudes, snapshot_stride, dt)
-    return EvolutionRecord(wf.time + steps * dt, amplitudes, wf.grid, wf.params, drift, potential)
+    if not math.isfinite(_norm(wf.amplitudes, wf.grid.cell_volume)):
+        raise FloatingPointError("numerical blow-up at step 0: non-finite norm")
+    return (_FreeRecord if isinstance(potential, Free) else _StrangRecord)(wf, steps, potential, dt)
 
 
 def _currents(amplitudes: np.ndarray, grid: Grid, params: PhysicalParams) -> np.ndarray:

@@ -78,8 +78,8 @@ class _FieldCache:
     a step for RK4, a whole step for leapfrog).  When it spans a whole number
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  A batch
-    takes its rows from ``record.rows``, where a free record computes them,
-    so only one batch's rows are held.  Node masks are stored eroded
+    takes its rows from ``rows``, ``record.rows`` or a ``_SharedRows``
+    window, so only one batch's rows are held.  Node masks are stored eroded
     (``_interp.erode``).  Before the next batch is computed, entries behind
     the previous read snapshot are evicted, the rest copied and the last
     time's fields dropped, so no view keeps the last batch in its transient
@@ -91,7 +91,7 @@ class _FieldCache:
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
-        self.record = record
+        self.record, self.rows = record, record.rows
         self.kind = kind  # "velocity" or "qforce"
         self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
@@ -104,7 +104,7 @@ class _FieldCache:
             self._cache = {k: (v.copy(), m.copy()) for k, (v, m) in self._cache.items() if k >= i - self.stride}
             self._at = [None, None, None, None]
             stop = min(i + self.stride * self.batch, len(self.record))
-            values, eroded = _snapshot_fields(self.record, self.kind, slice(i, stop, self.stride))
+            values, eroded = _snapshot_fields(self.record, self.kind, self.rows(slice(i, stop, self.stride)))
             for j, k in enumerate(range(i, stop, self.stride)):
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
@@ -143,10 +143,9 @@ def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
     return i, span / spacing - i
 
 
-def _snapshot_fields(record: EvolutionRecord, kind: str, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The ``kind`` fields of the snapshot rows ``rows``, (S, dims, *grid.shape), and their eroded
-    node masks: ``"velocity"`` or ``"qforce"``, ``qforce_batch``'s force without its Q."""
-    amplitudes = record.rows(rows)
+def _snapshot_fields(record: EvolutionRecord, kind: str, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``kind`` fields of the record's snapshot rows ``amplitudes``, (S, dims, *grid.shape), and their
+    eroded node masks: ``"velocity"`` or ``"qforce"``, ``qforce_batch``'s force without its Q."""
     if kind == "velocity":
         values, valid = velocity_batch(amplitudes, record.grid, record.params)
     else:
@@ -265,13 +264,13 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     return Trajectory(times=times, positions=positions, momenta=record.params.mass * velocities)
 
 
-def _leapfrog(record: EvolutionRecord, x: np.ndarray, potential: PotentialSpec, dt: float, times: np.ndarray):
+def _leapfrog(force_cache: _FieldCache, x: np.ndarray, potential: PotentialSpec, dt: float, times: np.ndarray):
     """``integrate_newton_batch`` from positions x (M, dims), yielding the positions and momenta at each of ``times``."""
+    record = force_cache.record
     grid, params = record.grid, record.params
     mass = params.mass
     t0 = float(record.times[0])
-    force_cache = _FieldCache(record, "qforce", dt)
-    velocity, eroded = _snapshot_fields(record, "velocity", slice(0, 1))
+    velocity, eroded = _snapshot_fields(record, "velocity", force_cache.rows(slice(0, 1)))
     point = x.shape == (1, 1) and grid.dims == 1
     if point:
         x = x.item()
@@ -308,7 +307,7 @@ def integrate_newton_batch(
     x0 = np.array(np.atleast_2d(x0), dtype=float)
     positions = np.empty((len(times),) + x0.shape)
     momenta = np.empty_like(positions)
-    for step_index, (x, p) in enumerate(_leapfrog(record, x0, potential, dt, times)):
+    for step_index, (x, p) in enumerate(_leapfrog(_FieldCache(record, "qforce", dt), x0, potential, dt, times)):
         positions[step_index], momenta[step_index] = x, p
     return times, positions, momenta
 
@@ -321,37 +320,38 @@ def integrate_newton(record: EvolutionRecord, x0, potential: PotentialSpec, dt: 
 
 
 class _SharedRows:
-    """A record's times, grid and params, and its ``rows``, which serves each read that lies in the last
-    window of rows it computed, so two field caches read side by side compute each row once.  A window
-    starts at the first row read outside the last one and spans the longest read so far."""
+    """A record's ``rows``, which serves each read that lies in the last window of rows it computed, so two
+    field caches read side by side compute each row once.  A window starts at the first row read outside
+    the last one and spans ``span`` rows, the widest read of the caches it serves, or the read if wider."""
 
-    def __init__(self, record: EvolutionRecord):
-        self.record, self._span, self._window = record, 0, (0, 0, None)
-        self.times, self.grid, self.params = record.times, record.grid, record.params
-        self.snapshot_spacing = record.snapshot_spacing
-
-    def __len__(self) -> int:
-        return len(self.times)
+    def __init__(self, record: EvolutionRecord, span: int):
+        self.record, self._span, self._window = record, span, (0, 0, None)
 
     def rows(self, index: slice) -> np.ndarray:
-        start, stop, step = index.indices(len(self))
-        self._span = max(self._span, stop - start)
+        start, stop, step = index.indices(len(self.record))
         lo, hi = self._window[:2]
         if not lo <= start <= stop <= hi:
             self._window = 0, 0, None  # freed before the next window is computed
-            lo, hi = start, min(start + self._span, len(self))
+            lo, hi = start, max(stop, min(start + self._span, len(self.record)))
             self._window = lo, hi, self.record.rows(slice(lo, hi))
         return self._window[2][start - lo:stop - lo:step]
 
 
+def _shared_caches(record: EvolutionRecord, dt: float) -> tuple[_FieldCache, _FieldCache]:
+    """The velocity cache of RK4 steps of ``dt`` and the force cache of leapfrog steps, reading one
+    ``_SharedRows`` whose first window spans the wider cache's batch, so each row is computed once."""
+    caches = _FieldCache(record, "velocity", 0.5 * dt), _FieldCache(record, "qforce", dt)
+    caches[0].rows = caches[1].rows = _SharedRows(record, max(cache.stride * cache.batch for cache in caches)).rows
+    return caches
+
+
 def crosscheck(record: EvolutionRecord, x0, potential: PotentialSpec, dt: float) -> float:
-    """Largest position gap between the guidance and Newton routes, stepped side by side over one
-    ``_SharedRows`` so that a free record computes each row once; an abort raises at its step."""
-    shared = _SharedRows(record)
-    times = _step_times(shared, dt)
+    """Largest position gap between the guidance and Newton routes, stepped side by side over
+    ``_shared_caches`` so that the record computes each row once, in order; an abort raises at its step."""
+    times = _step_times(record, dt)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
-    velocity = _FieldCache(shared, "velocity", 0.5 * dt)
-    routes = zip(_guidance_rk4(velocity, x0, times, dt), _leapfrog(shared, x0, potential, dt, times))
+    velocity, force = _shared_caches(record, dt)
+    routes = zip(_guidance_rk4(velocity, x0, times, dt), _leapfrog(force, x0, potential, dt, times))
     gaps = np.empty((len(times), x0.shape[1]))
     for (step_index, guided, k1), (newton, _) in routes:
         if k1 is None:  # integrate_guidance reads the final velocity too

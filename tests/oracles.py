@@ -19,7 +19,10 @@ library form and now the accuracy reference of a 2D stencil's weights.
 ``fft_derivative`` and ``free_record`` are the spectral derivative and the
 closed-form free evolution written with ``np.fft``, one derivative per
 forward transform and one unfolded phase per mode: the bit-for-bit
-references of the field functions and of free records.
+references of the field functions and of free records.  ``strang_loop`` is
+the stored Strang loop that streamed records replaced, written with the
+library's one-step ``step``: the bit-for-bit reference of their rows and
+norm drift.
 """
 
 from __future__ import annotations
@@ -213,3 +216,18 @@ def free_rows(wf, times):
     rows = free_record(wf.amplitudes, wf.grid, wf.params.hbar, wf.params.mass, times)
     rows[np.asarray(times) == 0.0] = wf.amplitudes
     return rows
+
+
+def strang_loop(wf, potential, dt, n_steps, stride):
+    """``n_steps`` Strang steps of ``dt`` from ``wf``, one ``step`` at a time: every ``stride``-th
+    state, (n_steps / stride + 1, *grid.shape), and each step's |norm_after - norm_before|."""
+    from bohmsim import step
+
+    cell = wf.grid.cell_volume
+    rows, norms = [wf.amplitudes], [float(np.sqrt(np.vdot(wf.amplitudes, wf.amplitudes).real * cell))]
+    for i in range(1, n_steps + 1):
+        wf = step(wf, potential, dt)
+        norms.append(float(np.sqrt(np.vdot(wf.amplitudes, wf.amplitudes).real * cell)))
+        if i % stride == 0:
+            rows.append(wf.amplitudes)
+    return np.array(rows), np.abs(np.diff(norms))

@@ -290,7 +290,7 @@ class TestRunCmExperiment:
 
         monkeypatch.setattr(propagator, "_fft", counting)
         run_cm_experiment(FactorizedNBody.homogeneous(10), 0.5, 0.01, seed=0)
-        assert sum(computed) == 101
+        assert sum(computed) == 100  # every row but row 0, psi0's own bits
 
     def test_one_redraw_over_the_limit_aborts(self, monkeypatch):
         # 10 subsystems over 10 steps: the in-run limit is its floor of one redraw
@@ -359,13 +359,13 @@ class TestRunCmExperiment:
         # why the row's force read is the only redraw site: at every row time the step's velocity
         # read sees the same eroded node mask, so offsets valid for the force are valid for it
         caches = []
-        real_cache = manybody._FieldCache
+        real_caches = manybody._shared_caches
 
-        def recording_cache(*args):
-            caches.append(real_cache(*args))
-            return caches[-1]
+        def recording_caches(*args):
+            caches.extend(real_caches(*args))
+            return caches[-2:]
 
-        monkeypatch.setattr(manybody, "_FieldCache", recording_cache)
+        monkeypatch.setattr(manybody, "_shared_caches", recording_caches)
         masked = 0
         for sigma, hbar, mass in [(1.0, 1.0, 1.0), (0.3, 1.0, 1.0), (2.0, 1.0, 0.5), (0.5, 2.0, 1.0)]:
             spec = FactorizedNBody.homogeneous(10, sigma=sigma, mass=mass, hbar=hbar)

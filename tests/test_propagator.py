@@ -408,7 +408,7 @@ class TestClosedFormFree:
         assert len(record.snapshots) == 21
         assert record.norm_drift.tobytes() == drift.tobytes()  # from the kept block, with the same bits
         assert record.rows(slice(3, 9, 2)).tobytes() == record.amplitudes[3:9:2].tobytes()
-        assert computed == [21]  # every row once, in one chunk
+        assert computed == [20]  # every row but row 0, psi0's own bits, once, in one chunk
 
     def test_repr_and_equality_read_no_rows(self, wide_grid, unit_params):
         wf = init_gaussian(wide_grid, unit_params, 0.0, 1.0)
@@ -431,6 +431,75 @@ class TestClosedFormFree:
             tracemalloc.stop()
         assert len(record) == 101 and block.shape == (101, 128, 128)
         assert peak <= 1.1 * block.nbytes
+
+
+class TestStrangRecord:
+    """A record in a potential steps from psi0 to the rows where they are read; the stored loop is the reference."""
+
+    N_STEPS, STRIDE, DT = 36, 3, 1e-4
+
+    def record_and_loop(self, unit_gaussian):
+        potential = Harmonic(omega=1.0, center=0.4)
+        record = evolve(unit_gaussian, potential, self.N_STEPS * self.DT, self.DT, snapshot_stride=self.STRIDE)
+        return record, oracles.strang_loop(unit_gaussian, potential, self.DT, self.N_STEPS, self.STRIDE)
+
+    def test_reads_in_any_order_equal_the_stored_loop(self, unit_gaussian):
+        record, (want, drift) = self.record_and_loop(unit_gaussian)
+        assert len(record) == len(want) == 13
+        # forward, behind the cursor, strided, reversed, ints and an empty slice
+        reads = [slice(0, 4), slice(4, 9), slice(2, 6), 7, -1, 0, slice(1, None, 3), slice(11, 2, -4), slice(5, 5)]
+        for index in reads:
+            assert record.rows(index).tobytes() == want[index].tobytes(), index
+            assert record.rows(index).shape == want[index].shape, index
+        assert record.norm_drift.tobytes() == drift.tobytes() and len(record.norm_drift) == self.N_STEPS
+        assert "amplitudes" not in vars(record)  # every read above stepped to its rows
+        assert record.amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first", ["rows", "norm_drift", "amplitudes"])
+    def test_the_first_read_sets_no_bits(self, unit_gaussian, first):
+        record, (want, drift) = self.record_and_loop(unit_gaussian)
+        reads = {
+            "rows": lambda: record.rows(slice(3, 8)).tobytes() == want[3:8].tobytes(),
+            "norm_drift": lambda: record.norm_drift.tobytes() == drift.tobytes(),
+            "amplitudes": lambda: record.amplitudes.tobytes() == want.tobytes(),
+        }
+        assert reads.pop(first)()
+        assert all(read() for read in reads.values())
+
+    def test_reads_restart_only_when_behind_the_cursor(self, unit_gaussian, monkeypatch):
+        record, _ = self.record_and_loop(unit_gaussian)
+        calls, apply = [], _SplitStepKernel.apply
+        monkeypatch.setattr(_SplitStepKernel, "apply", lambda self, amps, out=None: calls.append(1) or apply(self, amps, out))
+        for window in (slice(0, 4), slice(4, 9), slice(8, 10)):  # forward, sharing row 8
+            record.rows(window)
+        assert len(calls) == 9 * self.STRIDE
+        record.rows(slice(2, 5))  # behind the cursor: from psi0 again
+        assert len(calls) == (9 + 4) * self.STRIDE
+        record.norm_drift  # on to the end, and then no more steps
+        record.norm_drift
+        assert len(calls) == (9 + 12) * self.STRIDE
+
+    # amplitudes steps from psi0 again, so the 17th step taken is its 5th
+    @pytest.mark.parametrize("read, bad_step", [("rows", 17), ("norm_drift", 17), ("amplitudes", 5)])
+    def test_a_non_finite_step_raises_at_the_read_that_reaches_it(self, unit_gaussian, monkeypatch, read, bad_step):
+        record, (want, drift) = self.record_and_loop(unit_gaussian)
+        calls, apply = [], _SplitStepKernel.apply
+
+        def doctored(self, amps, out=None):
+            out = apply(self, amps, out)
+            calls.append(1)
+            if len(calls) == 17:  # the 17th step taken, and no later one
+                out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(_SplitStepKernel, "apply", doctored)
+        assert record.rows(slice(0, 5)).tobytes() == want[:5].tobytes()  # steps 1 to 12 only
+        with pytest.raises(FloatingPointError, match=f"blow-up at step {bad_step}: non-finite norm"):
+            {"rows": lambda: record.rows(slice(5, 7)), "norm_drift": lambda: record.norm_drift,
+             "amplitudes": lambda: record.amplitudes}[read]()
+        # the next read steps from psi0 again, through sound steps
+        assert record.rows(slice(4, 13)).tobytes() == want[4:].tobytes()
+        assert record.norm_drift.tobytes() == drift.tobytes()
 
 
 class TestProbabilityCurrent:
