@@ -7,8 +7,8 @@ A single step applies the second-order Strang factorization
 with the kinetic factor diagonal in Fourier space.  Both factors are unitary,
 so the norm is conserved to rounding and the map is exactly time-reversible
 under complex conjugation.  ``evolve`` takes no step: its record computes
-each row where it is read, in closed form without a potential, where the
-splitting is exact, and else by stepping forward from psi0 (``_StrangRecord``).
+the rows it is asked for, one contiguous range at a time, in closed form without
+a potential, where the splitting is exact, and else by stepping from psi0.
 """
 
 from __future__ import annotations
@@ -264,23 +264,21 @@ def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
     return Wavefunction(wf.grid, wf.params, amps, wf.time + dt)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
-    ``rows`` reads snapshot i, at ``times[i]``, from the block ``amplitudes``
-    (S, *grid.shape), or computes it (``_compute``, in the records ``evolve``
-    returns) until that is read.  ``times`` strictly increase from t0 to the end.
-    ``norm_drift`` holds |norm_after - norm_before| for every step taken,
-    except for free records, which hold one entry per snapshot interval.
+    ``rows`` reads snapshot i, at ``times[i]``, through the record's one window ``(lo, hi, block)``: a read
+    inside it is a view; a read outside frees it and asks ``_compute(lo, hi)`` for one contiguous range,
+    kept as the window only if the window was widened to ``_span`` rows: by ``amplitudes`` to every row, or
+    by ``trajectories._shared_caches``.  A record built from a block (S, *grid.shape) holds every row.
+    ``times`` strictly increase from t0 to the end.  ``norm_drift`` holds |norm_after - norm_before|
+    for every step taken, except for free records, which hold one entry per snapshot interval.
     """
 
-    times: np.ndarray
-    amplitudes: np.ndarray
-    grid: Grid
-    params: PhysicalParams
-    norm_drift: np.ndarray
-    potential: PotentialSpec
+    def __init__(self, times, amplitudes, grid, params, norm_drift, potential):
+        self.times, self.grid, self.params, self.potential = times, grid, params, potential
+        self._drift, self._span = norm_drift, 0
+        self._window = (0, 0, None) if amplitudes is None else (0, len(times), amplitudes)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -289,9 +287,34 @@ class EvolutionRecord:
     def snapshot_spacing(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @property
+    def norm_drift(self) -> np.ndarray:
+        return self._drift
+
     def rows(self, index: int | slice) -> np.ndarray:
-        """Snapshot ``index`` (*grid.shape), or the rows of a slice (B, *grid.shape)."""
-        return self.amplitudes[index] if "amplitudes" in vars(self) else self._compute(index)
+        """Snapshot ``index`` (*grid.shape), or the rows of a slice of any step (B, *grid.shape)."""
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self.rows(slice(rows, rows + 1))[0]
+        if not rows:
+            return np.empty((0,) + self.grid.shape, dtype=complex)
+        first, last = sorted((rows[0], rows[-1]))
+        lo, hi = self._window[:2]
+        if lo <= first and last < hi:
+            block = self._window[2]
+        else:
+            self._window = (0, 0, None)  # freed before the next range is computed
+            lo, hi = first, max(last + 1, min(first + self._span, len(self)))
+            block = self._compute(lo, hi)
+            if self._span:
+                self._window = lo, hi, block
+        return block[rows.start - lo::rows.step][:len(rows)]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Every row (S, *grid.shape), read through a window widened to all of them, and so kept."""
+        self._span = len(self)
+        return self.rows(slice(None))
 
     @cached_property
     def snapshots(self) -> tuple[Wavefunction, ...]:
@@ -302,22 +325,8 @@ class EvolutionRecord:
         )
 
 
-class _RowsOnRead(EvolutionRecord):
-    """A record at ``steps`` of dt that keeps a copy of psi0 and computes rows where they are read until
-    ``amplitudes``, all the rows, is read and kept.  Fields skip the frozen ``__setattr__`` here only."""
-
-    def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float, **state):
-        elapsed = steps * dt
-        self.__dict__.update(times=wf.time + elapsed, grid=wf.grid, params=wf.params, potential=potential,
-                             _elapsed=elapsed, _psi0=wf.amplitudes.copy(), **state)
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        return self._compute(slice(None))
-
-
-class _FreeRecord(_RowsOnRead):
-    """A free record, which keeps psi0 and its spectrum and computes each row where it is read.
+class _FreeRecord(EvolutionRecord):
+    """A free record at ``steps`` of dt, which keeps a copy of psi0 and its spectrum and computes rows.
 
     Strang splitting is exact without a potential, so the row at elapsed time t is
     ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``: ``_fft`` one axis at a time, last
@@ -327,29 +336,28 @@ class _FreeRecord(_RowsOnRead):
     """
 
     def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float):
+        self._elapsed = steps * dt
+        super().__init__(wf.time + self._elapsed, None, wf.grid, wf.params, None, potential)
         spectrum, shape = wf.amplitudes, wf.grid.shape
         for axis in reversed(range(wf.grid.dims)):
             spectrum = _fft(spectrum, axis)
-        super().__init__(
-            wf, steps, potential, dt, _spectrum=spectrum, _chunk=max(1, FIELD_BATCH_POINTS // wf.amplitudes.size),
-            _folded=_kinetic_rate(wf.grid, wf.params)[tuple(slice(n // 2 + 1) for n in shape)],
-            _unfold=(slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape)),
-        )
+        self._psi0, self._spectrum = wf.amplitudes.copy(), spectrum
+        self._chunk = max(1, FIELD_BATCH_POINTS // wf.amplitudes.size)
+        self._folded = _kinetic_rate(wf.grid, wf.params)[tuple(slice(n // 2 + 1) for n in shape)]
+        self._unfold = (slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape))
 
-    def _compute(self, index: int | slice) -> np.ndarray:
-        """The rows of ``index``, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
-        elapsed = np.atleast_1d(self._elapsed[index])
-        block = np.empty(elapsed.shape + self.grid.shape, dtype=complex)
-        psi0 = elapsed == 0.0  # only row 0 has no elapsed time, and it ends any slice's rows
-        block[psi0] = self._psi0
-        lo, hi = (int(psi0[0]), len(block) - int(psi0[-1])) if len(block) else (0, 0)
-        for start in range(lo, hi, self._chunk):
-            part = block[start:min(start + self._chunk, hi)]
-            phase = np.multiply.outer(elapsed[start:start + len(part)], self._folded) * -1j
+    def _compute(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo to hi, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
+        block = np.empty((hi - lo,) + self.grid.shape, dtype=complex)
+        if lo == 0:
+            block[0] = self._psi0
+        for start in range(max(lo, 1), hi, self._chunk):
+            part = block[start - lo:min(start + self._chunk, hi) - lo]
+            phase = np.multiply.outer(self._elapsed[start:start + len(part)], self._folded) * -1j
             np.multiply(np.exp(phase, out=phase)[self._unfold], self._spectrum, out=part)
             for axis in reversed(range(1, self.grid.dims + 1)):
                 _fft(part, axis, out=part, inverse=True)
-        return block.reshape(np.shape(self._elapsed[index]) + self.grid.shape)  # an int index reads one row
+        return block
 
     @cached_property
     def norm_drift(self) -> np.ndarray:
@@ -360,33 +368,29 @@ class _FreeRecord(_RowsOnRead):
         return np.abs(np.diff(norms))
 
 
-class _StrangRecord(_RowsOnRead):
-    """A record in a potential, which keeps psi0, its ``_SplitStepKernel`` and a cursor: the state at step
-    ``_cursor[0]``, stepped in place, and that step's norm.  A read steps the cursor through its rows from the
-    first to the last in one loop, from psi0 if it starts behind the cursor.  Each step's norm drift is kept
+class _StrangRecord(EvolutionRecord):
+    """A record in a potential at ``steps`` of dt, which keeps a copy of psi0, its ``_SplitStepKernel`` and a
+    cursor: the state at step ``_cursor[0]``, stepped in place, and that step's norm.  A range is stepped
+    from the cursor in one loop, from psi0 if it starts behind the cursor.  Each step's norm drift is kept
     (8 B a step); a non-finite norm raises at the read that reaches its step."""
 
     def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float):
-        super().__init__(wf, steps, potential, dt, _kernel=_SplitStepKernel(wf.grid, wf.params, potential, dt),
-                         _stride=int(steps[1]), _drift=np.empty(int(steps[-1])), _state=np.empty_like(wf.amplitudes),
-                         _cursor=[math.inf, 0.0])  # no state yet: the first read starts from psi0
+        super().__init__(wf.time + steps * dt, None, wf.grid, wf.params, np.empty(int(steps[-1])), potential)
+        self._psi0, self._kernel = wf.amplitudes.copy(), _SplitStepKernel(wf.grid, wf.params, potential, dt)
+        self._stride, self._state = int(steps[1]), np.empty_like(wf.amplitudes)
+        self._cursor = [math.inf, 0.0]  # no state yet: the first read starts from psi0
 
-    def _compute(self, index: int | slice) -> np.ndarray:
-        rows = range(len(self))[index]
-        if isinstance(rows, int):
-            return self._compute(slice(rows, rows + 1))[0]
-        if not rows:
-            return np.empty((0,) + self.grid.shape, dtype=complex)
-        (first, last), stride, cursor, state = sorted((rows[0], rows[-1])), self._stride, self._cursor, self._state
+    def _compute(self, lo: int, hi: int) -> np.ndarray:
+        stride, cursor, state = self._stride, self._cursor, self._state
         cell = self.grid.cell_volume  # a product each time it is read: kept out of the loop
-        if cursor[0] > first * stride:
+        if cursor[0] > lo * stride:
             np.copyto(state, self._psi0)
             cursor[:] = [0, _norm(state, cell)]
-        window = np.empty((last - first + 1,) + state.shape, dtype=complex)
+        block = np.empty((hi - lo,) + state.shape, dtype=complex)
         i, previous = cursor
-        if i == first * stride:
-            window[0] = state
-        for i in range(i + 1, last * stride + 1):
+        if i == lo * stride:
+            block[0] = state
+        for i in range(i + 1, (hi - 1) * stride + 1):
             self._kernel.apply(state, out=state)
             current = _norm(state, cell)
             self._drift[i - 1] = abs(current - previous)
@@ -394,14 +398,14 @@ class _StrangRecord(_RowsOnRead):
             if not math.isfinite(current):
                 cursor[0] = math.inf  # the next read starts from psi0 again
                 raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
-            if i % stride == 0 and i >= first * stride:
-                window[i // stride - first] = state
+            if i % stride == 0 and i >= lo * stride:
+                block[i // stride - lo] = state
         cursor[:] = [i, previous]
-        return window[::rows.step]
+        return block
 
     @property
     def norm_drift(self) -> np.ndarray:
-        self._compute(-1)  # steps to the end, keeping the last row only
+        self._compute(len(self) - 1, len(self))  # steps to the end, keeping the last row only
         return self._drift
 
 

@@ -78,12 +78,12 @@ class _FieldCache:
     a step for RK4, a whole step for leapfrog).  When it spans a whole number
     of snapshot spacings, only every such snapshot is read, so a batch holds
     the next snapshots at that stride; otherwise the stride is one.  A batch
-    takes its rows from ``rows``, ``record.rows`` or a ``_SharedRows``
-    window, so only one batch's rows are held.  Node masks are stored eroded
-    (``_interp.erode``).  Before the next batch is computed, entries behind
-    the previous read snapshot are evicted, the rest copied and the last
-    time's fields dropped, so no view keeps the last batch in its transient
-    peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
+    reads ``record.rows``, whose window keeps no rows unless widened (as by
+    ``_shared_caches``).  Node masks are stored eroded (``_interp.erode``).
+    Before the next batch is computed, entries behind the previous read
+    snapshot are evicted, the rest copied and the last time's fields
+    dropped, so no view keeps the last batch in its transient peak.  A
+    ``"qforce"`` cache holds ``qforce_batch``'s force.
 
     The last time read keeps its blended fields, their mask and, once a 1D
     batch reads them, their ``_interp.cubic_table``; a one-particle float
@@ -91,8 +91,7 @@ class _FieldCache:
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
-        self.record, self.rows = record, record.rows
-        self.kind = kind  # "velocity" or "qforce"
+        self.record, self.kind = record, kind  # kind: "velocity" or "qforce"
         self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -104,7 +103,7 @@ class _FieldCache:
             self._cache = {k: (v.copy(), m.copy()) for k, (v, m) in self._cache.items() if k >= i - self.stride}
             self._at = [None, None, None, None]
             stop = min(i + self.stride * self.batch, len(self.record))
-            values, eroded = _snapshot_fields(self.record, self.kind, self.rows(slice(i, stop, self.stride)))
+            values, eroded = _snapshot_fields(self.record, self.kind, self.record.rows(slice(i, stop, self.stride)))
             for j, k in enumerate(range(i, stop, self.stride)):
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
@@ -270,7 +269,7 @@ def _leapfrog(force_cache: _FieldCache, x: np.ndarray, potential: PotentialSpec,
     grid, params = record.grid, record.params
     mass = params.mass
     t0 = float(record.times[0])
-    velocity, eroded = _snapshot_fields(record, "velocity", force_cache.rows(slice(0, 1)))
+    velocity, eroded = _snapshot_fields(record, "velocity", record.rows(slice(0, 1)))
     point = x.shape == (1, 1) and grid.dims == 1
     if point:
         x = x.item()
@@ -319,35 +318,17 @@ def integrate_newton(record: EvolutionRecord, x0, potential: PotentialSpec, dt: 
     return Trajectory(times=times, positions=positions[:, 0, :], momenta=momenta[:, 0, :])
 
 
-class _SharedRows:
-    """A record's ``rows``, which serves each read that lies in the last window of rows it computed, so two
-    field caches read side by side compute each row once.  A window starts at the first row read outside
-    the last one and spans ``span`` rows, the widest read of the caches it serves, or the read if wider."""
-
-    def __init__(self, record: EvolutionRecord, span: int):
-        self.record, self._span, self._window = record, span, (0, 0, None)
-
-    def rows(self, index: slice) -> np.ndarray:
-        start, stop, step = index.indices(len(self.record))
-        lo, hi = self._window[:2]
-        if not lo <= start <= stop <= hi:
-            self._window = 0, 0, None  # freed before the next window is computed
-            lo, hi = start, max(stop, min(start + self._span, len(self.record)))
-            self._window = lo, hi, self.record.rows(slice(lo, hi))
-        return self._window[2][start - lo:stop - lo:step]
-
-
 def _shared_caches(record: EvolutionRecord, dt: float) -> tuple[_FieldCache, _FieldCache]:
-    """The velocity cache of RK4 steps of ``dt`` and the force cache of leapfrog steps, reading one
-    ``_SharedRows`` whose first window spans the wider cache's batch, so each row is computed once."""
+    """The velocity cache of RK4 steps of ``dt`` and the force cache of leapfrog steps, with the record's
+    window widened to the wider cache's batch, so that the two read side by side compute each row once."""
     caches = _FieldCache(record, "velocity", 0.5 * dt), _FieldCache(record, "qforce", dt)
-    caches[0].rows = caches[1].rows = _SharedRows(record, max(cache.stride * cache.batch for cache in caches)).rows
+    record._span = max(cache.stride * cache.batch for cache in caches)
     return caches
 
 
 def crosscheck(record: EvolutionRecord, x0, potential: PotentialSpec, dt: float) -> float:
-    """Largest position gap between the guidance and Newton routes, stepped side by side over
-    ``_shared_caches`` so that the record computes each row once, in order; an abort raises at its step."""
+    """Largest position gap between the guidance and Newton routes, stepped side by side over ``_shared_caches``,
+    so that the record computes each row once, in order, and keeps its last window; an abort raises at its step."""
     times = _step_times(record, dt)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
     velocity, force = _shared_caches(record, dt)

@@ -388,7 +388,7 @@ class TestClosedFormFree:
         norm0 = np.sqrt(np.vdot(wf.amplitudes, wf.amplitudes).real * cell)
         norms = np.r_[norm0, np.sqrt(np.einsum("ij,ij->i", flat, flat) * cell)]
         assert record.norm_drift.tobytes() == np.abs(np.diff(norms)).tobytes()
-        assert "amplitudes" not in vars(record)  # every read above computed its rows
+        assert record._window[2] is None  # every read above computed its rows and freed them
         assert record.amplitudes.tobytes() == want.tobytes()
 
     def test_block_readers_compute_the_rows_once(self, wide_grid, unit_params, monkeypatch):
@@ -415,7 +415,7 @@ class TestClosedFormFree:
         record = evolve(wf, Free(), 0.2, 0.01)
         assert "Record" in repr(record)
         assert record == record and record != evolve(wf, Free(), 0.2, 0.01)  # identity
-        assert "amplitudes" not in vars(record)  # no block computed
+        assert record._window[2] is None  # no rows computed, let alone every row
 
     def test_peak_memory_stays_near_record_size(self, unit_params):
         # evolve and a read of every row: the phases and transforms are chunked,
@@ -452,7 +452,7 @@ class TestStrangRecord:
             assert record.rows(index).tobytes() == want[index].tobytes(), index
             assert record.rows(index).shape == want[index].shape, index
         assert record.norm_drift.tobytes() == drift.tobytes() and len(record.norm_drift) == self.N_STEPS
-        assert "amplitudes" not in vars(record)  # every read above stepped to its rows
+        assert record._window[2] is None  # every read above stepped to its rows and freed them
         assert record.amplitudes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("first", ["rows", "norm_drift", "amplitudes"])

@@ -5,15 +5,29 @@ directory and compares what it writes with ``perfbench/reference/`` through
 ``perfbench/outputs.check_outputs``, the benchmark's own correctness gate:
 its contract checks must pass and every file must match its reference within
 the tolerance that module documents.  The module is compiled from its source,
-so nothing is written beside it.
+so nothing is written beside it.  The same runs count each config's work, free
+rows inverse-transformed and Strang steps, against the exact counts in
+``WORK``.
 """
 
 import types
 from pathlib import Path
 
-from bohmsim import cli
+from bohmsim import cli, propagator
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (free rows inverse-transformed, Strang steps) per shipped config at the reference seed
+WORK = {
+    "averaging_identity": (0, 0),
+    "bec": (0, 0),
+    "cm_newton": (400, 0),
+    "crosscheck": (8_000, 16_000),
+    "equivariance": (120, 0),
+    "free_gaussian": (20, 0),
+    "harmonic_ground": (0, 10_000),
+    "no_tunneling": (200, 0),
+}
 
 
 def load_outputs() -> types.ModuleType:
@@ -24,14 +38,37 @@ def load_outputs() -> types.ModuleType:
     return module
 
 
-def test_shipped_configs_match_the_benchmark_references(tmp_path):
+def counting_work(monkeypatch) -> list[int]:
+    """Spies on ``propagator``'s transforms and Strang steps; returns the running counts [free rows, steps]."""
+    work, fft, apply = [0, 0], propagator._fft, propagator._SplitStepKernel.apply
+
+    def counting_fft(values, axis, out=None, inverse=False):
+        # a free record's last inverse transform runs over axis 1 of its rows (B, *grid.shape);
+        # every shipped Strang record is 1D, so a step transforms axis 0 only
+        work[0] += len(values) if inverse and axis == 1 else 0
+        return fft(values, axis, out, inverse)
+
+    def counting_apply(self, amps, out=None):
+        work[1] += 1
+        return apply(self, amps, out)
+
+    monkeypatch.setattr(propagator, "_fft", counting_fft)
+    monkeypatch.setattr(propagator._SplitStepKernel, "apply", counting_apply)
+    return work
+
+
+def test_shipped_configs_match_the_benchmark_references(tmp_path, monkeypatch):
     outputs = load_outputs()
     manifest = outputs.load_manifest()
     seed, configs = manifest["seed"], sorted(manifest["configs"])
-    assert configs == sorted(path.stem for path in (ROOT / "configs").glob("*.cfg"))
+    assert configs == sorted(path.stem for path in (ROOT / "configs").glob("*.cfg")) == sorted(WORK)
+    work, done = counting_work(monkeypatch), {}
     for name in configs:
         config = cli.parse_config_file(str(ROOT / "configs" / f"{name}.cfg"))
+        work[:] = [0, 0]
         cli.run(config, out_dir=str(tmp_path / name), seed=seed, quiet=True)
+        done[name] = tuple(work)
+    assert done == WORK
     attempted, failed, messages = outputs.check_outputs(str(tmp_path), configs, seed, manifest)
     assert (failed, messages) == (0, [])
     # at the reference seed every check and every file is compared

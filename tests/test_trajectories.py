@@ -441,13 +441,13 @@ class TestNewtonRoute:
         wf = init_gaussian(make_grid(1, -15.0, 15.0, 384), PhysicalParams(), 0.0, 1.0)
         record = evolve_quiet(wf, Free(), 0.2, 1.25e-4, snapshot_stride=4)
         computed = []
-        rows = type(record).rows
+        compute = type(record)._compute
 
-        def counting(self, index):
-            computed.extend(range(len(self))[index])
-            return rows(self, index)
+        def counting(self, lo, hi):
+            computed.extend(range(lo, hi))
+            return compute(self, lo, hi)
 
-        monkeypatch.setattr(type(record), "rows", counting)
+        monkeypatch.setattr(type(record), "_compute", counting)
         crosscheck(record, [1.0], Free(), 1e-3)
         assert sorted(set(computed)) == list(range(len(record))) == list(range(401))
         # the first window already spans the Newton route's read, so no row is computed twice
@@ -781,3 +781,47 @@ class TestBadTimeStep:
         }
         with pytest.raises(ValueError, match="^dt must be positive and finite"):
             calls[route]()
+
+
+class TestRecordWindow:
+    """A free record keeps computed rows only in its one window: widened for two caches read side by side,
+    or holding every row once ``amplitudes`` is read; a lone batch reader's rows are freed after its batch."""
+
+    DT = 1e-3
+
+    def wf_and_record(self):
+        # the crosscheck config's grid and snapshot spacing over 0.2 time units: 401 rows, batches of 21
+        wf = init_gaussian(make_grid(1, -15.0, 15.0, 384), PhysicalParams(), 0.0, 1.0)
+        return wf, evolve_quiet(wf, Free(), 0.2, 1.25e-4, snapshot_stride=4)
+
+    @pytest.mark.parametrize("reader", ["guidance-batch", "ensemble"])
+    def test_a_lone_batch_reader_keeps_no_rows(self, reader):
+        wf, record = self.wf_and_record()
+        if reader == "guidance-batch":
+            integrate_guidance_batch(record, np.array([[-0.5], [1.0]]), self.DT)
+        else:
+            evolve_ensemble(EnsembleSpec(100, 3, wf), record, self.DT)
+        assert record._window[2] is None
+
+    def test_shared_caches_keep_one_window_of_their_widest_read(self):
+        _, record = self.wf_and_record()
+        velocity, force = trajectories._shared_caches(record, self.DT)
+        span = force.stride * force.batch
+        assert (velocity.stride, force.stride, span) == (1, 2, 42)
+        velocity.fields(0)
+        force.fields(0)
+        assert record._window[:2] == (0, span) and len(record._window[2]) == span
+        crosscheck(record, [1.0], Free(), self.DT)
+        # the last window starts at the first row its reads found outside the one before: row 9 * 42
+        assert record._window[:2] == (378, len(record)) and len(record._window[2]) == len(record) - 378
+
+    def test_amplitudes_is_a_window_of_every_row(self, monkeypatch):
+        _, record = self.wf_and_record()
+        block = record.amplitudes
+        assert record._window[:2] == (0, len(record)) and np.shares_memory(record._window[2], block)
+        computed = []
+        compute = type(record)._compute
+        monkeypatch.setattr(type(record), "_compute", lambda self, lo, hi: computed.append(1) or compute(self, lo, hi))
+        integrate_guidance_batch(record, np.array([[1.0]]), self.DT)  # every read a view of the window
+        assert np.shares_memory(record.rows(slice(5, 40, 7)), block) and np.shares_memory(record.amplitudes, block)
+        assert computed == [] and record._window[:2] == (0, len(record))
