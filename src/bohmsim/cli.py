@@ -4,9 +4,9 @@ A config file holds an ``experiment = <name>`` line followed by optional
 ``[grid]``, ``[physics]``, ``[run]``, and ``[output]`` sections of
 ``key = value`` pairs; ``#`` starts a comment.  Unknown sections or keys are
 rejected with their line number, as are out-of-range values, a key set
-twice, a 2D grid for an experiment that runs in 1D only, and a ``[grid]``
-key the experiment does not read.  Every key has a default, so the minimal
-config is a single experiment line.
+twice, and a ``[grid]`` key the experiment does not read: the 1D
+experiments refuse ``dims``, as ``no-tunneling`` does, whose grid is 2D.
+Every key has a default, so the minimal config is a single experiment line.
 
 Each run writes ``series.csv`` (per-step quantities), ``trajectories.csv``
 where paths are produced, and ``report.txt`` with one PASS/FAIL line per
@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,9 +51,6 @@ from .wavefield import (
 
 POTENTIALS = ("free", "harmonic", "linear", "barrier")
 SAMPLING_MODES = ("random", "stratified")
-_ONE_DIMENSIONAL = ("crosscheck", "equivariance", "harmonic-ground")
-# The [grid] keys of the experiments that do not read all of them; a config may set only these.
-_GRID_KEYS_READ = {"bec": (), "cm-newton": (), "no-tunneling": ("x_min", "x_max", "points")}
 
 
 class ConfigError(ValueError):
@@ -123,73 +121,27 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
-# Defaults that differ per experiment, applied before file overrides.
-_EXPERIMENT_DEFAULTS: dict[str, dict[str, dict[str, object]]] = {
-    "free-gaussian": {"run": {"dt": 1e-3, "t_final": 2.0, "snapshot_stride": 100}},
-    "harmonic-ground": {
-        "physics": {"potential": "harmonic", "omega": 1.0},
-        "run": {"dt": 1e-4, "t_final": 1.0, "snapshot_stride": 500},
-    },
-    "equivariance": {"run": {"dt": 0.01, "t_final": 2.0, "m_samples": 10000}},
-    "no-tunneling": {
-        "grid": {"dims": 2, "x_min": -8.0, "x_max": 8.0, "points": 128},
-        "physics": {"sigma": 0.5},
-        "run": {"dt": 0.01, "t_final": 1.0},
-    },
-    "cm-newton": {"run": {"dt": 0.01, "t_final": 2.0, "n_subsystems": 1000}},
-    "bec": {"run": {"dt": 0.01, "t_final": 2.0, "n_subsystems": 1000}},
-    "crosscheck": {"run": {"dt": 1e-3, "t_final": 2.0}},
+# each field type's parser, and what its error message says the value should be
+_KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "text")}
+_POSITIVE = (lambda value: value > 0, "must be positive, got {}")
+# (section, key) -> (the rule its value must pass, and the message, formatted with the value, if it fails)
+_RULES = {
+    ("grid", "dims"): (lambda value: value in (1, 2), "dims must be 1 or 2, got {}"),
+    ("grid", "points"): (lambda value: value >= 16, "points must be >= 16, got {}"),
+    ("physics", "potential"): (lambda value: value in POTENTIALS, f"potential must be one of {POTENTIALS}, got {{!r}}"),
+    ("physics", "hbar"): _POSITIVE,
+    ("physics", "mass"): _POSITIVE,
+    ("physics", "sigma"): _POSITIVE,
+    ("physics", "packet_width"): _POSITIVE,
+    ("run", "dt"): _POSITIVE,
+    ("run", "t_final"): _POSITIVE,
+    ("run", "snapshot_stride"): (lambda value: value >= 1, "must be >= 1, got {}"),
+    ("run", "seed"): (lambda value: value >= 0, "must be non-negative, got {}"),
+    ("run", "m_samples"): (lambda value: value >= 100, "must be >= 100, got {}"),
+    ("run", "n_subsystems"): (lambda value: value >= 10, "must be >= 10, got {}"),
+    ("run", "sampling"): (lambda value: value in SAMPLING_MODES, f"sampling must be one of {SAMPLING_MODES}, got {{!r}}"),
+    ("output", "stride"): (lambda value: value >= 1, "must be >= 1, got {}"),
 }
-
-
-def _parse_value(kind: type, raw: str, line: int, key: str):
-    raw = raw.strip()
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(line, f"{key} expects an integer, got {raw!r}") from None
-    if kind is float:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(line, f"{key} expects a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(line, f"{key} expects a finite number, got {raw!r}")
-        return value
-    return raw
-
-
-def _validate(section: str, key: str, value, line: int) -> None:
-    def fail(message: str):
-        raise ConfigError(line, f"{section}.{key}: {message}")
-
-    if section == "grid":
-        if key == "dims" and value not in (1, 2):
-            fail(f"dims must be 1 or 2, got {value}")
-        if key == "points" and value < 16:
-            fail(f"points must be >= 16, got {value}")
-    elif section == "physics":
-        if key == "potential" and value not in POTENTIALS:
-            fail(f"potential must be one of {POTENTIALS}, got {value!r}")
-        if key in ("hbar", "mass", "sigma", "packet_width") and value <= 0:
-            fail(f"must be positive, got {value}")
-    elif section == "run":
-        if key in ("dt", "t_final") and value <= 0:
-            fail(f"must be positive, got {value}")
-        if key == "snapshot_stride" and value < 1:
-            fail(f"must be >= 1, got {value}")
-        if key == "seed" and value < 0:
-            fail(f"must be non-negative, got {value}")
-        if key == "m_samples" and value < 100:
-            fail(f"must be >= 100, got {value}")
-        if key == "n_subsystems" and value < 10:
-            fail(f"must be >= 10, got {value}")
-        if key == "sampling" and value not in SAMPLING_MODES:
-            fail(f"sampling must be one of {SAMPLING_MODES}, got {value!r}")
-    elif section == "output":
-        if key == "stride" and value < 1:
-            fail(f"must be >= 1, got {value}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -238,30 +190,34 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(lineno, f"unknown key {key!r} in section [{section}]")
         if key in override_lines[section]:
             raise ConfigError(lineno, f"{section}.{key} already set on line {override_lines[section][key]}")
-        kind = {"int": int, "float": float, "str": str}[known[key]]
-        value = _parse_value(kind, raw_value, lineno, key)
-        _validate(section, key, value, lineno)
+        parse, kind = _KINDS[known[key]]
+        try:
+            value = parse(raw_value)
+        except ValueError:
+            raise ConfigError(lineno, f"{key} expects {kind}, got {raw_value!r}") from None
+        if parse is float and not math.isfinite(value):
+            raise ConfigError(lineno, f"{key} expects a finite number, got {raw_value!r}")
+        rule, message = _RULES.get((section, key), (None, ""))
+        if rule and not rule(value):
+            raise ConfigError(lineno, f"{section}.{key}: " + message.format(value))
         overrides[section][key] = value
         override_lines[section][key] = lineno
     if experiment is None:
         raise ConfigError(1, "missing required top-level key 'experiment'")
 
     merged: dict[str, object] = {"experiment": experiment}
-    per_experiment = _EXPERIMENT_DEFAULTS.get(experiment, {})
+    entry = _EXPERIMENTS[experiment]
     for name, cls in _SECTIONS.items():
-        values = dict(per_experiment.get(name, {}))
+        values = dict(entry.defaults.get(name, {}))
         values.update(overrides[name])
         merged[name] = cls(**values)
     config = ExperimentConfig(**merged)
     if config.grid.x_max <= config.grid.x_min:
         line = override_lines["grid"].get("x_max", override_lines["grid"].get("x_min", experiment_line))
         raise ConfigError(line, f"degenerate extent: x_min={config.grid.x_min} >= x_max={config.grid.x_max}")
-    if config.grid.dims != 1 and experiment in _ONE_DIMENSIONAL:
-        line = override_lines["grid"]["dims"]
-        raise ConfigError(line, f"grid.dims: {experiment} runs on 1D grids only, got {config.grid.dims}")
-    read = _GRID_KEYS_READ.get(experiment)
+    read = entry.grid_keys
     for key, line in override_lines["grid"].items():
-        if read is not None and key not in read:
+        if key not in read:
             raise ConfigError(line, f"grid.{key}: {experiment} reads {'only ' + ', '.join(read) if read else 'no'} [grid] keys")
     return config
 
@@ -575,18 +531,39 @@ def _run_crosscheck(config: ExperimentConfig, seed: int):
     return checks, header, rows, None
 
 
-_RUNNERS = {
-    "free-gaussian": _run_free_gaussian,
-    "harmonic-ground": _run_harmonic_ground,
-    "equivariance": _run_equivariance,
-    "averaging-identity": _run_averaging_identity,
-    "no-tunneling": _run_no_tunneling,
-    "cm-newton": _run_cm_newton,
-    "bec": _run_bec,
-    "crosscheck": _run_crosscheck,
+@dataclass(frozen=True)
+class _Experiment:
+    """An experiment's runner, the defaults it sets before file overrides, and the [grid] keys a config may set:
+    by default the extent of a grid whose dimension the experiment fixes."""
+
+    runner: Callable
+    defaults: dict[str, dict[str, object]]
+    grid_keys: tuple[str, ...] = ("x_min", "x_max", "points")
+
+
+_ANY_GRID = tuple(f.name for f in fields(GridConfig))
+_EXPERIMENTS = {
+    "free-gaussian": _Experiment(_run_free_gaussian, {"run": {"snapshot_stride": 100}}, _ANY_GRID),
+    "harmonic-ground": _Experiment(
+        _run_harmonic_ground,
+        {"physics": {"potential": "harmonic"}, "run": {"dt": 1e-4, "t_final": 1.0, "snapshot_stride": 500}},
+    ),
+    "equivariance": _Experiment(_run_equivariance, {"run": {"dt": 0.01}}),
+    "averaging-identity": _Experiment(_run_averaging_identity, {}, _ANY_GRID),
+    "no-tunneling": _Experiment(
+        _run_no_tunneling,
+        {
+            "grid": {"dims": 2, "x_min": -8.0, "x_max": 8.0, "points": 128},
+            "physics": {"sigma": 0.5},
+            "run": {"dt": 0.01, "t_final": 1.0},
+        },
+    ),
+    "cm-newton": _Experiment(_run_cm_newton, {"run": {"dt": 0.01}}, ()),  # builds its own grid, as bec does
+    "bec": _Experiment(_run_bec, {"run": {"dt": 0.01}}, ()),
+    "crosscheck": _Experiment(_run_crosscheck, {}),
 }
 
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(
@@ -600,7 +577,7 @@ def run(
     effective_seed = config.run.seed if seed is None else seed
     directory = out_dir if out_dir is not None else config.output.directory
     os.makedirs(directory, exist_ok=True)
-    checks, header, rows, trajectories = _RUNNERS[config.experiment](config, effective_seed)
+    checks, header, rows, trajectories = _EXPERIMENTS[config.experiment].runner(config, effective_seed)
     metadata = _config_echo(config, effective_seed)
     _write_csv(os.path.join(directory, "series.csv"), metadata, header, list(rows)[:: config.output.stride])
     if trajectories is not None:

@@ -7,8 +7,8 @@ A single step applies the second-order Strang factorization
 with the kinetic factor diagonal in Fourier space.  Both factors are unitary,
 so the norm is conserved to rounding and the map is exactly time-reversible
 under complex conjugation.  ``evolve`` takes no step: its record computes
-the rows it is asked for, one contiguous range at a time, in closed form without
-a potential, where the splitting is exact, and else by stepping from psi0.
+the rows it is asked for when they are read, in closed form without a
+potential, where the splitting is exact, and else by stepping from psi0.
 """
 
 from __future__ import annotations
@@ -268,15 +268,18 @@ class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
     ``rows`` reads snapshot i, at ``times[i]``, through the record's one window ``(lo, hi, block)``: a read
-    inside it is a view; a read outside frees it and asks ``_compute(lo, hi)`` for one contiguous range,
-    kept as the window only if the window was widened to ``_span`` rows: by ``amplitudes`` to every row, or
-    by ``trajectories._shared_caches``.  A record built from a block (S, *grid.shape) holds every row.
+    inside it is a view.  A read outside frees it and calls the source's ``_compute(rows)``, which returns
+    the rows of an ascending ``range`` in its order.  Unless the window was widened to ``_span`` rows (by
+    ``amplitudes`` to every row, or by ``trajectories._shared_caches``), the read asks for exactly its rows,
+    flips them if it is reversed, and keeps none; a widened read asks for a contiguous range of at least
+    ``_span`` rows from its first and keeps it as the window.  A record built from a block (S, *grid.shape)
+    holds every row.
     ``times`` strictly increase from t0 to the end.  ``norm_drift`` holds |norm_after - norm_before|
     for every step taken, except for free records, which hold one entry per snapshot interval.
     """
 
-    def __init__(self, times, amplitudes, grid, params, norm_drift, potential):
-        self.times, self.grid, self.params, self.potential = times, grid, params, potential
+    def __init__(self, times, amplitudes, grid, params, norm_drift):
+        self.times, self.grid, self.params = times, grid, params
         self._drift, self._span = norm_drift, 0
         self._window = (0, 0, None) if amplitudes is None else (0, len(times), amplitudes)
 
@@ -300,15 +303,13 @@ class EvolutionRecord:
             return np.empty((0,) + self.grid.shape, dtype=complex)
         first, last = sorted((rows[0], rows[-1]))
         lo, hi = self._window[:2]
-        if lo <= first and last < hi:
-            block = self._window[2]
-        else:
-            self._window = (0, 0, None)  # freed before the next range is computed
+        if not (lo <= first and last < hi):
+            self._window = (0, 0, None)  # freed before the next rows are computed
+            if not self._span:
+                return self._compute(rows) if rows.step > 0 else self._compute(rows[::-1])[::-1]
             lo, hi = first, max(last + 1, min(first + self._span, len(self)))
-            block = self._compute(lo, hi)
-            if self._span:
-                self._window = lo, hi, block
-        return block[rows.start - lo::rows.step][:len(rows)]
+            self._window = lo, hi, self._compute(range(lo, hi))
+        return self._window[2][rows.start - lo::rows.step][:len(rows)]
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -335,9 +336,9 @@ class _FreeRecord(EvolutionRecord):
     Row 0 is psi0's own bits, not transformed.  ``norm_drift`` is computed when read.
     """
 
-    def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float):
+    def __init__(self, wf: Wavefunction, steps: np.ndarray, dt: float):
         self._elapsed = steps * dt
-        super().__init__(wf.time + self._elapsed, None, wf.grid, wf.params, None, potential)
+        super().__init__(wf.time + self._elapsed, None, wf.grid, wf.params, None)
         spectrum, shape = wf.amplitudes, wf.grid.shape
         for axis in reversed(range(wf.grid.dims)):
             spectrum = _fft(spectrum, axis)
@@ -346,14 +347,15 @@ class _FreeRecord(EvolutionRecord):
         self._folded = _kinetic_rate(wf.grid, wf.params)[tuple(slice(n // 2 + 1) for n in shape)]
         self._unfold = (slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape))
 
-    def _compute(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo to hi, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
-        block = np.empty((hi - lo,) + self.grid.shape, dtype=complex)
-        if lo == 0:
+    def _compute(self, rows: range) -> np.ndarray:
+        """The rows, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
+        block = np.empty((len(rows),) + self.grid.shape, dtype=complex)
+        elapsed = self._elapsed[rows.start:rows.stop:rows.step]
+        if rows[0] == 0:
             block[0] = self._psi0
-        for start in range(max(lo, 1), hi, self._chunk):
-            part = block[start - lo:min(start + self._chunk, hi) - lo]
-            phase = np.multiply.outer(self._elapsed[start:start + len(part)], self._folded) * -1j
+        for start in range(int(rows[0] == 0), len(rows), self._chunk):
+            part = block[start:start + self._chunk]
+            phase = np.multiply.outer(elapsed[start:start + len(part)], self._folded) * -1j
             np.multiply(np.exp(phase, out=phase)[self._unfold], self._spectrum, out=part)
             for axis in reversed(range(1, self.grid.dims + 1)):
                 _fft(part, axis, out=part, inverse=True)
@@ -375,22 +377,22 @@ class _StrangRecord(EvolutionRecord):
     (8 B a step); a non-finite norm raises at the read that reaches its step."""
 
     def __init__(self, wf: Wavefunction, steps: np.ndarray, potential: PotentialSpec, dt: float):
-        super().__init__(wf.time + steps * dt, None, wf.grid, wf.params, np.empty(int(steps[-1])), potential)
+        super().__init__(wf.time + steps * dt, None, wf.grid, wf.params, np.empty(int(steps[-1])))
         self._psi0, self._kernel = wf.amplitudes.copy(), _SplitStepKernel(wf.grid, wf.params, potential, dt)
         self._stride, self._state = int(steps[1]), np.empty_like(wf.amplitudes)
         self._cursor = [math.inf, 0.0]  # no state yet: the first read starts from psi0
 
-    def _compute(self, lo: int, hi: int) -> np.ndarray:
+    def _compute(self, rows: range) -> np.ndarray:
         stride, cursor, state = self._stride, self._cursor, self._state
         cell = self.grid.cell_volume  # a product each time it is read: kept out of the loop
-        if cursor[0] > lo * stride:
+        if cursor[0] > rows[0] * stride:
             np.copyto(state, self._psi0)
             cursor[:] = [0, _norm(state, cell)]
-        block = np.empty((hi - lo,) + state.shape, dtype=complex)
+        block = np.empty((len(rows),) + state.shape, dtype=complex)
         i, previous = cursor
-        if i == lo * stride:
+        if i == rows[0] * stride:
             block[0] = state
-        for i in range(i + 1, (hi - 1) * stride + 1):
+        for i in range(i + 1, rows[-1] * stride + 1):
             self._kernel.apply(state, out=state)
             current = _norm(state, cell)
             self._drift[i - 1] = abs(current - previous)
@@ -398,14 +400,14 @@ class _StrangRecord(EvolutionRecord):
             if not math.isfinite(current):
                 cursor[0] = math.inf  # the next read starts from psi0 again
                 raise FloatingPointError(f"numerical blow-up at step {i}: non-finite norm")
-            if i % stride == 0 and i >= lo * stride:
-                block[i // stride - lo] = state
+            if i % stride == 0 and i // stride in rows:
+                block[rows.index(i // stride)] = state
         cursor[:] = [i, previous]
         return block
 
     @property
     def norm_drift(self) -> np.ndarray:
-        self._compute(len(self) - 1, len(self))  # steps to the end, keeping the last row only
+        self._compute(range(len(self) - 1, len(self)))  # steps to the end, keeping the last row only
         return self._drift
 
 
@@ -441,7 +443,7 @@ def evolve(
     _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     if not math.isfinite(_norm(wf.amplitudes, wf.grid.cell_volume)):
         raise FloatingPointError("numerical blow-up at step 0: non-finite norm")
-    return (_FreeRecord if isinstance(potential, Free) else _StrangRecord)(wf, steps, potential, dt)
+    return _FreeRecord(wf, steps, dt) if isinstance(potential, Free) else _StrangRecord(wf, steps, potential, dt)
 
 
 def _currents(amplitudes: np.ndarray, grid: Grid, params: PhysicalParams) -> np.ndarray:

@@ -47,7 +47,8 @@ def test_unread_names_are_gone():
     assert [f.name for f in fields(bohmsim.PhysicalParams)] == ["hbar", "mass"]
     assert not {"masses", "masses_for"} & set(dir(bohmsim.PhysicalParams))
     wf = bohmsim.init_gaussian(bohmsim.make_grid(1, -5.0, 5.0, 64), bohmsim.PhysicalParams(), 0.0, 1.0)
-    assert not hasattr(bohmsim.evolve(wf, bohmsim.Free(), 0.1, 0.01), "dt")
+    assert not {"dt", "potential"} & set(dir(bohmsim.evolve(wf, bohmsim.Free(), 0.1, 0.01)))
+    assert "potential" not in inspect.signature(bohmsim.EvolutionRecord).parameters
     assert "outputs" not in {f.name for f in fields(cli.ExperimentReport)}
     assert "SubsystemType" not in bohmsim.__all__
     for module in (bohmsim, bohmsim.manybody):

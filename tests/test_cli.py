@@ -3,7 +3,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ HARMONIC_GROUND = (CONFIGS / "harmonic_ground.cfg").read_text()
 CM_NEWTON = (CONFIGS / "cm_newton.cfg").read_text()
 NO_TUNNELING = (CONFIGS / "no_tunneling.cfg").read_text()
 AVERAGING_IDENTITY = (CONFIGS / "averaging_identity.cfg").read_text()
+BEC = (CONFIGS / "bec.cfg").read_text()
 
 # Small enough to run in well under a second while still exercising the
 # sampling, resampling, and fit machinery of the many-body driver.
@@ -211,7 +212,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("name", ["crosscheck", "equivariance", "harmonic-ground"])
     def test_two_dims_rejected_for_one_dimensional_experiments(self, name):
         text = f"experiment = {name}\n[grid]\ndims = 2\npoints = 32\n"
-        self.check(text, 3, rf"^line 3: grid\.dims: {name} runs on 1D grids only, got 2$")
+        self.check(text, 3, rf"^line 3: grid\.dims: {name} reads only x_min, x_max, points \[grid\] keys$")
 
     @pytest.mark.parametrize(
         "name, text, line, message",
@@ -224,17 +225,23 @@ class TestParseErrors:
                 4,
                 "grid.dims: no-tunneling reads only x_min, x_max, points [grid] keys",
             ),
+            (
+                "equivariance",
+                "[grid]\npoints = 64\ndims = 1\n",
+                4,
+                "grid.dims: equivariance reads only x_min, x_max, points [grid] keys",
+            ),
         ],
-        ids=["bec", "cm-newton", "no-tunneling"],
+        ids=["bec", "cm-newton", "no-tunneling", "equivariance-one-dim"],
     )
     def test_grid_keys_the_experiment_does_not_read(self, name, text, line, message):
         self.check(f"experiment = {name}\n{text}", line, f"^line {line}: {re.escape(message)}$")
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_grid_keys_the_experiment_reads(self, name):
-        keys = {"bec": {}, "cm-newton": {}, "no-tunneling": {"x_min": -6.0, "x_max": 6.0, "points": 64}}.get(
-            name, {"dims": 1, "x_min": -6.0, "x_max": 6.0, "points": 64}
-        )
+        extent = {"x_min": -6.0, "x_max": 6.0, "points": 64}
+        any_grid = {"dims": 1, **extent}
+        keys = {"bec": {}, "cm-newton": {}, "free-gaussian": any_grid, "averaging-identity": any_grid}.get(name, extent)
         text = f"experiment = {name}\n[grid]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
         grid = parse_config(text).grid
         assert {key: getattr(grid, key) for key in keys} == keys
@@ -575,6 +582,26 @@ class TestDoctoredControls:
         assert failed_checks(report) == ["averaging-identity-relative"]
         assert code == 1 and "FAIL averaging-identity-relative" in text
 
+    def test_a_faster_flow_fails_the_cm_slope(self, tmp_path, monkeypatch):
+        # every body reads 1.001 v, so the centre of mass moves 1e-3 faster than the configured v;
+        # a uniform scale leaves the velocities' spread at its 5e-9 of rounding.  bec's third check,
+        # contrast-ratio, has no control: with no classical force it measures rms|F_Q| / (rms|F_Q| + 0),
+        # 1 by construction whatever the run does
+        real = manybody.velocity_field
+        monkeypatch.setattr(manybody, "velocity_field", lambda wf: 1.001 * real(wf))
+        report, code, text = run_and_main(tmp_path, BEC)
+        assert failed_checks(report) == ["cm-slope-error"]
+        assert code == 1 and "FAIL cm-slope-error: measured=0.000999" in text
+
+    def test_a_velocity_ramp_fails_the_velocity_spread(self, tmp_path, monkeypatch):
+        # a ramp of 1e-7 per unit length spreads the bodies' velocities by 1.3e-5 across the cloud;
+        # the cloud's mean position is not 0, so the ramp also moves the centre of mass off v
+        real = manybody.velocity_field
+        monkeypatch.setattr(manybody, "velocity_field", lambda wf: real(wf) + 1e-7 * wf.grid.meshes()[0])
+        report, code, text = run_and_main(tmp_path, BEC)
+        assert failed_checks(report) == ["cm-slope-error", "velocity-spread"]
+        assert code == 1 and "FAIL velocity-spread: measured=1.2" in text
+
 
 class TestNanFailsTheContract:
     """A NaN among the values a check reduces makes it FAIL; Python's ``max`` keeps
@@ -700,7 +727,8 @@ class TestMain:
         def abort(config, seed):
             raise error
 
-        monkeypatch.setitem(cli._RUNNERS, "averaging-identity", abort)
+        entry = replace(cli._EXPERIMENTS["averaging-identity"], runner=abort)
+        monkeypatch.setitem(cli._EXPERIMENTS, "averaging-identity", entry)
         config_path = tmp_path / "run.cfg"
         config_path.write_text("experiment = averaging-identity\n")
         assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -718,7 +746,8 @@ class TestMain:
         def broken(config, seed):
             raise KeyError("bug")
 
-        monkeypatch.setitem(cli._RUNNERS, "averaging-identity", broken)
+        entry = replace(cli._EXPERIMENTS["averaging-identity"], runner=broken)
+        monkeypatch.setitem(cli._EXPERIMENTS, "averaging-identity", entry)
         config_path = tmp_path / "run.cfg"
         config_path.write_text("experiment = averaging-identity\n")
         with pytest.raises(KeyError):
@@ -786,10 +815,6 @@ class TestMain:
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.strip() == f"ok: experiment={experiment}"
         assert parse_config_file(str(path)).experiment == experiment
-
-    def test_experiment_defaults_name_known_experiments(self):
-        # a misspelled key would be skipped by the per-experiment lookup
-        assert set(cli._EXPERIMENT_DEFAULTS) <= set(EXPERIMENTS)
 
     def test_list_experiments_prints_all(self, capsys):
         assert main(["list-experiments"]) == 0

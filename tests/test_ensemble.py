@@ -173,7 +173,7 @@ def still_record(wf, rows=2, spacing=0.1):
     """A record that holds ``wf`` at every one of ``rows`` snapshots, ``spacing`` apart."""
     amplitudes = np.stack([wf.amplitudes] * rows)
     times = spacing * np.arange(rows)
-    return EvolutionRecord(times, amplitudes, wf.grid, wf.params, np.zeros(rows - 1), Free())
+    return EvolutionRecord(times, amplitudes, wf.grid, wf.params, np.zeros(rows - 1))
 
 
 class TestMeanQuantumForce:
@@ -196,7 +196,7 @@ class TestMeanQuantumForce:
             return np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * wavenumber * x)
 
         amplitudes = np.stack([packet(0.0, 1.0, 1.0), packet(0.0, 1.0, 1.0), packet(3.68, 0.5, -5.0)])
-        record = EvolutionRecord(np.array([0.0, 0.1, 0.2]), amplitudes, line_grid, unit_params, np.zeros(2), Free())
+        record = EvolutionRecord(np.array([0.0, 0.1, 0.2]), amplitudes, line_grid, unit_params, np.zeros(2))
         start = normalize(Wavefunction(line_grid, unit_params, packet(0.0, 0.01, 0.0), 0.0))
         spec = EnsembleSpec(100, 4, start)
         _, positions = integrate_guidance_batch(record, sample_equilibrium(spec), 0.2)

@@ -6,27 +6,28 @@ directory and compares what it writes with ``perfbench/reference/`` through
 its contract checks must pass and every file must match its reference within
 the tolerance that module documents.  The module is compiled from its source,
 so nothing is written beside it.  The same runs count each config's work, free
-rows inverse-transformed and Strang steps, against the exact counts in
-``WORK``.
+rows inverse-transformed, Strang steps, and velocity and quantum-force field
+rows, against the exact counts in ``WORK``.
 """
 
 import types
 from pathlib import Path
 
-from bohmsim import cli, propagator
+from bohmsim import cli, propagator, quantum_potential, trajectories, wavefield
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (free rows inverse-transformed, Strang steps) per shipped config at the reference seed
+# (free rows inverse-transformed, Strang steps, velocity field rows, quantum-force field rows)
+# per shipped config at the reference seed
 WORK = {
-    "averaging_identity": (0, 0),
-    "bec": (0, 0),
-    "cm_newton": (400, 0),
-    "crosscheck": (8_000, 16_000),
-    "equivariance": (120, 0),
-    "free_gaussian": (20, 0),
-    "harmonic_ground": (0, 10_000),
-    "no_tunneling": (200, 0),
+    "averaging_identity": (0, 0, 0, 12),
+    "bec": (0, 0, 1, 1),
+    "cm_newton": (400, 0, 401, 202),
+    "crosscheck": (8_000, 16_000, 12_006, 6_003),
+    "equivariance": (120, 0, 41, 41),
+    "free_gaussian": (20, 0, 0, 0),
+    "harmonic_ground": (0, 10_000, 63, 21),
+    "no_tunneling": (200, 0, 201, 0),
 }
 
 
@@ -39,8 +40,9 @@ def load_outputs() -> types.ModuleType:
 
 
 def counting_work(monkeypatch) -> list[int]:
-    """Spies on ``propagator``'s transforms and Strang steps; returns the running counts [free rows, steps]."""
-    work, fft, apply = [0, 0], propagator._fft, propagator._SplitStepKernel.apply
+    """Spies on ``propagator``'s transforms and Strang steps and on the field batches in every module that
+    reads them; returns the running counts [free rows, steps, velocity rows, quantum-force rows]."""
+    work, fft, apply = [0, 0, 0, 0], propagator._fft, propagator._SplitStepKernel.apply
 
     def counting_fft(values, axis, out=None, inverse=False):
         # a free record's last inverse transform runs over axis 1 of its rows (B, *grid.shape);
@@ -52,8 +54,20 @@ def counting_work(monkeypatch) -> list[int]:
         work[1] += 1
         return apply(self, amps, out)
 
+    def counting_rows(kind, batch):
+        def counting(amplitudes, grid, params):
+            work[kind] += len(amplitudes)
+            return batch(amplitudes, grid, params)
+
+        return counting
+
     monkeypatch.setattr(propagator, "_fft", counting_fft)
     monkeypatch.setattr(propagator._SplitStepKernel, "apply", counting_apply)
+    velocity, qforce = counting_rows(2, wavefield.velocity_batch), counting_rows(3, quantum_potential.qforce_batch)
+    for module in (wavefield, trajectories, cli):
+        monkeypatch.setattr(module, "velocity_batch", velocity)
+    for module in (quantum_potential, trajectories):
+        monkeypatch.setattr(module, "qforce_batch", qforce)
     return work
 
 
@@ -65,7 +79,7 @@ def test_shipped_configs_match_the_benchmark_references(tmp_path, monkeypatch):
     work, done = counting_work(monkeypatch), {}
     for name in configs:
         config = cli.parse_config_file(str(ROOT / "configs" / f"{name}.cfg"))
-        work[:] = [0, 0]
+        work[:] = [0, 0, 0, 0]
         cli.run(config, out_dir=str(tmp_path / name), seed=seed, quiet=True)
         done[name] = tuple(work)
     assert done == WORK

@@ -29,7 +29,7 @@ from bohmsim import (
     make_grid,
     normalize,
 )
-from bohmsim import _interp, trajectories
+from bohmsim import _interp, propagator, trajectories
 from bohmsim._interp import _OFFSETS, erode
 from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
@@ -236,7 +236,7 @@ class TestFieldCache:
 
         monkeypatch.setattr(trajectories, name, spying)
         rows = oracles.free_rows(heavy_wf(), heavy_record.times)
-        stored = EvolutionRecord(heavy_record.times, rows, heavy_record.grid, heavy_record.params, np.zeros(40), Free())
+        stored = EvolutionRecord(heavy_record.times, rows, heavy_record.grid, heavy_record.params, np.zeros(40))
         for record in (heavy_record, stored):
             _FieldCache(record, kind, 0.05).fields(0)  # stride 2
             _FieldCache(record, kind, 0.025).fields(21)  # stride 1
@@ -319,7 +319,7 @@ class TestGuidanceMomenta:
             return np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * wavenumber * x)
 
         amplitudes = np.stack([packet(0.0, 1.0, 1.0), packet(0.0, 1.0, 1.0), packet(3.68, 0.5, -5.0)])
-        record = EvolutionRecord(np.array([0.0, 0.1, 0.2]), amplitudes, line_grid, unit_params, np.zeros(2), Free())
+        record = EvolutionRecord(np.array([0.0, 0.1, 0.2]), amplitudes, line_grid, unit_params, np.zeros(2))
         times, positions = integrate_guidance_batch(record, np.array([[-0.04]]), 0.2)
         assert positions[-1, 0, 0] == pytest.approx(-0.04, abs=1e-9)
         abort = abort_of(lambda: integrate_guidance(record, [-0.04], 0.2))
@@ -443,15 +443,30 @@ class TestNewtonRoute:
         computed = []
         compute = type(record)._compute
 
-        def counting(self, lo, hi):
-            computed.extend(range(lo, hi))
-            return compute(self, lo, hi)
+        def counting(self, rows):
+            computed.extend(rows)
+            return compute(self, rows)
 
         monkeypatch.setattr(type(record), "_compute", counting)
         crosscheck(record, [1.0], Free(), 1e-3)
         assert sorted(set(computed)) == list(range(len(record))) == list(range(401))
         # the first window already spans the Newton route's read, so no row is computed twice
         assert len(computed) == len(record)
+
+    def test_a_lone_strided_read_transforms_only_its_rows(self, monkeypatch):
+        # leapfrog steps of 0.01 over rows 0.005 apart read every second row; row 0 is psi0's own bits,
+        # so the 200 even rows after it are all the record transforms, not the 391 rows their batches span
+        wf = init_gaussian(make_grid(1, -15.0, 15.0, 384), PhysicalParams(), 0.0, 1.0)
+        record = evolve_quiet(wf, Free(), 2.0, 0.005)
+        transformed, fft = [], propagator._fft
+
+        def counting(values, axis, out=None, inverse=False):
+            transformed.append(len(values) if inverse else 0)
+            return fft(values, axis, out, inverse)
+
+        monkeypatch.setattr(propagator, "_fft", counting)
+        integrate_newton(record, [1.0], Free(), 0.01)
+        assert len(record) == 401 and sum(transformed) == 200
 
     def test_momentum_seeded_from_guidance_value(self, plane_record):
         traj = integrate_newton(plane_record, [0.7], Free(), 0.2)
@@ -717,7 +732,7 @@ class TestBracket:
         grid = make_grid(1, -1.0, 1.0, 16)
         times = t0 + spacing * np.arange(k + 2)
         record = EvolutionRecord(
-            times, np.zeros((k + 2, 16), complex), grid, PhysicalParams(), np.zeros(k + 1), Free()
+            times, np.zeros((k + 2, 16), complex), grid, PhysicalParams(), np.zeros(k + 1)
         )
         t = t0 + k * spacing * (1.0 + relative)
         steps = _whole_steps(t - t0, record.snapshot_spacing, required=False)
@@ -742,7 +757,7 @@ class TestBracket:
         grid = make_grid(1, -1.0, 1.0, 16)
         times = t0 + spacing * np.arange(8002)
         record = EvolutionRecord(
-            times, np.zeros((8002, 16), complex), grid, PhysicalParams(), np.zeros(8001), Free()
+            times, np.zeros((8002, 16), complex), grid, PhysicalParams(), np.zeros(8001)
         )
         kind, value = offset
         t = t0 + k * spacing * (1.0 + value) if kind == "relative" else t0 + (k + value) * spacing
