@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import EvolutionRecord, _whole_steps
+from .propagator import EvolutionRecord
 from .trajectories import _FieldCache, _guidance_rk4, _read, _snapshot_fields, _step_times
 from .wavefield import Grid, Wavefunction
 
@@ -143,19 +143,17 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> E
     (``trajectories._snapshot_fields``) with ``trajectories._read``: positions off the grid or
     in a node region raise ``TrajectoryAbort``.
     """
-    t0 = record.times[0]
-    steps = [0] + [_whole_steps(float(t - t0), dt, required=False) for t in record.times[1:]]
-    keep_snap = np.r_[0, np.flatnonzero(steps[1:]) + 1]
-    if len(keep_snap) < 2:
-        raise ValueError("snapshot times and trajectory steps share too few common times")
-    traj_rows = np.array(steps)[keep_snap]
-    row_of = {step: row for row, step in enumerate(traj_rows.tolist())}
     times = _step_times(record, dt)
+    cache = _FieldCache(record, "velocity", 0.5 * dt)
+    every = cache.q // math.gcd(2 * cache.p, cache.q)  # step k reads at snapshot 2 k p / q
+    traj_rows = np.arange(0, len(times), every)
+    keep_snap = traj_rows * 2 * cache.p // cache.q
     x0 = sample_equilibrium(spec)
     positions = np.empty((len(keep_snap),) + x0.shape)
-    for step, x, _ in _guidance_rk4(_FieldCache(record, "velocity", 0.5 * dt), x0, times, dt):
-        if step in row_of:
-            positions[row_of[step]] = x
+    for step, x, _ in _guidance_rk4(cache, x0, len(times) - 1, dt):
+        if step % every == 0:
+            positions[step // every] = x
+    del cache  # its last velocity batch would stay on the heap through the force reads
     grid = record.grid
     mean_pos = np.empty((len(keep_snap), grid.dims))
     mean_force = np.empty((len(keep_snap), grid.dims))

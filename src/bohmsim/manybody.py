@@ -29,7 +29,7 @@ from .ensemble import _fsum, _grid_cdf, _rng, sample_density
 from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
 from .trajectories import (
-    TrajectoryAbort, _bracket, _eval_fields, _read, _rk4_step, _shared_caches, _step_times,
+    TrajectoryAbort, _eval_fields, _read, _rk4_step, _shared_caches, _step_times,
     integrate_guidance_batch,
 )
 from .wavefield import (
@@ -363,7 +363,6 @@ def run_cm_experiment(
     force = frame_force(frames)
 
     for row in range(n_steps + 1):
-        t = float(times[row])
         positions = frames + offsets[:, 0]
         external_total = _fsum(spec.external.force_at(positions[:, None], params)[:, 0])
         pairwise_total = 0.0
@@ -378,26 +377,25 @@ def run_cm_experiment(
         cancellation[row] = abs(pairwise_total)
         classical_force[row] = external_total + pairwise_total
         x_cm[row] = _fsum(mass * positions) / total_mass
-        # The quantum force at the offsets, redrawing those in node regions.
+        # The quantum force at read k of row k (snapshot 2k), redrawing offsets in node regions.
         try:
-            q = _eval_fields(force_cache, t, offsets)
+            q = _eval_fields(force_cache, row, offsets)
         except TrajectoryAbort as abort:
             if abort.left_grid:
                 raise
             bad = abort.indices
-            snap, _ = _bracket(record, t)
-            rho = np.abs(record.rows(snap)) ** 2
-            drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(snap)[1], bad.size, rng)
+            rho = np.abs(record.rows(2 * row)) ** 2
+            drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(2 * row)[1], bad.size, rng)
             offsets[bad] = drawn
             resample_count += bad.size + redraws
             if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):
                 raise RuntimeError("too many offsets entered node regions; model assumptions broken")
-            q = _eval_fields(force_cache, t, offsets)
+            q = _eval_fields(force_cache, row, offsets)
         quantum_force[row] = _fsum(q[:, 0])
         if row == n_steps:
             break
-        # Offsets: RK4 along the packet's guidance flow.
-        offsets = _rk4_step(vel_cache, t, float(times[row + 1]), offsets, dt, _eval_fields(vel_cache, t, offsets))
+        # Offsets: RK4 along the packet's guidance flow, from velocity read 2k.
+        offsets = _rk4_step(vel_cache, 2 * row, offsets, dt, _eval_fields(vel_cache, 2 * row, offsets))
         # Frames: kick-drift-kick under the classical forces.
         half_kick = frame_velocities + 0.5 * dt * force / mass
         frames = frames + dt * half_kick

@@ -235,17 +235,12 @@ def _whole_steps(span: float, dt: float, span_name="t_final", required=True) -> 
     """
     _check_positive_finite(span_name, span)
     _check_positive_finite("dt", dt)
-    n = _whole_steps_unchecked(span, dt)
+    ratio = span / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
+    n = n if n >= 1 and abs(n * dt - span) <= 1e-9 * span else 0
     if n or not required:
         return n
     raise ValueError(f"{span_name}={span} is not an integer number of steps of dt={dt}")
-
-
-def _whole_steps_unchecked(span: float, dt: float) -> int:
-    """``_whole_steps``' rule for a span and dt already known positive and finite; 0 for none."""
-    ratio = span / dt
-    n = round(ratio) if math.isfinite(ratio) else 0
-    return n if n >= 1 and abs(n * dt - span) <= 1e-9 * span else 0
 
 
 def step(wf: Wavefunction, potential: PotentialSpec, dt: float) -> Wavefunction:
@@ -435,11 +430,11 @@ def evolve(
     step's at the read that reaches it.
     """
     n_steps = _whole_steps(t_final, dt)
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    if not snapshot_stride >= 1 or snapshot_stride % 1:
+        raise ValueError(f"snapshot_stride must be a whole number >= 1, got {snapshot_stride}")
     if n_steps % snapshot_stride != 0:
         raise ValueError("snapshot_stride must divide the number of steps")
-    steps = np.arange(0, n_steps + 1, snapshot_stride)
+    steps = np.arange(0, n_steps + 1, int(snapshot_stride))
     _warn_if_step_coarse(wf.grid, wf.params, potential, dt)
     if not math.isfinite(_norm(wf.amplitudes, wf.grid.cell_volume)):
         raise FloatingPointError("numerical blow-up at step 0: non-finite norm")

@@ -11,7 +11,10 @@ Fields are interpolated cubically in space and linearly in time between
 snapshots.  RK4 needs field values at half-step times, so the trajectory
 step must be commensurate with the snapshot spacing; when the spacing is
 half the step, every RK4 stage lands exactly on a snapshot and temporal
-interpolation drops out of the error budget entirely.
+interpolation drops out of the error budget entirely.  Fields are read by
+index: read j lies at t0 + j * interval (a step for leapfrog; half a step for
+RK4, whose step k reads 2k, 2k + 1, 2k + 2), placed on the snapshots exactly
+by ``_FieldCache``; its time only names an abort.
 
 The RK4 loop ``_guidance_rk4`` yields each step's state, and its callers
 keep only what they read: ``ensemble.evolve_ensemble`` the reported rows.
@@ -20,10 +23,10 @@ Every field read at particle positions, from the cache, at the Newton start, at
 an ensemble row or at a many-body row, goes through ``_read``: a batch builds
 one ``_interp.Stencil`` per read, and an abort names the rows that stopped it.
 ``_snapshot_fields`` is the one place that computes a field kind of snapshot rows.
-In 1D a batch read from the cache evaluates the fields through the read
-time's coefficient table (``_FieldCache.table``), built once per time, so
+In 1D a batch read from the cache evaluates the fields through the read's
+coefficient table (``_FieldCache.table``), built once per read index, so
 RK4's k2 and k3 share one, as do k4 and the next k1, both read at the next
-entry of the step grid; a batch on the grid whose bases span no hole in the
+step's index; a batch on the grid whose bases span no hole in the
 mask is checked from that span alone.
 One particle in one dimension runs through the same loops as a Python
 float and reads each field with ``_interp.sample_point``, which evaluates
@@ -33,14 +36,13 @@ path and its aborts are bit-identical to a row of a batch.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _interp
-from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps, _whole_steps_unchecked
+from .propagator import EvolutionRecord, PotentialSpec, _check_positive_finite, _whole_steps
 from .quantum_potential import qforce_batch
 from .wavefield import FIELD_BATCH_POINTS, velocity_batch
 
@@ -75,27 +77,36 @@ class _FieldCache:
     """Per-snapshot fields, computed in batches ahead of the integration front.
 
     ``interval`` is the time between the field reads of the integrator (half
-    a step for RK4, a whole step for leapfrog).  When it spans a whole number
-    of snapshot spacings, only every such snapshot is read, so a batch holds
-    the next snapshots at that stride; otherwise the stride is one.  A batch
-    reads ``record.rows``, whose window keeps no rows unless widened (as by
-    ``_shared_caches``).  Node masks are stored eroded (``_interp.erode``).
-    Before the next batch is computed, entries behind the previous read
-    snapshot are evicted, the rest copied and the last time's fields
-    dropped, so no view keeps the last batch in its transient peak.  A
-    ``"qforce"`` cache holds ``qforce_batch``'s force.
+    a step for RK4, a whole step for leapfrog): p/q snapshot spacings in lowest
+    terms by ``_whole_steps``' rule, m, m/2 or 1/m for a whole m, or else
+    ``ValueError``.  Read j, with i, r = divmod(j p, q), is snapshot i when r is
+    0 and else the blend at theta = r/q towards i + 1.  When q is 1, only every
+    p-th snapshot is read, so a batch holds the next snapshots at that stride;
+    otherwise the stride is one.  A batch reads ``record.rows``, whose window
+    keeps no rows unless widened (as by ``_shared_caches``).  Node masks are
+    stored eroded (``_interp.erode``).  Before the next batch is computed,
+    entries behind the previous read snapshot are evicted, the rest copied and
+    the last read's fields dropped, so no view keeps the last batch in its
+    transient peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
 
-    The last time read keeps its blended fields, their mask and, once a 1D
+    The last read keeps its blended fields, their mask and, once a 1D
     batch reads them, their ``_interp.cubic_table``; a one-particle float
     read never builds a table.
     """
 
     def __init__(self, record: EvolutionRecord, kind: str, interval: float):
         self.record, self.kind = record, kind  # kind: "velocity" or "qforce"
-        self.stride = _whole_steps(interval, record.snapshot_spacing, required=False) or 1
+        self.t0, self.interval = float(record.times[0]), interval
+        p, q = _whole_steps(2.0 * interval, record.snapshot_spacing, required=False), 2  # m or m/2
+        if not p:
+            p, q = 1, _whole_steps(record.snapshot_spacing, interval, required=False)  # 1/m
+        if not q:
+            raise ValueError(f"read interval {interval} is not m, m/2 or 1/m spacings of {record.snapshot_spacing}")
+        self.p, self.q = p // math.gcd(p, q), q // math.gcd(p, q)
+        self.stride = self.p if self.q == 1 else 1
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._at: list = [None, None, None, None]  # the last time read, its fields, mask and table
+        self._at: list = [None, None, None, None]  # the last read index, its fields, mask and table
 
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
@@ -108,38 +119,26 @@ class _FieldCache:
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Fields at time t, linear between snapshots, and both sides' eroded mask; once per distinct t."""
-        if self._at[0] != t:
-            i, theta = _bracket(self.record, t)
+    def at(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fields at read j, linear between snapshots, and both sides' eroded mask; once per distinct j."""
+        if self._at[0] != j:
+            i, r = divmod(j * self.p, self.q)
             values, eroded = self.fields(i)
-            if theta != 0.0:
+            if r:
                 vb, eroded_b = self.fields(i + 1)
+                theta = r / self.q
                 # erosion distributes over &: the eroded mask of both sides' nodes
                 values, eroded = (1.0 - theta) * values + theta * vb, eroded & eroded_b
-            self._at = [t, values, eroded, None]
+            self._at = [j, values, eroded, None]
         return self._at[1], self._at[2]
 
-    def table(self, t: float) -> tuple[np.ndarray, ...] | None:
-        """``_interp.cubic_table`` of the fields at time t, built on the first call at t;
+    def table(self, j: int) -> tuple[np.ndarray, ...] | None:
+        """``_interp.cubic_table`` of the fields at read j, built on the first call at j;
         None on a 2D grid, whose stencils weigh the samples themselves."""
-        self.at(t)
+        self.at(j)
         if self._at[3] is None and self.record.grid.dims == 1:
             self._at[3] = _interp.cubic_table(self._at[1])
         return self._at[3]
-
-
-def _bracket(record: EvolutionRecord, t: float) -> tuple[int, float]:
-    """Snapshot index i and fraction theta with t = t_i + theta * spacing, for a finite t;
-    theta is 0 exactly when t lies on a snapshot by ``_whole_steps``' rule."""
-    spacing = record.snapshot_spacing  # positive: record times strictly increase
-    span = t - float(record.times[0])
-    last = len(record) - 1
-    n = _whole_steps_unchecked(span, spacing) if span > 0.0 else 0
-    if span == 0.0 or 0 < n <= last:
-        return n, 0.0
-    i = min(max(math.floor(span / spacing), 0), last - 1)
-    return i, span / spacing - i
 
 
 def _snapshot_fields(record: EvolutionRecord, kind: str, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +179,11 @@ def _read(
     return stencil.sample(block, table)
 
 
-def _eval_fields(cache: _FieldCache, t: float, x: np.ndarray | float) -> np.ndarray | float:
-    """``_read`` of the cached fields at time t; a batch reads through the time's kept table,
-    one float position from the block itself."""
-    return _read(cache.record.grid, t, x, *cache.at(t), None if type(x) is float else cache.table(t))
+def _eval_fields(cache: _FieldCache, j: int, x: np.ndarray | float) -> np.ndarray | float:
+    """``_read`` of the cached fields at read j, at time t0 + j * interval; a batch reads through
+    the read's kept table, one float position from the block itself."""
+    t = cache.t0 + j * cache.interval
+    return _read(cache.record.grid, t, x, *cache.at(j), None if type(x) is float else cache.table(j))
 
 
 def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
@@ -196,30 +196,30 @@ def _step_times(record: EvolutionRecord, dt: float) -> np.ndarray:
     return float(record.times[0]) + dt * np.arange(n + 1)
 
 
-def _rk4_step(cache: _FieldCache, t: float, t_next: float, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
-    """One classic RK4 step of dx/dt = v from positions x at time t, given the stage-one velocity k1;
-    k4 reads at ``t_next``, the step grid's next time, where the next step's k1 reads."""
-    k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = _eval_fields(cache, t_next, x + dt * k3)
+def _rk4_step(cache: _FieldCache, j: int, x: np.ndarray | float, dt: float, k1: np.ndarray | float):
+    """One classic RK4 step of dx/dt = v from positions x at read j of a half-step cache, given the
+    stage-one velocity k1; k2 and k3 read at j + 1, k4 at j + 2, where the next step's k1 reads."""
+    k2 = _eval_fields(cache, j + 1, x + 0.5 * dt * k1)
+    k3 = _eval_fields(cache, j + 1, x + 0.5 * dt * k2)
+    k4 = _eval_fields(cache, j + 2, x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, times: np.ndarray, dt: float):
-    """RK4 guidance integration from positions x0 (M, dims) across ``times``, one step at a time.
+def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, n: int, dt: float):
+    """RK4 guidance integration from positions x0 (M, dims) over n steps of a half-step cache, one at a time.
 
-    Yields ``(step, x, k1)`` at every time but the last, k1 being the
-    stage-one velocity v(x, t) that RK4 evaluates anyway, and ``(n, x,
-    None)`` at the last, where nothing is read; the caller keeps what it
-    reads.  One particle in one dimension is carried as a Python float,
-    whose arithmetic rounds as the array's.
+    Yields ``(step, x, k1)`` at every step but the last, k1 being the
+    stage-one velocity v(x, t) that RK4 evaluates anyway, at read 2 * step, and
+    ``(n, x, None)`` at the last, where nothing is read; the caller keeps
+    what it reads.  One particle in one dimension is carried as a Python
+    float, whose arithmetic rounds as the array's.
     """
     x = x0.item() if x0.shape == (1, 1) and cache.record.grid.dims == 1 else x0
-    for step_index, (t, t_next) in enumerate(itertools.pairwise(times.tolist())):
-        k1 = _eval_fields(cache, t, x)
+    for step_index in range(n):
+        k1 = _eval_fields(cache, 2 * step_index, x)
         yield step_index, x, k1
-        x = _rk4_step(cache, t, t_next, x, dt, k1)
-    yield len(times) - 1, x, None
+        x = _rk4_step(cache, 2 * step_index, x, dt, k1)
+    yield n, x, None
 
 
 def integrate_guidance_batch(
@@ -244,7 +244,7 @@ def integrate_guidance_batch(
     times = _step_times(record, dt)
     x0 = np.array(np.atleast_2d(x0), dtype=float)
     positions = np.empty((len(times),) + x0.shape)
-    for step_index, x, _ in _guidance_rk4(_FieldCache(record, "velocity", 0.5 * dt), x0, times, dt):
+    for step_index, x, _ in _guidance_rk4(_FieldCache(record, "velocity", 0.5 * dt), x0, len(times) - 1, dt):
         positions[step_index] = x
     return times, positions
 
@@ -257,35 +257,34 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     cache = _FieldCache(record, "velocity", 0.5 * dt)
     positions = np.empty((len(times), len(x0)))
     velocities = np.empty_like(positions)
-    for step_index, x, k1 in _guidance_rk4(cache, x0[None, :], times, dt):
+    for step_index, x, k1 in _guidance_rk4(cache, x0[None, :], len(times) - 1, dt):
         positions[step_index] = x
-        velocities[step_index] = _eval_fields(cache, float(times[step_index]), x) if k1 is None else k1
+        velocities[step_index] = _eval_fields(cache, 2 * step_index, x) if k1 is None else k1
     return Trajectory(times=times, positions=positions, momenta=record.params.mass * velocities)
 
 
-def _leapfrog(force_cache: _FieldCache, x: np.ndarray, potential: PotentialSpec, dt: float, times: np.ndarray):
-    """``integrate_newton_batch`` from positions x (M, dims), yielding the positions and momenta at each of ``times``."""
+def _leapfrog(force_cache: _FieldCache, x: np.ndarray, potential: PotentialSpec, dt: float, n: int):
+    """``integrate_newton_batch`` from positions x (M, dims) over n steps, yielding positions and momenta at each."""
     record = force_cache.record
     grid, params = record.grid, record.params
     mass = params.mass
-    t0 = float(record.times[0])
     velocity, eroded = _snapshot_fields(record, "velocity", record.rows(slice(0, 1)))
     point = x.shape == (1, 1) and grid.dims == 1
     if point:
         x = x.item()
-    p = mass * _read(grid, t0, x, velocity[0], eroded[0])
+    p = mass * _read(grid, force_cache.t0, x, velocity[0], eroded[0])
 
-    def total_force(t: float, pos: np.ndarray | float) -> np.ndarray | float:
+    def total_force(j: int, pos: np.ndarray | float) -> np.ndarray | float:
         classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
-        return (classical.item() if point else classical) + _eval_fields(force_cache, t, pos)
+        return (classical.item() if point else classical) + _eval_fields(force_cache, j, pos)
 
     yield x, p
     # kick-drift-kick: the closing kick's force opens the next step
-    force = total_force(t0, x)
-    for t_next in times[1:].tolist():
+    force = total_force(0, x)
+    for j in range(1, n + 1):
         p = p + 0.5 * dt * force
         x = x + dt * p / mass
-        force = total_force(t_next, x)
+        force = total_force(j, x)
         p = p + 0.5 * dt * force
         yield x, p
 
@@ -306,7 +305,7 @@ def integrate_newton_batch(
     x0 = np.array(np.atleast_2d(x0), dtype=float)
     positions = np.empty((len(times),) + x0.shape)
     momenta = np.empty_like(positions)
-    for step_index, (x, p) in enumerate(_leapfrog(_FieldCache(record, "qforce", dt), x0, potential, dt, times)):
+    for step_index, (x, p) in enumerate(_leapfrog(_FieldCache(record, "qforce", dt), x0, potential, dt, len(times) - 1)):
         positions[step_index], momenta[step_index] = x, p
     return times, positions, momenta
 
@@ -329,13 +328,13 @@ def _shared_caches(record: EvolutionRecord, dt: float) -> tuple[_FieldCache, _Fi
 def crosscheck(record: EvolutionRecord, x0, potential: PotentialSpec, dt: float) -> float:
     """Largest position gap between the guidance and Newton routes, stepped side by side over ``_shared_caches``,
     so that the record computes each row once, in order, and keeps its last window; an abort raises at its step."""
-    times = _step_times(record, dt)
+    n = len(_step_times(record, dt)) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
     velocity, force = _shared_caches(record, dt)
-    routes = zip(_guidance_rk4(velocity, x0, times, dt), _leapfrog(force, x0, potential, dt, times))
-    gaps = np.empty((len(times), x0.shape[1]))
+    routes = zip(_guidance_rk4(velocity, x0, n, dt), _leapfrog(force, x0, potential, dt, n))
+    gaps = np.empty((n + 1, x0.shape[1]))
     for (step_index, guided, k1), (newton, _) in routes:
         if k1 is None:  # integrate_guidance reads the final velocity too
-            _eval_fields(velocity, float(times[-1]), guided)
+            _eval_fields(velocity, 2 * n, guided)
         gaps[step_index] = guided - newton
     return float(np.linalg.norm(gaps, axis=-1).max())

@@ -112,18 +112,16 @@ def make_grid(dims: int, x_min, x_max, points) -> Grid:
     ------
     ValueError
         If ``dims`` is not 1 or 2, any extent is degenerate, or any
-        dimension has fewer than 16 points.
+        dimension has a fractional point count or fewer than 16 points.
     """
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
     lows = _as_tuple(x_min, dims, "x_min")
     highs = _as_tuple(x_max, dims, "x_max")
-    if np.isscalar(points):
-        counts = (int(points),) * dims
-    else:
-        counts = tuple(int(p) for p in points)
-        if len(counts) != dims:
-            raise ValueError(f"points must be a scalar or length-{dims} sequence")
+    given = (points,) * dims if np.isscalar(points) else tuple(points)
+    counts = tuple(int(p) for p in given)
+    if len(counts) != dims or counts != given:
+        raise ValueError(f"points must be one whole number or a length-{dims} sequence of them, got {points}")
     for lo, hi in zip(lows, highs):
         if not hi > lo:
             raise ValueError(f"degenerate extent: x_min={lo} must be < x_max={hi}")

@@ -9,8 +9,7 @@ bit for bit: ``continuity_residual_pairs``, the per-pair loop, one snapshot
 at a time, behind the batched ``continuity_residual`` (it uses the library's
 spectral derivative on single snapshots only); ``einsum_sample``, the einsum
 that ``Stencil.sample`` replaced, now the accuracy reference of the 1D power form
-and the bit-for-bit reference in 2D; ``bracket``, the checked time bracket
-that ``trajectories._bracket`` replaced; and ``chain_forces``, the spring
+and the bit-for-bit reference in 2D; and ``chain_forces``, the spring
 law written out that ``manybody._chain_forces`` replaced.  ``power_sample`` is
 the 1D power form of ``Stencil.sample`` written out one point at a time, the
 bit-for-bit reference of the 1D array and one-point paths.
@@ -153,27 +152,6 @@ def power_sample(block, grid, x):
             c3 = 0.5 * (f2 - fm) + 1.5 * (f0 - f1)
             out[m, k] = ((c3 * s + c2) * s + c1) * s + f0
     return out
-
-
-def bracket(record, t):
-    """Snapshot index i and fraction theta with t = t_i + theta * spacing, deciding
-    "on a snapshot" by the whole-step rule (1e-9 relative to the span) after
-    checking span and spacing positive and finite."""
-    spacing = record.snapshot_spacing
-    span = t - float(record.times[0])
-    last = len(record) - 1
-    n = 0
-    if span > 0.0:
-        if not (math.isfinite(span) and math.isfinite(spacing) and spacing > 0.0):
-            raise ValueError(f"time span {span} or spacing {spacing} is not positive and finite")
-        ratio = span / spacing
-        n = round(ratio) if math.isfinite(ratio) else 0
-        if not (n >= 1 and abs(n * spacing - span) <= 1e-9 * span):
-            n = 0
-    if span == 0.0 or 0 < n <= last:
-        return n, 0.0
-    i = min(max(math.floor(span / spacing), 0), last - 1)
-    return i, span / spacing - i
 
 
 def chain_forces(coupling, x):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, manybody, propagator, quantum_potential, wavefield
+from bohmsim import cli, manybody, propagator, quantum_potential, trajectories, wavefield
 from bohmsim.cli import (
     _SECTIONS,
     EXPERIMENTS,
@@ -601,6 +601,32 @@ class TestDoctoredControls:
         report, code, text = run_and_main(tmp_path, BEC)
         assert failed_checks(report) == ["cm-slope-error", "velocity-spread"]
         assert code == 1 and "FAIL velocity-spread: measured=1.2" in text
+
+    def test_a_faster_spread_fails_the_variance_law(self, tmp_path, monkeypatch):
+        # a kinetic rate 1e-5 too large spreads the packet as if hbar were 1e-5 larger: the variance
+        # misses the law by 1e-5 relative, while the continuity residual, which the slightly faster
+        # density change moves by less than its bound, still passes.  (A narrow grid, the config input
+        # in TestFreeGaussianChecks, fails the variance law only together with the continuity residual.)
+        real = propagator._kinetic_rate
+        monkeypatch.setattr(propagator, "_kinetic_rate", lambda grid, params: (1.0 + 1e-5) * real(grid, params))
+        report, code, text = run_and_main(tmp_path, FREE_GAUSSIAN)
+        assert failed_checks(report) == ["variance-law-relative-error"]
+        assert code == 1 and "FAIL variance-law-relative-error: measured=1.0000" in text
+
+    def test_a_velocity_offset_carries_bodies_out_of_their_sector(self, tmp_path, monkeypatch):
+        # no config input moves a body of the symmetrized state across the mid-line: a velocity offset
+        # of 1 on body 1 does, so some sector-1 trajectories leave their sector; term-overlap reads psi0 only
+        real = trajectories.velocity_batch
+
+        def offset(amplitudes, grid, params):
+            values, valid = real(amplitudes, grid, params)
+            values[:, 0] += 1.0
+            return values, valid
+
+        monkeypatch.setattr(trajectories, "velocity_batch", offset)
+        report, code, text = run_and_main(tmp_path, NO_TUNNELING)
+        assert failed_checks(report) == ["min-sector-residency"]
+        assert code == 1 and "FAIL min-sector-residency: measured=0.73" in text
 
 
 class TestNanFailsTheContract:

@@ -213,17 +213,18 @@ def force_bad_offsets(monkeypatch, count, read=2):
 
     The only reads that can redraw are the quantum-force reads of the rows:
     read k is the force read of row k - 1 until a redraw, whose re-read is
-    the next read.  Returns the list of (time, offsets) of every such read,
+    the next read.  Returns the list of (read index, offsets) of every such read,
     before any redraw.
     """
     real_eval_fields = manybody._eval_fields
     calls = []
 
-    def bad_read(cache, t, x):
-        values = real_eval_fields(cache, t, x)
+    def bad_read(cache, j, x):
+        values = real_eval_fields(cache, j, x)
         if cache.kind == "qforce":
-            calls.append((t, x.copy()))
+            calls.append((j, x.copy()))
             if len(calls) == read:
+                t = cache.t0 + j * cache.interval
                 raise TrajectoryAbort(f"trajectory entered a node region at t={t:.6g}", t, x, np.arange(count), False)
         return values
 
@@ -304,42 +305,42 @@ class TestRunCmExperiment:
         eval_reads, starts = [], []
         real_eval_fields, real_rk4_step = manybody._eval_fields, manybody._rk4_step
 
-        def recording_eval_fields(cache, t, x):
-            eval_reads.append((cache.kind, t, x.copy()))
-            return real_eval_fields(cache, t, x)
+        def recording_eval_fields(cache, j, x):
+            eval_reads.append((cache.kind, j, x.copy()))
+            return real_eval_fields(cache, j, x)
 
-        def recording_rk4_step(cache, t, t_next, x, dt, k1):
-            starts.append((t, x.copy()))
-            return real_rk4_step(cache, t, t_next, x, dt, k1)
+        def recording_rk4_step(cache, j, x, dt, k1):
+            starts.append((j, x.copy()))
+            return real_rk4_step(cache, j, x, dt, k1)
 
         monkeypatch.setattr(manybody, "_eval_fields", recording_eval_fields)
         monkeypatch.setattr(manybody, "_rk4_step", recording_rk4_step)
         reads = force_bad_offsets(monkeypatch, 1, read=2)
         res = run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=0)
         assert res.resample_count == 1
-        t, found = reads[1]
+        j, found = reads[1]
         # one force read per row and one velocity read per step, and one force re-read after the redraw
         kinds = [kind for kind, _, _ in eval_reads]
         assert kinds == ["qforce", "velocity", "qforce", "qforce"] + ["velocity", "qforce"] * 9
-        (_, _, force_x), (_, t_vel, vel_x) = eval_reads[3:5]
-        assert t_vel == t == 0.01
+        (_, _, force_x), (_, j_vel, vel_x) = eval_reads[3:5]
+        assert j_vel == 2 * j == 2  # row 1: force read 1, velocity read 2, both at t = 0.01
         assert vel_x[0, 0] != found[0, 0]
         assert np.array_equal(vel_x[1:], found[1:])
         assert np.array_equal(force_x, vel_x)
-        assert starts[1][0] == t and np.array_equal(starts[1][1], vel_x)
+        assert starts[1][0] == j_vel and np.array_equal(starts[1][1], vel_x)
 
     def test_an_offset_off_the_grid_at_a_row_read_aborts_without_a_redraw(self, monkeypatch):
         # row 1's force read sees offset 3 beyond the packet's grid [-10, 10): the abort propagates
         force_reads, draws = [], []
         real_eval_fields, real_sample = manybody._eval_fields, manybody._sample_from_snapshot
 
-        def doctored(cache, t, x):
+        def doctored(cache, j, x):
             if cache.kind == "qforce":
-                force_reads.append(t)
+                force_reads.append(j)
                 if len(force_reads) == 2:
                     x = x.copy()
                     x[3, 0] = 25.0
-            return real_eval_fields(cache, t, x)
+            return real_eval_fields(cache, j, x)
 
         def counting(*args):
             draws.append(args)
@@ -353,7 +354,7 @@ class TestRunCmExperiment:
         abort = exc_info.value
         assert abort.left_grid and abort.indices.tolist() == [3]
         assert abort.time == 0.01 and abort.positions[3, 0] == 25.0
-        assert force_reads == [0.0, 0.01]  # no re-read
+        assert force_reads == [0, 1]  # rows 0 and 1, and no re-read
         assert len(draws) == 1  # the initial draw, and no redraw
 
     def test_velocity_and_force_reads_share_the_node_mask(self, monkeypatch):
@@ -373,9 +374,9 @@ class TestRunCmExperiment:
             res = run_cm_experiment(spec, 2.0, 0.01, seed=0)
             velocity, force = caches[-2:]
             assert (velocity.kind, force.kind) == ("velocity", "qforce")
-            for t in res.times.tolist():
-                mask = velocity.at(t)[1]
-                assert np.array_equal(mask, force.at(t)[1]), (sigma, hbar, mass, t)
+            for row in range(len(res.times)):
+                mask = velocity.at(2 * row)[1]
+                assert np.array_equal(mask, force.at(row)[1]), (sigma, hbar, mass, row)
                 masked += int((~mask).sum())
         assert masked > 0  # the masks have node regions to disagree on
 

@@ -248,6 +248,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="stride"):
             quiet_evolve(unit_gaussian, Free(), 1.0, 0.1, snapshot_stride=3)
 
+    @pytest.mark.parametrize("potential", [Free(), Harmonic(omega=1.0)])
+    @pytest.mark.parametrize("stride", [2.5, 0.5, np.nan, np.inf])
+    def test_rejects_a_fractional_stride(self, unit_gaussian, potential, stride):
+        # 10 steps: 2.5 divides them, but a row 2.5 steps apart lies off the dt lattice
+        with pytest.raises(ValueError, match="^snapshot_stride must be a whole number >= 1"):
+            quiet_evolve(unit_gaussian, potential, 1.0, 0.1, snapshot_stride=stride)
+
+    @pytest.mark.parametrize("stride", [2, 2.0, np.int64(2)])
+    def test_integral_strides_are_kept(self, unit_gaussian, stride):
+        record = quiet_evolve(unit_gaussian, Free(), 1.0, 0.1, snapshot_stride=stride)
+        assert len(record) == 6 and record.snapshot_spacing == pytest.approx(0.2)
+
     @pytest.mark.parametrize(
         "t_final, dt",
         [(np.nan, 1e-3), (np.inf, 1e-3), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1e-3)],

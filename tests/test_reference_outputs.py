@@ -6,28 +6,29 @@ directory and compares what it writes with ``perfbench/reference/`` through
 its contract checks must pass and every file must match its reference within
 the tolerance that module documents.  The module is compiled from its source,
 so nothing is written beside it.  The same runs count each config's work, free
-rows inverse-transformed, Strang steps, and velocity and quantum-force field
-rows, against the exact counts in ``WORK``.
+rows inverse-transformed, Strang steps, velocity and quantum-force field rows,
+and interpolation reads (stencils built, the points they locate, and one-particle
+point reads), against the exact counts in ``WORK``.
 """
 
 import types
 from pathlib import Path
 
-from bohmsim import cli, propagator, quantum_potential, trajectories, wavefield
+from bohmsim import _interp, cli, propagator, quantum_potential, trajectories, wavefield
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (free rows inverse-transformed, Strang steps, velocity field rows, quantum-force field rows)
-# per shipped config at the reference seed
+# (free rows inverse-transformed, Strang steps, velocity field rows, quantum-force field rows,
+#  stencils, stencil points, one-particle point reads) per shipped config at the reference seed
 WORK = {
-    "averaging_identity": (0, 0, 0, 12),
-    "bec": (0, 0, 1, 1),
-    "cm_newton": (400, 0, 401, 202),
-    "crosscheck": (8_000, 16_000, 12_006, 6_003),
-    "equivariance": (120, 0, 41, 41),
-    "free_gaussian": (20, 0, 0, 0),
-    "harmonic_ground": (0, 10_000, 63, 21),
-    "no_tunneling": (200, 0, 201, 0),
+    "averaging_identity": (0, 0, 0, 12, 0, 0, 0),
+    "bec": (0, 0, 1, 1, 2, 2_000, 0),
+    "cm_newton": (400, 0, 401, 202, 1_002, 1_002_000, 0),
+    "crosscheck": (8_000, 16_000, 12_006, 6_003, 0, 0, 30_009),
+    "equivariance": (120, 0, 41, 41, 841, 8_410_000, 0),
+    "free_gaussian": (20, 0, 0, 0, 0, 0, 0),
+    "harmonic_ground": (0, 10_000, 63, 21, 21, 21, 81),
+    "no_tunneling": (200, 0, 201, 0, 400, 8_000, 0),
 }
 
 
@@ -40,9 +41,11 @@ def load_outputs() -> types.ModuleType:
 
 
 def counting_work(monkeypatch) -> list[int]:
-    """Spies on ``propagator``'s transforms and Strang steps and on the field batches in every module that
-    reads them; returns the running counts [free rows, steps, velocity rows, quantum-force rows]."""
-    work, fft, apply = [0, 0, 0, 0], propagator._fft, propagator._SplitStepKernel.apply
+    """Spies on ``propagator``'s transforms and Strang steps, on the field batches in every module that
+    reads them and on ``_interp``'s stencils and point reads; returns the running counts [free rows, steps,
+    velocity rows, quantum-force rows, stencils, stencil points, point reads]."""
+    work, fft, apply = [0] * 7, propagator._fft, propagator._SplitStepKernel.apply
+    stencil, sample_point = _interp.Stencil.__init__, _interp.sample_point
 
     def counting_fft(values, axis, out=None, inverse=False):
         # a free record's last inverse transform runs over axis 1 of its rows (B, *grid.shape);
@@ -54,6 +57,15 @@ def counting_work(monkeypatch) -> list[int]:
         work[1] += 1
         return apply(self, amps, out)
 
+    def counting_stencil(self, grid, x):
+        work[4] += 1
+        work[5] += len(x)
+        return stencil(self, grid, x)
+
+    def counting_point(*args):
+        work[6] += 1
+        return sample_point(*args)
+
     def counting_rows(kind, batch):
         def counting(amplitudes, grid, params):
             work[kind] += len(amplitudes)
@@ -63,6 +75,8 @@ def counting_work(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(propagator, "_fft", counting_fft)
     monkeypatch.setattr(propagator._SplitStepKernel, "apply", counting_apply)
+    monkeypatch.setattr(_interp.Stencil, "__init__", counting_stencil)
+    monkeypatch.setattr(_interp, "sample_point", counting_point)
     velocity, qforce = counting_rows(2, wavefield.velocity_batch), counting_rows(3, quantum_potential.qforce_batch)
     for module in (wavefield, trajectories, cli):
         monkeypatch.setattr(module, "velocity_batch", velocity)
@@ -79,7 +93,7 @@ def test_shipped_configs_match_the_benchmark_references(tmp_path, monkeypatch):
     work, done = counting_work(monkeypatch), {}
     for name in configs:
         config = cli.parse_config_file(str(ROOT / "configs" / f"{name}.cfg"))
-        work[:] = [0, 0, 0, 0]
+        work[:] = [0] * 7
         cli.run(config, out_dir=str(tmp_path / name), seed=seed, quiet=True)
         done[name] = tuple(work)
     assert done == WORK

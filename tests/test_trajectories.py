@@ -1,5 +1,6 @@
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,9 +32,8 @@ from bohmsim import (
 )
 from bohmsim import _interp, propagator, trajectories
 from bohmsim._interp import _OFFSETS, erode
-from bohmsim.propagator import _whole_steps
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _bracket, _eval_fields, _FieldCache, _rk4_step, _step_times
+from bohmsim.trajectories import _eval_fields, _FieldCache, _rk4_step
 from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
@@ -194,12 +194,12 @@ def heavy_record():
 
 
 def count_evaluations(monkeypatch):
-    """Record the time of every ``_eval_fields`` call in the trajectories module."""
+    """Record the read index of every ``_eval_fields`` call in the trajectories module."""
     seen = []
 
-    def counting(cache, t, x):
-        seen.append(t)
-        return _eval_fields(cache, t, x)
+    def counting(cache, j, x):
+        seen.append(j)
+        return _eval_fields(cache, j, x)
 
     monkeypatch.setattr(trajectories, "_eval_fields", counting)
     return seen
@@ -207,7 +207,7 @@ def count_evaluations(monkeypatch):
 
 class TestFieldCache:
     @pytest.mark.parametrize("kind", ["velocity", "qforce"])
-    @pytest.mark.parametrize("interval, stride", [(0.05, 2), (0.025, 1), (0.03, 1)])
+    @pytest.mark.parametrize("interval, stride", [(0.05, 2), (0.025, 1), (0.0375, 1)])
     def test_batch_fields_equal_per_snapshot(self, heavy_record, kind, interval, stride):
         cache = _FieldCache(heavy_record, kind, interval)
         assert cache.stride == stride
@@ -258,7 +258,7 @@ class TestFieldCache:
         monkeypatch.setattr(trajectories, "velocity_batch", spying)
         first = None
         cache.fields(0)
-        cache.at(heavy_record.times[20])  # the last time read keeps views of snapshot 20's fields
+        cache.at(20)  # the last read keeps views of snapshot 20's fields
         first = weakref.ref(cache._cache[20][0].base)
         cache.fields(21)
         # entry 20 is kept as a copy, so the first batch is freed before the second is computed
@@ -267,11 +267,10 @@ class TestFieldCache:
 
     @pytest.mark.parametrize("kind", ["velocity", "qforce"])
     def test_at_blends_the_bracket_once_per_time(self, heavy_record, kind):
-        cache = _FieldCache(heavy_record, kind, 0.03)
-        spacing = heavy_record.snapshot_spacing
-        for t in (0.25 + 0.3 * spacing, 0.25 + 0.5 * spacing, 0.3, 1.0 - 0.1 * spacing):
-            i, theta = _bracket(heavy_record, t)
-            values, eroded = cache.at(t)
+        cache = _FieldCache(heavy_record, kind, 0.00625)  # a quarter of the spacing
+        for j in (41, 42, 48, 159):  # snapshots 10.25, 10.5, 12 and 39.75
+            i, theta = j // 4, j % 4 / 4
+            values, eroded = cache.at(j)
             va, eroded_a = cache.fields(i)
             if theta == 0.0:
                 assert values is va and eroded is eroded_a
@@ -279,7 +278,7 @@ class TestFieldCache:
                 vb, eroded_b = cache.fields(i + 1)
                 assert np.array_equal(values, (1.0 - theta) * va + theta * vb)
                 assert np.array_equal(eroded, eroded_a & eroded_b)
-            again = cache.at(t)
+            again = cache.at(j)
             assert again[0] is values and again[1] is eroded
 
     def test_batch_size_follows_point_budget(self):
@@ -295,7 +294,7 @@ class TestGuidanceMomenta:
         traj = integrate_guidance(heavy_record, [0.4], dt)
         cache = _FieldCache(heavy_record, "velocity", 0.5 * dt)
         want = np.array(
-            [2.0 * _eval_fields(cache, float(t), traj.positions[i : i + 1])[0] for i, t in enumerate(traj.times)]
+            [2.0 * _eval_fields(cache, 2 * i, traj.positions[i : i + 1])[0] for i in range(len(traj.times))]
         )
         assert np.array_equal(traj.momenta, want)
 
@@ -307,7 +306,7 @@ class TestGuidanceMomenta:
         seen.clear()
         integrate_guidance(heavy_record, [0.4], 0.1)
         assert len(seen) == 4 * n + 1  # the momenta add only v at the final time
-        assert seen[-1] == pytest.approx(float(times[-1]), abs=0.0)
+        assert seen[-1] == 2 * n  # the final time's half-step read
 
     def test_batch_ending_beside_a_node_region_returns(self, line_grid, unit_params):
         # one step of 0.2: k1 (t = 0) and k2, k3 (t = 0.1) ride at v = 1, k4 (t = 0.2) at v = -5,
@@ -525,7 +524,7 @@ def masked_cache(monkeypatch, dims, node, bad_snapshots):
         return values, valid
 
     monkeypatch.setattr(trajectories, "velocity_batch", fake_velocity_batch)
-    return _FieldCache(record, "velocity", 1e-3)
+    return _FieldCache(record, "velocity", 5e-4)  # read j at t = j * 5e-4
 
 
 def at_base(base):
@@ -551,11 +550,11 @@ class TestErodedNodeMask:
             (2, (15, 0), (1, 15)),
         ],
     )
-    @pytest.mark.parametrize("t", [0.0, 5e-4])  # on a snapshot, between two
-    def test_masked_footprint_node_aborts(self, monkeypatch, dims, base, node, t):
+    @pytest.mark.parametrize("j", [0, 1])  # on a snapshot, between two
+    def test_masked_footprint_node_aborts(self, monkeypatch, dims, base, node, j):
         cache = masked_cache(monkeypatch, dims, node, range(5))
         with pytest.raises(TrajectoryAbort, match="node region"):
-            _eval_fields(cache, t, at_base(base))
+            _eval_fields(cache, j, at_base(base))
 
     @pytest.mark.parametrize(
         "dims, base, node",
@@ -570,17 +569,17 @@ class TestErodedNodeMask:
     )
     def test_node_beyond_the_footprint_is_harmless(self, monkeypatch, dims, base, node):
         cache = masked_cache(monkeypatch, dims, node, range(5))
-        for t in (0.0, 5e-4):
-            assert np.array_equal(_eval_fields(cache, t, at_base(base)), np.zeros((1, dims)))
+        for j in (0, 1):
+            assert np.array_equal(_eval_fields(cache, j, at_base(base)), np.zeros((1, dims)))
 
     def test_either_side_of_a_time_bracket_aborts(self, monkeypatch):
         cache = masked_cache(monkeypatch, 1, (7,), [2])
         x = at_base((5,))
-        for t in (5e-4, 1e-3, 3e-3, 3.5e-3):
-            _eval_fields(cache, t, x)
-        for t in (1.5e-3, 2e-3, 2.5e-3):
+        for j in (1, 2, 6, 7):  # t = 5e-4, 1e-3, 3e-3, 3.5e-3
+            _eval_fields(cache, j, x)
+        for j in (3, 4, 5):  # t = 1.5e-3, 2e-3, 2.5e-3
             with pytest.raises(TrajectoryAbort, match="node region"):
-                _eval_fields(cache, t, x)
+                _eval_fields(cache, j, x)
 
 
 def per_point_abort(grid, mask, t, x):
@@ -632,26 +631,27 @@ class TestBatchReadChecks:
             ([[-4.5], [-0.5], [4.5]], (8,)),  # ... and base 7 in it
         ],
     )
-    @pytest.mark.parametrize("t", [0.0, 5e-4])  # on a snapshot, between two
-    def test_reads_abort_as_a_point_by_point_check(self, monkeypatch, x, node, t):
+    @pytest.mark.parametrize("j", [0, 1])  # on a snapshot, between two
+    def test_reads_abort_as_a_point_by_point_check(self, monkeypatch, x, node, j):
         x = np.array(x)
         cache = masked_cache(monkeypatch, 1, node or (0,), range(5) if node else [])
+        t = cache.t0 + j * cache.interval
         mask = np.ones(16, dtype=bool)
         if node:
             mask[node] = False
         want = per_point_abort(cache.record.grid, mask, t, x)
         if want is None:
-            assert np.array_equal(_eval_fields(cache, t, x), np.zeros((len(x), 1)))
+            assert np.array_equal(_eval_fields(cache, j, x), np.zeros((len(x), 1)))
         else:
-            abort = abort_of(lambda: _eval_fields(cache, t, x))
+            abort = abort_of(lambda: _eval_fields(cache, j, x))
             assert abort_fields(abort) == want
             assert abort.time == t and abort.positions is x
         for c in x[:, 0].tolist():
             want = per_point_abort(cache.record.grid, mask, t, np.array([[c]]))
             if want is None:
-                assert _eval_fields(cache, t, c) == 0.0
+                assert _eval_fields(cache, j, c) == 0.0
                 continue
-            abort = abort_of(lambda: _eval_fields(cache, t, c))
+            abort = abort_of(lambda: _eval_fields(cache, j, c))
             assert abort_fields(abort) == want and want[1] == [0]
             assert abort.time == t and np.array_equal(abort.positions, [[c]], equal_nan=True)
 
@@ -672,8 +672,8 @@ class TestKeptTable:
         dt = 0.0125  # a quarter of the spacing: half steps fall between snapshots
         times, _ = integrate_guidance_batch(heavy_record, np.array([[0.4], [-0.7]]), dt)
         n = len(times) - 1
-        assert any(_bracket(heavy_record, t)[1] != 0.0 for t in seen)
-        # k1 at t, k2 and k3 at t + dt/2, k4 at the next step time: the next k1's time
+        assert any(j % 4 != 0 for j in seen)  # reads a quarter spacing apart: three in four between snapshots
+        # k1 at read 2k, k2 and k3 at 2k + 1, k4 at 2k + 2: the next k1's read
         assert len(seen) == 4 * n and len(set(seen)) == 2 * n + 1
         assert len(built) == len(set(seen))
         built.clear()
@@ -684,91 +684,91 @@ class TestKeptTable:
     def test_cached_reads_equal_a_fresh_stencil_bit_for_bit(self, heavy_record):
         cache = _FieldCache(heavy_record, "velocity", 0.00625)
         x = np.random.default_rng(7).uniform(-4.0, 4.0, size=(500, 1))
-        for t in (0.0, 0.00625, 0.3, 0.30625, 0.30625, 0.3125):
-            block, eroded = cache.at(t)
+        for j in (0, 1, 48, 49, 49, 50):  # t = 0.0, 0.00625, 0.3, 0.30625, 0.30625, 0.3125
+            block, eroded = cache.at(j)
             stencil = _interp.Stencil(heavy_record.grid, x)
             want = stencil.sample(block)
             assert stencil.valid(eroded).all()
-            assert _eval_fields(cache, t, x).tobytes() == want.tobytes()
+            assert _eval_fields(cache, j, x).tobytes() == want.tobytes()
             # beside points in the packet's far tails, the abort names the rows the stencil finds invalid
             tails = np.vstack([x, [[-14.5], [13.9]], x[:3]])
             ok = _interp.Stencil(heavy_record.grid, tails).valid(eroded)
             assert ok[:500].all() and not ok[500:502].any()
-            abort = abort_of(lambda: _eval_fields(cache, t, tails))
+            abort = abort_of(lambda: _eval_fields(cache, j, tails))
             assert np.array_equal(abort.indices, np.flatnonzero(~ok)) and not abort.left_grid
 
     def test_rk4_step_keeps_its_inputs_and_the_order_of_the_sum(self, heavy_record, monkeypatch):
         cache = _FieldCache(heavy_record, "velocity", 0.00625)
         x = np.random.default_rng(8).uniform(-4.0, 4.0, size=(300, 1))
         dt = 0.0125
-        times = _step_times(heavy_record, dt).tolist()
-        # a step whose t + dt blends the snapshots apart from its next step time: k4 reads at the latter
-        brackets = [(_bracket(heavy_record, a + dt), _bracket(heavy_record, b)) for a, b in zip(times, times[1:])]
-        step = next(k for k, (after_dt, next_time) in enumerate(brackets) if after_dt != next_time)
-        t, t_next = times[step], times[step + 1]
-        k1 = _eval_fields(cache, t, x)
+        j = 2 * 3  # step 3: k1 at snapshot 1.5, k2 and k3 at 1.75, k4 at 2
+        k1 = _eval_fields(cache, j, x)
         x_before, k1_before = x.copy(), k1.copy()
         seen = count_evaluations(monkeypatch)
-        got = _rk4_step(cache, t, t_next, x, dt, k1)
-        assert seen == [t + 0.5 * dt, t + 0.5 * dt, t_next]
+        got = _rk4_step(cache, j, x, dt, k1)
+        assert seen == [j + 1, j + 1, j + 2]
         monkeypatch.undo()
         assert np.array_equal(x, x_before) and np.array_equal(k1, k1_before)
         assert not np.shares_memory(got, x) and not np.shares_memory(got, k1)
-        k2 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = _eval_fields(cache, t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = _eval_fields(cache, t_next, x + dt * k3)
+        k2 = _eval_fields(cache, j + 1, x + 0.5 * dt * k1)
+        k3 = _eval_fields(cache, j + 1, x + 0.5 * dt * k2)
+        k4 = _eval_fields(cache, j + 2, x + dt * k3)
         assert got.tobytes() == (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tobytes()
 
 
-class TestBracket:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        t0=st.floats(-50.0, 50.0),
-        spacing=st.floats(1e-3, 10.0),
-        k=st.integers(1, 8000),
-        relative=st.one_of(st.just(0.0), st.floats(-3e-9, 3e-9)),
-    )
-    def test_on_a_snapshot_exactly_when_whole_steps_says_so(self, t0, spacing, k, relative):
-        grid = make_grid(1, -1.0, 1.0, 16)
-        times = t0 + spacing * np.arange(k + 2)
-        record = EvolutionRecord(
-            times, np.zeros((k + 2, 16), complex), grid, PhysicalParams(), np.zeros(k + 1)
-        )
-        t = t0 + k * spacing * (1.0 + relative)
-        steps = _whole_steps(t - t0, record.snapshot_spacing, required=False)
-        i, theta = _bracket(record, t)
-        assert (theta == 0.0) == bool(steps)
-        if steps:
-            assert i == steps
-        else:
-            assert i in (k - 1, k) and 0.0 < theta < 1.0
+class TestReadLattice:
+    """``_FieldCache`` places read j at snapshot j p / q, p/q the read interval over the spacing in lowest terms,
+    for every pair of step and spacing that ``_step_times`` admits, with RK4's and leapfrog's read intervals."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        t0=st.floats(-50.0, 50.0),
-        spacing=st.floats(1e-3, 10.0),
-        k=st.integers(0, 8001),
-        offset=st.one_of(
-            st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]).map(lambda r: ("relative", r)),
-            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda f: ("between", f)),
-        ),
-    )
-    def test_equals_the_checked_bracket(self, t0, spacing, k, offset):
-        grid = make_grid(1, -1.0, 1.0, 16)
-        times = t0 + spacing * np.arange(8002)
-        record = EvolutionRecord(
-            times, np.zeros((8002, 16), complex), grid, PhysicalParams(), np.zeros(8001)
-        )
-        kind, value = offset
-        t = t0 + k * spacing * (1.0 + value) if kind == "relative" else t0 + (k + value) * spacing
-        assert _bracket(record, t) == oracles.bracket(record, t)
+    SNAPSHOTS = 9
 
-    def test_lattice_tolerance_grows_with_the_span(self, spreading_record):
-        # 5e-10 relative off step 20 is 1e-8 of a spacing: still on the lattice
-        spacing = spreading_record.snapshot_spacing
-        assert _bracket(spreading_record, 20 * spacing * (1.0 + 5e-10)) == (20, 0.0)
-        i, theta = _bracket(spreading_record, 20 * spacing * (1.0 + 2e-9))
-        assert i == 20 and 0.0 < theta < 1e-6
+    def record(self, t0, spacing):
+        grid = make_grid(1, -8.0, 8.0, 16)
+        rng = np.random.default_rng(5)
+        amplitudes = rng.normal(size=(self.SNAPSHOTS, 16)) + 1j * rng.normal(size=(self.SNAPSHOTS, 16))
+        times = t0 + spacing * np.arange(self.SNAPSHOTS)
+        return EvolutionRecord(times, amplitudes, grid, PhysicalParams(), np.zeros(self.SNAPSHOTS - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        spacing_per_step=st.booleans(),
+        route=st.sampled_from(["rk4", "leapfrog"]),
+        dt=st.floats(1e-3, 1.0),
+        t0=st.floats(-1.0, 1.0),
+        kind=st.sampled_from(["velocity", "qforce"]),
+    )
+    def test_each_read_is_its_snapshot_or_the_blend_of_its_bracket(self, m, spacing_per_step, route, dt, t0, kind):
+        spacing = m * dt if spacing_per_step else dt / m
+        record = self.record(t0, spacing)
+        interval = dt if route == "leapfrog" else 0.5 * dt
+        ratio = (Fraction(1, m) if spacing_per_step else Fraction(m)) * (1 if route == "leapfrog" else Fraction(1, 2))
+        p, q = ratio.numerator, ratio.denominator
+        cache = _FieldCache(record, kind, interval)
+        for j in range((self.SNAPSHOTS - 1) * q // p + 1):
+            i, r = divmod(j * p, q)
+            values, eroded = cache.at(j)
+            va, eroded_a = cache.fields(i)
+            if r == 0:  # the snapshot's own arrays
+                assert values is va and eroded is eroded_a
+            else:
+                vb, eroded_b = cache.fields(i + 1)
+                theta = r / q
+                assert np.array_equal(values, (1.0 - theta) * va + theta * vb)
+                assert np.array_equal(eroded, eroded_a & eroded_b)
+            again = cache.at(j)  # built once
+            assert again[0] is values and again[1] is eroded
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spacing=st.floats(1e-3, 1.0),
+        ratio=st.sampled_from([0.4, 0.6, 2.0 / 3.0, 0.75, 1.2, 1.25, 7.0 / 3.0, 3.3]),
+        kind=st.sampled_from(["velocity", "qforce"]),
+    )
+    def test_an_interval_off_the_lattice_is_rejected(self, spacing, ratio, kind):
+        # neither m, m/2 nor 1/m spacings
+        with pytest.raises(ValueError, match="read interval"):
+            _FieldCache(self.record(0.0, spacing), kind, ratio * spacing)
 
 
 BAD_STEPS = [np.nan, np.inf, 0.0, -0.2]

@@ -44,6 +44,16 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="16"):
             make_grid(1, -10.0, 10.0, 8)
 
+    @pytest.mark.parametrize("dims, points", [(1, 16.7), (2, (32, 16.5))])
+    def test_rejects_a_fractional_point_count(self, dims, points):
+        with pytest.raises(ValueError, match="^points must be one whole number"):
+            make_grid(dims, -1.0, 1.0, points)
+
+    @pytest.mark.parametrize("points", [16, 16.0, np.int64(16), (np.int64(16), 32.0)])
+    def test_integral_point_counts_are_kept(self, points):
+        grid = make_grid(2 if isinstance(points, tuple) else 1, -1.0, 1.0, points)
+        assert grid.points in ((16,), (16, 32)) and all(type(n) is int for n in grid.points)
+
     def test_axes_exclude_right_endpoint(self):
         grid = make_grid(1, -10.0, 10.0, 256)
         x = grid.axes()[0]
