@@ -36,7 +36,7 @@ from .manybody import (
     run_cm_experiment,
 )
 from .propagator import Free, Harmonic, Linear, continuity_residual, evolve
-from .quantum_potential import averaged_quantum_force, compute_qfields, hamilton_jacobi_energy
+from .quantum_potential import _averaged_force, compute_qfields, hamilton_jacobi_energy
 from .trajectories import crosscheck, integrate_guidance
 from .wavefield import (
     PhysicalParams,
@@ -411,9 +411,9 @@ def _run_averaging_identity(config: ExperimentConfig, seed: int):
     suite.append(("harmonic-ground", init_gaussian(grid, params, 0.0, sigma_ground)))
     rows = []
     for name, wf in suite:
-        integral = float(averaged_quantum_force(wf)[0])
-        scale = compute_qfields(wf).f_q_max
-        rows.append([name, integral, scale, abs(integral) / scale])
+        qf = compute_qfields(wf)
+        integral = float(_averaged_force(wf, qf)[0])
+        rows.append([name, integral, qf.f_q_max, abs(integral) / qf.f_q_max])
     checks = (ContractCheck("averaging-identity-relative", _worst(row[3] for row in rows), 1e-8),)
     header = ["state", "integral", "f_q_max", "relative"]
     return checks, header, rows, None

@@ -2,9 +2,11 @@
 
 Sampling is inverse-CDF on the grid cells with uniform placement inside a cell, driven by
 the counter-based Philox4x64-10 generator so runs are reproducible from a single integer
-seed.  Particles read the velocity and the quantum force through ``trajectories._read``, as on
-the Newton route.  Means are exactly rounded, so no order sets the bits: ``_fsum`` sums by
-error-free extraction, whose level sums are exact in numpy, with ``math.fsum``'s bits.
+seed; ``_Philox`` draws numpy's Philox stream bit for bit in plain array arithmetic, with no
+random-number module loaded.  Particles read the velocity and the quantum force through
+``trajectories._read``, as on the Newton route.  Means are exactly rounded, so no order sets
+the bits: ``_fsum`` sums by error-free extraction, whose level sums are exact in numpy, with
+``math.fsum``'s bits.
 """
 
 from __future__ import annotations
@@ -19,8 +21,40 @@ from .trajectories import _FieldCache, _guidance_rk4, _read, _snapshot_fields, _
 from .wavefield import Grid, Wavefunction
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, the high word from 32-bit halves."""
+    m_lo, m_hi, x_lo, x_hi = m & 0xFFFFFFFF, m >> 32, x & 0xFFFFFFFF, x >> 32
+    cross = (x_lo * m_lo >> 32) + (x_hi * m_lo & 0xFFFFFFFF) + x_lo * m_hi
+    return x_hi * m_hi + (x_hi * m_lo >> 32) + (cross >> 32), x * m
+
+
+class _Philox:
+    """numpy's ``Generator(Philox(key=seed)).random`` stream, bit for bit: block n = 1, 2, ... is
+    Philox4x64-10 of the counter (n, 0, 0, 0) under the key (seed mod 2**64, seed >> 64)
+    (Salmon, Moraes, Dror and Shaw, SC'11), and its words x0..x3 give ``(word >> 11) * 2**-53`` in
+    turn; the words a call leaves unused open the next call, as numpy's four-word buffer does."""
+
+    def __init__(self, seed: int):
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+        self._key = (int(seed) % 2**64, int(seed) >> 64)
+        self._blocks, self._left = 0, np.empty(0)  # the last block's counter and its words not yet returned
+
+    def random(self, count: int) -> np.ndarray:
+        """The next ``count`` doubles of the stream, uniform on [0, 1)."""
+        new = max(0, -((len(self._left) - count) // 4))  # blocks this call needs
+        x0 = np.arange(self._blocks + 1, self._blocks + new + 1, dtype=np.uint64)
+        x1 = x2 = x3 = np.zeros(new, dtype=np.uint64)
+        self._blocks += new
+        k0, k1 = self._key  # Python ints: numpy's uint64 scalars warn on wraparound
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, x0)
+            hi1, lo1 = _mulhilo(0xCA5A826395121157, x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) % 2**64, (k1 + 0xBB67AE8584CAA73B) % 2**64
+        stream = np.concatenate([self._left, (np.stack([x0, x1, x2, x3], axis=1).ravel() >> 11) * 2.0**-53])
+        self._left = stream[count:].copy()
+        return stream[:count]
 
 
 @dataclass(frozen=True)
@@ -42,7 +76,7 @@ class EnsembleSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
-def sample_density(rho: np.ndarray, grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_density(rho: np.ndarray, grid: Grid, count: int, rng: _Philox) -> np.ndarray:
     """Draw ``count`` positions from a gridded density, shape (count, dims)."""
     weights = rho.reshape(-1).astype(float)
     cum = np.cumsum(weights)
@@ -61,7 +95,7 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, rng: np.random.Gener
 def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     """Positions distributed as |psi|^2, shape (count, dims)."""
     rho = np.abs(spec.wavefunction.amplitudes) ** 2
-    return sample_density(rho, spec.wavefunction.grid, spec.count, _rng(spec.seed))
+    return sample_density(rho, spec.wavefunction.grid, spec.count, _Philox(spec.seed))
 
 
 def _fsum(values: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .ensemble import _fsum, _grid_cdf, _rng, sample_density
+from .ensemble import _fsum, _grid_cdf, _Philox, sample_density
 from .propagator import Free, PairwiseHarmonic, PotentialSpec, _whole_steps, evolve
 from .quantum_potential import compute_qfields
 from .trajectories import (
@@ -276,7 +276,7 @@ def _chain_forces(coupling: PairwiseHarmonic, x: np.ndarray) -> np.ndarray:
 
 
 def _sample_from_snapshot(
-    rho: np.ndarray, grid: Grid, eroded: np.ndarray, count: int, rng: np.random.Generator
+    rho: np.ndarray, grid: Grid, eroded: np.ndarray, count: int, rng: _Philox
 ) -> tuple[np.ndarray, int]:
     """Samples of the density ``rho`` whose stencils avoid the ``eroded`` node mask, and the count of
     redraws; ``RuntimeError`` naming how many still touch it after 100 rounds of redraws."""
@@ -321,7 +321,7 @@ def run_cm_experiment(
         raise ValueError(f"sampling must be 'random' or 'stratified', got {sampling!r}")
     n_steps = _whole_steps(t_final, dt)
 
-    rng = _rng(seed)
+    rng = _Philox(seed)
     n = spec.n_subsystems
     mass = spec.mass
     total_mass = spec.total_mass
@@ -446,7 +446,7 @@ def run_bec_experiment(
     params = PhysicalParams(hbar, mass)
     wf = init_gaussian(grid, params, 0.0, packet_width, wavenumber=mass * velocity / hbar)
 
-    rng = _rng(seed)
+    rng = _Philox(seed)
     qf = compute_qfields(wf)
     eroded = _interp.erode(qf.valid, 1)
     x0, resamples = _sample_from_snapshot(np.abs(wf.amplitudes) ** 2, grid, eroded, n_subsystems, rng)

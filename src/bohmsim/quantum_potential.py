@@ -101,7 +101,10 @@ def averaged_quantum_force(wf: Wavefunction) -> np.ndarray:
     A warning is issued when the state touches the periodic boundary, in
     which case the identity legitimately fails.
     """
-    qf = compute_qfields(wf)
+    return _averaged_force(wf, compute_qfields(wf))
+
+
+def _averaged_force(wf: Wavefunction, qf: QFields) -> np.ndarray:
     rho = np.abs(wf.amplitudes) ** 2
     _warn_if_boundary_touched(rho)
     cell = wf.grid.cell_volume
@@ -119,7 +122,7 @@ def _warn_if_boundary_touched(rho: np.ndarray) -> None:
         warnings.warn(
             "state touches the periodic boundary; the quantum-force averaging "
             "identity may fail",
-            stacklevel=3,
+            stacklevel=4,  # the caller of averaged_quantum_force
         )
 
 

@@ -119,7 +119,10 @@ def make_grid(dims: int, x_min, x_max, points) -> Grid:
     lows = _as_tuple(x_min, dims, "x_min")
     highs = _as_tuple(x_max, dims, "x_max")
     given = (points,) * dims if np.isscalar(points) else tuple(points)
-    counts = tuple(int(p) for p in given)
+    try:
+        counts = tuple(int(p) for p in given)
+    except (ValueError, OverflowError):  # a NaN or infinite count
+        counts = ()
     if len(counts) != dims or counts != given:
         raise ValueError(f"points must be one whole number or a length-{dims} sequence of them, got {points}")
     for lo, hi in zip(lows, highs):

@@ -104,6 +104,15 @@ def test_readme_library_example_runs():
     assert np.isfinite(path.positions).all()
 
 
+def loaded_in_a_fresh_interpreter(script: str, names: tuple[str, ...], *args: str) -> list[str]:
+    """Which of ``names`` are in ``sys.modules`` after a new interpreter runs ``script`` with ``args``."""
+    script += f"print(*(name for name in {names!r} if name in sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
 def test_import_and_parsing_load_no_fft_or_statistics():
     # set-up time: the FFT and statistics modules load on first use, not on import
     configs = sorted(str(path) for path in (ROOT / "configs").glob("*.cfg"))
@@ -114,9 +123,21 @@ def test_import_and_parsing_load_no_fft_or_statistics():
         "from bohmsim import cli\n"
         "for path in sys.argv[1:]:\n"
         "    cli.parse_config_file(path)\n"
-        "print(*(name for name in ('numpy.fft', 'statistics', 'decimal', 'fractions') if name in sys.modules))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script, *configs], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "\n"
+    assert loaded_in_a_fresh_interpreter(script, ("numpy.fft", "statistics", "decimal", "fractions"), *configs) == []
+
+
+def test_shipped_runs_load_no_random_number_modules(tmp_path):
+    # peak memory: importing numpy's random package loads 19 modules, secrets and hashlib among them, and
+    # raises peak RSS by about 6 MiB; the seeded configs (equivariance, cm-newton, bec) draw from ensemble._Philox
+    configs = sorted(str(path) for path in (ROOT / "configs").glob("*.cfg"))
+    assert len(configs) == 8
+    script = (
+        "import os, sys\n"
+        "from bohmsim import cli\n"
+        "for path in sys.argv[2:]:\n"
+        "    out = os.path.join(sys.argv[1], os.path.basename(path))\n"
+        "    cli.run(cli.parse_config_file(path), out_dir=out, quiet=True)\n"
+    )
+    names = ("numpy.random", "secrets", "hashlib")
+    assert loaded_in_a_fresh_interpreter(script, names, str(tmp_path), *configs) == []

@@ -77,9 +77,11 @@ def summands(draw):
 
 
 def outcome(total):
-    """The bits of a sum, or the type and message of what it raised."""
+    """The bits of a sum, any NaN as one (the payload of a sum of NaNs is the first or the second
+    operand's, so it depends on the order), or the type and message of what it raised."""
     try:
-        return struct.pack("<d", total())
+        value = total()
+        return struct.pack("<d", math.nan if math.isnan(value) else value)
     except (ValueError, OverflowError) as error:
         return type(error), str(error)
 
@@ -95,6 +97,7 @@ class TestExactSum:
     @example(values=np.array([-1e308, -1e308, 1.7e308]))
     @example(values=np.array([2.0**1000, 5e-324, -(2.0**1000)]))  # the values under 2**-800 still count
     @example(values=np.array([np.inf, 1.0, -np.inf]))  # math.fsum raises ValueError, and so must _fsum
+    @example(values=np.frombuffer(bytes.fromhex("000000000000f87f010000000000f87f")))  # two NaN payloads
     # M = 2**k - 2 negative values in (-2, -1]: their level sums fill sigma's headroom, and
     # with a sigma one power of two smaller these two lose bits that show in the sum
     @example(values=-np.random.default_rng(8).uniform(1.0, 2.0, 1022))
@@ -119,6 +122,36 @@ class TestExactSum:
         for d in range(2):
             assert ensemble._fsum(block[:, d]) == math.fsum(block[:, d].tolist())
             assert ensemble._fsum_mean(block[:, d]) == math.fsum(block[:, d].tolist()) / 5_000
+
+
+@st.composite
+def call_sizes(draw):
+    """Sizes of consecutive ``random`` calls on one stream: a 0 among them, short calls that end
+    inside a block and long ones that span many."""
+    sizes = draw(st.lists(st.integers(0, 9) | st.integers(10, 600), max_size=6))
+    sizes.insert(draw(st.integers(0, len(sizes))), 0)
+    return sizes
+
+
+class TestPhilox:
+    """``ensemble._Philox`` continues numpy's ``Generator(Philox(key=seed)).random`` stream bit for bit
+    across calls of any size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), sizes=call_sizes())
+    @example(seed=0, sizes=[1, 3, 4, 5, 0, 1000, 7])
+    @example(seed=2**64 - 1, sizes=[0, 5, 3])  # the largest low key word, high word 0
+    @example(seed=2**64, sizes=[2, 0, 9])  # low word 0, high word 1
+    @example(seed=2**128 - 1, sizes=[4, 0, 4])  # both words at their largest
+    def test_equals_numpy_philox_byte_for_byte(self, seed, sizes):
+        ours, numpys = ensemble._Philox(seed), np.random.Generator(np.random.Philox(key=seed))
+        got = np.concatenate([ours.random(size) for size in sizes])
+        assert got.tobytes() == np.concatenate([numpys.random(size) for size in sizes]).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_a_seed_outside_the_key_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            ensemble._Philox(seed)
 
 
 class TestEnsembleSpec:

@@ -431,7 +431,7 @@ class TestSampleFromSnapshot:
         grid = make_grid(1, -10.0, 10.0, 256)
         rho = np.abs(init_gaussian(grid, PhysicalParams(), 0.0, 1.0).amplitudes) ** 2
         eroded = grid.axes()[0] > 0.0
-        x, redraws = manybody._sample_from_snapshot(rho, grid, eroded, 50, manybody._rng(0))
+        x, redraws = manybody._sample_from_snapshot(rho, grid, eroded, 50, manybody._Philox(0))
         assert redraws > 0 and x.shape == (50, 1)
         assert manybody._interp.Stencil(grid, x).valid(eroded).all()
 
@@ -440,7 +440,7 @@ class TestSampleFromSnapshot:
         rho = np.abs(init_gaussian(grid, PhysicalParams(), 0.0, 1.0).amplitudes) ** 2
         message = r"^7 of 7 samples still touch a node region after 100 rounds of redraws$"
         with pytest.raises(RuntimeError, match=message):
-            manybody._sample_from_snapshot(rho, grid, np.zeros(256, dtype=bool), 7, manybody._rng(0))
+            manybody._sample_from_snapshot(rho, grid, np.zeros(256, dtype=bool), 7, manybody._Philox(0))
 
 
 @pytest.fixture(scope="module")

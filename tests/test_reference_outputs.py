@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (free rows inverse-transformed, Strang steps, velocity field rows, quantum-force field rows,
 #  stencils, stencil points, one-particle point reads) per shipped config at the reference seed
 WORK = {
-    "averaging_identity": (0, 0, 0, 12, 0, 0, 0),
+    "averaging_identity": (0, 0, 0, 6, 0, 0, 0),
     "bec": (0, 0, 1, 1, 2, 2_000, 0),
     "cm_newton": (400, 0, 401, 202, 1_002, 1_002_000, 0),
     "crosscheck": (8_000, 16_000, 12_006, 6_003, 0, 0, 30_009),

@@ -44,7 +44,10 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="16"):
             make_grid(1, -10.0, 10.0, 8)
 
-    @pytest.mark.parametrize("dims, points", [(1, 16.7), (2, (32, 16.5))])
+    @pytest.mark.parametrize(
+        "dims, points",
+        [(1, 16.7), (2, (32, 16.5)), (1, float("nan")), (1, float("inf")), (1, -float("inf")), (2, (32, float("nan")))],
+    )
     def test_rejects_a_fractional_point_count(self, dims, points):
         with pytest.raises(ValueError, match="^points must be one whole number"):
             make_grid(dims, -1.0, 1.0, points)

@@ -18,6 +18,12 @@ called unresolved.  After the timed pairs, each config runs once more on
 each tree under ``tracemalloc``, untimed, and its line ends with both
 traced peaks in MiB.  Every run of either tree must write the same bytes,
 or the tool says which files differ and exits with status 1.
+
+Both trees share one interpreter, so a module that either tree loads is
+loaded for both.  A change to import time, or to the RSS of the modules a
+run loads (such as no longer loading numpy's random package), does not
+show here; it shows only in ``perfbench/run.py``, whose passes each start
+a fresh interpreter.
 """
 
 from __future__ import annotations
