@@ -105,11 +105,11 @@ def _fsum(values: np.ndarray) -> float:
     With sigma = 2**(e + ceil(log2(M + 2))) and every |r| <= 2**e, q = (sigma + r) - sigma
     splits each r into q + (r - q) exactly and rounds q to a multiple of eps * sigma,
     so ``q.sum()`` is exact in any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    31, 189 (2008)).  Two levels leave a few nonzero residuals, and ``math.fsum`` of the
-    level sums and those residuals rounds the same exact sum once, as of the values.
-    Input above 2**900, where ``math.fsum``'s intermediate overflow depends on the order, is
-    summed in fractions, which round once or raise ``OverflowError``.  Non-finite input sums
-    its non-finite values alone; all-zero input and no input go to ``math.fsum`` itself.
+    31, 189 (2008)).  Two levels leave a few nonzero residuals, and ``math.fsum`` of the level sums and
+    those residuals rounds the same exact sum once, as of the values.  Input above 2**900, where
+    ``math.fsum``'s intermediate overflow depends on the order, is summed in fractions, which round once
+    or raise ``OverflowError``.  Non-finite input sums its non-finite values alone (with several NaN
+    payloads the order decides which one is returned); all-zero input and no input go to ``math.fsum``.
     """
     big = np.abs(values).max(initial=0.0)  # NaN when a value is NaN
     if not math.isfinite(big):

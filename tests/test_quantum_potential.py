@@ -299,8 +299,9 @@ class TestAveragedQuantumForce:
 
     def test_boundary_touching_state_warns(self, line_grid, unit_params):
         wf = init_gaussian(line_grid, unit_params, 0.5, 1.6)
-        with pytest.warns(UserWarning, match="periodic boundary"):
+        with pytest.warns(UserWarning, match="periodic boundary") as record:
             averaged_quantum_force(wf)
+        assert record[0].filename == __file__  # the warning points at the caller
 
 
 class TestFactorizedAdditivity:
