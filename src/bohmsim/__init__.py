@@ -52,7 +52,6 @@ from .trajectories import (
 )
 from .ensemble import (
     EnsembleSpec,
-    EnsembleTrajectory,
     equivariance_distance,
     evolve_ensemble,
     sample_equilibrium,
@@ -73,7 +72,6 @@ __all__ = [
     "AccuracyWarning",
     "CMResult",
     "EnsembleSpec",
-    "EnsembleTrajectory",
     "EvolutionRecord",
     "FactorizedNBody",
     "Free",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleSpec, equivariance_distance, evolve_ensemble
+from .ensemble import EnsembleSpec, _fsum_mean, equivariance_distance, evolve_ensemble
 from .manybody import (
     FactorizedNBody,
     build_symmetrized,
@@ -373,12 +373,13 @@ def _run_equivariance(config: ExperimentConfig, seed: int):
     wf = init_gaussian(grid, params, p.x0, p.sigma, p.k0)
     record = evolve(wf, Free(), r.t_final, 0.5 * r.dt, snapshot_stride=10)
     spec = EnsembleSpec(count=r.m_samples, seed=seed, wavefunction=wf)
-    ens = evolve_ensemble(spec, record, r.dt)
-    ks_values = [
-        equivariance_distance(ens.positions[row][:, 0], record.snapshots[snap_idx])
-        for row, snap_idx in enumerate(ens.snapshot_indices)
+    # each report row reduced as it arrives: the stream keeps no positions
+    rows = [
+        [t, equivariance_distance(x[:, 0], Wavefunction(grid, params, amplitudes, t)), _fsum_mean(x[:, 0]),
+         _fsum_mean(force[:, 0])]
+        for t, amplitudes, x, force in evolve_ensemble(spec, record, r.dt)
     ]
-    rows = zip(ens.times, ks_values, ens.mean_position[:, 0], ens.mean_force[:, 0])
+    ks_values = [row[1] for row in rows]
     # 95% one-sample KS critical value 1.358/sqrt(M), with 1.5x slack
     bound = 1.5 * 1.358 / np.sqrt(r.m_samples)
     worst = _worst(ks_values)

@@ -1,17 +1,19 @@
 """Quantum-equilibrium ensembles: sampling, transport, and statistics.
 
 Sampling is inverse-CDF on the grid cells with uniform placement inside a cell, driven by
-the counter-based Philox4x64-10 generator so runs are reproducible from a single integer
+the counter-based Philox4x64-10 generator so runs are reproducible from a single whole-number
 seed; ``_Philox`` draws numpy's Philox stream bit for bit in plain array arithmetic, with no
-random-number module loaded.  Particles read the velocity and the quantum force through
-``trajectories._read``, as on the Newton route.  Means are exactly rounded, so no order sets
-the bits: ``_fsum`` sums by error-free extraction, whose level sums are exact in numpy, with
-``math.fsum``'s bits.
+random-number module loaded.  ``evolve_ensemble`` streams the transported ensemble one report
+row at a time, so its caller reduces each row as it arrives and no positions are kept.
+Particles read the velocity and the quantum force through ``trajectories._read``, as on the
+Newton route.  Means are exactly rounded, so no order sets the bits: ``_fsum`` sums by
+error-free extraction, whose level sums are exact in numpy, with ``math.fsum``'s bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,18 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (x_hi * m_lo >> 32) + (cross >> 32), x * m
 
 
+def _whole(name: str, value) -> int:
+    """The int a whole ``value`` equals (``1000.0`` and ``np.uint64(3)`` included); ``ValueError`` naming
+    ``name`` for a fractional, NaN or infinite one."""
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):  # NaN or infinite
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be one whole number, got {value}")
+    return whole
+
+
 class _Philox:
     """numpy's ``Generator(Philox(key=seed)).random`` stream, bit for bit: block n = 1, 2, ... is
     Philox4x64-10 of the counter (n, 0, 0, 0) under the key (seed mod 2**64, seed >> 64)
@@ -35,9 +49,10 @@ class _Philox:
     turn; the words a call leaves unused open the next call, as numpy's four-word buffer does."""
 
     def __init__(self, seed: int):
+        seed = _whole("seed", seed)
         if not 0 <= seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-        self._key = (int(seed) % 2**64, int(seed) >> 64)
+        self._key = (seed % 2**64, seed >> 64)
         self._blocks, self._left = 0, np.empty(0)  # the last block's counter and its words not yet returned
 
     def random(self, count: int) -> np.ndarray:
@@ -62,7 +77,8 @@ class EnsembleSpec:
     """A |psi|^2-distributed ensemble request.
 
     Statistical contracts assume at least 100 members, so smaller counts
-    are rejected outright.
+    are rejected outright, as are fractional, NaN and infinite ones; the seed
+    is checked by ``_Philox`` when the sample is drawn.
     """
 
     count: int
@@ -70,7 +86,7 @@ class EnsembleSpec:
     wavefunction: Wavefunction
 
     def __post_init__(self):
-        if self.count < 100:
+        if _whole("count", self.count) < 100:
             raise ValueError(f"ensemble needs at least 100 members, got {self.count}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
@@ -95,7 +111,7 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, rng: _Philox) -> np.
 def sample_equilibrium(spec: EnsembleSpec) -> np.ndarray:
     """Positions distributed as |psi|^2, shape (count, dims)."""
     rho = np.abs(spec.wavefunction.amplitudes) ** 2
-    return sample_density(rho, spec.wavefunction.grid, spec.count, _Philox(spec.seed))
+    return sample_density(rho, spec.wavefunction.grid, int(spec.count), _Philox(spec.seed))
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -158,50 +174,28 @@ def equivariance_distance(positions: np.ndarray, wf: Wavefunction) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-@dataclass(frozen=True)
-class EnsembleTrajectory:
-    """Transported ensemble with per-snapshot summaries."""
+def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> Iterator[tuple]:
+    """Sample at the first snapshot and transport along the guidance flow, keeping no row.
 
-    times: np.ndarray  # (S,)
-    positions: np.ndarray  # (S, M, dims)
-    mean_position: np.ndarray  # (S, dims)
-    mean_force: np.ndarray  # (S, dims) ensemble mean of F_Q
-    snapshot_indices: np.ndarray  # (S,) record snapshot index of each row
-
-
-def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> EnsembleTrajectory:
-    """Sample at the first snapshot and transport along the guidance flow.
-
-    Positions and summaries are reported, and positions kept, only at the record's snapshot
-    times that fall on a trajectory step.  Each row reads its snapshot's ``"qforce"`` fields
-    (``trajectories._snapshot_fields``) with ``trajectories._read``: positions off the grid or
-    in a node region raise ``TrajectoryAbort``.
+    ``dt`` is checked, and the velocity cache and the sample built, at the call.  The iterator
+    returned yields ``(t, amplitudes, positions, force)`` at each of the record's snapshot times
+    that falls on a trajectory step: the step's time, the snapshot's row, read once with
+    ``record.rows``, the positions (M, dims), and the quantum force (M, dims) that ``_read`` takes
+    from that row's ``"qforce"`` fields; positions off the grid or in a node region raise
+    ``TrajectoryAbort`` at their row.
     """
     times = _step_times(record, dt)
     cache = _FieldCache(record, "velocity", 0.5 * dt)
     every = cache.q // math.gcd(2 * cache.p, cache.q)  # step k reads at snapshot 2 k p / q
-    traj_rows = np.arange(0, len(times), every)
-    keep_snap = traj_rows * 2 * cache.p // cache.q
-    x0 = sample_equilibrium(spec)
-    positions = np.empty((len(keep_snap),) + x0.shape)
-    for step, x, _ in _guidance_rk4(cache, x0, len(times) - 1, dt):
-        if step % every == 0:
-            positions[step // every] = x
-    del cache  # its last velocity batch would stay on the heap through the force reads
-    grid = record.grid
-    mean_pos = np.empty((len(keep_snap), grid.dims))
-    mean_force = np.empty((len(keep_snap), grid.dims))
-    for row, (snap_idx, pos) in enumerate(zip(keep_snap, positions)):
-        # one snapshot at a time: a field cache's batch of them would grow the heap past transport's peak
-        force, eroded = _snapshot_fields(record, "qforce", record.rows(slice(snap_idx, snap_idx + 1)))
-        forces = _read(grid, float(times[traj_rows[row]]), pos, force[0], eroded[0])
-        for d in range(grid.dims):
-            mean_force[row, d] = _fsum_mean(forces[:, d])
-            mean_pos[row, d] = _fsum_mean(pos[:, d])
-    return EnsembleTrajectory(
-        times=times[traj_rows],
-        positions=positions,
-        mean_position=mean_pos,
-        mean_force=mean_force,
-        snapshot_indices=keep_snap,
-    )
+    steps = _guidance_rk4(cache, sample_equilibrium(spec), len(times) - 1, dt)
+
+    def report_rows():
+        for step, x, _ in steps:
+            if step % every == 0:
+                snap = step * 2 * cache.p // cache.q
+                amplitudes = record.rows(slice(snap, snap + 1))
+                force, eroded = _snapshot_fields(record, "qforce", amplitudes)
+                t = float(times[step])
+                yield t, amplitudes[0], x, _read(record.grid, t, x, force[0], eroded[0])
+
+    return report_rows()

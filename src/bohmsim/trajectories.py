@@ -17,7 +17,8 @@ RK4, whose step k reads 2k, 2k + 1, 2k + 2), placed on the snapshots exactly
 by ``_FieldCache``; its time only names an abort.
 
 The RK4 loop ``_guidance_rk4`` yields each step's state, and its callers
-keep only what they read: ``ensemble.evolve_ensemble`` the reported rows.
+keep only what they read: ``ensemble.evolve_ensemble`` passes each reported
+row on as it comes and keeps none.
 
 Every field read at particle positions, from the cache, at the Newton start, at
 an ensemble row or at a many-body row, goes through ``_read``: a batch builds

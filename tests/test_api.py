@@ -37,7 +37,9 @@ def test_unread_names_are_gone():
     for module in (bohmsim, bohmsim.propagator):
         assert not hasattr(module, "Barrier"), f"{module.__name__}.Barrier"
     assert not hasattr(bohmsim.ensemble, "HISTOGRAM_BINS")
-    assert "histograms" not in {f.name for f in fields(bohmsim.EnsembleTrajectory)}
+    assert "EnsembleTrajectory" not in bohmsim.__all__
+    for module in (bohmsim, bohmsim.ensemble):
+        assert not hasattr(module, "EnsembleTrajectory"), f"{module.__name__}.EnsembleTrajectory"
     assert "label" not in {f.name for f in fields(bohmsim.CMResult)}
     assert not {"types", "type_of"} & {f.name for f in fields(bohmsim.FactorizedNBody)}
     assert not hasattr(bohmsim.FactorizedNBody, "masses")

@@ -131,6 +131,10 @@ class TestExactSum:
             assert ensemble._fsum_mean(block[:, d]) == math.fsum(block[:, d].tolist()) / 5_000
 
 
+# fractional, NaN and infinite values, which int() would floor or refuse
+NOT_WHOLE = [1.5, 3.7, np.float64(1000.5), -0.5, math.nan, math.inf, -math.inf]
+
+
 @st.composite
 def call_sizes(draw):
     """Sizes of consecutive ``random`` calls on one stream: a 0 among them, short calls that end
@@ -160,6 +164,20 @@ class TestPhilox:
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
             ensemble._Philox(seed)
 
+    @pytest.mark.parametrize("seed", [3.0, np.float64(3.0), np.int64(3), np.uint64(3)])
+    def test_a_whole_seed_draws_that_ints_stream(self, seed, gaussian_wf):
+        assert ensemble._Philox(seed).random(9).tobytes() == ensemble._Philox(3).random(9).tobytes()
+        want = sample_equilibrium(EnsembleSpec(1000, 3, gaussian_wf))
+        assert sample_equilibrium(EnsembleSpec(1000, seed, gaussian_wf)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", NOT_WHOLE)
+    def test_rejects_a_fractional_or_non_finite_seed(self, seed, gaussian_wf):
+        with pytest.raises(ValueError, match="^seed must be one whole number"):
+            ensemble._Philox(seed)
+        if not seed < 0:  # EnsembleSpec names a negative seed itself
+            with pytest.raises(ValueError, match="^seed must be one whole number"):
+                sample_equilibrium(EnsembleSpec(1000, seed, gaussian_wf))
+
 
 class TestEnsembleSpec:
     def test_rejects_small_count(self, gaussian_wf):
@@ -169,6 +187,16 @@ class TestEnsembleSpec:
     def test_rejects_negative_seed(self, gaussian_wf):
         with pytest.raises(ValueError, match="non-negative"):
             EnsembleSpec(1000, -1, gaussian_wf)
+
+    @pytest.mark.parametrize("count", [1000.0, np.float64(1000.0), np.int64(1000), np.uint64(1000)])
+    def test_a_whole_count_draws_that_ints_sample(self, count, gaussian_wf):
+        want = sample_equilibrium(EnsembleSpec(1000, 7, gaussian_wf))
+        assert sample_equilibrium(EnsembleSpec(count, 7, gaussian_wf)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", NOT_WHOLE)
+    def test_rejects_a_fractional_or_non_finite_count(self, count, gaussian_wf):
+        with pytest.raises(ValueError, match="^count must be one whole number"):
+            EnsembleSpec(count, 0, gaussian_wf)
 
 
 class TestSampleEquilibrium:
@@ -220,11 +248,11 @@ class TestMeanQuantumForce:
     """Row 0 of ``evolve_ensemble`` reads the force of the sampled state at the sampled positions."""
 
     def test_gaussian_mean_within_standard_error(self, gaussian_wf):
-        mean = evolve_ensemble(EnsembleSpec(10_000, 2, gaussian_wf), still_record(gaussian_wf), 0.1).mean_force[0]
+        _, _, _, force = next(evolve_ensemble(EnsembleSpec(10_000, 2, gaussian_wf), still_record(gaussian_wf), 0.1))
         # F_Q is linear in x here, so its ensemble spread is known in
         # closed form: std = sigma / (4 sigma^4)
         sigma_f = oracles.gaussian_quantum_force(1.0, 1.0)
-        assert abs(mean[0]) < 4.0 * sigma_f / np.sqrt(10_000)
+        assert abs(ensemble._fsum_mean(force[:, 0])) < 4.0 * sigma_f / np.sqrt(10_000)
 
     def test_positions_near_node_are_rejected(self, line_grid, unit_params):
         # a doctored record: one step of 0.2 rides at v = 1, 1, 1, -5 and ends where it began;
@@ -240,8 +268,10 @@ class TestMeanQuantumForce:
         start = normalize(Wavefunction(line_grid, unit_params, packet(0.0, 0.01, 0.0), 0.0))
         spec = EnsembleSpec(100, 4, start)
         _, positions = integrate_guidance_batch(record, sample_equilibrium(spec), 0.2)
+        rows = evolve_ensemble(spec, record, 0.2)
+        next(rows)  # row 0's force read at t = 0 passes
         with pytest.raises(TrajectoryAbort, match="node region") as exc_info:
-            evolve_ensemble(spec, record, 0.2)
+            next(rows)
         assert exc_info.value.time == 0.2
         assert exc_info.value.positions.tobytes() == positions[-1].tobytes()
         assert not exc_info.value.left_grid and exc_info.value.indices.size
@@ -252,8 +282,9 @@ class TestMeanQuantumForce:
         record = still_record(gaussian_wf)
         small, large = [], []
         for seed in range(20):
-            small.append(abs(evolve_ensemble(EnsembleSpec(100, seed, gaussian_wf), record, 0.1).mean_force[0, 0]))
-            large.append(abs(evolve_ensemble(EnsembleSpec(10_000, seed, gaussian_wf), record, 0.1).mean_force[0, 0]))
+            for count, means in ((100, small), (10_000, large)):
+                _, _, _, force = next(evolve_ensemble(EnsembleSpec(count, seed, gaussian_wf), record, 0.1))
+                means.append(abs(ensemble._fsum_mean(force[:, 0])))
         ratio = np.median(small) / np.median(large)
         assert 5.0 <= ratio <= 20.0
 
@@ -267,28 +298,30 @@ def spreading_record():
 
 @pytest.fixture(scope="module")
 def transported(spreading_record):
+    """Every yielded row ``(t, amplitudes, positions, force)``, kept for the tests to read."""
     spec = EnsembleSpec(2000, 3, spreading_record.snapshots[0])
-    return evolve_ensemble(spec, spreading_record, 0.1)
+    return list(evolve_ensemble(spec, spreading_record, 0.1))
 
 
 class TestEvolveEnsemble:
     def test_reports_common_times_only(self, transported):
-        assert np.allclose(transported.times, np.arange(11) * 0.1)
-        assert transported.positions.shape == (11, 2000, 1)
+        assert np.allclose([t for t, _, _, _ in transported], np.arange(11) * 0.1)
+        assert np.stack([x for _, _, x, _ in transported]).shape == (11, 2000, 1)
 
     def test_equivariance_is_preserved(self, spreading_record, transported):
         distances = []
-        for i, t in enumerate(transported.times):
+        for t, amplitudes, x, _ in transported:
             snap_index = int(round(t / spreading_record.snapshot_spacing))
             snap = spreading_record.snapshots[snap_index]
-            distances.append(equivariance_distance(transported.positions[i], snap))
+            assert amplitudes.tobytes() == snap.amplitudes.tobytes()  # the row is the snapshot at t
+            distances.append(equivariance_distance(x, snap))
         assert max(distances) <= 2.0 * distances[0]
 
     def test_mean_force_stays_small(self, transported):
-        assert np.abs(transported.mean_force).max() < 4.0 * 0.25 / np.sqrt(2000)
+        assert max(abs(ensemble._fsum_mean(force[:, 0])) for _, _, _, force in transported) < 4.0 * 0.25 / np.sqrt(2000)
 
     def test_mean_position_tracks_packet_center(self, transported):
-        assert np.abs(transported.mean_position).max() < 4.0 * 1.5 / np.sqrt(2000)
+        assert max(abs(ensemble._fsum_mean(x[:, 0])) for _, _, x, _ in transported) < 4.0 * 1.5 / np.sqrt(2000)
 
 
 @pytest.fixture(scope="module")
@@ -299,26 +332,52 @@ def coarse_record():
     return evolve_quiet(wf, Free(), 1.0, 1e-3, snapshot_stride=100)
 
 
+def consumed(spec, record, dt):
+    """The number of rows ``evolve_ensemble`` yields, consumed one at a time, and the traced peak of doing so."""
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in evolve_ensemble(spec, record, dt))
+        return rows, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReportedRows:
     def test_positions_are_the_batch_rows_bit_for_bit(self, coarse_record):
         spec = EnsembleSpec(500, 7, coarse_record.snapshots[0])
-        cloud = evolve_ensemble(spec, coarse_record, 0.0125)
+        rows = list(evolve_ensemble(spec, coarse_record, 0.0125))
+        cloud_times, cloud_positions = np.array([t for t, _, _, _ in rows]), np.stack([x for _, _, x, _ in rows])
         times, positions = integrate_guidance_batch(coarse_record, sample_equilibrium(spec), 0.0125)
-        assert len(times) == 81 and cloud.positions.shape == (11, 500, 1)
-        assert cloud.positions.tobytes() == positions[::8].tobytes()
-        assert cloud.times.tobytes() == times[::8].tobytes()
+        assert len(times) == 81 and cloud_positions.shape == (11, 500, 1)
+        assert cloud_positions.tobytes() == positions[::8].tobytes()
+        assert cloud_times.tobytes() == times[::8].tobytes()
+
+    def test_two_dimensional_rows_are_the_batch_rows_bit_for_bit(self):
+        # a product Gaussian; snapshots 0.1 apart, so every fourth step of 0.025 is reported
+        wf = init_gaussian(make_grid(2, -8.0, 8.0, 64), PhysicalParams(), [0.5, -0.3], 1.0, [0.8, -0.4])
+        record = evolve_quiet(wf, Free(), 0.4, 0.05, snapshot_stride=2)
+        spec = EnsembleSpec(200, 9, wf)
+        rows = list(evolve_ensemble(spec, record, 0.025))
+        times, positions = integrate_guidance_batch(record, sample_equilibrium(spec), 0.025)
+        assert len(times) == 17 and [(x.shape, force.shape) for _, _, x, force in rows] == [((200, 2), (200, 2))] * 5
+        assert np.stack([x for _, _, x, _ in rows]).tobytes() == positions[::4].tobytes()
+        assert np.array([t for t, _, _, _ in rows]).tobytes() == times[::4].tobytes()
 
     def test_peak_memory_follows_the_reported_rows(self, coarse_record):
         # keeping all 81 steps would take 7.4 times the 11 reported rows' bytes on their own
-        evolve_ensemble(EnsembleSpec(100, 5, coarse_record.snapshots[0]), coarse_record, 0.0125)
-        spec = EnsembleSpec(4000, 5, coarse_record.snapshots[0])
-        tracemalloc.start()
-        try:
-            cloud = evolve_ensemble(spec, coarse_record, 0.0125)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * cloud.positions.nbytes
+        consumed(EnsembleSpec(100, 5, coarse_record.snapshots[0]), coarse_record, 0.0125)
+        rows, peak = consumed(EnsembleSpec(4000, 5, coarse_record.snapshots[0]), coarse_record, 0.0125)
+        assert rows == 11 and peak < 4 * 11 * 4000 * 8
+
+    def test_peak_memory_is_flat_in_the_reported_rows(self):
+        # 61 and 121 report rows, both longer than one 21-row velocity batch: kept positions
+        # would add 60 rows of M * 8 B, and the stream adds none
+        wf = init_gaussian(make_grid(1, -60.0, 60.0, 384), PhysicalParams(), 0.0, 1.0)
+        records = [evolve_quiet(wf, Free(), t_final, 1e-2, snapshot_stride=10) for t_final in (6.0, 12.0)]
+        consumed(EnsembleSpec(100, 5, wf), records[0], 0.0125)
+        (short, short_peak), (long, long_peak) = (consumed(EnsembleSpec(4000, 5, wf), r, 0.0125) for r in records)
+        assert (short, long) == (61, 121)
+        assert long_peak < short_peak + 4000 * 8
 
     def test_each_row_computes_its_own_snapshot_force(self, monkeypatch):
         # equivariance's record: 41 snapshots of 384 points; Q and f_q_max are never built
@@ -337,9 +396,11 @@ class TestReportedRows:
         monkeypatch.setattr(trajectories, "qforce_batch", counting)
         monkeypatch.setattr(quantum_potential, "compute_qfields", refused)
         monkeypatch.setattr(ensemble, "compute_qfields", refused, raising=False)
-        cloud = evolve_ensemble(EnsembleSpec(100, 1, wf), record, 0.01)
-        assert len(record) == len(cloud.times) == 41 and len(stacks) == 41
+        cloud = list(evolve_ensemble(EnsembleSpec(100, 1, wf), record, 0.01))
+        assert len(record) == len(cloud) == 41 and len(stacks) == 41
         want = oracles.free_rows(wf, record.times)  # the rows a free record computes when read
-        for snap_index, amplitudes in zip(cloud.snapshot_indices, stacks):
+        for snap_index, ((t, row, _, _), amplitudes) in enumerate(zip(cloud, stacks)):
+            assert t == record.times[snap_index]
             assert amplitudes.shape == (1, 384) and amplitudes.tobytes() == want[snap_index].tobytes()
+            assert np.shares_memory(row, amplitudes)  # the yielded row is the one the force was read from
         assert "snapshots" not in vars(record)  # no Wavefunction per snapshot

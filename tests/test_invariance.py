@@ -1,0 +1,51 @@
+"""Outputs that neither the particle order nor the field batch size may change.
+
+Each test runs shipped configs through ``cli.run`` with one thing changed that must
+not show, and compares every file it writes, byte for byte, with the run as shipped.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bohmsim import cli, ensemble, propagator, trajectories
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# equivariance streams its ensemble through a velocity cache of free rows; cm-newton reads two caches
+# side by side over one widened row window; free-gaussian reads its free rows in chunks
+BATCHED = ("equivariance", "cm_newton", "free_gaussian")
+
+
+def outputs(name: str, out: Path) -> dict[str, bytes]:
+    """The files the shipped config ``name`` writes into ``out``, by name."""
+    cli.run(cli.parse_config_file(str(CONFIGS / f"{name}.cfg")), out_dir=str(out), quiet=True)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    base = tmp_path_factory.mktemp("shipped")
+    return {name: outputs(name, base / name) for name in BATCHED}
+
+
+def test_particle_order_leaves_equivariance_unchanged(shipped, tmp_path, monkeypatch):
+    # the KS distance sorts and the means are exactly rounded, so no order of the sample shows
+    sample = ensemble.sample_equilibrium
+
+    def permuted(spec):
+        x = sample(spec)
+        return x[np.random.default_rng(0).permutation(len(x))]
+
+    monkeypatch.setattr(ensemble, "sample_equilibrium", permuted)
+    assert outputs("equivariance", tmp_path) == shipped["equivariance"]
+
+
+@pytest.mark.parametrize("points", [1, 10**6])
+def test_field_batch_size_leaves_outputs_unchanged(shipped, tmp_path, monkeypatch, points):
+    # one row per batch, or every row of a record in one
+    monkeypatch.setattr(propagator, "FIELD_BATCH_POINTS", points)
+    monkeypatch.setattr(trajectories, "FIELD_BATCH_POINTS", points)
+    for name in BATCHED:
+        assert outputs(name, tmp_path / name) == shipped[name], name

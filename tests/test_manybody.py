@@ -425,6 +425,17 @@ class TestRunCmExperiment:
         with pytest.raises(ValueError, match="integer number of steps"):
             run_cm_experiment(spec, 1.0, 0.3)
 
+    @pytest.mark.parametrize("seed", [3.7, 0.5, float("nan"), float("inf")])
+    def test_a_fractional_or_non_finite_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be one whole number"):
+            run_cm_experiment(FactorizedNBody.homogeneous(10), 0.1, 0.01, seed=seed)
+
+    @pytest.mark.parametrize("seed", [3.0, np.uint64(3)])
+    def test_a_whole_seed_runs_as_that_int(self, seed):
+        spec = FactorizedNBody.homogeneous(10)
+        want = run_cm_experiment(spec, 0.1, 0.01, seed=3).x_cm
+        assert run_cm_experiment(spec, 0.1, 0.01, seed=seed).x_cm.tobytes() == want.tobytes()
+
 
 class TestSampleFromSnapshot:
     def test_samples_are_redrawn_off_the_node_region(self):

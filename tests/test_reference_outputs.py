@@ -25,7 +25,7 @@ WORK = {
     "bec": (0, 0, 1, 1, 2, 2_000, 0),
     "cm_newton": (400, 0, 401, 202, 1_002, 1_002_000, 0),
     "crosscheck": (8_000, 16_000, 12_006, 6_003, 0, 0, 30_009),
-    "equivariance": (120, 0, 41, 41, 841, 8_410_000, 0),
+    "equivariance": (80, 0, 41, 41, 841, 8_410_000, 0),
     "free_gaussian": (20, 0, 0, 0, 0, 0, 0),
     "harmonic_ground": (0, 10_000, 63, 21, 21, 21, 81),
     "no_tunneling": (200, 0, 201, 0, 400, 8_000, 0),

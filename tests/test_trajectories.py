@@ -815,7 +815,7 @@ class TestRecordWindow:
         if reader == "guidance-batch":
             integrate_guidance_batch(record, np.array([[-0.5], [1.0]]), self.DT)
         else:
-            evolve_ensemble(EnsembleSpec(100, 3, wf), record, self.DT)
+            assert sum(1 for _ in evolve_ensemble(EnsembleSpec(100, 3, wf), record, self.DT)) == 201
         assert record._window[2] is None
 
     def test_shared_caches_keep_one_window_of_their_widest_read(self):
