@@ -186,6 +186,7 @@ def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> I
     """
     times = _step_times(record, dt)
     cache = _FieldCache(record, "velocity", 0.5 * dt)
+    cache.work = None  # the sample's steps between batches outweigh a kept workspace
     every = cache.q // math.gcd(2 * cache.p, cache.q)  # step k reads at snapshot 2 k p / q
     steps = _guidance_rk4(cache, sample_equilibrium(spec), len(times) - 1, dt)
 

@@ -332,6 +332,7 @@ def run_cm_experiment(
     packet = init_gaussian(make_grid(1, -10.0, 10.0, 256), params, 0.0, spec.sigma)
     record = evolve(packet, Free(), t_final, 0.5 * dt, snapshot_stride=1)
     vel_cache, force_cache = _shared_caches(record, dt)  # read side by side, so each row is computed once
+    vel_cache.work = force_cache.work = None  # the ensemble's steps between batches outweigh a kept workspace
     f_q_max = compute_qfields(packet).f_q_max
     resample_count = 0
     if sampling == "stratified":

@@ -28,6 +28,7 @@ from .wavefield import (
     _as_tuple,
     _axis_currents,
     _fft,
+    _scratch,
     spectral_derivative,
 )
 
@@ -263,11 +264,12 @@ class EvolutionRecord:
     """Snapshots of an evolution, with norm drift bookkeeping.
 
     ``rows`` reads snapshot i, at ``times[i]``, through the record's one window ``(lo, hi, block)``: a read
-    inside it is a view.  A read outside frees it and calls the source's ``_compute(rows)``, which returns
-    the rows of an ascending ``range`` in its order.  Unless the window was widened to ``_span`` rows (by
-    ``amplitudes`` to every row, or by ``trajectories._shared_caches``), the read asks for exactly its rows,
-    flips them if it is reversed, and keeps none; a widened read asks for a contiguous range of at least
-    ``_span`` rows from its first and keeps it as the window.  A record built from a block (S, *grid.shape)
+    inside it is a view.  A read outside frees it and calls the source's ``_compute(rows, work)``, which
+    returns the rows of an ascending ``range`` in its order, working in the workspace ``work``.  Unless the
+    window was widened to ``_span`` rows (by ``amplitudes`` to every row, or by
+    ``trajectories._shared_caches``), the read asks for exactly its rows, flips them if it is reversed, and
+    keeps none; a widened read asks for a contiguous range of at least ``_span`` rows from its first and
+    keeps it as the window.  A record built from a block (S, *grid.shape)
     holds every row.
     ``times`` strictly increase from t0 to the end.  ``norm_drift`` holds |norm_after - norm_before|
     for every step taken, except for free records, which hold one entry per snapshot interval.
@@ -289,11 +291,12 @@ class EvolutionRecord:
     def norm_drift(self) -> np.ndarray:
         return self._drift
 
-    def rows(self, index: int | slice) -> np.ndarray:
-        """Snapshot ``index`` (*grid.shape), or the rows of a slice of any step (B, *grid.shape)."""
+    def rows(self, index: int | slice, work: dict | None = None) -> np.ndarray:
+        """Snapshot ``index`` (*grid.shape), or the rows of a slice of any step (B, *grid.shape).  A read
+        that keeps no window works in ``work`` (``wavefield._scratch``), rows included; else they are fresh."""
         rows = range(len(self))[index]
         if isinstance(rows, int):
-            return self.rows(slice(rows, rows + 1))[0]
+            return self.rows(slice(rows, rows + 1), work)[0]
         if not rows:
             return np.empty((0,) + self.grid.shape, dtype=complex)
         first, last = sorted((rows[0], rows[-1]))
@@ -301,7 +304,7 @@ class EvolutionRecord:
         if not (lo <= first and last < hi):
             self._window = (0, 0, None)  # freed before the next rows are computed
             if not self._span:
-                return self._compute(rows) if rows.step > 0 else self._compute(rows[::-1])[::-1]
+                return self._compute(rows, work) if rows.step > 0 else self._compute(rows[::-1], work)[::-1]
             lo, hi = first, max(last + 1, min(first + self._span, len(self)))
             self._window = lo, hi, self._compute(range(lo, hi))
         return self._window[2][rows.start - lo::rows.step][:len(rows)]
@@ -327,7 +330,8 @@ class _FreeRecord(EvolutionRecord):
     Strang splitting is exact without a potential, so the row at elapsed time t is
     ifftn(exp(-i rate t) fftn psi0), with the bits of ``np.fft``: ``_fft`` one axis at a time, last
     axis first.  ``fftfreq`` makes mode n - j's rate bits those of mode j, so the exponentials are
-    taken over the modes j <= n/2 of each axis and gathered back with the index min(j, n - j).
+    taken over the modes j <= n/2 of each axis and gathered back with the index min(j, n - j), one
+    axis at a time.
     Row 0 is psi0's own bits, not transformed.  ``norm_drift`` is computed when read.
     """
 
@@ -340,18 +344,25 @@ class _FreeRecord(EvolutionRecord):
         self._psi0, self._spectrum = wf.amplitudes.copy(), spectrum
         self._chunk = max(1, FIELD_BATCH_POINTS // wf.amplitudes.size)
         self._folded = _kinetic_rate(wf.grid, wf.params)[tuple(slice(n // 2 + 1) for n in shape)]
-        self._unfold = (slice(None),) + np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape))
+        self._unfold = [np.minimum(np.arange(n), n - np.arange(n)) for n in shape]
 
-    def _compute(self, rows: range) -> np.ndarray:
-        """The rows, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points)."""
-        block = np.empty((len(rows),) + self.grid.shape, dtype=complex)
+    def _compute(self, rows: range, work: dict | None = None) -> np.ndarray:
+        """The rows, computed ``_chunk`` at a time (at most ``FIELD_BATCH_POINTS`` grid points), in ``work``:
+        the phases in its complex array 0, gathered back through its complex array 1 into the rows."""
+        block = _scratch(work, "rows", (len(rows),) + self.grid.shape, complex)
         elapsed = self._elapsed[rows.start:rows.stop:rows.step]
         if rows[0] == 0:
             block[0] = self._psi0
         for start in range(int(rows[0] == 0), len(rows), self._chunk):
             part = block[start:start + self._chunk]
-            phase = np.multiply.outer(elapsed[start:start + len(part)], self._folded) * -1j
-            np.multiply(np.exp(phase, out=phase)[self._unfold], self._spectrum, out=part)
+            phase = _scratch(work, 0, (len(part),) + self._folded.shape, complex)
+            np.multiply.outer(elapsed[start:start + len(part)], self._folded, out=phase)  # as floats, then times -i
+            np.exp(np.multiply(phase, -1j, out=phase), out=phase)
+            for axis, index in enumerate(self._unfold, start=1):
+                shape = phase.shape[:axis] + index.shape + phase.shape[axis + 1:]
+                gathered = part if axis == self.grid.dims else _scratch(work, 1, shape, complex)
+                phase = np.take(phase, index, axis=axis, mode="clip", out=gathered)
+            np.multiply(part, self._spectrum, out=part)
             for axis in reversed(range(1, self.grid.dims + 1)):
                 _fft(part, axis, out=part, inverse=True)
         return block
@@ -377,13 +388,13 @@ class _StrangRecord(EvolutionRecord):
         self._stride, self._state = int(steps[1]), np.empty_like(wf.amplitudes)
         self._cursor = [math.inf, 0.0]  # no state yet: the first read starts from psi0
 
-    def _compute(self, rows: range) -> np.ndarray:
+    def _compute(self, rows: range, work: dict | None = None) -> np.ndarray:
         stride, cursor, state = self._stride, self._cursor, self._state
         cell = self.grid.cell_volume  # a product each time it is read: kept out of the loop
         if cursor[0] > rows[0] * stride:
             np.copyto(state, self._psi0)
             cursor[:] = [0, _norm(state, cell)]
-        block = np.empty((len(rows),) + state.shape, dtype=complex)
+        block = _scratch(work, "rows", (len(rows),) + state.shape, complex)
         i, previous = cursor
         if i == rows[0] * stride:
             block[0] = state

@@ -27,9 +27,9 @@ from .wavefield import (
     Grid,
     PhysicalParams,
     Wavefunction,
+    _scratch,
     _spectral_derivatives,
     density_mask,
-    spectral_derivative,
     velocity_field,
 )
 
@@ -47,27 +47,36 @@ class QFields:
 
 
 def qforce_batch(
-    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
+    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams, work: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Quantum force (B, dims, *grid.shape) and node mask of a stack of snapshots (B, *grid.shape), each
     thresholded against its own peak density, and the R = |psi| and d_d^2 R per axis d that ``compute_qfields``
     builds Q from.  Both derivatives of R per axis come from one forward transform, bit for bit as ``spectral_derivative``.
+
+    |psi|^2, R and a term are ``work``'s real arrays 0 to 2 (``wavefield._scratch``), the spectra of the mixed
+    derivative, d_d R and d_d^2 R its complex arrays 0, 1 + 2d and 2 + 2d, so the force and mask are its only
+    fresh arrays (R and d_d^2 R are then the workspace's).  Each numerator sums in its force row.
     """
-    dims = grid.dims
-    r = np.abs(amplitudes)
-    rho = r * r
+    dims, shape = grid.dims, amplitudes.shape
+    rho, r, term = (_scratch(work, i, shape) for i in range(3))
+    np.multiply(np.abs(amplitudes, out=r), r, out=rho)
     valid = density_mask(rho, dims)
     coeff = params.hbar**2 / (2.0 * params.mass)
 
-    first, second = zip(*(_spectral_derivatives(r, grid, d, (1, 2)) for d in range(dims)))
+    spectra = [tuple(_scratch(work, k + 2 * d, shape, complex) for k in (1, 2)) for d in range(dims)]
+    first, second = zip(*(_spectral_derivatives(r, grid, d, (1, 2), out=spectra[d]) for d in range(dims)))
 
     force = np.zeros((len(r), dims) + grid.shape)
+    spectrum = (_scratch(work, 0, shape, complex),)
     for e in range(dims):
-        numerator = np.zeros(r.shape)  # 0.0 + term: a -0.0 term comes out as +0.0
+        numerator = force[:, e]  # 0.0 + term: a -0.0 term comes out as +0.0
         for d in range(dims):
-            mixed = spectral_derivative(second[d], grid, axis=e)
-            numerator += coeff * (mixed * r - second[d] * first[e])
-        np.divide(numerator, rho, out=force[:, e], where=valid)
+            mixed, = _spectral_derivatives(second[d], grid, e, (1,), out=spectrum)
+            # coeff * (mixed * r - second[d] * first[e]), the product written over mixed once it is read
+            np.subtract(np.multiply(mixed, r, out=term), np.multiply(second[d], first[e], out=mixed), out=term)
+            numerator += np.multiply(coeff, term, out=term)
+        np.divide(numerator, rho, out=numerator, where=valid)
+        numerator[~valid] = 0.0
     return force, valid, r, second
 
 

@@ -86,9 +86,15 @@ class _FieldCache:
     otherwise the stride is one.  A batch reads ``record.rows``, whose window
     keeps no rows unless widened (as by ``_shared_caches``).  Node masks are
     stored eroded (``_interp.erode``).  Before the next batch is computed,
-    entries behind the previous read snapshot are evicted, the rest copied and
-    the last read's fields dropped, so no view keeps the last batch in its
-    transient peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
+    entries behind the previous read snapshot are evicted, the rest copied
+    (unless a batch is one row, all of which a survivor is) and the last
+    read's fields dropped, so no view keeps the last batch in its transient
+    peak.  A ``"qforce"`` cache holds ``qforce_batch``'s force.
+
+    ``work`` holds the arrays a batch works in (``wavefield._scratch``): the
+    first batch makes them and every later one overwrites them, so one-row 2D
+    batches fault no fresh pages in; what a batch returns is fresh.  An
+    ensemble, whose steps between batches outweigh them, sets it to None.
 
     The last read keeps its blended fields, their mask and, once a 1D
     batch reads them, their ``_interp.cubic_table``; a one-particle float
@@ -108,14 +114,17 @@ class _FieldCache:
         self.batch = max(1, FIELD_BATCH_POINTS // math.prod(record.grid.shape))
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._at: list = [None, None, None, None]  # the last read index, its fields, mask and table
+        self.work: dict | None = {}
 
     def fields(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields of snapshot i, shape (dims, *grid.shape), and its eroded node mask."""
         if i not in self._cache:
-            self._cache = {k: (v.copy(), m.copy()) for k, (v, m) in self._cache.items() if k >= i - self.stride}
+            keep = (lambda a: a) if self.batch == 1 else np.copy  # a one-row batch is all its survivor's
+            self._cache = {k: (keep(v), keep(m)) for k, (v, m) in self._cache.items() if k >= i - self.stride}
             self._at = [None, None, None, None]
             stop = min(i + self.stride * self.batch, len(self.record))
-            values, eroded = _snapshot_fields(self.record, self.kind, self.record.rows(slice(i, stop, self.stride)))
+            rows = self.record.rows(slice(i, stop, self.stride), self.work)
+            values, eroded = _snapshot_fields(self.record, self.kind, rows, self.work)
             for j, k in enumerate(range(i, stop, self.stride)):
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
@@ -142,13 +151,13 @@ class _FieldCache:
         return self._at[3]
 
 
-def _snapshot_fields(record: EvolutionRecord, kind: str, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _snapshot_fields(record: EvolutionRecord, kind: str, amplitudes: np.ndarray, work=None) -> tuple[np.ndarray, ...]:
     """The ``kind`` fields of the record's snapshot rows ``amplitudes``, (S, dims, *grid.shape), and their
-    eroded node masks: ``"velocity"`` or ``"qforce"``, ``qforce_batch``'s force without its Q."""
+    eroded node masks: ``"velocity"`` or ``"qforce"``, ``qforce_batch``'s force without its Q, working in ``work``."""
     if kind == "velocity":
-        values, valid = velocity_batch(amplitudes, record.grid, record.params)
+        values, valid = velocity_batch(amplitudes, record.grid, record.params, work)
     else:
-        values, valid, _, _ = qforce_batch(amplitudes, record.grid, record.params)
+        values, valid, _, _ = qforce_batch(amplitudes, record.grid, record.params, work)
     return values, _interp.erode(valid, record.grid.dims)
 
 
@@ -264,16 +273,19 @@ def integrate_guidance(record: EvolutionRecord, x0, dt: float) -> Trajectory:
     return Trajectory(times=times, positions=positions, momenta=record.params.mass * velocities)
 
 
-def _leapfrog(force_cache: _FieldCache, x: np.ndarray, potential: PotentialSpec, dt: float, n: int):
-    """``integrate_newton_batch`` from positions x (M, dims) over n steps, yielding positions and momenta at each."""
+def _leapfrog(force_cache: _FieldCache, x: np.ndarray, potential: PotentialSpec, dt: float, n: int, start=None):
+    """``integrate_newton_batch`` from positions x (M, dims) over n steps, yielding positions and momenta at each;
+    ``start`` is the velocity fields at t0 and their eroded mask, computed from row 0 when not given."""
     record = force_cache.record
     grid, params = record.grid, record.params
     mass = params.mass
-    velocity, eroded = _snapshot_fields(record, "velocity", record.rows(slice(0, 1)))
+    if start is None:
+        velocity, eroded = _snapshot_fields(record, "velocity", record.rows(slice(0, 1)))
+        start = velocity[0], eroded[0]
     point = x.shape == (1, 1) and grid.dims == 1
     if point:
         x = x.item()
-    p = mass * _read(grid, force_cache.t0, x, velocity[0], eroded[0])
+    p = mass * _read(grid, force_cache.t0, x, *start)
 
     def total_force(j: int, pos: np.ndarray | float) -> np.ndarray | float:
         classical = potential.force_at(np.reshape(pos, (-1, grid.dims)), params)
@@ -319,20 +331,22 @@ def integrate_newton(record: EvolutionRecord, x0, potential: PotentialSpec, dt: 
 
 
 def _shared_caches(record: EvolutionRecord, dt: float) -> tuple[_FieldCache, _FieldCache]:
-    """The velocity cache of RK4 steps of ``dt`` and the force cache of leapfrog steps, with the record's
-    window widened to the wider cache's batch, so that the two read side by side compute each row once."""
+    """The velocity cache of RK4 steps of ``dt`` and the force cache of leapfrog steps, on one workspace, with
+    the record's window widened to the wider cache's batch, so that the two read side by side compute each row once."""
     caches = _FieldCache(record, "velocity", 0.5 * dt), _FieldCache(record, "qforce", dt)
+    caches[1].work = caches[0].work
     record._span = max(cache.stride * cache.batch for cache in caches)
     return caches
 
 
 def crosscheck(record: EvolutionRecord, x0, potential: PotentialSpec, dt: float) -> float:
     """Largest position gap between the guidance and Newton routes, stepped side by side over ``_shared_caches``,
-    so that the record computes each row once, in order, and keeps its last window; an abort raises at its step."""
+    so that the record computes each row once, in order, and keeps its last window; the Newton start reads the
+    velocity cache's first fields; an abort raises at its step."""
     n = len(_step_times(record, dt)) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
     velocity, force = _shared_caches(record, dt)
-    routes = zip(_guidance_rk4(velocity, x0, n, dt), _leapfrog(force, x0, potential, dt, n))
+    routes = zip(_guidance_rk4(velocity, x0, n, dt), _leapfrog(force, x0, potential, dt, n, velocity.at(0)))
     gaps = np.empty((n + 1, x0.shape[1]))
     for (step_index, guided, k1), (newton, _) in routes:
         if k1 is None:  # integrate_guidance reads the final velocity too

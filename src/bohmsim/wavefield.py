@@ -15,6 +15,7 @@ and localized states must keep a margin away from the boundary.
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,6 +173,16 @@ _pocketfft = None
 _GUFUNC_AXES = [[(axis,), (), (axis,)] for axis in range(3)]
 
 
+def _scratch(work: dict | None, slot, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An uninitialised array of ``shape``: the head of the flat buffer that ``work`` keeps for ``slot`` and
+    ``dtype``, made (or grown) by the first call that needs it; without ``work``, a fresh one.  A batch
+    numbers its complex and its real arrays from 0, so batches that do not overlap share buffers."""
+    work, key, size = {} if work is None else work, (slot, np.dtype(dtype).char), math.prod(shape)
+    if key not in work or work[key].size < size:
+        work[key] = np.empty(size, dtype)
+    return work[key][:size].reshape(shape)
+
+
 def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
     """``np.fft.fft(values, axis=axis, out=out)``, or ``np.fft.ifft`` when ``inverse``, bit for bit.
 
@@ -179,7 +190,8 @@ def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: 
     forward, 1/n inverse), without ``np.fft``'s per-call argument handling;
     falls back to ``np.fft`` when numpy lacks the private module.  ``axis``
     is 0, 1 or 2, as on a batch of 2D grids; ``out``, complex and of
-    ``values``' shape, may be ``values`` itself.
+    ``values``' shape, may be ``values`` itself; real ``values`` are cast
+    into it, where the gufunc would cast them into a copy.
     """
     global _pocketfft
     if _pocketfft is None:
@@ -191,6 +203,9 @@ def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None, inverse: 
     if _pocketfft:
         if out is None:
             out = np.empty_like(values, dtype=complex)
+        if values.dtype.kind == "f":
+            np.copyto(out, values)
+            values = out
         scale = 1 / values.shape[axis] if inverse else 1
         return _pocketfft[inverse](values, scale, axes=_GUFUNC_AXES[axis], out=out)
     return (np.fft.ifft if inverse else np.fft.fft)(values, axis=axis, out=out)
@@ -207,21 +222,22 @@ def spectral_derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 
 
 
 def _spectral_derivatives(
-    values: np.ndarray, grid: Grid, axis: int, orders: tuple[int, ...], out: np.ndarray | None = None
+    values: np.ndarray, grid: Grid, axis: int, orders: tuple[int, ...], out: tuple[np.ndarray, ...] | None = None
 ) -> list[np.ndarray]:
     """``spectral_derivative`` of ``values`` for each order in ``orders``, the same bits,
-    from one forward transform.  The last order is computed in place in the
-    spectrum's buffer, which is ``out`` (complex, of ``values``' shape) when given.
+    from one forward transform.  Order i is computed in ``out[i]`` (complex, of ``values``'
+    shape) when ``out`` is given, and the last in place in the spectrum's buffer.
     """
     k = grid.wavenumbers()[axis]
     batch_axis = axis + values.ndim - grid.dims
     shape = [1] * values.ndim
     shape[batch_axis] = len(k)
     ik = 1j * k.reshape(shape)
-    spectrum = _fft(values, batch_axis, out=out)
+    out = out or (None,) * len(orders)
+    spectrum = _fft(values, batch_axis, out=out[-1])
     derivatives = []
     for i, order in enumerate(orders):
-        derivative = np.multiply(ik**order, spectrum, out=spectrum if i == len(orders) - 1 else None)
+        derivative = np.multiply(ik**order, spectrum, out=spectrum if i == len(orders) - 1 else out[i])
         _fft(derivative, batch_axis, out=derivative, inverse=True)
         derivatives.append(derivative.real if np.isrealobj(values) else derivative)
     return derivatives
@@ -307,24 +323,25 @@ def node_mask(wf: Wavefunction) -> np.ndarray:
     return density_mask(np.abs(wf.amplitudes) ** 2, wf.grid.dims)
 
 
-def _axis_currents(amplitudes: np.ndarray, grid: Grid):
+def _axis_currents(amplitudes: np.ndarray, grid: Grid, work: dict | None = None):
     """Yield Im(psi* d_d psi) of a stack of snapshots (B, *grid.shape) for each axis d in
     turn: the probability current along d without its hbar/m factor.
 
-    One complex workspace holds each axis's transform, derivative and product
-    in place, and each yielded current is a view of it that the next axis
-    overwrites.  The product keeps the order conj(psi) * d_d psi, which sets
-    the bits.
+    The conjugate and one complex transform workspace are ``work``'s complex
+    arrays 0 and 1 (``_scratch``).  The workspace holds each axis's transform,
+    derivative and product in place, and each yielded current is a view of it
+    that the next axis overwrites.  The product keeps the order
+    conj(psi) * d_d psi, which sets the bits.
     """
-    conj = np.conjugate(amplitudes)
-    workspace = np.empty(amplitudes.shape, dtype=complex)
+    conj = np.conjugate(amplitudes, out=_scratch(work, 0, amplitudes.shape, complex))
+    workspace = _scratch(work, 1, amplitudes.shape, complex)
     for d in range(grid.dims):
-        derivative, = _spectral_derivatives(amplitudes, grid, d, (1,), out=workspace)
+        derivative, = _spectral_derivatives(amplitudes, grid, d, (1,), out=(workspace,))
         yield np.multiply(conj, derivative, out=derivative).imag
 
 
 def velocity_batch(
-    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams
+    amplitudes: np.ndarray, grid: Grid, params: PhysicalParams, work: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Guidance velocities of a stack of snapshots.
 
@@ -333,13 +350,14 @@ def velocity_batch(
     (B, *grid.shape), each snapshot thresholded against its own peak.
     Masked points hold 0.0.  Each velocity is the current of
     ``_axis_currents``, divided by |psi|^2 on valid points straight into
-    the output and scaled there by hbar/m, so a batch allocates one
-    complex workspace and one conjugate besides its outputs.
+    the output and scaled there by hbar/m.  |psi|^2 is ``work``'s real array
+    0 (``_scratch``), so the outputs are a batch's only fresh arrays.
     """
-    rho = np.abs(amplitudes) ** 2
+    rho = np.abs(amplitudes, out=_scratch(work, 0, amplitudes.shape))
+    np.square(rho, out=rho)
     valid = density_mask(rho, grid.dims)
     out = np.zeros((len(amplitudes), grid.dims) + grid.shape)
-    for d, current in enumerate(_axis_currents(amplitudes, grid)):
+    for d, current in enumerate(_axis_currents(amplitudes, grid, work)):
         v = out[:, d]
         np.divide(current, rho, out=v, where=valid)
         v *= params.hbar / params.mass

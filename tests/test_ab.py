@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,3 +58,23 @@ class TestLine:
         a = [1.0 + 0.01 * i for i in range(8)]
         line = ab._line("no_tunneling", a, a, a, a, (54_738_534, 2_284_902))
         assert line == ab._line("no_tunneling", a, a, a, a) + "  |  traced peak A 52.20 MiB  B 2.18 MiB"
+
+    def test_prints_both_median_fault_counts_before_the_peaks(self):
+        a = [1.0 + 0.01 * i for i in range(8)]
+        faults = ([52_013, 51_851, 52_100, 51_990, 52_020], [617, 459, 700, 620, 500])
+        line = ab._line("no_tunneling", a, a, a, a, (54_738_534, 2_284_902), faults)
+        faulted = "  |  minor faults A 52,013  B 617"
+        assert line == ab._line("no_tunneling", a, a, a, a) + faulted + "  |  traced peak A 52.20 MiB  B 2.18 MiB"
+
+
+def test_a_timed_run_counts_the_pages_it_faults_in(tmp_path):
+    # 40 MiB is above glibc's largest mmap threshold, so the run maps fresh pages and faults them in
+    def run(config, out_dir, quiet):
+        Path(out_dir).mkdir()
+        Path(out_dir, "series.csv").write_text(config)
+        np.ones(5 * 2**20).sum()
+
+    cli = SimpleNamespace(parse_config_file=lambda path: path, run=run)
+    seconds, cpu, faults, digests = ab._timed_run(cli, Path("x.cfg"), tmp_path / "out")
+    assert seconds > 0 and cpu > 0 and faults > 0
+    assert list(digests) == ["series.csv"]

@@ -439,9 +439,9 @@ class TestRun:
         for module, name in ((cli, "cli"), (wavefield, "wavefield")):
             original = module.velocity_batch
 
-            def counting(amplitudes, grid, params, name=name, original=original):
+            def counting(amplitudes, grid, params, work=None, name=name, original=original):
                 seen[name].append(amplitudes.shape)
-                return original(amplitudes, grid, params)
+                return original(amplitudes, grid, params, work)
 
             monkeypatch.setattr(module, "velocity_batch", counting)
         text = "experiment = harmonic-ground\n[run]\nt_final = 0.01\nsnapshot_stride = 20\n"
@@ -618,8 +618,8 @@ class TestDoctoredControls:
         # of 1 on body 1 does, so some sector-1 trajectories leave their sector; term-overlap reads psi0 only
         real = trajectories.velocity_batch
 
-        def offset(amplitudes, grid, params):
-            values, valid = real(amplitudes, grid, params)
+        def offset(amplitudes, grid, params, work=None):
+            values, valid = real(amplitudes, grid, params, work)
             values[:, 0] += 1.0
             return values, valid
 

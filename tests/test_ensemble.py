@@ -386,9 +386,9 @@ class TestReportedRows:
         record = evolve_quiet(wf, Free(), 2.0, 0.005, snapshot_stride=10)
         stacks = []
 
-        def counting(amplitudes, grid, params):
+        def counting(amplitudes, grid, params, work=None):
             stacks.append(amplitudes)
-            return qforce_batch(amplitudes, grid, params)
+            return qforce_batch(amplitudes, grid, params, work)
 
         def refused(wf):
             raise AssertionError("a row built a whole compute_qfields")

@@ -24,7 +24,7 @@ WORK = {
     "averaging_identity": (0, 0, 0, 6, 0, 0, 0),
     "bec": (0, 0, 1, 1, 2, 2_000, 0),
     "cm_newton": (400, 0, 401, 202, 1_002, 1_002_000, 0),
-    "crosscheck": (8_000, 16_000, 12_006, 6_003, 0, 0, 30_009),
+    "crosscheck": (8_000, 16_000, 12_003, 6_003, 0, 0, 30_009),
     "equivariance": (80, 0, 41, 41, 841, 8_410_000, 0),
     "free_gaussian": (20, 0, 0, 0, 0, 0, 0),
     "harmonic_ground": (0, 10_000, 63, 21, 21, 21, 81),
@@ -67,9 +67,9 @@ def counting_work(monkeypatch) -> list[int]:
         return sample_point(*args)
 
     def counting_rows(kind, batch):
-        def counting(amplitudes, grid, params):
+        def counting(amplitudes, grid, params, workspace=None):
             work[kind] += len(amplitudes)
-            return batch(amplitudes, grid, params)
+            return batch(amplitudes, grid, params, workspace)
 
         return counting
 

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -33,7 +35,7 @@ from bohmsim import (
 from bohmsim import _interp, propagator, trajectories
 from bohmsim._interp import _OFFSETS, erode
 from bohmsim.quantum_potential import compute_qfields
-from bohmsim.trajectories import _eval_fields, _FieldCache, _rk4_step
+from bohmsim.trajectories import _eval_fields, _FieldCache, _guidance_rk4, _leapfrog, _rk4_step, _shared_caches
 from bohmsim.wavefield import node_mask, velocity_batch, velocity_field
 
 
@@ -230,9 +232,9 @@ class TestFieldCache:
         seen = []
         original = getattr(trajectories, name)
 
-        def spying(amplitudes, grid, params):
+        def spying(amplitudes, grid, params, work=None):
             seen.append(amplitudes)
-            return original(amplitudes, grid, params)
+            return original(amplitudes, grid, params, work)
 
         monkeypatch.setattr(trajectories, name, spying)
         rows = oracles.free_rows(heavy_wf(), heavy_record.times)
@@ -251,9 +253,9 @@ class TestFieldCache:
         held = []
         original = trajectories.velocity_batch
 
-        def spying(amplitudes, grid, params):
+        def spying(amplitudes, grid, params, work=None):
             held.append((sorted(cache._cache), first() is None if first else None))
-            return original(amplitudes, grid, params)
+            return original(amplitudes, grid, params, work)
 
         monkeypatch.setattr(trajectories, "velocity_batch", spying)
         first = None
@@ -286,6 +288,54 @@ class TestFieldCache:
         wf = init_gaussian(grid, PhysicalParams(), 0.0, 1.0)
         record = evolve_quiet(wf, Free(), 0.01, 1e-3, snapshot_stride=5)
         assert _FieldCache(record, "velocity", 5e-3).batch == 1
+
+
+class TestWorkspace:
+    """A cache's batches work in one kept workspace; the fields, masks and rows they return are fresh."""
+
+    @pytest.fixture(scope="class")
+    def plane_rows(self):
+        # no-tunneling's plane: 128 x 128 points, more than FIELD_BATCH_POINTS, so a batch is one row
+        grid = make_grid(2, -8.0, 8.0, 128)
+        return evolve_quiet(init_gaussian(grid, PhysicalParams(), (-1.0, 1.0), 0.5), Free(), 0.03, 5e-3)
+
+    @pytest.mark.parametrize("kind", ["velocity", "qforce"])
+    def test_later_batches_allocate_no_array_of_a_row(self, plane_rows, kind):
+        cache = _FieldCache(plane_rows, kind, 5e-3)  # stride 1, one row a batch
+        row = 16 * math.prod(plane_rows.grid.shape)  # bytes of one complex row, and of one row's fields
+        cache.fields(0)  # the first batch makes the workspace
+        tracemalloc.start()
+        try:
+            for i in range(1, len(plane_rows)):
+                tracemalloc.reset_peak()
+                cache.fields(i)
+                current, peak = tracemalloc.get_traced_memory()
+                # a batch frees the row it evicts and keeps the row it computes: what rises above
+                # that and is freed again before it returns is smaller than any one-row array
+                assert peak - current < row, i
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", ["velocity", "qforce"])
+    def test_nothing_a_batch_returns_shares_the_workspace(self, plane_rows, kind):
+        cache, returned = _FieldCache(plane_rows, kind, 5e-3), []
+        for i in range(len(plane_rows)):
+            returned += [*cache.fields(i), *cache.at(i), plane_rows.rows(i)]  # and another reader's rows
+        # the row block with |psi|^2, the conjugate and the transform, or with |psi|^2, R, a term and five spectra
+        assert len(cache.work) == {"velocity": 4, "qforce": 9}[kind]
+        assert not any(np.shares_memory(a, b) for a in returned for b in cache.work.values())
+
+    def test_shared_caches_work_in_one_workspace(self):
+        # the crosscheck pairing on its own record: the two caches read side by side from one window
+        record = evolve_quiet(heavy_wf(), Free(), 1.0, 1e-3, snapshot_stride=25)
+        velocity, force = _shared_caches(record, 0.05)
+        returned = []
+        for j in range(0, len(record) - 1, 2):
+            returned += [*velocity.at(j), *velocity.at(j + 1), *force.at(j // 2)]
+        assert velocity.work is force.work
+        # three complex and three real arrays serve both kinds; the window's rows are not among them
+        assert sorted(a.dtype.char for a in velocity.work.values()) == ["D"] * 3 + ["d"] * 3
+        assert not any(np.shares_memory(a, b) for a in returned + [record._window[2]] for b in velocity.work.values())
 
 
 class TestGuidanceMomenta:
@@ -360,6 +410,28 @@ class TestOnePointPath:
         _, positions, momenta = integrate_newton_batch(heavy_record, twice, Free(), 0.1)
         assert np.array_equal(newton.positions, positions[:, 1])
         assert np.array_equal(newton.momenta, momenta[:, 1])
+
+    def test_float_steps_are_row_0_of_a_batch_bit_for_bit(self):
+        # a short harmonic record: Strang rows, and a classical force beside the quantum one
+        grid = make_grid(1, -10.0, 10.0, 256)
+        wf = init_gaussian(grid, PhysicalParams(), 1.0, oracles.ground_sigma(1.0))
+        record = evolve_quiet(wf, Harmonic(omega=1.0), 0.4, 1e-3, snapshot_stride=25)
+        potential, dt, n = Harmonic(omega=1.0), 0.05, 8
+        one, two = np.array([[0.4]]), np.array([[0.4], [1.3]])
+
+        def bits(value):
+            return np.float64(value).tobytes()
+
+        guided = [list(_guidance_rk4(_FieldCache(record, "velocity", 0.5 * dt), x0, n, dt)) for x0 in (one, two)]
+        assert len(guided[0]) == len(guided[1]) == n + 1
+        for (step, x, k1), (_, xs, k1s) in zip(*guided):
+            assert type(x) is float and bits(x) == bits(xs[0, 0]), step
+            assert (k1 is k1s is None) if step == n else (type(k1) is float and bits(k1) == bits(k1s[0, 0])), step
+        newton = [list(_leapfrog(_FieldCache(record, "qforce", dt), x0, potential, dt, n)) for x0 in (one, two)]
+        assert len(newton[0]) == len(newton[1]) == n + 1
+        for step, ((x, p), (xs, ps)) in enumerate(zip(*newton)):
+            assert type(x) is float and type(p) is float, step
+            assert bits(x) == bits(xs[0, 0]) and bits(p) == bits(ps[0, 0]), step
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_one_coordinate_on_a_plane_names_the_shape(self, unit_params, count):
@@ -474,9 +546,9 @@ class TestNewtonRoute:
     def test_initial_momentum_needs_one_velocity_field(self, heavy_record, monkeypatch):
         calls = []
 
-        def counting(amplitudes, grid, params):
+        def counting(amplitudes, grid, params, work=None):
             calls.append(amplitudes)
-            return velocity_batch(amplitudes, grid, params)
+            return velocity_batch(amplitudes, grid, params, work)
 
         monkeypatch.setattr(trajectories, "velocity_batch", counting)
         record = evolve_quiet(heavy_wf(), Free(), 1.0, 1e-3, snapshot_stride=25)  # no snapshots built yet
@@ -516,7 +588,7 @@ def masked_cache(monkeypatch, dims, node, bad_snapshots):
     record = evolve_quiet(wf, Free(), 4e-3, 1e-3, snapshot_stride=1)
     bad = [record.amplitudes[k] for k in bad_snapshots]
 
-    def fake_velocity_batch(amplitudes, grid, params):
+    def fake_velocity_batch(amplitudes, grid, params, work=None):
         values = np.zeros((len(amplitudes), grid.dims) + grid.shape)
         valid = np.ones((len(amplitudes),) + grid.shape, dtype=bool)
         for mask, a in zip(valid, amplitudes):

@@ -1,4 +1,4 @@
-"""Paired in-process A/B of the shipped configs' wall and CPU time and traced memory: a parent revision against this tree.
+"""Paired in-process A/B of the shipped configs' wall and CPU time, page faults and traced memory: a parent revision against this tree.
 
     python3 tools/ab.py --parent REV [--pairs N] CONFIG...
 
@@ -14,7 +14,12 @@ For each config, and for the sum over configs when there are several,
 prints the median of the pairs' B/A ratios of wall time (``perf_counter``)
 with a distribution-free 95% interval from order statistics, and beside it
 the same for CPU time (``process_time``); an interval that contains 1 is
-called unresolved.  After the timed pairs, each config runs once more on
+called unresolved.  Next come each side's median minor page faults per
+run (``getrusage``'s ``ru_minflt`` around ``cli.run``): pages the run
+faulted in afresh, as when the allocator hands freed memory back to the
+system and the next allocation maps it again.  They depend on the heap that
+earlier runs in the interpreter left, so compare the two sides of one
+invocation, not counts across invocations.  After the timed pairs, each config runs once more on
 each tree under ``tracemalloc``, untimed, and its line ends with both
 traced peaks in MiB.  Every run of either tree must write the same bytes,
 or the tool says which files differ and exits with status 1.
@@ -34,6 +39,7 @@ import hashlib
 import importlib
 import io
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -78,15 +84,18 @@ def _import_parent(rev: str, into: str):
     return importlib.import_module("bohmsim_parent.cli")
 
 
-def _timed_run(cli, config: Path, out: Path) -> tuple[float, float, dict[str, str]]:
-    """Wall and CPU seconds one ``cli.run`` of ``config`` takes, and the sha256 of each file it wrote."""
+def _timed_run(cli, config: Path, out: Path) -> tuple[float, float, int, dict[str, str]]:
+    """Wall and CPU seconds one ``cli.run`` of ``config`` takes, the minor page faults it takes,
+    and the sha256 of each file it wrote."""
     parsed = cli.parse_config_file(str(config))
     gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start, cpu_start = time.perf_counter(), time.process_time()
     cli.run(parsed, out_dir=str(out), quiet=True)
     cpu = time.process_time() - cpu_start
     seconds = time.perf_counter() - start
-    return seconds, cpu, _digests(out)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return seconds, cpu, faults, _digests(out)
 
 
 def _traced_run(cli, config: Path, out: Path) -> tuple[int, dict[str, str]]:
@@ -113,10 +122,14 @@ def _ratio(a: list[float], b: list[float]) -> str:
     return f"B/A median {mid:.4f}  95% [{low:.4f}, {high:.4f}]  {verdict}"
 
 
-def _line(name: str, a: list[float], b: list[float], cpu_a: list[float], cpu_b: list[float], peaks=None) -> str:
-    """One config's wall-time ratio and, beside it, its CPU-time ratio and, when given, the traced
-    peaks in bytes of A and B."""
+def _line(
+    name: str, a: list[float], b: list[float], cpu_a: list[float], cpu_b: list[float], peaks=None, faults=None
+) -> str:
+    """One config's wall-time ratio and, beside it, its CPU-time ratio and, when given, the median
+    minor page faults per run of A and B (``faults``, two lists) and the traced peaks in bytes of A and B."""
     line = f"{name:<20} pairs={len(a)}  A median {statistics.median(a):.4f} s  {_ratio(a, b)}  |  cpu {_ratio(cpu_a, cpu_b)}"
+    if faults is not None:
+        line += f"  |  minor faults A {statistics.median(faults[0]):,.0f}  B {statistics.median(faults[1]):,.0f}"
     if peaks is None:
         return line
     return line + f"  |  traced peak A {peaks[0] / 2**20:.2f} MiB  B {peaks[1] / 2**20:.2f} MiB"
@@ -138,6 +151,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = (_import_parent(args.parent, str(Path(tmp, "parent"))), this_cli)
         times = {config.stem: ([], [], [], []) for config in configs}  # wall A, wall B, cpu A, cpu B
+        faults = {config.stem: ([], []) for config in configs}
         first, differ = {}, set()
 
         def check(stem: str, digests: dict[str, str]) -> None:
@@ -148,9 +162,10 @@ def main(argv=None) -> int:
             for config in configs:
                 for side in (0, 1) if pair % 2 == 0 else (1, 0):
                     out = Path(tmp, "out", f"{config.stem}-{pair}-{side}")
-                    seconds, cpu, digests = _timed_run(trees[side], config, out)
+                    seconds, cpu, faulted, digests = _timed_run(trees[side], config, out)
                     times[config.stem][side].append(seconds)
                     times[config.stem][2 + side].append(cpu)
+                    faults[config.stem][side].append(faulted)
                     check(config.stem, digests)
         peaks = {config.stem: [0, 0] for config in configs}
         for config in configs:
@@ -160,9 +175,10 @@ def main(argv=None) -> int:
                 check(config.stem, digests)
 
     for name, series in times.items():
-        print(_line(name, *series, peaks[name]))
+        print(_line(name, *series, peaks[name], faults[name]))
     if len(times) > 1:
-        print(_line("sum", *(list(map(sum, zip(*side))) for side in zip(*times.values()))))
+        print(_line("sum", *(list(map(sum, zip(*side))) for side in zip(*times.values())),
+                    faults=[list(map(sum, zip(*side))) for side in zip(*faults.values())]))
     if differ:
         print("outputs differ: " + ", ".join(sorted(differ)))
         return 1
