@@ -5,9 +5,9 @@ the counter-based Philox4x64-10 generator so runs are reproducible from a single
 seed; ``_Philox`` draws numpy's Philox stream bit for bit in plain array arithmetic, with no
 random-number module loaded.  ``evolve_ensemble`` streams the transported ensemble one report
 row at a time, so its caller reduces each row as it arrives and no positions are kept.
-Particles read the velocity and the quantum force through ``trajectories._read``, as on the
-Newton route.  Means are exactly rounded, so no order sets the bits: ``_fsum`` sums by
-error-free extraction, whose level sums are exact in numpy, with ``math.fsum``'s bits.
+Particles read the velocity and the quantum force from ``trajectories._shared_caches``, as
+crosscheck's two routes do.  Means are exactly rounded, so no order sets the bits: ``_fsum``
+sums by error-free extraction, whose level sums are exact in numpy, with ``math.fsum``'s bits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import EvolutionRecord
-from .trajectories import _FieldCache, _guidance_rk4, _read, _snapshot_fields, _step_times
+from .trajectories import _eval_fields, _guidance_rk4, _shared_caches, _step_times
 from .wavefield import Grid, Wavefunction
 
 
@@ -177,26 +177,18 @@ def equivariance_distance(positions: np.ndarray, wf: Wavefunction) -> float:
 def evolve_ensemble(spec: EnsembleSpec, record: EvolutionRecord, dt: float) -> Iterator[tuple]:
     """Sample at the first snapshot and transport along the guidance flow, keeping no row.
 
-    ``dt`` is checked, and the velocity cache and the sample built, at the call.  The iterator
-    returned yields ``(t, amplitudes, positions, force)`` at each of the record's snapshot times
-    that falls on a trajectory step: the step's time, the snapshot's row, read once with
-    ``record.rows``, the positions (M, dims), and the quantum force (M, dims) that ``_read`` takes
-    from that row's ``"qforce"`` fields; positions off the grid or in a node region raise
-    ``TrajectoryAbort`` at their row.
+    ``dt`` is checked, and the field caches and the sample built, at the call.  The iterator
+    returned yields ``(t, amplitudes, positions, force)`` at each step whose force read lands on a
+    snapshot (``_FieldCache.snapshot``): the step's time, the snapshot's row, a view of the record's
+    window whose rows the force cache reads, the positions (M, dims), and the quantum force (M, dims).
+    The two caches read side by side over ``_shared_caches``' window, so each row is computed once;
+    positions off the grid or in a node region raise ``TrajectoryAbort`` at their row.
     """
     times = _step_times(record, dt)
-    cache = _FieldCache(record, "velocity", 0.5 * dt)
-    cache.work = None  # the sample's steps between batches outweigh a kept workspace
-    every = cache.q // math.gcd(2 * cache.p, cache.q)  # step k reads at snapshot 2 k p / q
-    steps = _guidance_rk4(cache, sample_equilibrium(spec), len(times) - 1, dt)
-
-    def report_rows():
-        for step, x, _ in steps:
-            if step % every == 0:
-                snap = step * 2 * cache.p // cache.q
-                amplitudes = record.rows(slice(snap, snap + 1))
-                force, eroded = _snapshot_fields(record, "qforce", amplitudes)
-                t = float(times[step])
-                yield t, amplitudes[0], x, _read(record.grid, t, x, force[0], eroded[0])
-
-    return report_rows()
+    velocity, force = _shared_caches(record, dt)
+    velocity.work = force.work = None  # the sample's steps between batches outweigh a kept workspace
+    steps = _guidance_rk4(velocity, sample_equilibrium(spec), len(times) - 1, dt)
+    return (
+        (float(times[step]), record.rows(force.snapshot(step)), x, _eval_fields(force, step, x))
+        for step, x, _ in steps if force.snapshot(step) is not None
+    )

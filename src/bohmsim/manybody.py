@@ -313,8 +313,9 @@ def run_cm_experiment(
     co-moving frame, which is exact for uniform external forces); frames
     follow classical dynamics.  The recorded classical force is evaluated at
     the actual subsystem positions, and the quantum force is the raw sum over
-    subsystems, also reported per particle.  Offsets in a node region at a
-    row's force read, the rows its ``TrajectoryAbort`` names, are redrawn there
+    subsystems, also reported per particle, both read from ``_shared_caches``.
+    Offsets in a node region at a row's force read, the rows its ``TrajectoryAbort``
+    names, are redrawn from the snapshot it lands on (``_FieldCache.snapshot``)
     and read again, before the step reads velocities; offsets off the grid abort.
     """
     if sampling not in ("random", "stratified"):
@@ -384,9 +385,9 @@ def run_cm_experiment(
         except TrajectoryAbort as abort:
             if abort.left_grid:
                 raise
-            bad = abort.indices
-            rho = np.abs(record.rows(2 * row)) ** 2
-            drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(2 * row)[1], bad.size, rng)
+            bad, snap = abort.indices, force_cache.snapshot(row)
+            rho = np.abs(record.rows(snap)) ** 2
+            drawn, redraws = _sample_from_snapshot(rho, record.grid, force_cache.fields(snap)[1], bad.size, rng)
             offsets[bad] = drawn
             resample_count += bad.size + redraws
             if resample_count > max(1.0, RESAMPLE_ABORT_FRACTION * max(n, n * n_steps // 100)):

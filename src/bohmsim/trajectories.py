@@ -16,13 +16,12 @@ index: read j lies at t0 + j * interval (a step for leapfrog; half a step for
 RK4, whose step k reads 2k, 2k + 1, 2k + 2), placed on the snapshots exactly
 by ``_FieldCache``; its time only names an abort.
 
-The RK4 loop ``_guidance_rk4`` yields each step's state, and its callers
-keep only what they read: ``ensemble.evolve_ensemble`` passes each reported
-row on as it comes and keeps none.
+The RK4 loop ``_guidance_rk4`` yields each step's state and holds only the current
+positions; ``ensemble.evolve_ensemble`` passes each reported row on and keeps none.
 
-Every field read at particle positions, from the cache, at the Newton start, at
-an ensemble row or at a many-body row, goes through ``_read``: a batch builds
-one ``_interp.Stencil`` per read, and an abort names the rows that stopped it.
+Every field read at particle positions, from a cache, at the Newton start or at
+a many-body row, goes through ``_read``: a batch builds one ``_interp.Stencil``
+per read, and an abort names the rows that stopped it.
 ``_snapshot_fields`` is the one place that computes a field kind of snapshot rows.
 In 1D a batch read from the cache evaluates the fields through the read's
 coefficient table (``_FieldCache.table``), built once per read index, so
@@ -81,7 +80,8 @@ class _FieldCache:
     a step for RK4, a whole step for leapfrog): p/q snapshot spacings in lowest
     terms by ``_whole_steps``' rule, m, m/2 or 1/m for a whole m, or else
     ``ValueError``.  Read j, with i, r = divmod(j p, q), is snapshot i when r is
-    0 and else the blend at theta = r/q towards i + 1.  When q is 1, only every
+    0 (``snapshot``, the one place a reader asks which snapshot a read lands on)
+    and else the blend at theta = r/q towards i + 1.  When q is 1, only every
     p-th snapshot is read, so a batch holds the next snapshots at that stride;
     otherwise the stride is one.  A batch reads ``record.rows``, whose window
     keeps no rows unless widened (as by ``_shared_caches``).  Node masks are
@@ -93,8 +93,8 @@ class _FieldCache:
 
     ``work`` holds the arrays a batch works in (``wavefield._scratch``): the
     first batch makes them and every later one overwrites them, so one-row 2D
-    batches fault no fresh pages in; what a batch returns is fresh.  An
-    ensemble, whose steps between batches outweigh them, sets it to None.
+    batches fault no fresh pages in; what a batch returns is fresh.  The ensemble
+    transports set it to None: their samples' steps between batches outweigh it.
 
     The last read keeps its blended fields, their mask and, once a 1D
     batch reads them, their ``_interp.cubic_table``; a one-particle float
@@ -128,6 +128,10 @@ class _FieldCache:
             for j, k in enumerate(range(i, stop, self.stride)):
                 self._cache[k] = (values[j], eroded[j])
         return self._cache[i]
+
+    def snapshot(self, j: int) -> int | None:
+        """The snapshot read j lands on, or None when it falls between two."""
+        return None if j * self.p % self.q else j * self.p // self.q
 
     def at(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Fields at read j, linear between snapshots, and both sides' eroded mask; once per distinct j."""
@@ -215,16 +219,16 @@ def _rk4_step(cache: _FieldCache, j: int, x: np.ndarray | float, dt: float, k1: 
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _guidance_rk4(cache: _FieldCache, x0: np.ndarray, n: int, dt: float):
-    """RK4 guidance integration from positions x0 (M, dims) over n steps of a half-step cache, one at a time.
+def _guidance_rk4(cache: _FieldCache, x: np.ndarray, n: int, dt: float):
+    """RK4 guidance integration from positions x (M, dims) over n steps of a half-step cache, one at a time.
 
     Yields ``(step, x, k1)`` at every step but the last, k1 being the
     stage-one velocity v(x, t) that RK4 evaluates anyway, at read 2 * step, and
-    ``(n, x, None)`` at the last, where nothing is read; the caller keeps
-    what it reads.  One particle in one dimension is carried as a Python
-    float, whose arithmetic rounds as the array's.
+    ``(n, x, None)`` at the last, where nothing is read; the caller keeps what it
+    reads, and the loop only the current positions.  One particle in one dimension
+    is carried as a Python float, whose arithmetic rounds as the array's.
     """
-    x = x0.item() if x0.shape == (1, 1) and cache.record.grid.dims == 1 else x0
+    x = x.item() if x.shape == (1, 1) and cache.record.grid.dims == 1 else x
     for step_index in range(n):
         k1 = _eval_fields(cache, 2 * step_index, x)
         yield step_index, x, k1

@@ -21,7 +21,9 @@ forward transform and one unfolded phase per mode: the bit-for-bit
 references of the field functions and of free records.  ``strang_loop`` is
 the stored Strang loop that streamed records replaced, written with the
 library's one-step ``step``: the bit-for-bit reference of their rows and
-norm drift.
+norm drift.  ``per_row_ensemble`` is the ensemble transport whose report rows
+each computed their own snapshot's force, the reference of the one that reads
+the shared field caches.
 """
 
 from __future__ import annotations
@@ -209,3 +211,22 @@ def strang_loop(wf, potential, dt, n_steps, stride):
         if i % stride == 0:
             rows.append(wf.amplitudes)
     return np.array(rows), np.abs(np.diff(norms))
+
+
+def per_row_ensemble(spec, record, dt):
+    """The rows ``evolve_ensemble`` yielded when each report row read its own one-row stack: the step's
+    time, the snapshot's row, the positions, and the quantum force ``_read`` without a table from
+    ``_snapshot_fields`` of that stack."""
+    from bohmsim import sample_equilibrium, trajectories
+
+    times = trajectories._step_times(record, dt)
+    cache = trajectories._FieldCache(record, "velocity", 0.5 * dt)
+    cache.work = None
+    every = cache.q // math.gcd(2 * cache.p, cache.q)  # step k reads at snapshot 2 k p / q
+    for step, x, _ in trajectories._guidance_rk4(cache, sample_equilibrium(spec), len(times) - 1, dt):
+        if step % every == 0:
+            snap = step * 2 * cache.p // cache.q
+            amplitudes = record.rows(slice(snap, snap + 1))
+            force, eroded = trajectories._snapshot_fields(record, "qforce", amplitudes)
+            t = float(times[step])
+            yield t, amplitudes[0], x, trajectories._read(record.grid, t, x, force[0], eroded[0])

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmsim import cli, manybody, propagator, quantum_potential, trajectories, wavefield
+from bohmsim import cli, ensemble, manybody, propagator, quantum_potential, trajectories, wavefield
 from bohmsim.cli import (
     _SECTIONS,
     EXPERIMENTS,
@@ -674,6 +675,36 @@ class TestCrosscheckMemory:
         # no record's block is held, only a window of rows, its fields and the working set:
         # measured 0.24 of one 1,001-row block, where a held block alone is 1.0
         assert peak < 0.4 * sizes[0]
+
+
+class TestEquivarianceMemory:
+    def test_no_row_outlives_its_reduction(self, monkeypatch):
+        # weak references to the initial sample and to each report row's positions and force: the step
+        # out of a row reads them up to t + dt, and every read from t + 1.5 dt on must find them freed
+        config = parse_config(EQUIVARIANCE)
+        dt = config.run.dt
+        watched, late = [], []  # (time, weak references), and the reads that found one alive
+        sample, stream, read = ensemble.sample_equilibrium, cli.evolve_ensemble, trajectories._read
+
+        def sampled(spec):
+            x = sample(spec)
+            watched.append((spec.wavefunction.time, [weakref.ref(x)]))
+            return x
+
+        def watching(row):
+            t, _, x, force = row
+            watched.append((t, [weakref.ref(x), weakref.ref(force)]))
+            return row
+
+        def checked(grid, t, *args):
+            late.extend(t for after, refs in watched if t > after + 1.25 * dt for ref in refs if ref() is not None)
+            return read(grid, t, *args)
+
+        monkeypatch.setattr(ensemble, "sample_equilibrium", sampled)
+        monkeypatch.setattr(cli, "evolve_ensemble", lambda *args: map(watching, stream(*args)))
+        monkeypatch.setattr(trajectories, "_read", checked)
+        cli._run_equivariance(config, 0)
+        assert len(watched) == 42 and late == []
 
 
 class TestStrangSteps:

@@ -342,6 +342,24 @@ def consumed(spec, record, dt):
         tracemalloc.stop()
 
 
+def spy_force_stacks(monkeypatch) -> list:
+    """The stacks ``qforce_batch`` is called with from the field caches, appended as they come; a whole
+    ``compute_qfields`` raises."""
+    stacks = []
+
+    def counting(amplitudes, grid, params, work=None):
+        stacks.append(amplitudes)
+        return qforce_batch(amplitudes, grid, params, work)
+
+    def refused(wf):
+        raise AssertionError("a row built a whole compute_qfields")
+
+    monkeypatch.setattr(trajectories, "qforce_batch", counting)
+    monkeypatch.setattr(quantum_potential, "compute_qfields", refused)
+    monkeypatch.setattr(ensemble, "compute_qfields", refused, raising=False)
+    return stacks
+
+
 class TestReportedRows:
     def test_positions_are_the_batch_rows_bit_for_bit(self, coarse_record):
         spec = EnsembleSpec(500, 7, coarse_record.snapshots[0])
@@ -379,28 +397,40 @@ class TestReportedRows:
         assert (short, long) == (61, 121)
         assert long_peak < short_peak + 4000 * 8
 
-    def test_each_row_computes_its_own_snapshot_force(self, monkeypatch):
-        # equivariance's record: 41 snapshots of 384 points; Q and f_q_max are never built
+    def test_each_snapshot_force_is_computed_once(self, monkeypatch):
+        # equivariance's record: 41 snapshots of 384 points, whose forces come in batches of 21 and 20 rows;
+        # Q and f_q_max are never built
         grid = make_grid(1, -18.0, 18.0, 384)
         wf = init_gaussian(grid, PhysicalParams(), 0.0, 1.0, 1.0)
         record = evolve_quiet(wf, Free(), 2.0, 0.005, snapshot_stride=10)
-        stacks = []
-
-        def counting(amplitudes, grid, params, work=None):
-            stacks.append(amplitudes)
-            return qforce_batch(amplitudes, grid, params, work)
-
-        def refused(wf):
-            raise AssertionError("a row built a whole compute_qfields")
-
-        monkeypatch.setattr(trajectories, "qforce_batch", counting)
-        monkeypatch.setattr(quantum_potential, "compute_qfields", refused)
-        monkeypatch.setattr(ensemble, "compute_qfields", refused, raising=False)
+        stacks = spy_force_stacks(monkeypatch)
         cloud = list(evolve_ensemble(EnsembleSpec(100, 1, wf), record, 0.01))
-        assert len(record) == len(cloud) == 41 and len(stacks) == 41
+        assert len(record) == len(cloud) == 41 and [len(stack) for stack in stacks] == [21, 20]
         want = oracles.free_rows(wf, record.times)  # the rows a free record computes when read
-        for snap_index, ((t, row, _, _), amplitudes) in enumerate(zip(cloud, stacks)):
+        assert np.concatenate(stacks).tobytes() == want.tobytes()  # every row once, in order
+        for snap_index, (t, row, _, _) in enumerate(cloud):
             assert t == record.times[snap_index]
-            assert amplitudes.shape == (1, 384) and amplitudes.tobytes() == want[snap_index].tobytes()
-            assert np.shares_memory(row, amplitudes)  # the yielded row is the one the force was read from
+            assert np.shares_memory(row, stacks[snap_index // 21])  # the row is in the stack its force came from
         assert "snapshots" not in vars(record)  # no Wavefunction per snapshot
+
+    @pytest.mark.parametrize(
+        "t_final, stride, reported",
+        [(2.0, 10, 41), (0.5, 2, 51), (0.5, 1, 51)],
+        ids=["spacing-5dt", "spacing-dt", "dt-2-spacing"],
+    )
+    def test_rows_are_the_per_row_reads_bit_for_bit(self, monkeypatch, t_final, stride, reported):
+        # steps of 0.01 over records at 0.005 * stride: dt = 2 * spacing reads every other snapshot,
+        # through a force cache of stride 2 and a window of 42 rows
+        wf = init_gaussian(make_grid(1, -18.0, 18.0, 384), PhysicalParams(), 0.0, 1.0, 1.0)
+        spec = EnsembleSpec(200, 4, wf)
+        want = list(oracles.per_row_ensemble(spec, evolve_quiet(wf, Free(), t_final, 0.005, stride), 0.01))
+        record = evolve_quiet(wf, Free(), t_final, 0.005, stride)
+        stacks = spy_force_stacks(monkeypatch)
+        got = list(evolve_ensemble(spec, record, 0.01))
+        assert len(got) == len(want) == reported
+        for row, reference in zip(got, want):
+            assert row[0] == reference[0]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(row[1:], reference[1:]))
+        assert sum(len(stack) for stack in stacks) == reported  # each reported snapshot's force computed once
+        if stride == 1:
+            assert record._span == 42

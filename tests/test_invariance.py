@@ -4,12 +4,13 @@ Each test runs shipped configs through ``cli.run`` with one thing changed that m
 not show, and compares every file it writes, byte for byte, with the run as shipped.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bohmsim import cli, ensemble, propagator, trajectories
+from bohmsim import cli, ensemble, manybody, propagator, trajectories
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,6 +47,29 @@ def test_particle_order_leaves_equivariance_unchanged(shipped, tmp_path, monkeyp
 
     monkeypatch.setattr(ensemble, "sample_equilibrium", permuted)
     assert outputs("equivariance", tmp_path) == shipped["equivariance"]
+
+
+def test_subsystem_order_leaves_cm_newton_unchanged(shipped, tmp_path, monkeypatch):
+    # the subsystems relabelled: each offset moves with its frame, as an offset alone would land on
+    # another frame and round frame + offset otherwise; the sums are exactly rounded, so no order shows
+    draw, experiment, draws = manybody._sample_from_snapshot, cli.run_cm_experiment, []
+    order = np.random.default_rng(0).permutation(1000)
+
+    def permuted_draw(rho, grid, eroded, count, rng):
+        draws.append(count)
+        x, redraws = draw(rho, grid, eroded, count, rng)
+        return x[order], redraws
+
+    def permuted_frames(spec, *args, **kwargs):  # the same permutation of the frames
+        relabelled = replace(
+            spec, frame_positions=spec.frame_positions[order], frame_velocities=spec.frame_velocities[order]
+        )
+        return experiment(relabelled, *args, **kwargs)
+
+    monkeypatch.setattr(manybody, "_sample_from_snapshot", permuted_draw)
+    monkeypatch.setattr(cli, "run_cm_experiment", permuted_frames)
+    assert outputs("cm_newton", tmp_path) == shipped["cm_newton"]
+    assert draws == [1000]  # no redraw at a row, which would take offsets by index
 
 
 @pytest.mark.parametrize("points", [1, 10**6])

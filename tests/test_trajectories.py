@@ -881,14 +881,24 @@ class TestRecordWindow:
         wf = init_gaussian(make_grid(1, -15.0, 15.0, 384), PhysicalParams(), 0.0, 1.0)
         return wf, evolve_quiet(wf, Free(), 0.2, 1.25e-4, snapshot_stride=4)
 
-    @pytest.mark.parametrize("reader", ["guidance-batch", "ensemble"])
+    @pytest.mark.parametrize("reader", ["guidance-batch", "newton-batch"])
     def test_a_lone_batch_reader_keeps_no_rows(self, reader):
-        wf, record = self.wf_and_record()
+        _, record = self.wf_and_record()
         if reader == "guidance-batch":
             integrate_guidance_batch(record, np.array([[-0.5], [1.0]]), self.DT)
         else:
-            assert sum(1 for _ in evolve_ensemble(EnsembleSpec(100, 3, wf), record, self.DT)) == 201
+            integrate_newton_batch(record, np.array([[-0.5], [1.0]]), Free(), self.DT)
         assert record._window[2] is None
+
+    def test_the_ensemble_keeps_one_window_of_its_span(self):
+        # its two caches read side by side, as crosscheck's do: one window of the force cache's 42 rows
+        wf, record = self.wf_and_record()
+        rows = evolve_ensemble(EnsembleSpec(100, 3, wf), record, self.DT)
+        assert record._span == 42
+        for count, _ in enumerate(rows, start=1):
+            lo, hi, block = record._window
+            assert hi - lo == len(block) <= record._span
+        assert count == 201 and record._window[:2] == (378, len(record))
 
     def test_shared_caches_keep_one_window_of_their_widest_read(self):
         _, record = self.wf_and_record()
